@@ -72,6 +72,12 @@ def _cmd_run(args) -> int:
         locations = out / "locations.csv"
         written.append(locations)
         report = simulate(params, locations_path=locations)
+        # each summary is built once and feeds both metrics.json and its CCDF file
+        summaries = {
+            "inter_contact_times": inter_contact_times(report.contacts),
+            "contact_durations": contact_durations(report.contacts),
+            "contacts_per_pair": contacts_per_pair(report.contacts),
+        }
 
         for name, writer in (
             ("waypoints.csv", lambda p: _write_waypoints(report, p)),
@@ -79,20 +85,20 @@ def _cmd_run(args) -> int:
             (
                 "metrics.json",
                 lambda p: write_metrics_json(
-                    metrics_report(report.contacts, report.selections), p
+                    metrics_report(report.contacts, report.selections, summaries), p
                 ),
             ),
             (
                 "ccdf_inter_contact_times.csv",
-                lambda p: write_ccdf_csv(inter_contact_times(report.contacts), p),
+                lambda p: write_ccdf_csv(summaries["inter_contact_times"], p),
             ),
             (
                 "ccdf_contact_durations.csv",
-                lambda p: write_ccdf_csv(contact_durations(report.contacts), p),
+                lambda p: write_ccdf_csv(summaries["contact_durations"], p),
             ),
             (
                 "ccdf_contacts_per_pair.csv",
-                lambda p: write_ccdf_csv(contacts_per_pair(report.contacts), p),
+                lambda p: write_ccdf_csv(summaries["contacts_per_pair"], p),
             ),
         ):
             path = out / name

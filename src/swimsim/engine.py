@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encounters import ContactRecord, ContactTracker, PauseInterval
-from .grid import LocationClass, LocationMap, Point2D, build_grid, write_locations_file
+from .grid import LocationMap, Point2D, build_grid, write_locations_file
 from .mobility import (
+    HomeProfile,
     ModelParams,
     Moving,
     NodeState,
@@ -62,7 +63,7 @@ class SimulationReport:
     contacts: list[ContactRecord]
     pauses: list[PauseInterval]
     selections: list[SelectionRecord]
-    seen: np.ndarray  # final per-node, per-cell encounter counters
+    seen: np.ndarray  # final N x L encounter counters, one row per node
 
 
 @dataclass
@@ -79,6 +80,13 @@ class SimulationState:
     selections: list[SelectionRecord] = field(default_factory=list)
     events_processed: int = 0
     finished: bool = False
+    seen: np.ndarray = None  # N x L; each node's seen is a row view of it
+
+    def __post_init__(self):
+        if self.seen is None:
+            self.seen = np.stack([node.seen for node in self.nodes])
+            for node, row in zip(self.nodes, self.seen):
+                node.seen = row
 
     def schedule(self, time: float, kind: int, node: int) -> None:
         heapq.heappush(self.queue, (time, self.seq, kind, node))
@@ -92,25 +100,33 @@ def initialize(params: ModelParams, locations_path=None) -> SimulationState:
     the node's home. Every node starts with a pause at home, and the pause
     is announced like any other arrival (in node-id order at t=0) so nodes
     that start co-located meet before anyone moves. When `locations_path`
-    is given the shared locations file is written there.
+    is given the shared locations file is written there. Nodes that share
+    a home share one HomeProfile, and all seen counters live in one N x L
+    matrix.
     """
     location_map = build_grid(params.area, params.n_locations)
     if locations_path is not None:
         write_locations_file(location_map, locations_path)
     rngs = [node_stream(params.seed, i) for i in range(params.node_count)]
+    seen = np.zeros((params.node_count, len(location_map)), dtype=np.int64)
+    profiles: dict[int, HomeProfile] = {}
     nodes = []
     for i, rng in enumerate(rngs):
         position = Point2D(
             float(rng.uniform(0.0, params.area.width)),
             float(rng.uniform(0.0, params.area.height)),
         )
-        nodes.append(make_node_state(i, position, location_map, params))
+        profile = profiles.get(location_map.cell_of(position))
+        node = make_node_state(i, position, location_map, params, profile, seen[i])
+        profiles[node.home] = node.profile
+        nodes.append(node)
     state = SimulationState(
         params=params,
         location_map=location_map,
         nodes=nodes,
         rngs=rngs,
         tracker=ContactTracker(params.seen_update),
+        seen=seen,
     )
     for node, rng in zip(nodes, rngs):
         state.tracker.on_arrival_signal(nodes, node.id, node.home, 0.0)
@@ -142,7 +158,7 @@ def handle_departure(state: SimulationState, node_id: int) -> None:
         SelectionRecord(
             node=node_id,
             cell=choice.cell,
-            visiting=node.classes[choice.cell] is LocationClass.VISITING,
+            visiting=choice.visiting,
             fallback=choice.fallback,
         )
     )
@@ -211,7 +227,7 @@ def run(state: SimulationState, until: float) -> SimulationReport:
         contacts=state.tracker.records,
         pauses=state.tracker.pauses,
         selections=state.selections,
-        seen=np.stack([node.seen for node in state.nodes]),
+        seen=state.seen,
     )
 
 

@@ -30,6 +30,9 @@ class AreaBounds:
     height: float
 
     def __post_init__(self):
+        for key, value in (("maxAreaX", self.width), ("maxAreaY", self.height)):
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
         if not (self.width > 0 and self.height > 0):
             raise ValueError(f"area must be positive, got {self.width} x {self.height}")
 
@@ -168,16 +171,26 @@ def classify_locations(
     A cell is neighbouring when its center lies within `limit` meters of the
     home cell's center; everything else (other than home itself) is visiting.
     """
-    if limit < 0:
-        raise ValueError(f"neighbourLocationLimit must be >= 0, got {limit}")
-    home_center = location_map.centers[home]
-    dists = np.hypot(*(location_map.centers - home_center).T)
     classes = [
-        LocationClass.NEIGHBOURING if d <= limit else LocationClass.VISITING
-        for d in dists
+        LocationClass.NEIGHBOURING if near else LocationClass.VISITING
+        for near in near_mask(center_distances(location_map, home), home, limit)
     ]
     classes[home] = LocationClass.HOME
     return classes
+
+
+def center_distances(location_map: LocationMap, home: int) -> np.ndarray:
+    """Distance from the home cell's center to every cell's center."""
+    return np.hypot(*(location_map.centers - location_map.centers[home]).T)
+
+
+def near_mask(distances: np.ndarray, home: int, limit: float) -> np.ndarray:
+    """True for the home cell and every cell whose center is within `limit`."""
+    if limit < 0:
+        raise ValueError(f"neighbourLocationLimit must be >= 0, got {limit}")
+    mask = distances <= limit
+    mask[home] = True
+    return mask
 
 
 def write_locations_file(location_map: LocationMap, path) -> None:

@@ -47,7 +47,11 @@ def summarize(values) -> DistributionSummary:
     positive = arr[arr > 0]
     ccdf = []
     if positive.size:
-        thresholds = np.geomspace(positive.min(), arr.max(), CCDF_POINTS)
+        # with one distinct positive value geomspace lands an ulp either side
+        # of it; clipping keeps every threshold within the sample range
+        thresholds = np.clip(
+            np.geomspace(positive.min(), arr.max(), CCDF_POINTS), positive.min(), arr.max()
+        )
         ccdf = [(float(t), float(np.mean(arr >= t))) for t in thresholds]
     return DistributionSummary(
         samples=int(arr.size),
@@ -185,13 +189,23 @@ def write_ccdf_csv(summary: DistributionSummary, path) -> None:
 
 
 def metrics_report(
-    contacts: list[ContactRecord], selections: list[SelectionRecord]
+    contacts: list[ContactRecord],
+    selections: list[SelectionRecord],
+    summaries: dict[str, DistributionSummary] | None = None,
 ) -> dict:
-    """Structured metrics for JSON export."""
+    """Structured metrics for JSON export.
+
+    `summaries` holds the three distribution summaries of `contacts` when
+    the caller has built them already; they are built here otherwise.
+    """
+    if summaries is None:
+        summaries = {
+            "inter_contact_times": inter_contact_times(contacts),
+            "contact_durations": contact_durations(contacts),
+            "contacts_per_pair": contacts_per_pair(contacts),
+        }
     return {
-        "inter_contact_times": inter_contact_times(contacts).as_dict(),
-        "contact_durations": contact_durations(contacts).as_dict(),
-        "contacts_per_pair": contacts_per_pair(contacts).as_dict(),
+        **{name: summary.as_dict() for name, summary in summaries.items()},
         "selection": selection_stats(selections).as_dict(),
         "contacts": {
             "total": len(contacts),

@@ -9,11 +9,17 @@ center and seen_norm is the node's encounter count at C normalized by one
 plus its total encounters. A destination is picked in two steps: alpha
 decides between the near set (home + neighbouring cells) and the visiting
 set, then one cell of the chosen set is drawn proportionally to w(C).
+
+Everything that depends only on the home cell (the two sets, the decay
+term and the cold-start CDF) lives in a HomeProfile shared by all nodes of
+that home; a node itself holds only its position, phase and seen counters.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,11 +28,18 @@ from .grid import (
     LocationClass,
     LocationMap,
     Point2D,
+    center_distances,
     classify_locations,
+    near_mask,
     random_point_in_cell,
 )
 
 SEEN_UPDATE_MODES = ("symmetric", "bystanders_only")
+
+
+def _require_finite(key: str, *values: float) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{key} must be finite, got {', '.join(map(str, values))}")
 
 
 @dataclass(frozen=True)
@@ -35,6 +48,7 @@ class UniformWait:
     high: float
 
     def __post_init__(self):
+        _require_finite("waitTime", self.low, self.high)
         if not (0 < self.low <= self.high):
             raise ValueError(f"waitTime needs 0 < min <= max, got [{self.low}, {self.high}]")
 
@@ -48,6 +62,7 @@ class PowerLawWait:
     high: float
 
     def __post_init__(self):
+        _require_finite("waitTime", self.exponent, self.low, self.high)
         if self.exponent <= 1:
             raise ValueError(f"waitTime power-law exponent must be > 1, got {self.exponent}")
         if not (0 < self.low <= self.high):
@@ -87,6 +102,11 @@ class ModelParams:
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        _require_finite("speed", self.speed)
+        _require_finite("neighbourLocationLimit", self.neighbour_limit)
+        _require_finite("simDuration", self.sim_duration)
+        if self.decay_scale is not None:
+            _require_finite("k", self.decay_scale)
         if self.speed <= 0:
             raise ValueError(f"speed must be > 0, got {self.speed}")
         if self.neighbour_limit < 0:
@@ -104,7 +124,7 @@ class ModelParams:
         if self.seen_update not in SEEN_UPDATE_MODES:
             raise ValueError(f"seen_update must be one of {SEEN_UPDATE_MODES}, got {self.seen_update!r}")
 
-    @property
+    @cached_property
     def k(self) -> float:
         if self.decay_scale is not None:
             return self.decay_scale
@@ -132,17 +152,87 @@ class Moving:
     arrive_at: float
 
 
+@dataclass(frozen=True, eq=False)
+class CandidateSet:
+    """One step-1 set of a home: cell ids plus their cached weight terms."""
+
+    cells: np.ndarray     # ascending cell ids; intp, which numpy indexes with fastest
+    static: np.ndarray    # alpha * decay[cells], the home-only weight term
+    cold_cdf: np.ndarray  # cumsum(normalized_weights(static)): the draw while seen is all zero
+
+
+@dataclass(frozen=True, eq=False)
+class HomeProfile:
+    """Everything selection needs that depends only on the home cell.
+
+    Built once per distinct home and shared by every node homed there. The
+    profile records the alpha, k and neighbour limit it was built with so a
+    node under other parameters gets a new profile instead of a stale one.
+    """
+
+    home: int
+    alpha: float
+    k: float
+    neighbour_limit: float
+    location_map: LocationMap = field(repr=False)
+    near: CandidateSet = field(repr=False)      # home + neighbouring cells
+    visiting: CandidateSet = field(repr=False)
+
+    def fits(self, params: ModelParams) -> bool:
+        return (self.alpha, self.k, self.neighbour_limit) == (
+            params.alpha,
+            params.k,
+            params.neighbour_limit,
+        )
+
+
+def _candidate_set(cells: np.ndarray, decay: np.ndarray, alpha: float) -> CandidateSet:
+    static = alpha * decay[cells]
+    cold_cdf = np.cumsum(normalized_weights(static)) if cells.size else static
+    return CandidateSet(cells=cells, static=static, cold_cdf=cold_cdf)
+
+
+def build_home_profile(location_map: LocationMap, home: int, params: ModelParams) -> HomeProfile:
+    """Classify the cells around `home` and cache its selection vectors."""
+    distances = center_distances(location_map, home)
+    near = near_mask(distances, home, params.neighbour_limit)
+    decay = decay_of(distances, params.k)
+    return HomeProfile(
+        home=home,
+        alpha=params.alpha,
+        k=params.k,
+        neighbour_limit=params.neighbour_limit,
+        location_map=location_map,
+        near=_candidate_set(np.flatnonzero(near), decay, params.alpha),
+        visiting=_candidate_set(np.flatnonzero(~near), decay, params.alpha),
+    )
+
+
 @dataclass
 class NodeState:
     id: int
     home: int
-    classes: list[LocationClass]
     position: Point2D
     phase: Paused | Moving
-    seen: np.ndarray
-    decay: np.ndarray = field(repr=False)          # cached decay per cell
-    near_cells: np.ndarray = field(repr=False)     # home + neighbouring ids
-    visiting_cells: np.ndarray = field(repr=False)
+    seen: np.ndarray  # this node's row of the run's N x L encounter matrix
+    profile: HomeProfile = field(repr=False)
+
+    @property
+    def classes(self) -> list[LocationClass]:
+        p = self.profile
+        return classify_locations(p.location_map, p.home, p.neighbour_limit)
+
+    @property
+    def decay(self) -> np.ndarray:
+        return decay_of(center_distances(self.profile.location_map, self.home), self.profile.k)
+
+    @property
+    def near_cells(self) -> np.ndarray:
+        return self.profile.near.cells
+
+    @property
+    def visiting_cells(self) -> np.ndarray:
+        return self.profile.visiting.cells
 
 
 def make_node_state(
@@ -150,28 +240,25 @@ def make_node_state(
     position: Point2D,
     location_map: LocationMap,
     params: ModelParams,
+    profile: HomeProfile | None = None,
+    seen: np.ndarray | None = None,
 ) -> NodeState:
-    """Derive home, classes and cached selection vectors from a position."""
+    """Node at `position`, homed in the cell containing it.
+
+    `profile` is shared with other nodes of the same home; one is built when
+    none is given or when it belongs to another home or other parameters.
+    `seen` is the node's encounter-counter row, fresh zeros by default.
+    """
     home = location_map.cell_of(position)
-    classes = classify_locations(location_map, home, params.neighbour_limit)
-    near = np.array(
-        [i for i, c in enumerate(classes) if c is not LocationClass.VISITING],
-        dtype=np.int64,
-    )
-    visiting = np.array(
-        [i for i, c in enumerate(classes) if c is LocationClass.VISITING],
-        dtype=np.int64,
-    )
+    if profile is None or profile.home != home or not profile.fits(params):
+        profile = build_home_profile(location_map, home, params)
     return NodeState(
         id=node_id,
         home=home,
-        classes=classes,
         position=position,
         phase=Paused(cell=home, until=0.0),
-        seen=np.zeros(len(location_map), dtype=np.int64),
-        decay=decay_vector(location_map, home, params.k),
-        near_cells=near,
-        visiting_cells=visiting,
+        seen=np.zeros(len(location_map), dtype=np.int64) if seen is None else seen,
+        profile=profile,
     )
 
 
@@ -184,9 +271,9 @@ def distance_decay(home: int, c: int, location_map: LocationMap, k: float) -> fl
     return 1.0 / (1.0 + k * d) ** 2
 
 
-def decay_vector(location_map: LocationMap, home: int, k: float) -> np.ndarray:
-    d = np.hypot(*(location_map.centers - location_map.centers[home]).T)
-    return 1.0 / (1.0 + k * d) ** 2
+def decay_of(distances: np.ndarray, k: float) -> np.ndarray:
+    """Distance term 1 / (1 + k*d)^2 for every entry of `distances`."""
+    return 1.0 / (1.0 + k * distances) ** 2
 
 
 def seen_normalized(node: NodeState, c: int) -> float:
@@ -216,6 +303,7 @@ def normalized_weights(weights: np.ndarray) -> np.ndarray:
 class DestinationChoice:
     cell: int
     point: Point2D
+    visiting: bool  # drawn from the visiting set; False means home/neighbouring
     fallback: bool  # step-1 set was empty and the other set was used
 
 
@@ -232,19 +320,32 @@ def select_destination(
     back to the other one. Step 2: one candidate is drawn proportionally to
     w(C), uniformly if every weight in the set is zero. The exact point is
     uniform over the chosen cell, which may be the node's current cell.
+
+    While the node has seen nobody the seen term is exactly zero, so w(C)
+    is the home profile's static term and its cached CDF is the draw.
     """
-    u = rng.random()
-    candidates = node.near_cells if u < params.alpha else node.visiting_cells
-    fallback = candidates.size == 0
+    profile = node.profile
+    if not profile.fits(params):
+        profile = node.profile = build_home_profile(location_map, node.home, params)
+    visiting = rng.random() >= params.alpha
+    candidates = profile.visiting if visiting else profile.near
+    fallback = candidates.cells.size == 0
     if fallback:
-        candidates = node.visiting_cells if u < params.alpha else node.near_cells
-    probs = normalized_weights(
-        params.alpha * node.decay[candidates]
-        + (1.0 - params.alpha) * node.seen[candidates] / (1.0 + float(node.seen.sum()))
-    )
+        visiting = not visiting
+        candidates = profile.visiting if visiting else profile.near
+    total = float(node.seen.sum())
+    if total == 0.0:
+        cdf = candidates.cold_cdf
+    else:
+        cdf = np.cumsum(
+            normalized_weights(
+                candidates.static
+                + (1.0 - params.alpha) * node.seen[candidates.cells] / (1.0 + total)
+            )
+        )
     r = rng.random()
-    idx = int(np.searchsorted(np.cumsum(probs), r, side="right"))
-    idx = min(idx, len(candidates) - 1)
-    cell_id = int(candidates[idx])
+    idx = int(np.searchsorted(cdf, r, side="right"))
+    idx = min(idx, len(candidates.cells) - 1)
+    cell_id = int(candidates.cells[idx])
     point = random_point_in_cell(location_map.cells[cell_id], rng)
-    return DestinationChoice(cell=cell_id, point=point, fallback=fallback)
+    return DestinationChoice(cell=cell_id, point=point, visiting=visiting, fallback=fallback)

@@ -126,3 +126,22 @@ def test_roundtrip_powerlaw_wait(tmp_path):
     path = tmp_path / "scenario.conf"
     save_config(config, path)
     assert load_config(path) == config
+
+
+@pytest.mark.parametrize(
+    "key, line, value",
+    [
+        ("speed", "speed = 1.4", "speed = nan"),
+        ("simDuration", None, "simDuration = inf"),
+        ("maxAreaX", "maxAreaX = 400", "maxAreaX = inf"),
+        ("neighbourLocationLimit", "neighbourLocationLimit = 300", "neighbourLocationLimit = nan"),
+        ("k", None, "k = nan"),
+        ("waitTime", "waitTime = uniform(2,5)", "waitTime = uniform(2,inf)"),
+    ],
+)
+def test_non_finite_values_rejected(tmp_path, key, line, value):
+    text = REFERENCE_CONFIG + value + "\n" if line is None else REFERENCE_CONFIG.replace(line, value)
+    path = tmp_path / "scenario.conf"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)

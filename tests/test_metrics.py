@@ -263,3 +263,13 @@ def test_metrics_on_real_run_match_brute_force():
     summary = contact_durations(log)
     if summary.samples:
         assert summary.min > 0
+
+
+@pytest.mark.parametrize("value", [5.0, 3.7, 12016.73])
+def test_summarize_single_valued_ccdf(value):
+    # every positive sample equal: each threshold is that value, and the
+    # CCDF is flat at the share of samples that reach it
+    summary = summarize([value, value, value])
+    assert summary.ccdf == [(value, 1.0)] * 50
+    summary = summarize([0.0, value, value, 0.0])
+    assert summary.ccdf == [(value, 0.5)] * 50
