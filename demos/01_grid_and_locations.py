@@ -8,16 +8,9 @@ cells relative to a home location, and the shared locations file.
 
 from pathlib import Path
 
-from swimsim import (
-    AreaBounds,
-    LocationClass,
-    Point2D,
-    build_grid,
-    cell_of,
-    classify_locations,
-    read_locations_file,
-    write_locations_file,
-)
+from swimsim import AreaBounds
+from swimsim.grid import LocationClass, Point2D, build_grid, cell_of, classify_locations
+from swimsim.outputs import read_locations_file, write_locations_file
 
 area = AreaBounds(400.0, 400.0)
 grid = build_grid(area, 21)

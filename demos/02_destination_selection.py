@@ -12,16 +12,9 @@ node goes somewhere near home, otherwise to a visiting (remote) cell.
 
 import numpy as np
 
-from swimsim import (
-    AreaBounds,
-    ModelParams,
-    Point2D,
-    UniformWait,
-    build_grid,
-    node_stream,
-    select_destination,
-)
-from swimsim.mobility import make_node_state
+from swimsim import AreaBounds, ModelParams, UniformWait
+from swimsim.grid import Point2D, build_grid
+from swimsim.mobility import make_node_state, node_stream, select_destination
 
 area = AreaBounds(400.0, 400.0)
 grid = build_grid(area, 21)
@@ -45,7 +38,7 @@ def selection_histogram(alpha, seen=None, draws=20000):
 print("home is cell 0 (bottom-left); fractions of 20000 draws per cell\n")
 for alpha in (0.3, 0.8):
     counts, node = selection_histogram(alpha)
-    visiting = set(int(c) for c in node.visiting_cells)
+    visiting = set(int(c) for c in node.profile.visiting.cells)
     remote_share = counts[sorted(visiting)].sum() / counts.sum()
     print(f"alpha = {alpha}: remote share {remote_share:.3f}")
     for row in range(2, -1, -1):  # print rows top-down

@@ -15,12 +15,9 @@ from swimsim import (
     contact_durations,
     inter_contact_times,
     metrics_report,
+    outputs,
     selection_stats,
     simulate,
-    write_ccdf_csv,
-    write_contacts_csv,
-    write_metrics_json,
-    write_waypoints,
 )
 
 out = Path("demo-output")
@@ -53,11 +50,11 @@ dur = contact_durations(report.contacts)
 print(f"inter-contact times: n={ict.samples} mean={ict.mean:.1f} s max={ict.max:.0f} s")
 print(f"contact durations:   n={dur.samples} mean={dur.mean:.1f} s max={dur.max:.0f} s")
 
-write_waypoints(report, out / "waypoints.csv")
-write_contacts_csv(report.contacts, out / "contacts.csv")
-write_ccdf_csv(ict, out / "ccdf_inter_contact_times.csv")
-write_ccdf_csv(dur, out / "ccdf_contact_durations.csv")
-write_metrics_json(metrics_report(report.contacts, report.selections), out / "metrics.json")
+outputs.write_waypoints(report, out / "waypoints.csv")
+outputs.write_contacts_csv(report.contacts, out / "contacts.csv")
+outputs.write_ccdf_csv(ict, out / "ccdf_inter_contact_times.csv")
+outputs.write_ccdf_csv(dur, out / "ccdf_contact_durations.csv")
+outputs.write_metrics_json(metrics_report(report.contacts, report.selections), out / "metrics.json")
 print(f"wrote traces and metrics under {out}/")
 
 # the CCDF is the heavy-tail view: fraction of gaps at least this long

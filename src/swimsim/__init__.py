@@ -4,113 +4,44 @@ Deterministic event-driven simulation of the SWIM (Small Worlds In Motion)
 human-mobility model: grid of locations, alpha-weighted destination
 selection, straight-line constant-speed movement, and cell-based contact
 tracking with inter-contact-time / contact-duration statistics.
+
+The names below are the documented library surface (README, "Library");
+everything else is imported from its submodule.
 """
 
-from .config import ConfigError, ScenarioConfig, load_config, save_config, write_waypoints
-from .encounters import ContactRecord, ContactTracker, PauseInterval, write_contacts_csv
-from .engine import (
-    SelectionRecord,
-    SimulationReport,
-    SimulationState,
-    WaypointRecord,
-    initialize,
-    position_at,
-    run,
-    simulate,
-)
-from .grid import (
-    AreaBounds,
-    Cell,
-    LocationClass,
-    LocationMap,
-    Point2D,
-    build_grid,
-    cell_of,
-    classify_locations,
-    random_point_in_cell,
-    read_locations_file,
-    write_locations_file,
-)
+from . import outputs
+from .config import ConfigError, ScenarioConfig, load_config, save_config
+from .engine import SimulationReport, initialize, position_at, run, simulate
+from .grid import AreaBounds
 from .metrics import (
-    DistributionSummary,
-    SelectionStats,
     contact_durations,
     contacts_per_pair,
-    durations_by_pair,
-    ict_by_pair,
     inter_contact_times,
     metrics_report,
     selection_stats,
-    summarize,
-    write_ccdf_csv,
-    write_metrics_json,
 )
-from .mobility import (
-    DestinationChoice,
-    ModelParams,
-    NodeState,
-    PowerLawWait,
-    UniformWait,
-    distance_decay,
-    draw_wait_time,
-    node_stream,
-    seen_normalized,
-    select_destination,
-    weight,
-)
+from .mobility import ModelParams, PowerLawWait, UniformWait
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AreaBounds",
-    "Cell",
     "ConfigError",
-    "ContactRecord",
-    "ContactTracker",
-    "DestinationChoice",
-    "DistributionSummary",
-    "LocationClass",
-    "LocationMap",
     "ModelParams",
-    "NodeState",
-    "PauseInterval",
-    "Point2D",
     "PowerLawWait",
     "ScenarioConfig",
-    "SelectionRecord",
-    "SelectionStats",
     "SimulationReport",
-    "SimulationState",
     "UniformWait",
-    "WaypointRecord",
-    "build_grid",
-    "cell_of",
-    "classify_locations",
     "contact_durations",
     "contacts_per_pair",
-    "distance_decay",
-    "draw_wait_time",
-    "durations_by_pair",
-    "ict_by_pair",
     "initialize",
     "inter_contact_times",
     "load_config",
     "metrics_report",
-    "node_stream",
+    "outputs",
     "position_at",
-    "random_point_in_cell",
-    "read_locations_file",
     "run",
     "save_config",
-    "seen_normalized",
-    "select_destination",
     "selection_stats",
     "simulate",
-    "summarize",
-    "weight",
-    "write_ccdf_csv",
-    "write_contacts_csv",
-    "write_locations_file",
-    "write_metrics_json",
-    "write_waypoints",
 ]

@@ -5,11 +5,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .config import ConfigError, load_config
-from .config import write_waypoints as _write_waypoints
-from .encounters import write_contacts_csv
 from .engine import simulate
 from .grid import build_grid, classify_locations, LocationClass
 from .metrics import (
@@ -18,9 +17,10 @@ from .metrics import (
     inter_contact_times,
     metrics_report,
     selection_stats,
-    write_ccdf_csv,
-    write_metrics_json,
 )
+# bound here under these names because perfbench/worker.py traces them here
+from .outputs import write_ccdf_csv, write_contacts_csv, write_metrics_json, write_sweep_csv
+from .outputs import write_waypoints as _write_waypoints
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,12 +49,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cleanup(written: list[Path]) -> None:
-    for path in written:
-        try:
-            path.unlink()
-        except OSError:
-            pass
+@contextmanager
+def _removed_on_failure(written: list[Path]):
+    """Delete every path in `written` when the block fails, Ctrl-C included."""
+    try:
+        yield
+    except BaseException:
+        for path in written:
+            try:
+                path.unlink()
+            except OSError:
+                pass
+        raise
 
 
 def _cmd_run(args) -> int:
@@ -68,7 +74,7 @@ def _cmd_run(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    try:
+    with _removed_on_failure(written):
         locations = out / "locations.csv"
         written.append(locations)
         report = simulate(params, locations_path=locations)
@@ -104,9 +110,6 @@ def _cmd_run(args) -> int:
             path = out / name
             written.append(path)
             writer(path)
-    except Exception:
-        _cleanup(written)
-        raise
     stats = selection_stats(report.selections)
     print(
         f"run finished: {report.events_processed} events, "
@@ -137,22 +140,8 @@ def _cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table = out / "sweep_selection.csv"
-    written = [table]
-    try:
-        with open(table, "w", newline="") as f:
-            f.write(
-                "alpha,selections,neighbouring,visiting,fallbacks,"
-                "neighbouring_fraction,visiting_fraction\n"
-            )
-            for alpha, stats in rows:
-                f.write(
-                    f"{alpha:.6f},{stats.total},{stats.near},{stats.visiting},"
-                    f"{stats.fallbacks},{stats.near_fraction:.6f},"
-                    f"{stats.visiting_fraction:.6f}\n"
-                )
-    except Exception:
-        _cleanup(written)
-        raise
+    with _removed_on_failure([table]):
+        write_sweep_csv(rows, table)
 
     print("alpha  selections  neighbouring_fraction  visiting_fraction  fallbacks")
     for alpha, stats in rows:

@@ -1,4 +1,4 @@
-"""Scenario configuration files and trace writers.
+"""Scenario configuration files.
 
 Configs are flat `key = value` text, one key per model parameter
 (`neighbourLocationLimit`, `speed`, `maxAreaX`, ..., `alpha`,
@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .engine import SimulationReport
 from .grid import AreaBounds
 from .mobility import ModelParams, PowerLawWait, UniformWait, WaitTimeDist
 
@@ -208,11 +207,3 @@ def dumps_config(config: ScenarioConfig) -> str:
 def save_config(config: ScenarioConfig, path) -> None:
     with open(path, "w", newline="") as f:
         f.write(dumps_config(config))
-
-
-def write_waypoints(report: SimulationReport, path) -> None:
-    """Waypoint trace export: `time,node,x,y,event` rows in event order."""
-    with open(path, "w", newline="") as f:
-        f.write("time,node,x,y,event\n")
-        for w in report.waypoints:
-            f.write(f"{w.time:.6f},{w.node},{w.x:.6f},{w.y:.6f},{w.event}\n")

@@ -22,10 +22,6 @@ class ContactRecord:
     end: float | None = None
     censored: bool = False
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
 
 @dataclass
 class PauseInterval:
@@ -97,13 +93,3 @@ class ContactTracker:
             interval.end = now
             interval.censored = True
         self._open_pause.clear()
-
-
-def write_contacts_csv(records: list[ContactRecord], path) -> None:
-    """Contact log export, one `a,b,cell,start,end,censored` row per record."""
-    with open(path, "w", newline="") as f:
-        f.write("a,b,cell,start,end,censored\n")
-        for r in records:
-            f.write(
-                f"{r.a},{r.b},{r.cell},{r.start:.6f},{r.end:.6f},{int(r.censored)}\n"
-            )

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encounters import ContactRecord, ContactTracker, PauseInterval
-from .grid import LocationMap, Point2D, build_grid, write_locations_file
+from .grid import LocationMap, Point2D, build_grid
 from .mobility import (
     HomeProfile,
     ModelParams,
@@ -29,6 +29,7 @@ from .mobility import (
     node_stream,
     select_destination,
 )
+from .outputs import write_locations_file
 
 DEPARTURE = 0
 ARRIVAL = 1

@@ -9,13 +9,10 @@ neighbour limit of the home center) or a visiting location.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-
-LOCATIONS_HEADER_RE = re.compile(r"^# swim-locations v1 rows=(\d+) cols=(\d+)$")
 
 
 @dataclass(frozen=True)
@@ -191,38 +188,3 @@ def near_mask(distances: np.ndarray, home: int, limit: float) -> np.ndarray:
     mask = distances <= limit
     mask[home] = True
     return mask
-
-
-def write_locations_file(location_map: LocationMap, path) -> None:
-    """Write the shared locations file: one `id,min_x,min_y,max_x,max_y` line
-    per cell at 6-decimal fixed point, preceded by a versioned header."""
-    lines = [f"# swim-locations v1 rows={location_map.rows} cols={location_map.cols}\n"]
-    for cell in location_map.cells:
-        lines.append(
-            f"{cell.id},{cell.min_x:.6f},{cell.min_y:.6f},"
-            f"{cell.max_x:.6f},{cell.max_y:.6f}\n"
-        )
-    with open(path, "w", newline="") as f:
-        f.writelines(lines)
-
-
-def read_locations_file(path) -> LocationMap:
-    """Parse a locations file back into a LocationMap."""
-    with open(path) as f:
-        header = f.readline().rstrip("\n")
-        m = LOCATIONS_HEADER_RE.match(header)
-        if not m:
-            raise ValueError(f"{path}: not a swim-locations v1 file")
-        rows, cols = int(m.group(1)), int(m.group(2))
-        cells = []
-        for line in f:
-            cid, min_x, min_y, max_x, max_y = line.rstrip("\n").split(",")
-            cells.append(
-                Cell(int(cid), float(min_x), float(min_y), float(max_x), float(max_y))
-            )
-    if len(cells) != rows * cols:
-        raise ValueError(f"{path}: expected {rows * cols} cells, found {len(cells)}")
-    if [c.id for c in cells] != list(range(len(cells))):
-        raise ValueError(f"{path}: cell ids are not 0..{len(cells) - 1} in order")
-    area = AreaBounds(max(c.max_x for c in cells), max(c.max_y for c in cells))
-    return LocationMap(cells=tuple(cells), rows=rows, cols=cols, area=area)

@@ -9,7 +9,6 @@ log-spaced thresholds for heavy-tail inspection.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -94,14 +93,6 @@ def inter_contact_times(log: list[ContactRecord]) -> DistributionSummary:
     return summarize(ict_samples(log))
 
 
-def durations_by_pair(log: list[ContactRecord]) -> dict[tuple[int, int], list[float]]:
-    """Per-pair durations of finished, positive-length contacts."""
-    return {
-        pair: [r.end - r.start for r in records if not r.censored and r.end > r.start]
-        for pair, records in _by_pair(log).items()
-    }
-
-
 def duration_samples(log: list[ContactRecord]) -> list[float]:
     """Durations of finished contacts; zero-length ones carry no information."""
     return [r.end - r.start for r in log if not r.censored and r.end > r.start]
@@ -180,14 +171,6 @@ def selection_stats(selections) -> SelectionStats:
     )
 
 
-def write_ccdf_csv(summary: DistributionSummary, path) -> None:
-    """CCDF export, one `value,fraction` row per threshold."""
-    with open(path, "w", newline="") as f:
-        f.write("value,fraction\n")
-        for value, fraction in summary.ccdf:
-            f.write(f"{value:.6f},{fraction:.6f}\n")
-
-
 def metrics_report(
     contacts: list[ContactRecord],
     selections: list[SelectionRecord],
@@ -215,9 +198,3 @@ def metrics_report(
             ),
         },
     }
-
-
-def write_metrics_json(report: dict, path) -> None:
-    with open(path, "w", newline="") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")

@@ -25,11 +25,9 @@ import numpy as np
 
 from .grid import (
     AreaBounds,
-    LocationClass,
     LocationMap,
     Point2D,
     center_distances,
-    classify_locations,
     near_mask,
     random_point_in_cell,
 )
@@ -174,7 +172,6 @@ class HomeProfile:
     alpha: float
     k: float
     neighbour_limit: float
-    location_map: LocationMap = field(repr=False)
     near: CandidateSet = field(repr=False)      # home + neighbouring cells
     visiting: CandidateSet = field(repr=False)
 
@@ -202,7 +199,6 @@ def build_home_profile(location_map: LocationMap, home: int, params: ModelParams
         alpha=params.alpha,
         k=params.k,
         neighbour_limit=params.neighbour_limit,
-        location_map=location_map,
         near=_candidate_set(np.flatnonzero(near), decay, params.alpha),
         visiting=_candidate_set(np.flatnonzero(~near), decay, params.alpha),
     )
@@ -216,23 +212,6 @@ class NodeState:
     phase: Paused | Moving
     seen: np.ndarray  # this node's row of the run's N x L encounter matrix
     profile: HomeProfile = field(repr=False)
-
-    @property
-    def classes(self) -> list[LocationClass]:
-        p = self.profile
-        return classify_locations(p.location_map, p.home, p.neighbour_limit)
-
-    @property
-    def decay(self) -> np.ndarray:
-        return decay_of(center_distances(self.profile.location_map, self.home), self.profile.k)
-
-    @property
-    def near_cells(self) -> np.ndarray:
-        return self.profile.near.cells
-
-    @property
-    def visiting_cells(self) -> np.ndarray:
-        return self.profile.visiting.cells
 
 
 def make_node_state(
@@ -262,29 +241,20 @@ def make_node_state(
     )
 
 
-def distance_decay(home: int, c: int, location_map: LocationMap, k: float) -> float:
-    """Distance term 1 / (1 + k*d)^2 for center-to-center distance d."""
-    if k <= 0:
-        raise ValueError(f"k must be > 0, got {k}")
-    dx, dy = location_map.centers[c] - location_map.centers[home]
-    d = float(np.hypot(dx, dy))
-    return 1.0 / (1.0 + k * d) ** 2
-
-
 def decay_of(distances: np.ndarray, k: float) -> np.ndarray:
     """Distance term 1 / (1 + k*d)^2 for every entry of `distances`."""
     return 1.0 / (1.0 + k * distances) ** 2
 
 
-def seen_normalized(node: NodeState, c: int) -> float:
-    """Encounter count at c over (1 + total encounters); 0 on a cold start."""
-    return float(node.seen[c]) / (1.0 + float(node.seen.sum()))
+def candidate_weights(
+    static: np.ndarray, seen: np.ndarray, total: float, alpha: float
+) -> np.ndarray:
+    """w(C) = alpha * decay(C) + (1 - alpha) * seen(C) / (1 + total) over a set.
 
-
-def weight(node: NodeState, c: int, location_map: LocationMap, params: ModelParams) -> float:
-    return params.alpha * distance_decay(node.home, c, location_map, params.k) + (
-        1.0 - params.alpha
-    ) * seen_normalized(node, c)
+    `static` is the home profile's alpha * decay term of the candidates and
+    `seen` their encounter counts out of `total` encounters in all cells.
+    """
+    return static + (1.0 - alpha) * seen / (1.0 + total)
 
 
 def normalized_weights(weights: np.ndarray) -> np.ndarray:
@@ -339,8 +309,9 @@ def select_destination(
     else:
         cdf = np.cumsum(
             normalized_weights(
-                candidates.static
-                + (1.0 - params.alpha) * node.seen[candidates.cells] / (1.0 + total)
+                candidate_weights(
+                    candidates.static, node.seen[candidates.cells], total, params.alpha
+                )
             )
         )
     r = rng.random()

@@ -110,3 +110,28 @@ def test_sweep_bad_alpha_list(config_path, tmp_path, capsys):
          "--out", str(tmp_path / "s")]
     ) == 1
     assert "alpha" in capsys.readouterr().err
+
+
+def test_run_interrupted_leaves_no_outputs(config_path, tmp_path, monkeypatch):
+    # locations.csv is written before the event loop starts, so Ctrl-C there
+    # must still remove it
+    def interrupted(state, until):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("swimsim.engine.run", interrupted)
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", "--config", str(config_path), "--out", str(out)])
+    assert out.is_dir() and not any(out.iterdir())
+
+
+def test_sweep_interrupted_leaves_no_outputs(config_path, tmp_path, monkeypatch):
+    def interrupted(rows, path):
+        path.write_text("alpha,")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("swimsim.cli.write_sweep_csv", interrupted)
+    out = tmp_path / "sweep"
+    with pytest.raises(KeyboardInterrupt):
+        main(["sweep", "--config", str(config_path), "--alpha", "0.3", "--out", str(out)])
+    assert out.is_dir() and not any(out.iterdir())

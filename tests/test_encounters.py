@@ -2,10 +2,11 @@ from itertools import combinations
 
 import numpy as np
 
-from swimsim.encounters import ContactTracker, write_contacts_csv
+from swimsim.encounters import ContactTracker
 from swimsim.engine import simulate
 from swimsim.grid import AreaBounds, Point2D, build_grid
 from swimsim.mobility import ModelParams, UniformWait, make_node_state
+from swimsim.outputs import write_contacts_csv
 
 AREA = AreaBounds(400.0, 400.0)
 

@@ -17,7 +17,7 @@ from swimsim.engine import (
     run,
     simulate,
 )
-from swimsim.grid import AreaBounds, LocationClass, Point2D, build_grid
+from swimsim.grid import AreaBounds, LocationClass, Point2D, build_grid, classify_locations
 from swimsim.mobility import ModelParams, Moving, Paused, UniformWait, make_node_state
 
 AREA = AreaBounds(400.0, 400.0)
@@ -86,10 +86,12 @@ def test_initialize_single_node():
 
 
 def test_initialize_home_classes():
-    state = initialize(make_params(node_count=20))
+    params = make_params(node_count=20)
+    state = initialize(params)
     for node in state.nodes:
-        assert node.classes[node.home] is LocationClass.HOME
-        assert node.classes.count(LocationClass.HOME) == 1
+        classes = classify_locations(state.location_map, node.home, params.neighbour_limit)
+        assert classes[node.home] is LocationClass.HOME
+        assert classes.count(LocationClass.HOME) == 1
         assert AREA.contains(node.position)
 
 

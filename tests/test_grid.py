@@ -13,9 +13,8 @@ from swimsim.grid import (
     classify_locations,
     grid_shape,
     random_point_in_cell,
-    read_locations_file,
-    write_locations_file,
 )
+from swimsim.outputs import read_locations_file, write_locations_file
 
 
 def brute_force_shape(n, width, height):

@@ -6,7 +6,7 @@ import pytest
 
 from swimsim.encounters import ContactRecord
 from swimsim.engine import SelectionRecord, simulate
-from swimsim.grid import AreaBounds, LocationClass, Point2D, build_grid
+from swimsim.grid import AreaBounds, LocationClass, Point2D, build_grid, classify_locations
 from swimsim.metrics import (
     contact_durations,
     contacts_per_pair,
@@ -17,9 +17,9 @@ from swimsim.metrics import (
     metrics_report,
     selection_stats,
     summarize,
-    write_ccdf_csv,
 )
 from swimsim.mobility import ModelParams, UniformWait, make_node_state, node_stream, select_destination
+from swimsim.outputs import write_ccdf_csv
 
 AREA = AreaBounds(400.0, 400.0)
 
@@ -82,7 +82,7 @@ def test_ict_censored_adjacent_gaps_dropped():
 
 
 def test_per_pair_breakdowns():
-    from swimsim.metrics import durations_by_pair, ict_by_pair
+    from swimsim.metrics import ict_by_pair
 
     log = [
         rec(0, 1, 0.0, 5.0),
@@ -91,7 +91,6 @@ def test_per_pair_breakdowns():
         rec(0, 2, 9.0, 11.0),
     ]
     assert ict_by_pair(log) == {(0, 1): [7.0], (0, 2): [6.0]}
-    assert durations_by_pair(log) == {(0, 1): [5.0, 8.0], (0, 2): [2.0]}
 
 
 def test_durations():
@@ -204,6 +203,7 @@ def test_selection_stats_step1_binomial():
     )
     location_map = build_grid(AREA, 21)
     node = make_node_state(0, Point2D(10.0, 10.0), location_map, params)
+    classes = classify_locations(location_map, node.home, params.neighbour_limit)
     rng = node_stream(5, 0)
     n = 100_000
     records = []
@@ -213,7 +213,7 @@ def test_selection_stats_step1_binomial():
             SelectionRecord(
                 node=0,
                 cell=choice.cell,
-                visiting=node.classes[choice.cell] is LocationClass.VISITING,
+                visiting=classes[choice.cell] is LocationClass.VISITING,
                 fallback=choice.fallback,
             )
         )

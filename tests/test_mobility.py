@@ -3,19 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from swimsim.grid import AreaBounds, LocationClass, Point2D, build_grid
+from swimsim.grid import (
+    AreaBounds,
+    LocationClass,
+    Point2D,
+    build_grid,
+    center_distances,
+    classify_locations,
+)
 from swimsim.mobility import (
     ModelParams,
     PowerLawWait,
     UniformWait,
-    distance_decay,
+    build_home_profile,
+    candidate_weights,
+    decay_of,
     draw_wait_time,
     make_node_state,
     node_stream,
     normalized_weights,
-    seen_normalized,
     select_destination,
-    weight,
 )
 
 AREA = AreaBounds(400.0, 400.0)
@@ -39,6 +46,26 @@ def make_params(**overrides):
 
 def node_at(point, params, location_map):
     return make_node_state(0, point, location_map, params)
+
+
+def distance_decay(home, c, location_map, k):
+    return decay_of(center_distances(location_map, home), k)[c]
+
+
+def seen_normalized(node, c):
+    """The seen term alone: candidate_weights with alpha = 0 and no static term."""
+    return candidate_weights(np.zeros(1), node.seen[[c]], node.seen.sum(), 0.0)[0]
+
+
+def all_weights(node, location_map, params):
+    """w(C) for every cell, gathered from both candidate sets of the node's home."""
+    profile = build_home_profile(location_map, node.home, params)
+    w = np.full(len(location_map), np.nan)
+    for candidates in (profile.near, profile.visiting):
+        w[candidates.cells] = candidate_weights(
+            candidates.static, node.seen[candidates.cells], node.seen.sum(), params.alpha
+        )
+    return w
 
 
 def test_params_validation_messages():
@@ -100,13 +127,11 @@ def test_weight_alpha_extremes_and_mix():
     m = build_grid(AREA, 21)
     node = node_at(Point2D(10.0, 10.0), make_params(alpha=1.0), m)
     node.seen[3] = 17
+    pure_decay = all_weights(node, m, make_params(alpha=1.0))
+    pure_seen = all_weights(node, m, make_params(alpha=0.0))
     for c in range(21):
-        assert weight(node, c, m, make_params(alpha=1.0)) == pytest.approx(
-            distance_decay(node.home, c, m, make_params().k)
-        )
-        assert weight(node, c, m, make_params(alpha=0.0)) == pytest.approx(
-            seen_normalized(node, c)
-        )
+        assert pure_decay[c] == pytest.approx(distance_decay(node.home, c, m, make_params().k))
+        assert pure_seen[c] == pytest.approx(seen_normalized(node, c))
 
 
 def test_weight_direct_value():
@@ -119,7 +144,7 @@ def test_weight_direct_value():
     node.seen[1] = 3
     node.seen[0] = 1  # denominator 1 + 4, seen_norm(1) = 0.6
     assert seen_normalized(node, 1) == pytest.approx(0.6)
-    assert weight(node, 1, m, params) == pytest.approx(0.425)
+    assert all_weights(node, m, params)[1] == pytest.approx(0.425)
 
 
 def test_weight_bounds_random():
@@ -131,8 +156,8 @@ def test_weight_bounds_random():
             Point2D(float(rng.uniform(0, 400)), float(rng.uniform(0, 400))), params, m
         )
         node.seen[:] = rng.integers(0, 50, size=21)
-        c = int(rng.integers(0, 21))
-        assert 0.0 <= weight(node, c, m, params) <= 1.0
+        w = all_weights(node, m, params)
+        assert ((0.0 <= w) & (w <= 1.0)).all()
 
 
 def test_normalized_weights_scale_invariant():
@@ -216,7 +241,8 @@ def test_select_destination_cold_start_step1_fraction():
     assert node.home == 0
     rng = np.random.default_rng(37)
     n = 100_000
-    visiting_ids = set(int(c) for c in node.visiting_cells)
+    visiting_cells = node.profile.visiting.cells
+    visiting_ids = set(int(c) for c in visiting_cells)
     hits = {c: 0 for c in visiting_ids}
     n_visiting = 0
     for _ in range(n):
@@ -228,8 +254,9 @@ def test_select_destination_cold_start_step1_fraction():
     sigma = math.sqrt(0.3 * 0.7 / n)
     assert abs(n_visiting / n - 0.7) < 3 * sigma
     # within the visiting set, frequencies follow the normalized decay weights
-    expected = normalized_weights(node.decay[node.visiting_cells])
-    empirical = np.array([hits[int(c)] / n_visiting for c in node.visiting_cells])
+    decay = decay_of(center_distances(m, node.home), params.k)
+    expected = normalized_weights(decay[visiting_cells])
+    empirical = np.array([hits[int(c)] / n_visiting for c in visiting_cells])
     tv = 0.5 * np.abs(empirical - expected).sum()
     assert tv < 0.02
 
@@ -253,12 +280,13 @@ def test_select_destination_empty_visiting_falls_back():
     m = build_grid(AREA, 21)
     params = make_params(alpha=0.0, neighbour_limit=AREA.diagonal)
     node = node_at(Point2D(10.0, 10.0), params, m)
-    assert node.visiting_cells.size == 0
+    assert node.profile.visiting.cells.size == 0
+    classes = classify_locations(m, node.home, params.neighbour_limit)
     rng = np.random.default_rng(41)
     for _ in range(50):
         choice = select_destination(node, m, params, rng)
         assert choice.fallback
-        assert node.classes[choice.cell] is not LocationClass.VISITING
+        assert classes[choice.cell] is not LocationClass.VISITING
 
 
 def test_select_destination_zero_weights_uniform():
@@ -272,9 +300,9 @@ def test_select_destination_zero_weights_uniform():
     for _ in range(n):
         choice = select_destination(node, m, params, rng)
         counts[choice.cell] += 1
-    visiting = node.visiting_cells
+    visiting = node.profile.visiting.cells
     assert counts.sum() == n
-    assert counts[node.near_cells].sum() == 0  # alpha=0 never picks the near set
+    assert counts[node.profile.near.cells].sum() == 0  # alpha=0 never picks the near set
     empirical = counts[visiting] / n
     assert 0.5 * np.abs(empirical - 1.0 / len(visiting)).sum() < 0.02
 

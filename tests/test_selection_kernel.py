@@ -128,7 +128,7 @@ def test_profiled_kernel_matches_dense_without_visiting_cells(alpha, kind):
     params = make_params(alpha=alpha, neighbour_limit=AREA.diagonal)
     for position in HOMES:
         node = make_node_state(0, position, GRID, params)
-        assert node.visiting_cells.size == 0
+        assert node.profile.visiting.cells.size == 0
         assert_same_draws(node, params, seen_pattern(kind))
 
 
@@ -143,8 +143,8 @@ def test_initialize_builds_one_profile_per_home():
     for first, *rest in shared:
         for other in rest:
             assert other.profile is first.profile
-            assert other.near_cells is first.near_cells
-            assert other.visiting_cells is first.visiting_cells
+            assert other.profile.near.cells is first.profile.near.cells
+            assert other.profile.visiting.cells is first.profile.visiting.cells
             assert other.profile.near.cold_cdf is first.profile.near.cold_cdf
 
 
