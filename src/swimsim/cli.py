@@ -34,13 +34,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="scenario config file")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--until", type=float, default=None, help="override simDuration")
-    p_run.add_argument("--out", required=True, help="output directory")
+    p_run.add_argument("--out", help="output directory (default: the config's outputDir)")
 
     p_sweep = sub.add_parser("sweep", help="matched-seed runs over several alpha values")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--alpha", required=True, help="comma-separated alpha values")
     p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--out", required=True)
+    p_sweep.add_argument("--out", help="output directory (default: the config's outputDir)")
 
     p_val = sub.add_parser("validate", help="parse a config and report the derived grid")
     p_val.add_argument("--config", required=True)
@@ -63,6 +63,13 @@ def _removed_on_failure(written: list[Path]):
         raise
 
 
+def _out_dir(args, config) -> Path:
+    out = args.out if args.out is not None else config.output_dir
+    if out is None:
+        raise ConfigError("no output directory: pass --out or set outputDir in the config")
+    return Path(out)
+
+
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
@@ -71,7 +78,7 @@ def _cmd_run(args) -> int:
         config = dataclasses.replace(config, sim_duration=args.until)
     params = config.to_params()
 
-    out = Path(args.out)
+    out = _out_dir(args, config)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     with _removed_on_failure(written):
@@ -84,37 +91,24 @@ def _cmd_run(args) -> int:
             "contact_durations": contact_durations(report.contacts),
             "contacts_per_pair": contacts_per_pair(report.contacts),
         }
+        metrics = metrics_report(report.contacts, report.selections, summaries)
 
         for name, writer in (
             ("waypoints.csv", lambda p: _write_waypoints(report, p)),
             ("contacts.csv", lambda p: write_contacts_csv(report.contacts, p)),
-            (
-                "metrics.json",
-                lambda p: write_metrics_json(
-                    metrics_report(report.contacts, report.selections, summaries), p
-                ),
-            ),
-            (
-                "ccdf_inter_contact_times.csv",
-                lambda p: write_ccdf_csv(summaries["inter_contact_times"], p),
-            ),
-            (
-                "ccdf_contact_durations.csv",
-                lambda p: write_ccdf_csv(summaries["contact_durations"], p),
-            ),
-            (
-                "ccdf_contacts_per_pair.csv",
-                lambda p: write_ccdf_csv(summaries["contacts_per_pair"], p),
+            ("metrics.json", lambda p: write_metrics_json(metrics, p)),
+            *(
+                (f"ccdf_{kind}.csv", lambda p, summary=summary: write_ccdf_csv(summary, p))
+                for kind, summary in summaries.items()
             ),
         ):
             path = out / name
             written.append(path)
             writer(path)
-    stats = selection_stats(report.selections)
     print(
         f"run finished: {report.events_processed} events, "
         f"{len(report.contacts)} contacts, "
-        f"neighbouring fraction {stats.near_fraction:.6f}"
+        f"neighbouring fraction {metrics['selection']['neighbouring_fraction']:.6f}"
     )
     return 0
 
@@ -123,6 +117,7 @@ def _cmd_sweep(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
+    out = _out_dir(args, config)
     try:
         alphas = [float(a) for a in args.alpha.split(",") if a.strip()]
     except ValueError:
@@ -137,7 +132,6 @@ def _cmd_sweep(args) -> int:
         stats = selection_stats(report.selections)
         rows.append((alpha, stats))
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table = out / "sweep_selection.csv"
     with _removed_on_failure([table]):

@@ -1,9 +1,9 @@
 """Scenario configuration files.
 
-Configs are flat `key = value` text, one key per model parameter
-(`neighbourLocationLimit`, `speed`, `maxAreaX`, ..., `alpha`,
-`noOfLocations`) plus run controls (`nodeCount`, `simDuration`, `seed`,
-`k`, `seen_update`, `outputDir`). `waitTime` takes `uniform(min,max)` or
+Configs are flat `key = value` text. `KEYS` below is the one list of
+accepted keys: each maps to the `ScenarioConfig` field it sets, its parser
+and the text `dumps_config` writes for it. A key is required when its field
+has no default. The pause time takes `uniform(min,max)` or
 `powerlaw(beta,min,max)`. Blank lines and `#` comments are ignored;
 unknown or duplicate keys are errors that name the key.
 """
@@ -11,7 +11,8 @@ unknown or duplicate keys are errors that name the key.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from types import SimpleNamespace
 
 from .grid import AreaBounds
 from .mobility import ModelParams, PowerLawWait, UniformWait, WaitTimeDist
@@ -23,29 +24,6 @@ class ConfigError(ValueError):
 
 _UNIFORM_RE = re.compile(r"^uniform\(\s*([^,\s]+)\s*,\s*([^)\s]+)\s*\)$")
 _POWERLAW_RE = re.compile(r"^powerlaw\(\s*([^,\s]+)\s*,\s*([^,\s]+)\s*,\s*([^)\s]+)\s*\)$")
-
-REQUIRED_KEYS = (
-    "neighbourLocationLimit",
-    "speed",
-    "maxAreaX",
-    "maxAreaY",
-    "waitTime",
-    "alpha",
-    "noOfLocations",
-)
-
-KNOWN_KEYS = REQUIRED_KEYS + (
-    "initialX",
-    "initialY",
-    "initialZ",
-    "maxAreaZ",
-    "nodeCount",
-    "simDuration",
-    "seed",
-    "k",
-    "seen_update",
-    "outputDir",
-)
 
 
 @dataclass(frozen=True)
@@ -80,21 +58,25 @@ class ScenarioConfig:
         )
 
 
-def _parse_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+def _parser(kind, noun: str):
+    """Parser of one key: `kind(value)`, with an error that names the key."""
+    def parse(key: str, value: str):
+        try:
+            return kind(value)
+        except ValueError:
+            raise ConfigError(f"{key}: expected {noun}, got {value!r}") from None
+    return parse
 
 
-def _parse_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
+def _only(accepted, parse, why: str):
+    """Parser of a SWIM key that swimsim accepts with one value only."""
+    def check(key: str, value: str) -> None:
+        if parse(key, value) != accepted:
+            raise ConfigError(f"{key}: {why}")
+    return check
 
 
-def parse_wait_time(value: str) -> WaitTimeDist:
+def parse_wait_time(key: str, value: str) -> WaitTimeDist:
     m = _UNIFORM_RE.match(value)
     try:
         if m:
@@ -103,10 +85,45 @@ def parse_wait_time(value: str) -> WaitTimeDist:
         if m:
             return PowerLawWait(float(m.group(1)), float(m.group(2)), float(m.group(3)))
     except ValueError as e:
-        raise ConfigError(f"waitTime: {e}") from None
-    raise ConfigError(
-        f"waitTime: expected uniform(min,max) or powerlaw(beta,min,max), got {value!r}"
-    )
+        raise ConfigError(f"{key}: {e}") from None
+    raise ConfigError(f"{key}: expected uniform(min,max) or powerlaw(beta,min,max), got {value!r}")
+
+
+def dumps_wait_time(wait: WaitTimeDist) -> str:
+    if isinstance(wait, UniformWait):
+        return f"uniform({wait.low!r},{wait.high!r})"
+    return f"powerlaw({wait.exponent!r},{wait.low!r},{wait.high!r})"
+
+
+_FLOAT, _INT, _TEXT = _parser(float, "a number"), _parser(int, "an integer"), _parser(str, "text")
+_UNIFORM_ONLY = _only("uniform", _TEXT, "only 'uniform' placement is supported")
+_FLAT = _only(0.0, _FLOAT, "movement is 2D, value must be 0")
+# Field names go through _F, so a misspelt one fails at import.
+_F = SimpleNamespace(**{f.name: f.name for f in fields(ScenarioConfig)})
+
+# config key: (ScenarioConfig field, parser, the text dumps_config writes for
+# the field's value or None for no line). A key with no field accepts one
+# value only and sets nothing. dumps_config writes the keys in this order.
+KEYS = {
+    "neighbourLocationLimit": (_F.neighbour_limit, _FLOAT, repr),
+    "speed": (_F.speed, _FLOAT, repr),
+    "initialX": (None, _UNIFORM_ONLY, lambda _: "uniform"),
+    "initialY": (None, _UNIFORM_ONLY, lambda _: "uniform"),
+    "maxAreaX": (_F.max_area_x, _FLOAT, repr),
+    "maxAreaY": (_F.max_area_y, _FLOAT, repr),
+    "waitTime": (_F.wait, parse_wait_time, dumps_wait_time),
+    "alpha": (_F.alpha, _FLOAT, repr),
+    "noOfLocations": (_F.n_locations, _INT, str),
+    "nodeCount": (_F.node_count, _INT, str),
+    "simDuration": (_F.sim_duration, _FLOAT, repr),
+    "seed": (_F.seed, _INT, str),
+    "seen_update": (_F.seen_update, _TEXT, str),
+    "k": (_F.k, _FLOAT, lambda k: None if k is None else repr(k)),
+    "outputDir": (_F.output_dir, _TEXT, lambda path: path),
+    "initialZ": (None, _FLAT, lambda _: None),
+    "maxAreaZ": (None, _FLAT, lambda _: None),
+}
+_REQUIRED = {f.name for f in fields(ScenarioConfig) if f.default is MISSING}
 
 
 def loads_config(text: str, source: str = "<config>") -> ScenarioConfig:
@@ -119,46 +136,19 @@ def loads_config(text: str, source: str = "<config>") -> ScenarioConfig:
             raise ConfigError(f"{source}:{lineno}: expected key = value, got {line!r}")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in KNOWN_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         raw[key] = value
 
-    missing = [k for k in REQUIRED_KEYS if k not in raw]
+    missing = [key for key, (name, _, _) in KEYS.items() if name in _REQUIRED and key not in raw]
     if missing:
         raise ConfigError(f"{source}: missing required keys: {', '.join(missing)}")
 
-    for axis in ("initialX", "initialY"):
-        if raw.get(axis, "uniform") != "uniform":
-            raise ConfigError(f"{axis}: only 'uniform' placement is supported")
-    for flat in ("initialZ", "maxAreaZ"):
-        if flat in raw and _parse_float(flat, raw[flat]) != 0.0:
-            raise ConfigError(f"{flat}: movement is 2D, value must be 0")
-
-    kwargs = dict(
-        neighbour_limit=_parse_float("neighbourLocationLimit", raw["neighbourLocationLimit"]),
-        speed=_parse_float("speed", raw["speed"]),
-        max_area_x=_parse_float("maxAreaX", raw["maxAreaX"]),
-        max_area_y=_parse_float("maxAreaY", raw["maxAreaY"]),
-        wait=parse_wait_time(raw["waitTime"]),
-        alpha=_parse_float("alpha", raw["alpha"]),
-        n_locations=_parse_int("noOfLocations", raw["noOfLocations"]),
-    )
-    if "nodeCount" in raw:
-        kwargs["node_count"] = _parse_int("nodeCount", raw["nodeCount"])
-    if "simDuration" in raw:
-        kwargs["sim_duration"] = _parse_float("simDuration", raw["simDuration"])
-    if "seed" in raw:
-        kwargs["seed"] = _parse_int("seed", raw["seed"])
-    if "k" in raw:
-        kwargs["k"] = _parse_float("k", raw["k"])
-    if "seen_update" in raw:
-        kwargs["seen_update"] = raw["seen_update"]
-    if "outputDir" in raw:
-        kwargs["output_dir"] = raw["outputDir"]
-
-    config = ScenarioConfig(**kwargs)
+    values = {KEYS[key][0]: KEYS[key][1](key, value) for key, value in raw.items()}
+    values.pop(None, None)  # one-value keys are parsed only to check them
+    config = ScenarioConfig(**values)
     try:
         config.to_params()  # every range check, each error naming its key
     except ValueError as e:
@@ -175,32 +165,12 @@ def load_config(path) -> ScenarioConfig:
     return loads_config(text, source=str(path))
 
 
-def dumps_wait_time(wait: WaitTimeDist) -> str:
-    if isinstance(wait, UniformWait):
-        return f"uniform({wait.low!r},{wait.high!r})"
-    return f"powerlaw({wait.exponent!r},{wait.low!r},{wait.high!r})"
-
-
 def dumps_config(config: ScenarioConfig) -> str:
-    lines = [
-        f"neighbourLocationLimit = {config.neighbour_limit!r}",
-        f"speed = {config.speed!r}",
-        "initialX = uniform",
-        "initialY = uniform",
-        f"maxAreaX = {config.max_area_x!r}",
-        f"maxAreaY = {config.max_area_y!r}",
-        f"waitTime = {dumps_wait_time(config.wait)}",
-        f"alpha = {config.alpha!r}",
-        f"noOfLocations = {config.n_locations}",
-        f"nodeCount = {config.node_count}",
-        f"simDuration = {config.sim_duration!r}",
-        f"seed = {config.seed}",
-        f"seen_update = {config.seen_update}",
-    ]
-    if config.k is not None:
-        lines.append(f"k = {config.k!r}")
-    if config.output_dir is not None:
-        lines.append(f"outputDir = {config.output_dir}")
+    lines = []
+    for key, (name, _, show) in KEYS.items():
+        text = show(getattr(config, name) if name else None)
+        if text is not None:
+            lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 
 

@@ -30,8 +30,8 @@ class AreaBounds:
         for key, value in (("maxAreaX", self.width), ("maxAreaY", self.height)):
             if not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value}")
-        if not (self.width > 0 and self.height > 0):
-            raise ValueError(f"area must be positive, got {self.width} x {self.height}")
+            if value <= 0:
+                raise ValueError(f"{key} must be > 0, got {value}")
 
     @property
     def diagonal(self) -> float:

@@ -18,6 +18,7 @@ that home; a node itself holds only its position, phase and seen counters.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -65,6 +66,21 @@ class PowerLawWait:
             raise ValueError(f"waitTime power-law exponent must be > 1, got {self.exponent}")
         if not (0 < self.low <= self.high):
             raise ValueError(f"waitTime needs 0 < min <= max, got [{self.low}, {self.high}]")
+        # The sampler draws between low**g and high**g (g = 1 - exponent) and
+        # maps back with **(1/g). Where that overflows, underflows to 0 or
+        # rounds the ends off by more than 1e-6, the draws follow no power law.
+        g = 1.0 - self.exponent
+        try:
+            exact = all(
+                math.isclose((t**g) ** (1.0 / g), t, rel_tol=1e-6) for t in (self.low, self.high)
+            )
+        except (OverflowError, ZeroDivisionError):
+            exact = False
+        if not exact:
+            raise ValueError(
+                f"waitTime powerlaw({self.exponent}, {self.low}, {self.high}) "
+                "cannot be sampled in floating point"
+            )
 
 
 WaitTimeDist = UniformWait | PowerLawWait
@@ -76,9 +92,13 @@ def draw_wait_time(dist: WaitTimeDist, rng: np.random.Generator) -> float:
         return dist.low
     u = rng.random()
     if isinstance(dist, UniformWait):
-        return dist.low + u * (dist.high - dist.low)
-    g = 1.0 - dist.exponent
-    return (dist.low**g + u * (dist.high**g - dist.low**g)) ** (1.0 / g)
+        t = dist.low + u * (dist.high - dist.low)
+    else:
+        g = 1.0 - dist.exponent
+        low_g, high_g = dist.low**g, dist.high**g
+        # high_g < low_g; rounding can push the sum below high_g or to 0
+        t = max(low_g + u * (high_g - low_g), high_g) ** (1.0 / g)
+    return min(max(t, dist.low), dist.high)  # rounding can leave the range
 
 
 @dataclass(frozen=True)
@@ -111,6 +131,11 @@ class ModelParams:
             raise ValueError(f"neighbourLocationLimit must be >= 0, got {self.neighbour_limit}")
         if self.n_locations < 2:
             raise ValueError(f"noOfLocations must be >= 2, got {self.n_locations}")
+        # build_grid multiplies each side by up to noOfLocations; an int
+        # compares with the float bound exactly, where the product can overflow
+        for key, side in (("maxAreaX", self.area.width), ("maxAreaY", self.area.height)):
+            if self.n_locations > sys.float_info.max / side:
+                raise ValueError(f"{key} * noOfLocations overflows: {side} * {self.n_locations}")
         if self.node_count < 1:
             raise ValueError(f"nodeCount must be >= 1, got {self.node_count}")
         if self.sim_duration <= 0:
@@ -119,6 +144,11 @@ class ModelParams:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.decay_scale is not None and self.decay_scale <= 0:
             raise ValueError(f"k must be > 0, got {self.decay_scale}")
+        if not math.isfinite(self.k):
+            raise ValueError(
+                f"k defaults to 2 / area diagonal, which overflows for a "
+                f"{self.area.width} x {self.area.height} area; set k"
+            )
         if self.seen_update not in SEEN_UPDATE_MODES:
             raise ValueError(f"seen_update must be one of {SEEN_UPDATE_MODES}, got {self.seen_update!r}")
 

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from swimsim.cli import main
@@ -135,3 +137,34 @@ def test_sweep_interrupted_leaves_no_outputs(config_path, tmp_path, monkeypatch)
     with pytest.raises(KeyboardInterrupt):
         main(["sweep", "--config", str(config_path), "--alpha", "0.3", "--out", str(out)])
     assert out.is_dir() and not any(out.iterdir())
+
+
+def test_run_out_defaults_to_output_dir(config_path, tmp_path, capsys):
+    out = tmp_path / "from-config"
+    config_path.write_text(config_path.read_text() + f"outputDir = {out}\n")
+    assert main(["run", "--config", str(config_path)]) == 0
+    for name in RUN_OUTPUTS:
+        assert (out / name).exists(), name
+    # the summary line reads the selection fraction metrics.json holds
+    fraction = json.loads((out / "metrics.json").read_text())["selection"]["neighbouring_fraction"]
+    assert f"neighbouring fraction {fraction:.6f}" in capsys.readouterr().out
+    # --out still wins over outputDir
+    other = tmp_path / "other"
+    assert main(["run", "--config", str(config_path), "--out", str(other)]) == 0
+    assert (other / "metrics.json").exists()
+
+
+def test_sweep_out_defaults_to_output_dir(config_path, tmp_path):
+    out = tmp_path / "from-config"
+    config_path.write_text(config_path.read_text() + f"outputDir = {out}\n")
+    assert main(["sweep", "--config", str(config_path), "--alpha", "0.3"]) == 0
+    assert (out / "sweep_selection.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--alpha", "0.3"]])
+def test_no_output_directory_names_both(config_path, tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    assert main([command[0], "--config", str(config_path), *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert "--out" in err and "outputDir" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.conf"]

@@ -145,3 +145,60 @@ def test_non_finite_values_rejected(tmp_path, key, line, value):
     path.write_text(text)
     with pytest.raises(ConfigError, match=key):
         load_config(path)
+
+
+def test_dump_of_every_optional_key_is_pinned():
+    config = loads_config(
+        REFERENCE_CONFIG.replace("maxAreaY = 400", "maxAreaY = 250.5").replace(
+            "uniform(2,5)", "powerlaw(1.5, 10, 3600)"
+        )
+        + "initialZ = 0\nmaxAreaZ = 0\nnodeCount = 25\nsimDuration = 1e3\nseed = 42\n"
+        + "k = 0.004\nseen_update = bystanders_only\noutputDir = runs/alpha 0.3\n"
+    )
+    assert dumps_config(config) == (
+        "neighbourLocationLimit = 300.0\n"
+        "speed = 1.4\n"
+        "initialX = uniform\n"
+        "initialY = uniform\n"
+        "maxAreaX = 400.0\n"
+        "maxAreaY = 250.5\n"
+        "waitTime = powerlaw(1.5,10.0,3600.0)\n"
+        "alpha = 0.3\n"
+        "noOfLocations = 21\n"
+        "nodeCount = 25\n"
+        "simDuration = 1000.0\n"
+        "seed = 42\n"
+        "seen_update = bystanders_only\n"
+        "k = 0.004\n"
+        "outputDir = runs/alpha 0.3\n"
+    )
+
+
+# each value parses but cannot run; the error names the key
+@pytest.mark.parametrize(
+    "key, edits",
+    [
+        # low**g and high**g underflow to 0 (g = 1 - beta); drawing divided by zero
+        ("waitTime", {"uniform(2,5)": "powerlaw(2000,2,5)"}),
+        # low**g overflows
+        ("waitTime", {"uniform(2,5)": "powerlaw(2,1e-320,1)"}),
+        # g = -2.2e-16: low**g and high**g are a few ulps apart, draws left the range
+        (
+            "waitTime",
+            {"uniform(2,5)": "powerlaw(1.0000000000000002,4.2982291855655116e-16,3.101326425233898e-15)"},
+        ),
+        ("maxAreaX", {"maxAreaX = 400": "maxAreaX = -1"}),
+        ("maxAreaY", {"maxAreaY = 400": "maxAreaY = 0"}),
+        # build_grid multiplies each side by up to noOfLocations
+        ("maxAreaY", {"maxAreaY = 400": "maxAreaY = 6e307"}),
+        ("maxAreaX", {"noOfLocations = 21": "noOfLocations = 1" + "0" * 400}),
+        # the default k = 2 / diagonal overflows for a subnormal area
+        ("k", {"maxAreaX = 400": "maxAreaX = 5e-324", "maxAreaY = 400": "maxAreaY = 5e-324"}),
+    ],
+)
+def test_unrunnable_values_name_key(key, edits):
+    text = REFERENCE_CONFIG
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    with pytest.raises(ConfigError, match=key):
+        loads_config(text)
