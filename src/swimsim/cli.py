@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
+import shutil
 import sys
+import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -50,17 +53,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 @contextmanager
-def _removed_on_failure(written: list[Path]):
-    """Delete every path in `written` when the block fails, Ctrl-C included."""
+def _staged(out: Path):
+    """A fresh directory inside `out` whose files move into `out` if the block succeeds.
+
+    Each file is renamed into place with `os.replace`, so no file ever
+    appears in `out` half written, even when the process is killed. The
+    staging directory is removed on success and on failure, Ctrl-C included.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=".swimsim-", dir=out))
     try:
-        yield
-    except BaseException:
-        for path in written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        raise
+        yield stage
+        for path in sorted(stage.iterdir()):
+            os.replace(path, out / path.name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def _out_dir(args, config) -> Path:
@@ -79,12 +86,8 @@ def _cmd_run(args) -> int:
     params = config.to_params()
 
     out = _out_dir(args, config)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    with _removed_on_failure(written):
-        locations = out / "locations.csv"
-        written.append(locations)
-        report = simulate(params, locations_path=locations)
+    with _staged(out) as stage:
+        report = simulate(params, locations_path=stage / "locations.csv")
         # each summary is built once and feeds both metrics.json and its CCDF file
         summaries = {
             "inter_contact_times": inter_contact_times(report.contacts),
@@ -102,9 +105,7 @@ def _cmd_run(args) -> int:
                 for kind, summary in summaries.items()
             ),
         ):
-            path = out / name
-            written.append(path)
-            writer(path)
+            writer(stage / name)
     print(
         f"run finished: {report.events_processed} events, "
         f"{len(report.contacts)} contacts, "
@@ -132,10 +133,8 @@ def _cmd_sweep(args) -> int:
         stats = selection_stats(report.selections)
         rows.append((alpha, stats))
 
-    out.mkdir(parents=True, exist_ok=True)
-    table = out / "sweep_selection.csv"
-    with _removed_on_failure([table]):
-        write_sweep_csv(rows, table)
+    with _staged(out) as stage:
+        write_sweep_csv(rows, stage / "sweep_selection.csv")
 
     print("alpha  selections  neighbouring_fraction  visiting_fraction  fallbacks")
     for alpha, stats in rows:

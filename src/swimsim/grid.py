@@ -152,12 +152,22 @@ def cell_of(location_map: LocationMap, p: Point2D) -> int:
     return row * location_map.cols + col
 
 
+def point_in_cell(cell: Cell, fx: float, fy: float) -> Point2D:
+    """The point at fractions `fx`, `fy` in [0, 1) of the cell's width and height.
+
+    The arithmetic is numpy's `uniform`, so uniform fractions give exactly
+    the point `rng.uniform(min, max)` would have drawn from the same doubles.
+    """
+    return Point2D(
+        cell.min_x + (cell.max_x - cell.min_x) * fx,
+        cell.min_y + (cell.max_y - cell.min_y) * fy,
+    )
+
+
 def random_point_in_cell(cell: Cell, rng: np.random.Generator) -> Point2D:
     """Uniform point over the cell rectangle, one independent draw per axis."""
-    return Point2D(
-        float(rng.uniform(cell.min_x, cell.max_x)),
-        float(rng.uniform(cell.min_y, cell.max_y)),
-    )
+    fx, fy = rng.random(2).tolist()
+    return point_in_cell(cell, fx, fy)
 
 
 def classify_locations(

@@ -11,8 +11,9 @@ decides between the near set (home + neighbouring cells) and the visiting
 set, then one cell of the chosen set is drawn proportionally to w(C).
 
 Everything that depends only on the home cell (the two sets, the decay
-term and the cold-start CDF) lives in a HomeProfile shared by all nodes of
-that home; a node itself holds only its position, phase and seen counters.
+term, its mass and the cold-start CDF) lives in a HomeProfile shared by all
+nodes of that home; a node itself holds only its position, phase and seen
+counters.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .grid import (
     Point2D,
     center_distances,
     near_mask,
-    random_point_in_cell,
+    point_in_cell,
 )
 
 SEEN_UPDATE_MODES = ("symmetric", "bystanders_only")
@@ -187,6 +188,7 @@ class CandidateSet:
     cells: np.ndarray     # ascending cell ids; intp, which numpy indexes with fastest
     static: np.ndarray    # alpha * decay[cells], the home-only weight term
     cold_cdf: np.ndarray  # cumsum(normalized_weights(static)): the draw while seen is all zero
+    static_mass: float    # static.sum(), the static component's share of the set's weight
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +218,9 @@ class HomeProfile:
 def _candidate_set(cells: np.ndarray, decay: np.ndarray, alpha: float) -> CandidateSet:
     static = alpha * decay[cells]
     cold_cdf = np.cumsum(normalized_weights(static)) if cells.size else static
-    return CandidateSet(cells=cells, static=static, cold_cdf=cold_cdf)
+    return CandidateSet(
+        cells=cells, static=static, cold_cdf=cold_cdf, static_mass=float(static.sum())
+    )
 
 
 def build_home_profile(location_map: LocationMap, home: int, params: ModelParams) -> HomeProfile:
@@ -272,17 +276,23 @@ def make_node_state(
 
 
 def decay_of(distances: np.ndarray, k: float) -> np.ndarray:
-    """Distance term 1 / (1 + k*d)^2 for every entry of `distances`."""
-    return 1.0 / (1.0 + k * distances) ** 2
+    """Distance term 1 / (1 + k*d)^2 for every entry of `distances`.
+
+    A huge k overflows k*d or its square to inf, which is decay 0, the limit
+    the term tends to; numpy's overflow warning would only read like a fault.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + k * distances) ** 2
 
 
 def candidate_weights(
-    static: np.ndarray, seen: np.ndarray, total: float, alpha: float
-) -> np.ndarray:
+    static: np.ndarray | float, seen: np.ndarray | int, total: float, alpha: float
+) -> np.ndarray | float:
     """w(C) = alpha * decay(C) + (1 - alpha) * seen(C) / (1 + total) over a set.
 
     `static` is the home profile's alpha * decay term of the candidates and
-    `seen` their encounter counts out of `total` encounters in all cells.
+    `seen` their encounter counts out of `total` encounters in all cells;
+    both may be arrays over the set or the scalars of one cell.
     """
     return static + (1.0 - alpha) * seen / (1.0 + total)
 
@@ -313,40 +323,62 @@ def select_destination(
     params: ModelParams,
     rng: np.random.Generator,
 ) -> DestinationChoice:
-    """Two-step SWIM destination draw.
+    """Two-step SWIM destination draw from four uniforms u, r, fx, fy.
 
-    Step 1: with probability alpha the candidate set is the near set
-    (home + neighbouring), otherwise the visiting set; an empty set falls
-    back to the other one. Step 2: one candidate is drawn proportionally to
-    w(C), uniformly if every weight in the set is zero. The exact point is
-    uniform over the chosen cell, which may be the node's current cell.
+    Step 1: the near set (home + neighbouring) when u < alpha, otherwise the
+    visiting set; an empty set falls back to the other one. Step 2: one
+    candidate is drawn with r proportionally to w(C), uniformly if every
+    weight in the set is zero. The point, at fractions fx, fy of the chosen
+    cell, may lie in the node's current cell.
 
-    While the node has seen nobody the seen term is exactly zero, so w(C)
-    is the home profile's static term and its cached CDF is the draw.
+    w(C) is a mixture of the home's static term, with mass S and the cached
+    CDF, and a dynamic term that is non-zero only in the few cells where the
+    node has met someone, with mass D. r * (S + D) below S draws from the
+    static CDF, at or above it walks the dynamic cells in id order. While D
+    is 0 (a node that has met nobody, or alpha = 1) r goes straight to the
+    static CDF, so such a draw does not depend on the seen counters at all.
     """
     profile = node.profile
     if not profile.fits(params):
         profile = node.profile = build_home_profile(location_map, node.home, params)
-    visiting = rng.random() >= params.alpha
+    u, r, fx, fy = rng.random(4).tolist()
+    visiting = u >= params.alpha
     candidates = profile.visiting if visiting else profile.near
     fallback = candidates.cells.size == 0
     if fallback:
         visiting = not visiting
         candidates = profile.visiting if visiting else profile.near
-    total = float(node.seen.sum())
-    if total == 0.0:
-        cdf = candidates.cold_cdf
-    else:
-        cdf = np.cumsum(
-            normalized_weights(
-                candidate_weights(
-                    candidates.static, node.seen[candidates.cells], total, params.alpha
-                )
-            )
-        )
-    r = rng.random()
-    idx = int(np.searchsorted(cdf, r, side="right"))
-    idx = min(idx, len(candidates.cells) - 1)
-    cell_id = int(candidates.cells[idx])
-    point = random_point_in_cell(location_map.cells[cell_id], rng)
+    cells = candidates.cells
+    cell_id = None
+    # astype(bool) first: numpy finds the non-zeros of a bool row several
+    # times faster than those of an int64 one
+    seen_cells = node.seen.astype(bool).nonzero()[0]
+    if seen_cells.size:
+        counts = node.seen[seen_cells]
+        total = float(sum(counts.tolist()))
+        # the seen cells that belong to this set; a position past the end
+        # clips to the last cell, which is then smaller than the seen cell
+        hit = cells.take(cells.searchsorted(seen_cells), mode="clip") == seen_cells
+        hit_counts = counts[hit].tolist()
+        # every dynamic weight shares the factor (1 - alpha) / (1 + total),
+        # so their sum is the weight of their summed counts
+        dynamic_mass = candidate_weights(0.0, sum(hit_counts), total, params.alpha)
+        if dynamic_mass > 0.0:
+            static_mass = candidates.static_mass
+            x = r * (static_mass + dynamic_mass)
+            if x < static_mass:
+                r = x / static_mass
+            else:
+                hit_cells = seen_cells[hit].tolist()
+                cell_id = hit_cells[-1]  # when rounding runs past the last entry
+                acc = static_mass
+                for cell, n in zip(hit_cells, hit_counts):
+                    acc += candidate_weights(0.0, n, total, params.alpha)
+                    if x < acc:
+                        cell_id = cell
+                        break
+    if cell_id is None:
+        idx = int(candidates.cold_cdf.searchsorted(r, side="right"))
+        cell_id = int(cells[min(idx, cells.size - 1)])
+    point = point_in_cell(location_map.cells[cell_id], fx, fy)
     return DestinationChoice(cell=cell_id, point=point, visiting=visiting, fallback=fallback)

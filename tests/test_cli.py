@@ -1,8 +1,17 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+import warnings
+from pathlib import Path
 
 import pytest
 
 from swimsim.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 RUN_OUTPUTS = (
     "locations.csv",
@@ -168,3 +177,45 @@ def test_no_output_directory_names_both(config_path, tmp_path, monkeypatch, caps
     err = capsys.readouterr().err
     assert "--out" in err and "outputDir" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.conf"]
+
+
+def test_run_killed_leaves_no_outputs(config_path, tmp_path):
+    # long enough to be killed mid-way: after locations.csv is written, before the end
+    config_path.write_text(
+        config_path.read_text().replace("nodeCount = 5", "nodeCount = 200")
+        .replace("simDuration = 2000", "simDuration = 1000000")
+    )
+    out = tmp_path / "out"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "swimsim.cli", "run", "--config", str(config_path),
+         "--out", str(out)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 30.0
+        while not list(out.rglob("locations.csv")):
+            assert proc.poll() is None, "run ended before it could be killed"
+            assert time.monotonic() < deadline, "locations.csv was never written"
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGKILL)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == -signal.SIGKILL
+    assert not list(out.glob("*.csv")) and not (out / "metrics.json").exists()
+
+
+def test_run_with_huge_k_warns_nothing(tmp_path):
+    # k * d overflows on the reference scenario; the decay is then 0
+    config = tmp_path / "reference.conf"
+    config.write_text(
+        "neighbourLocationLimit = 300\nspeed = 1.4\nmaxAreaX = 400\nmaxAreaY = 400\n"
+        "waitTime = uniform(2,5)\nalpha = 0.3\nnoOfLocations = 21\nnodeCount = 10\n"
+        "simDuration = 50000\nseed = 1\nk = 1e308\n"
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert [str(w.message) for w in caught] == []

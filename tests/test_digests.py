@@ -5,7 +5,9 @@ seed. These SHA-256 digests pin the seven files of the reference scenario
 (10 nodes, 21 cells, T = 50 000, seed 1) at two alphas, so a change that
 alters any output fails here even when every statistical test still
 passes. A change that alters the draw on purpose updates the digests and
-says why.
+says why. Both alphas were last re-pinned when the selection kernel began
+to draw the static and the seen part of w(C) as a two-component mixture,
+which changes every draw of a node that has met someone.
 """
 
 import hashlib
@@ -34,21 +36,21 @@ LOCATIONS = "ceacd21a8bb9598d66f38494d3bff8f8b359145d377e9db1cd4a590cfb9ecf76"
 DIGESTS = {
     "0.3": {
         "locations.csv": LOCATIONS,
-        "waypoints.csv": "301f49a4f1bb99149698c356e907bd0654fe48d2f87ca56fe54de4f696914143",
-        "contacts.csv": "d5806248e666c9c33a53690b372376699268fdef692b1ba296a4bea33ba937aa",
-        "metrics.json": "56aaff2372c6bc19185075ab1979acf1b3549e28625d2a2f788b479e8f8444f9",
-        "ccdf_inter_contact_times.csv": "0c4a625ba0e23dd68cff3e470d676e9a4c0ddc7babe795c93d3eb0d75427164d",
-        "ccdf_contact_durations.csv": "3a9a5215acb76510fb5214f2c772397c6f1748bba4a19e8627656c8e206b622d",
-        "ccdf_contacts_per_pair.csv": "32a7d18e0fc17efb683933441a7c84279fe3b1d6b84e39b693e3cfc0d10763de",
+        "waypoints.csv": "b23f20758d63054051c7e9d8068cdf1e13386500ff5c5df13379d0a00195607c",
+        "contacts.csv": "5e8be45a927210fb7933a9f6d9ad78622a9f3c9f035caf38ca83e16b50f893a5",
+        "metrics.json": "6137466a699d804ba0a49415f48ebe01a902658ad6f932c4299fa1d6e040c7d2",
+        "ccdf_inter_contact_times.csv": "38dda2725cd029443c3d4537026deff448d859a6aa947279c2cc2d1601964da1",
+        "ccdf_contact_durations.csv": "60df0bf4b020e30503f280fb2a537f0eef0577811b90da3c51e4acc2860530e4",
+        "ccdf_contacts_per_pair.csv": "ac75cce72e0a5c0f7bb07434d5b0e63a015d44af0382d7dc536713348e8319b2",
     },
     "0.8": {
         "locations.csv": LOCATIONS,
-        "waypoints.csv": "ed3fc5fd0742a85f88e95f068db8135a953dd07d1385b08b1057ad8a0bcf1a7d",
-        "contacts.csv": "0e34dbde779c17d9ede481942a4375908cb5aafcaade6613c0f92809f6d06fcd",
-        "metrics.json": "ce8da920495bf91070f282189c33cb21fe8f1afd0b47fe2ced9189f53c0847f8",
-        "ccdf_inter_contact_times.csv": "2edb56b725dae38cd56b43c6dbdbbb88845fe2cd46ca7640408920c1731ce0a5",
-        "ccdf_contact_durations.csv": "239c53316dfedb7a15a14e042059c89341cb8ed2f48cd265e84005129cb9dff4",
-        "ccdf_contacts_per_pair.csv": "a98d4192f8305f3f20cd881ab3c207829f30acc2f34bffdeffb42fb49793cd67",
+        "waypoints.csv": "84404d628a674c10f72ec14e318485a6585eb2bb1d6ed0ae8744cfc7facfc09a",
+        "contacts.csv": "0a178704a0625e181219e9633c30420aefd3a74269dba92c30401f5122161a50",
+        "metrics.json": "29c1f7a1c83c117bf3d9f54660b5b7047056c28a5dc2c58e431c0508debff0d8",
+        "ccdf_inter_contact_times.csv": "80b3e49442e8168ceaa1ed0e796f5687471ddf867860985040356f4b4bcad4c5",
+        "ccdf_contact_durations.csv": "1fe36f446127f44acdda792c08a8c3a0449e649a814fd532fab3cbbac2142406",
+        "ccdf_contacts_per_pair.csv": "1c1da39a569f2268a70ec9538f7cced8b074f64b6e11dc2396008107a88e8631",
     },
 }
 

@@ -40,17 +40,28 @@ def make_params(**overrides):
 
 
 class FakeRng:
-    """Plays back scripted draws so a trip can be forced exactly."""
+    """Plays back scripted draws so a trip can be forced exactly.
 
-    def __init__(self, randoms, uniforms):
+    `randoms` are played one per `random()` call. A selection's
+    `random(4)` takes its step-1 and step-2 uniforms from `randoms` and its
+    target from `uniforms`, an x and a y turned into fractions of the cell
+    that holds them.
+    """
+
+    def __init__(self, randoms, uniforms, location_map):
         self.randoms = list(randoms)
         self.uniforms = list(uniforms)
+        self.location_map = location_map
 
-    def random(self):
-        return self.randoms.pop(0)
-
-    def uniform(self, low, high):
-        return self.uniforms.pop(0)
+    def random(self, size=None):
+        if size is None:
+            return self.randoms.pop(0)
+        assert size == 4
+        x, y = self.uniforms.pop(0), self.uniforms.pop(0)
+        cell = self.location_map.cells[self.location_map.cell_of(Point2D(x, y))]
+        fx = (x - cell.min_x) / (cell.max_x - cell.min_x)
+        fy = (y - cell.min_y) / (cell.max_y - cell.min_y)
+        return np.array([self.randoms.pop(0), self.randoms.pop(0), fx, fy])
 
 
 def scripted_state(position, randoms, uniforms, **param_overrides):
@@ -64,7 +75,7 @@ def scripted_state(position, randoms, uniforms, **param_overrides):
         params=params,
         location_map=location_map,
         nodes=[node],
-        rngs=[FakeRng(randoms, uniforms)],
+        rngs=[FakeRng(randoms, uniforms, location_map)],
         tracker=ContactTracker(params.seen_update),
     )
     node.phase = Paused(cell=node.home, until=0.0, since=0.0)
