@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encounters import ContactRecord, ContactTracker, PauseInterval
+from .encounters import ContactLog, ContactTracker, PauseInterval
 from .grid import LocationMap, Point2D, build_grid
 from .mobility import (
     HomeProfile,
@@ -61,7 +61,7 @@ class SimulationReport:
     end_time: float
     events_processed: int
     waypoints: list[WaypointRecord]
-    contacts: list[ContactRecord]
+    contacts: ContactLog
     pauses: list[PauseInterval]
     selections: list[SelectionRecord]
     seen: np.ndarray  # final N x L encounter counters, one row per node

@@ -4,17 +4,18 @@ All three pipelines reduce the raw contact log to pooled sample sets and a
 common distribution summary. Censored records (still open at the end of a
 run) never contribute a duration, and gaps touching a censored record are
 dropped because the true gap is unknown. CCDFs are evaluated at 50
-log-spaced thresholds for heavy-tail inspection.
+log-spaced thresholds for heavy-tail inspection. The pipelines work on the
+columns of a ContactLog; a list of ContactRecord is converted once, where
+it enters.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .encounters import ContactRecord
+from .encounters import ContactLog
 from .engine import SelectionRecord, SimulationReport
 
 CCDF_POINTS = 50
@@ -40,7 +41,7 @@ class DistributionSummary:
 
 def summarize(values) -> DistributionSummary:
     """Summary statistics plus a CCDF over log-spaced thresholds."""
-    arr = np.asarray(list(values), dtype=float)
+    arr = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=float)
     if arr.size == 0:
         return DistributionSummary(0, None, None, None, [])
     positive = arr[arr > 0]
@@ -51,7 +52,9 @@ def summarize(values) -> DistributionSummary:
         thresholds = np.clip(
             np.geomspace(positive.min(), arr.max(), CCDF_POINTS), positive.min(), arr.max()
         )
-        ccdf = [(float(t), float(np.mean(arr >= t))) for t in thresholds]
+        # the count of samples >= t over the count, exactly np.mean(arr >= t)
+        below = np.searchsorted(np.sort(arr), thresholds, "left")
+        ccdf = list(zip(thresholds.tolist(), ((arr.size - below) / arr.size).tolist()))
     return DistributionSummary(
         samples=int(arr.size),
         mean=float(arr.mean()),
@@ -61,55 +64,75 @@ def summarize(values) -> DistributionSummary:
     )
 
 
-def _by_pair(log: list[ContactRecord]) -> dict[tuple[int, int], list[ContactRecord]]:
-    pairs = defaultdict(list)
-    for record in log:
-        pairs[(record.a, record.b)].append(record)
-    return pairs
+def _pair_keys(log: ContactLog) -> np.ndarray:
+    """One integer per row that orders the pairs (a, b) lexicographically."""
+    return log.a * (int(log.b.max(initial=0)) + 1) + log.b
 
 
-def ict_by_pair(log: list[ContactRecord]) -> dict[tuple[int, int], list[float]]:
-    """Per-pair inter-contact gaps.
+def _gaps(log: ContactLog) -> tuple[np.ndarray, np.ndarray]:
+    """Inter-contact gaps pooled across pairs, and the row each gap ends at.
+
+    Rows are grouped by pair, pairs in order of first appearance and each
+    pair's rows in log order, so the pooled order (and with it the last
+    bits of the mean) is that of a walk over the log.
+    """
+    keys = _pair_keys(log)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first[inverse], kind="stable")
+    keys, censored = keys[order], log.censored[order]
+    known = (keys[1:] == keys[:-1]) & ~censored[:-1] & ~censored[1:]
+    ends_at = order[1:][known]
+    return log.start[ends_at] - log.end[order[:-1][known]], ends_at
+
+
+def ict_by_pair(log) -> dict[tuple[int, int], list[float]]:
+    """Per-pair inter-contact gaps, pairs in order of first appearance.
 
     The log must be time-ordered within each pair. A gap adjacent to a
     censored record is unknown and therefore skipped.
     """
-    gaps: dict[tuple[int, int], list[float]] = {}
-    for pair, records in _by_pair(log).items():
-        gaps[pair] = [
-            nxt.start - prev.end
-            for prev, nxt in zip(records, records[1:])
-            if not prev.censored and not nxt.censored
-        ]
+    log = ContactLog.from_records(log)
+    gaps = {pair: [] for pair in zip(log.a.tolist(), log.b.tolist())}
+    values, rows = _gaps(log)
+    for gap, a, b in zip(values.tolist(), log.a[rows].tolist(), log.b[rows].tolist()):
+        gaps[(a, b)].append(gap)
     return gaps
 
 
-def ict_samples(log: list[ContactRecord]) -> list[float]:
+def ict_samples(log) -> list[float]:
     """Gaps between consecutive contacts, pooled across pairs."""
-    return [gap for gaps in ict_by_pair(log).values() for gap in gaps]
+    return _gaps(ContactLog.from_records(log))[0].tolist()
 
 
-def inter_contact_times(log: list[ContactRecord]) -> DistributionSummary:
-    return summarize(ict_samples(log))
+def inter_contact_times(log) -> DistributionSummary:
+    return summarize(_gaps(ContactLog.from_records(log))[0])
 
 
-def duration_samples(log: list[ContactRecord]) -> list[float]:
+def _durations(log: ContactLog) -> np.ndarray:
+    lengths = log.end - log.start
+    return lengths[~log.censored & (log.end > log.start)]
+
+
+def duration_samples(log) -> list[float]:
     """Durations of finished contacts; zero-length ones carry no information."""
-    return [r.end - r.start for r in log if not r.censored and r.end > r.start]
+    return _durations(ContactLog.from_records(log)).tolist()
 
 
-def contact_durations(log: list[ContactRecord]) -> DistributionSummary:
-    return summarize(duration_samples(log))
+def contact_durations(log) -> DistributionSummary:
+    return summarize(_durations(ContactLog.from_records(log)))
 
 
-def contacts_per_pair_samples(log: list[ContactRecord]) -> list[int]:
+def _pair_counts(log: ContactLog) -> np.ndarray:
+    return np.unique(_pair_keys(log), return_counts=True)[1]
+
+
+def contacts_per_pair_samples(log) -> list[int]:
     """Record count of every pair that ever met, in pair order."""
-    pairs = _by_pair(log)
-    return [len(pairs[key]) for key in sorted(pairs)]
+    return _pair_counts(ContactLog.from_records(log)).tolist()
 
 
-def contacts_per_pair(log: list[ContactRecord]) -> DistributionSummary:
-    return summarize(contacts_per_pair_samples(log))
+def contacts_per_pair(log) -> DistributionSummary:
+    return summarize(_pair_counts(ContactLog.from_records(log)))
 
 
 @dataclass(frozen=True)
@@ -172,15 +195,17 @@ def selection_stats(selections) -> SelectionStats:
 
 
 def metrics_report(
-    contacts: list[ContactRecord],
+    contacts,
     selections: list[SelectionRecord],
     summaries: dict[str, DistributionSummary] | None = None,
 ) -> dict:
     """Structured metrics for JSON export.
 
-    `summaries` holds the three distribution summaries of `contacts` when
-    the caller has built them already; they are built here otherwise.
+    `contacts` is a ContactLog or a list of ContactRecord. `summaries` holds
+    the three distribution summaries of `contacts` when the caller has built
+    them already; they are built here otherwise.
     """
+    contacts = ContactLog.from_records(contacts)
     if summaries is None:
         summaries = {
             "inter_contact_times": inter_contact_times(contacts),
@@ -192,9 +217,7 @@ def metrics_report(
         "selection": selection_stats(selections).as_dict(),
         "contacts": {
             "total": len(contacts),
-            "censored": sum(1 for r in contacts if r.censored),
-            "zero_duration": sum(
-                1 for r in contacts if not r.censored and r.end == r.start
-            ),
+            "censored": int(contacts.censored.sum()),
+            "zero_duration": int((~contacts.censored & (contacts.end == contacts.start)).sum()),
         },
     }

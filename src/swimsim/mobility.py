@@ -186,9 +186,9 @@ class CandidateSet:
     """One step-1 set of a home: cell ids plus their cached weight terms."""
 
     cells: np.ndarray     # ascending cell ids; intp, which numpy indexes with fastest
-    static: np.ndarray    # alpha * decay[cells], the home-only weight term
-    cold_cdf: np.ndarray  # cumsum(normalized_weights(static)): the draw while seen is all zero
-    static_mass: float    # static.sum(), the static component's share of the set's weight
+    cold_cdf: np.ndarray  # cumsum of the normalized static term alpha * decay[cells]:
+                          # the draw while seen is all zero
+    static_mass: float    # sum of the static term, its share of the set's weight
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,9 +218,7 @@ class HomeProfile:
 def _candidate_set(cells: np.ndarray, decay: np.ndarray, alpha: float) -> CandidateSet:
     static = alpha * decay[cells]
     cold_cdf = np.cumsum(normalized_weights(static)) if cells.size else static
-    return CandidateSet(
-        cells=cells, static=static, cold_cdf=cold_cdf, static_mass=float(static.sum())
-    )
+    return CandidateSet(cells=cells, cold_cdf=cold_cdf, static_mass=float(static.sum()))
 
 
 def build_home_profile(location_map: LocationMap, home: int, params: ModelParams) -> HomeProfile:

@@ -2,8 +2,8 @@
 
 Numeric fields are 6-decimal fixed point, so a fixed config and seed give
 byte-identical files. The engine writes the locations file through this
-module, so it imports no other swimsim module at run time apart from the
-grid types the locations reader builds.
+module, so at run time it imports no other swimsim module apart from the
+grid types the locations reader builds and the contact log's columns.
 """
 
 from __future__ import annotations
@@ -12,14 +12,17 @@ import json
 import re
 from typing import TYPE_CHECKING
 
+import numpy as np
+
+from .encounters import ContactLog
 from .grid import AreaBounds, Cell, LocationMap
 
 if TYPE_CHECKING:
-    from .encounters import ContactRecord
     from .engine import SimulationReport
     from .metrics import DistributionSummary, SelectionStats
 
 LOCATIONS_HEADER_RE = re.compile(r"^# swim-locations v1 rows=(\d+) cols=(\d+)$")
+CONTACT_ROWS_PER_WRITE = 65536  # bounds the text held in memory at once
 
 
 def write_locations_file(location_map: LocationMap, path) -> None:
@@ -65,14 +68,39 @@ def write_waypoints(report: SimulationReport, path) -> None:
             f.write(f"{w.time:.6f},{w.node},{w.x:.6f},{w.y:.6f},{w.event}\n")
 
 
-def write_contacts_csv(records: list[ContactRecord], path) -> None:
-    """Contact log export, one `a,b,cell,start,end,censored` row per record."""
+def write_contacts_csv(records, path) -> None:
+    """Contact log export, one `a,b,cell,start,end,censored` row per record.
+
+    `records` is a ContactLog or a list of ContactRecord. Every start and
+    end is an event time, and contacts opened or closed by one event share
+    it, so each distinct time is formatted once and the rows look it up,
+    as they do the text of node and cell ids.
+    """
+    log = ContactLog.from_records(records)
+    if np.isnan(log.end).any():
+        raise ValueError("contact log has open contacts: finish the run before writing it")
+    n = len(log)
+    times, which = np.unique(np.concatenate([log.start, log.end]), return_inverse=True)
+    # each field's text together with the separator that follows it
+    time_text = [f"{t:.6f}," for t in times.tolist()]
+    top = max(int(column.max(initial=0)) for column in (log.a, log.b, log.cell))
+    id_text = [f"{i}," for i in range(top + 1)]
+    flag_text = ("0\n", "1\n")
     with open(path, "w", newline="") as f:
         f.write("a,b,cell,start,end,censored\n")
-        for r in records:
-            f.write(
-                f"{r.a},{r.b},{r.cell},{r.start:.6f},{r.end:.6f},{int(r.censored)}\n"
-            )
+        for lo in range(0, n, CONTACT_ROWS_PER_WRITE):
+            rows = slice(lo, lo + CONTACT_ROWS_PER_WRITE)
+            f.write("".join([
+                f"{id_text[a]}{id_text[b]}{id_text[cell]}{time_text[s]}{time_text[e]}{flag_text[c]}"
+                for a, b, cell, s, e, c in zip(
+                    log.a[rows].tolist(),
+                    log.b[rows].tolist(),
+                    log.cell[rows].tolist(),
+                    which[:n][rows].tolist(),
+                    which[n:][rows].tolist(),
+                    log.censored[rows].tolist(),
+                )
+            ]))
 
 
 def write_ccdf_csv(summary: DistributionSummary, path) -> None:

@@ -8,6 +8,11 @@ passes. A change that alters the draw on purpose updates the digests and
 says why. Both alphas were last re-pinned when the selection kernel began
 to draw the static and the seen part of w(C) as a two-component mixture,
 which changes every draw of a node that has met someone.
+
+The crowded case packs 60 nodes into 4 cells with heavy-tailed pauses, so
+most pairs meet many times. It guards what the reference pins barely
+reach: the pooled order of the inter-contact times (the mean's last bits
+depend on it), the CCDF fractions and the bulk contact writer.
 """
 
 import hashlib
@@ -65,3 +70,40 @@ def test_reference_run_digests(tmp_path, alpha):
         path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()
     }
     assert digests == DIGESTS[alpha]
+
+
+CROWDED_CONFIG = """\
+neighbourLocationLimit = 300
+speed = 1.4
+initialX = uniform
+initialY = uniform
+maxAreaX = 800
+maxAreaY = 800
+waitTime = powerlaw(1.5,10,3600)
+alpha = 0.3
+noOfLocations = 4
+nodeCount = 60
+simDuration = 3000
+seed = 1
+"""
+
+CROWDED_DIGESTS = {
+    "locations.csv": "b68db4a572f56af8230baba8fb93048d1a0dab6b206e5ad0591979669622332b",
+    "waypoints.csv": "bcc542dd025026f1f2f25098b6caa363faa5e93927acf19c76f649433e3abd42",
+    "contacts.csv": "503c3ae704772b805bcbe4d1a08b56837ef774eb7ae59c8c98e5ea1bef646e33",
+    "metrics.json": "8f258ae8f8512c66e1c9eff5fa5b1833fbb6402dd9f8b428a9aadbeff954ed08",
+    "ccdf_inter_contact_times.csv": "1670a0a6f224ab8205f01a639ea3aea9c0d95f7eb856793852c4df535991e49a",
+    "ccdf_contact_durations.csv": "d871bfb64a49c46cb255bd10abdf64272335f770947d9be7b87dccb3b9cb7d46",
+    "ccdf_contacts_per_pair.csv": "8885097556db6543998b3f8d6eec0a48be9e3a4c4907c81d953f98e3130b0a25",
+}
+
+
+def test_crowded_run_digests(tmp_path):
+    config = tmp_path / "crowded.conf"
+    config.write_text(CROWDED_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()
+    }
+    assert digests == CROWDED_DIGESTS

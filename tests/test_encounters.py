@@ -1,8 +1,10 @@
 from itertools import combinations
 
 import numpy as np
+import pytest
 
-from swimsim.encounters import ContactTracker
+from swimsim import outputs
+from swimsim.encounters import ContactLog, ContactRecord, ContactTracker
 from swimsim.engine import simulate
 from swimsim.grid import AreaBounds, Point2D, build_grid
 from swimsim.mobility import ModelParams, UniformWait, make_node_state
@@ -65,7 +67,7 @@ def test_lone_arrival_is_a_noop():
     tracker.node_paused(0, 3, 1.0)
     assert nodes[0].seen.sum() == 0
     assert nodes[1].seen.sum() == 0
-    assert tracker.records == []
+    assert len(tracker.records) == 0
 
 
 def test_pair_arrival_opens_contact():
@@ -106,7 +108,7 @@ def test_nodes_elsewhere_ignore_signal():
     tracker.node_paused(1, 9, 2.0)
     assert nodes[0].seen.sum() == 0
     assert nodes[1].seen.sum() == 0
-    assert tracker.records == []
+    assert len(tracker.records) == 0
 
 
 def test_bystanders_only_mode():
@@ -213,3 +215,45 @@ def test_contacts_csv_format(tmp_path):
         assert (int(a), int(b), int(cell)) == (record.a, record.b, record.cell)
         assert start == f"{record.start:.6f}"
         assert censored in ("0", "1")
+
+
+def test_contact_log_rows_round_trip():
+    records = [
+        ContactRecord(0, 1, 3, 2.0, 6.0, False),
+        ContactRecord(1, 4, 0, 2.0, None, False),
+        ContactRecord(2, 3, 7, 5.5, 9.0, True),
+    ]
+    log = ContactLog.from_records(records)
+    assert len(log) == 3
+    assert list(log) == records
+    assert [log[i] for i in range(3)] == records
+    assert log[-1] == records[-1]
+    assert ContactLog.from_records(log) is log
+    assert len(ContactLog.from_records([])) == 0
+
+
+def test_contacts_csv_matches_row_formatting(tmp_path, monkeypatch):
+    # shared event times, ids past 9, both flags and a part-filled last
+    # chunk, against per-row formatting
+    monkeypatch.setattr(outputs, "CONTACT_ROWS_PER_WRITE", 7)
+    rng = np.random.default_rng(7)
+    times = rng.uniform(0.0, 1e4, size=12)
+    records = []
+    for _ in range(300):
+        a, b = sorted(rng.choice(40, size=2, replace=False).tolist())
+        start, end = sorted(rng.choice(times, size=2).tolist())
+        records.append(ContactRecord(a, b, int(rng.integers(0, 30)), start, end,
+                                     bool(rng.random() < 0.3)))
+    expected = "a,b,cell,start,end,censored\n" + "".join(
+        f"{r.a},{r.b},{r.cell},{r.start:.6f},{r.end:.6f},{int(r.censored)}\n"
+        for r in records
+    )
+    for form in (records, ContactLog.from_records(records)):
+        path = tmp_path / "contacts.csv"
+        write_contacts_csv(form, path)
+        assert path.read_text() == expected
+
+
+def test_contacts_csv_rejects_open_contacts(tmp_path):
+    with pytest.raises(ValueError, match="open contacts"):
+        write_contacts_csv([ContactRecord(0, 1, 3, 2.0)], tmp_path / "contacts.csv")

@@ -244,7 +244,7 @@ def test_run_zero_horizon():
     state = initialize(make_params(node_count=1))
     report = run(state, until=0.0)
     assert report.events_processed == 0
-    assert report.contacts == []
+    assert len(report.contacts) == 0
     assert report.waypoints == []
 
 

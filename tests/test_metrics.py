@@ -4,7 +4,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from swimsim.encounters import ContactRecord
+from swimsim.encounters import ContactLog, ContactRecord
 from swimsim.engine import SelectionRecord, simulate
 from swimsim.grid import AreaBounds, LocationClass, Point2D, build_grid, classify_locations
 from swimsim.metrics import (
@@ -28,7 +28,8 @@ def rec(a, b, start, end, cell=0, censored=False):
     return ContactRecord(a=a, b=b, cell=cell, start=start, end=end, censored=censored)
 
 
-def brute_force_ict(log):
+def record_walk_ict(log):
+    """Pooled gaps in walk order: pairs as they first appear, each pair's records in log order."""
     pairs = defaultdict(list)
     for r in log:
         pairs[(r.a, r.b)].append(r)
@@ -38,7 +39,11 @@ def brute_force_ict(log):
             if records[i].censored or records[i + 1].censored:
                 continue
             gaps.append(records[i + 1].start - records[i].end)
-    return sorted(gaps)
+    return gaps
+
+
+def brute_force_ict(log):
+    return sorted(record_walk_ict(log))
 
 
 def brute_force_durations(log):
@@ -166,6 +171,33 @@ def test_fuzz_metrics_match_brute_force():
         assert sorted(ict_samples(log)) == brute_force_ict(log)
         assert sorted(duration_samples(log)) == brute_force_durations(log)
         assert sorted(contacts_per_pair_samples(log)) == brute_force_counts(log)
+
+
+def interleaved_log(rng):
+    """Pairs that repeat, interleaved, and out of time order within a pair."""
+    pairs = [(0, 1), (2, 5), (1, 3), (0, 4)]
+    log = []
+    for _ in range(int(rng.integers(2, 40))):
+        a, b = pairs[int(rng.integers(0, len(pairs)))]
+        start = float(rng.uniform(0.0, 100.0))
+        end = start + (0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 8.0)))
+        log.append(rec(a, b, start, end, cell=int(rng.integers(0, 4)),
+                       censored=bool(rng.random() < 0.15)))
+    return log
+
+
+def test_samples_keep_record_walk_order():
+    # the pooled order fixes the last bits of the mean in metrics.json
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        log = interleaved_log(rng)
+        columns = ContactLog.from_records(log)
+        walk_durations = [r.end - r.start for r in log if not r.censored and r.end > r.start]
+        for form in (log, columns):
+            assert ict_samples(form) == record_walk_ict(log)
+            assert duration_samples(form) == walk_durations
+        assert inter_contact_times(columns) == summarize(record_walk_ict(log))
+        assert contact_durations(columns) == summarize(walk_durations)
 
 
 def sel(node, visiting, fallback=False):

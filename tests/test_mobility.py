@@ -60,10 +60,12 @@ def seen_normalized(node, c):
 def all_weights(node, location_map, params):
     """w(C) for every cell, gathered from both candidate sets of the node's home."""
     profile = build_home_profile(location_map, node.home, params)
+    decay = decay_of(center_distances(location_map, node.home), params.k)
     w = np.full(len(location_map), np.nan)
     for candidates in (profile.near, profile.visiting):
-        w[candidates.cells] = candidate_weights(
-            candidates.static, node.seen[candidates.cells], node.seen.sum(), params.alpha
+        cells = candidates.cells
+        w[cells] = candidate_weights(
+            params.alpha * decay[cells], node.seen[cells], node.seen.sum(), params.alpha
         )
     return w
 
