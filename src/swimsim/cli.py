@@ -20,7 +20,9 @@ from .metrics import (
     inter_contact_times,
     metrics_report,
     selection_stats,
+    SelectionStats,
 )
+from .mobility import ModelParams
 # bound here under these names because perfbench/worker.py traces them here
 from .outputs import write_ccdf_csv, write_contacts_csv, write_metrics_json, write_sweep_csv
 from .outputs import write_waypoints as _write_waypoints
@@ -114,6 +116,27 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _sweep_job(params: ModelParams) -> SelectionStats:
+    """One sweep run; only its selection counts go back to the caller."""
+    return selection_stats(simulate(params).selections)
+
+
+def _sweep_stats(runs: list[ModelParams]) -> list[SelectionStats]:
+    """The runs' selection counts in input order, over one process per CPU.
+
+    The runs are independent, so the result does not depend on how many
+    processes share them. With one process the runs stay in this one.
+    """
+    workers = min(os.cpu_count() or 1, len(runs))
+    if workers == 1:
+        return [_sweep_job(params) for params in runs]
+    # imported here: `run` never starts a pool, and the import costs 2 MB
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_sweep_job, runs))
+
+
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
@@ -126,12 +149,9 @@ def _cmd_sweep(args) -> int:
     if not alphas:
         raise ConfigError("--alpha: at least one value required")
 
-    rows = []
-    for alpha in alphas:
-        params = dataclasses.replace(config, alpha=alpha).to_params()
-        report = simulate(params)
-        stats = selection_stats(report.selections)
-        rows.append((alpha, stats))
+    # every alpha is validated before the first run starts
+    runs = [dataclasses.replace(config, alpha=alpha).to_params() for alpha in alphas]
+    rows = list(zip(alphas, _sweep_stats(runs)))
 
     with _staged(out) as stage:
         write_sweep_csv(rows, stage / "sweep_selection.csv")

@@ -24,6 +24,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+# numpy imports its random module lazily, on first use; importing it here
+# takes that cost (about 16 ms) out of a process's first `initialize`, and
+# the forked workers of a parallel sweep inherit it
+import numpy.random  # noqa: F401
 
 from .grid import (
     AreaBounds,

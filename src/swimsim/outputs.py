@@ -22,7 +22,7 @@ if TYPE_CHECKING:
     from .metrics import DistributionSummary, SelectionStats
 
 LOCATIONS_HEADER_RE = re.compile(r"^# swim-locations v1 rows=(\d+) cols=(\d+)$")
-CONTACT_ROWS_PER_WRITE = 65536  # bounds the text held in memory at once
+ROWS_PER_WRITE = 4096  # rows joined into one write; bounds the text held in memory
 
 
 def write_locations_file(location_map: LocationMap, path) -> None:
@@ -62,10 +62,15 @@ def read_locations_file(path) -> LocationMap:
 
 def write_waypoints(report: SimulationReport, path) -> None:
     """Waypoint trace export: `time,node,x,y,event` rows in event order."""
+    waypoints = report.waypoints
     with open(path, "w", newline="") as f:
         f.write("time,node,x,y,event\n")
-        for w in report.waypoints:
-            f.write(f"{w.time:.6f},{w.node},{w.x:.6f},{w.y:.6f},{w.event}\n")
+        for lo in range(0, len(waypoints), ROWS_PER_WRITE):
+            # %-formatting gives the same text as an f-string, in less time
+            f.write("".join([
+                "%.6f,%d,%.6f,%.6f,%s\n" % (w.time, w.node, w.x, w.y, w.event)
+                for w in waypoints[lo:lo + ROWS_PER_WRITE]
+            ]))
 
 
 def write_contacts_csv(records, path) -> None:
@@ -88,8 +93,8 @@ def write_contacts_csv(records, path) -> None:
     flag_text = ("0\n", "1\n")
     with open(path, "w", newline="") as f:
         f.write("a,b,cell,start,end,censored\n")
-        for lo in range(0, n, CONTACT_ROWS_PER_WRITE):
-            rows = slice(lo, lo + CONTACT_ROWS_PER_WRITE)
+        for lo in range(0, n, ROWS_PER_WRITE):
+            rows = slice(lo, lo + ROWS_PER_WRITE)
             f.write("".join([
                 f"{id_text[a]}{id_text[b]}{id_text[cell]}{time_text[s]}{time_text[e]}{flag_text[c]}"
                 for a, b, cell, s, e, c in zip(

@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from swimsim import cli
 from swimsim.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -121,6 +124,65 @@ def test_sweep_bad_alpha_list(config_path, tmp_path, capsys):
          "--out", str(tmp_path / "s")]
     ) == 1
     assert "alpha" in capsys.readouterr().err
+
+
+def test_sweep_checks_every_alpha_before_running(config_path, tmp_path, monkeypatch, capsys):
+    def must_not_run(params):
+        raise AssertionError(f"alpha {params.alpha} simulated before every alpha was checked")
+
+    monkeypatch.setattr(cli, "simulate", must_not_run)
+    out = tmp_path / "sweep"
+    assert main(
+        ["sweep", "--config", str(config_path), "--alpha", "0.3,1.5", "--out", str(out)]
+    ) == 1
+    assert "alpha" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_sweep_output_independent_of_worker_count(config_path, tmp_path, monkeypatch, capsys):
+    # alpha = 0 is the longest run, so later jobs finish before the first
+    pools = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    results = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda cpus=cpus: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(
+            ["sweep", "--config", str(config_path), "--alpha", "0,0.2,0.4,0.6,0.8,1",
+             "--out", str(out)]
+        ) == 0
+        results.append(((out / "sweep_selection.csv").read_bytes(), capsys.readouterr().out))
+    assert pools == [2]
+    assert results[0] == results[1]
+    assert len(results[0][0].splitlines()) == 7
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched simulate reaches pool workers only when they are forked",
+)
+def test_sweep_worker_failure_leaves_no_outputs(config_path, tmp_path, monkeypatch, capsys):
+    simulate = cli.simulate
+
+    def fails_at_half(params):
+        if params.alpha == 0.5:
+            raise ValueError("simulation failed at alpha 0.5")
+        return simulate(params)
+
+    monkeypatch.setattr(cli, "simulate", fails_at_half)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    out = tmp_path / "sweep"
+    assert main(
+        ["sweep", "--config", str(config_path), "--alpha", "0,0.5,1", "--out", str(out)]
+    ) == 1
+    assert "simulation failed at alpha 0.5" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_run_interrupted_leaves_no_outputs(config_path, tmp_path, monkeypatch):

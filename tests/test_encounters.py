@@ -235,7 +235,7 @@ def test_contact_log_rows_round_trip():
 def test_contacts_csv_matches_row_formatting(tmp_path, monkeypatch):
     # shared event times, ids past 9, both flags and a part-filled last
     # chunk, against per-row formatting
-    monkeypatch.setattr(outputs, "CONTACT_ROWS_PER_WRITE", 7)
+    monkeypatch.setattr(outputs, "ROWS_PER_WRITE", 7)
     rng = np.random.default_rng(7)
     times = rng.uniform(0.0, 1e4, size=12)
     records = []

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from swimsim import outputs
 from swimsim.encounters import ContactTracker
 from swimsim.engine import (
     ARRIVAL,
@@ -300,3 +301,15 @@ def test_alpha_one_traces_invariant_to_injected_seen():
         (w.time, w.node, w.x, w.y) for w in poked.waypoints
     ]
     assert [s.cell for s in clean.selections] == [s.cell for s in poked.selections]
+
+
+def test_waypoints_csv_matches_row_formatting(tmp_path, monkeypatch):
+    # node ids past 9 and a part-filled last chunk, against per-row formatting
+    monkeypatch.setattr(outputs, "ROWS_PER_WRITE", 7)
+    report = simulate(make_params(node_count=12, sim_duration=300.0))
+    assert len(report.waypoints) % 7 and max(w.node for w in report.waypoints) > 9
+    path = tmp_path / "waypoints.csv"
+    outputs.write_waypoints(report, path)
+    assert path.read_text() == "time,node,x,y,event\n" + "".join(
+        f"{w.time:.6f},{w.node},{w.x:.6f},{w.y:.6f},{w.event}\n" for w in report.waypoints
+    )
