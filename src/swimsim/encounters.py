@@ -4,6 +4,8 @@ A node announces its arrival at a cell; every node currently paused in that
 same cell registers the encounter, and one contact interval opens per
 co-located pair. Nodes elsewhere ignore the signal. Contacts close when
 either member leaves the cell, so no contact ever spans a cell change.
+The tracker knows only who is paused where; the pauses themselves are the
+engine's Paused records.
 
 The contact log is kept as columns, one row per contact in the order the
 contacts opened; ContactRecord is the row type it yields.
@@ -78,15 +80,6 @@ class ContactLog:
             yield ContactRecord(a, b, cell, start, None if math.isnan(end) else end, censored)
 
 
-@dataclass
-class PauseInterval:
-    node: int
-    cell: int
-    start: float
-    end: float | None = None
-    censored: bool = False
-
-
 class ContactTracker:
     """Tracks who is paused where, open contacts, and the finished log.
 
@@ -99,12 +92,10 @@ class ContactTracker:
         self.seen_update = seen_update
         self._paused_at: dict[int, dict[int, None]] = {}  # cell -> ordered node ids
         self._open: dict[tuple[int, int], int] = {}  # pair -> row of its open contact
-        self._open_pause: dict[int, PauseInterval] = {}
         # the contact log's columns, grown one row per contact
         self._a, self._b, self._cell = array("q"), array("q"), array("q")
         self._start, self._end = array("d"), array("d")
         self._censored = array("b")
-        self.pauses: list[PauseInterval] = []
 
     @property
     def records(self) -> ContactLog:
@@ -141,9 +132,6 @@ class ContactTracker:
 
     def node_paused(self, node: int, cell: int, now: float) -> None:
         self._paused_at.setdefault(cell, {})[node] = None
-        interval = PauseInterval(node=node, cell=cell, start=now)
-        self._open_pause[node] = interval
-        self.pauses.append(interval)
 
     def on_departure_signal(self, leaving: int, cell: int, now: float) -> None:
         """Close every open contact involving `leaving` at `cell`."""
@@ -156,17 +144,10 @@ class ContactTracker:
             if row is not None:
                 self._end[row] = now
         paused.pop(leaving, None)
-        interval = self._open_pause.pop(leaving, None)
-        if interval is not None:
-            interval.end = now
 
     def finish(self, now: float) -> None:
-        """Close everything still open at the simulation horizon as censored."""
+        """Close every contact still open at the simulation horizon as censored."""
         for row in self._open.values():
             self._end[row] = now
             self._censored[row] = 1
         self._open.clear()
-        for interval in self._open_pause.values():
-            interval.end = now
-            interval.censored = True
-        self._open_pause.clear()

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encounters import ContactLog, ContactTracker, PauseInterval
+from .encounters import ContactLog, ContactTracker
 from .grid import LocationMap, Point2D, build_grid
 from .mobility import (
     HomeProfile,
@@ -62,7 +62,7 @@ class SimulationReport:
     events_processed: int
     waypoints: list[WaypointRecord]
     contacts: ContactLog
-    pauses: list[PauseInterval]
+    pauses: list[Paused]
     selections: list[SelectionRecord]
     seen: np.ndarray  # final N x L encounter counters, one row per node
 
@@ -79,6 +79,7 @@ class SimulationState:
     tracker: ContactTracker = None
     waypoints: list[WaypointRecord] = field(default_factory=list)
     selections: list[SelectionRecord] = field(default_factory=list)
+    pauses: list[Paused] = field(default_factory=list)  # every pause, in the order they began
     events_processed: int = 0
     finished: bool = False
     seen: np.ndarray = None  # N x L; each node's seen is a row view of it
@@ -133,7 +134,8 @@ def initialize(params: ModelParams, locations_path=None) -> SimulationState:
         state.tracker.on_arrival_signal(nodes, node.id, node.home, 0.0)
         state.tracker.node_paused(node.id, node.home, 0.0)
         wait = draw_wait_time(params.wait, rng)
-        node.phase = Paused(cell=node.home, until=wait, since=0.0)
+        node.phase = Paused(node.id, node.home, 0.0, wait)
+        state.pauses.append(node.phase)
         state.schedule(wait, DEPARTURE, node.id)
     return state
 
@@ -177,17 +179,18 @@ def handle_arrival(state: SimulationState, node_id: int) -> None:
     state.waypoints.append(WaypointRecord(now, node_id, node.position.x, node.position.y, "arrive"))
     state.tracker.on_arrival_signal(state.nodes, node_id, cell, now)
     state.tracker.node_paused(node_id, cell, now)
-    wait = draw_wait_time(state.params.wait, state.rngs[node_id])
-    node.phase = Paused(cell=cell, until=now + wait, since=now)
-    state.schedule(now + wait, DEPARTURE, node_id)
+    end = now + draw_wait_time(state.params.wait, state.rngs[node_id])
+    node.phase = Paused(node_id, cell, now, end)
+    state.pauses.append(node.phase)
+    state.schedule(end, DEPARTURE, node_id)
 
 
 def position_at(node: NodeState, t: float) -> Point2D:
     """Analytic position of a node at time t within its current phase."""
     phase = node.phase
     if isinstance(phase, Paused):
-        if not (phase.since <= t <= phase.until):
-            raise ValueError(f"t={t} outside pause [{phase.since}, {phase.until}]")
+        if not (phase.start <= t <= phase.end):
+            raise ValueError(f"t={t} outside pause [{phase.start}, {phase.end}]")
         return node.position
     if not (phase.depart_at <= t <= phase.arrive_at):
         raise ValueError(f"t={t} outside trip [{phase.depart_at}, {phase.arrive_at}]")
@@ -218,6 +221,9 @@ def run(state: SimulationState, until: float) -> SimulationReport:
         state.events_processed += 1
     state.now = until
     state.tracker.finish(until)
+    for node in state.nodes:
+        if isinstance(node.phase, Paused):
+            node.phase.end, node.phase.censored = until, True
     state.finished = True
     return SimulationReport(
         params=state.params,
@@ -226,7 +232,7 @@ def run(state: SimulationState, until: float) -> SimulationReport:
         events_processed=state.events_processed,
         waypoints=state.waypoints,
         contacts=state.tracker.records,
-        pauses=state.tracker.pauses,
+        pauses=state.pauses,
         selections=state.selections,
         seen=state.seen,
     )

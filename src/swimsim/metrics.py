@@ -6,7 +6,8 @@ run) never contribute a duration, and gaps touching a censored record are
 dropped because the true gap is unknown. CCDFs are evaluated at 50
 log-spaced thresholds for heavy-tail inspection. The pipelines work on the
 columns of a ContactLog; a list of ContactRecord is converted once, where
-it enters.
+it enters. A log with a contact still open, one that has no end yet, is
+rejected there.
 """
 
 from __future__ import annotations
@@ -64,6 +65,14 @@ def summarize(values) -> DistributionSummary:
     )
 
 
+def _finished(log) -> ContactLog:
+    """The columns of `log`, which must hold no open contact."""
+    log = ContactLog.from_records(log)
+    if np.isnan(log.end).any():
+        raise ValueError("contact log has open contacts: finish the run before measuring it")
+    return log
+
+
 def _pair_keys(log: ContactLog) -> np.ndarray:
     """One integer per row that orders the pairs (a, b) lexicographically."""
     return log.a * (int(log.b.max(initial=0)) + 1) + log.b
@@ -85,27 +94,13 @@ def _gaps(log: ContactLog) -> tuple[np.ndarray, np.ndarray]:
     return log.start[ends_at] - log.end[order[:-1][known]], ends_at
 
 
-def ict_by_pair(log) -> dict[tuple[int, int], list[float]]:
-    """Per-pair inter-contact gaps, pairs in order of first appearance.
-
-    The log must be time-ordered within each pair. A gap adjacent to a
-    censored record is unknown and therefore skipped.
-    """
-    log = ContactLog.from_records(log)
-    gaps = {pair: [] for pair in zip(log.a.tolist(), log.b.tolist())}
-    values, rows = _gaps(log)
-    for gap, a, b in zip(values.tolist(), log.a[rows].tolist(), log.b[rows].tolist()):
-        gaps[(a, b)].append(gap)
-    return gaps
-
-
 def ict_samples(log) -> list[float]:
     """Gaps between consecutive contacts, pooled across pairs."""
-    return _gaps(ContactLog.from_records(log))[0].tolist()
+    return _gaps(_finished(log))[0].tolist()
 
 
 def inter_contact_times(log) -> DistributionSummary:
-    return summarize(_gaps(ContactLog.from_records(log))[0])
+    return summarize(_gaps(_finished(log))[0])
 
 
 def _durations(log: ContactLog) -> np.ndarray:
@@ -115,11 +110,11 @@ def _durations(log: ContactLog) -> np.ndarray:
 
 def duration_samples(log) -> list[float]:
     """Durations of finished contacts; zero-length ones carry no information."""
-    return _durations(ContactLog.from_records(log)).tolist()
+    return _durations(_finished(log)).tolist()
 
 
 def contact_durations(log) -> DistributionSummary:
-    return summarize(_durations(ContactLog.from_records(log)))
+    return summarize(_durations(_finished(log)))
 
 
 def _pair_counts(log: ContactLog) -> np.ndarray:
@@ -128,11 +123,11 @@ def _pair_counts(log: ContactLog) -> np.ndarray:
 
 def contacts_per_pair_samples(log) -> list[int]:
     """Record count of every pair that ever met, in pair order."""
-    return _pair_counts(ContactLog.from_records(log)).tolist()
+    return _pair_counts(_finished(log)).tolist()
 
 
 def contacts_per_pair(log) -> DistributionSummary:
-    return summarize(_pair_counts(ContactLog.from_records(log)))
+    return summarize(_pair_counts(_finished(log)))
 
 
 @dataclass(frozen=True)
@@ -205,7 +200,7 @@ def metrics_report(
     the three distribution summaries of `contacts` when the caller has built
     them already; they are built here otherwise.
     """
-    contacts = ContactLog.from_records(contacts)
+    contacts = _finished(contacts)
     if summaries is None:
         summaries = {
             "inter_contact_times": inter_contact_times(contacts),

@@ -171,9 +171,17 @@ def node_stream(seed: int, node_id: int) -> np.random.Generator:
 
 @dataclass
 class Paused:
+    """A node's pause in `cell` over [start, end], and its record in the run's log.
+
+    `end` is the scheduled departure. A pause still running at the horizon
+    is cut to end there and flagged censored.
+    """
+
+    node: int
     cell: int
-    until: float
-    since: float = 0.0
+    start: float
+    end: float
+    censored: bool = False
 
 
 @dataclass
@@ -199,24 +207,12 @@ class CandidateSet:
 class HomeProfile:
     """Everything selection needs that depends only on the home cell.
 
-    Built once per distinct home and shared by every node homed there. The
-    profile records the alpha, k and neighbour limit it was built with so a
-    node under other parameters gets a new profile instead of a stale one.
+    Built once per distinct home under one run's params and shared by every
+    node homed there.
     """
 
-    home: int
-    alpha: float
-    k: float
-    neighbour_limit: float
     near: CandidateSet = field(repr=False)      # home + neighbouring cells
     visiting: CandidateSet = field(repr=False)
-
-    def fits(self, params: ModelParams) -> bool:
-        return (self.alpha, self.k, self.neighbour_limit) == (
-            params.alpha,
-            params.k,
-            params.neighbour_limit,
-        )
 
 
 def _candidate_set(cells: np.ndarray, decay: np.ndarray, alpha: float) -> CandidateSet:
@@ -231,10 +227,6 @@ def build_home_profile(location_map: LocationMap, home: int, params: ModelParams
     near = near_mask(distances, home, params.neighbour_limit)
     decay = decay_of(distances, params.k)
     return HomeProfile(
-        home=home,
-        alpha=params.alpha,
-        k=params.k,
-        neighbour_limit=params.neighbour_limit,
         near=_candidate_set(np.flatnonzero(near), decay, params.alpha),
         visiting=_candidate_set(np.flatnonzero(~near), decay, params.alpha),
     )
@@ -260,18 +252,18 @@ def make_node_state(
 ) -> NodeState:
     """Node at `position`, homed in the cell containing it.
 
-    `profile` is shared with other nodes of the same home; one is built when
-    none is given or when it belongs to another home or other parameters.
-    `seen` is the node's encounter-counter row, fresh zeros by default.
+    `profile` is the one built for that home under `params`, shared with
+    the other nodes of the home; one is built when none is given. `seen` is
+    the node's encounter-counter row, fresh zeros by default.
     """
     home = location_map.cell_of(position)
-    if profile is None or profile.home != home or not profile.fits(params):
+    if profile is None:
         profile = build_home_profile(location_map, home, params)
     return NodeState(
         id=node_id,
         home=home,
         position=position,
-        phase=Paused(cell=home, until=0.0),
+        phase=Paused(node_id, home, 0.0, 0.0),
         seen=np.zeros(len(location_map), dtype=np.int64) if seen is None else seen,
         profile=profile,
     )
@@ -341,8 +333,6 @@ def select_destination(
     static CDF, so such a draw does not depend on the seen counters at all.
     """
     profile = node.profile
-    if not profile.fits(params):
-        profile = node.profile = build_home_profile(location_map, node.home, params)
     u, r, fx, fy = rng.random(4).tolist()
     visiting = u >= params.alpha
     candidates = profile.visiting if visiting else profile.near

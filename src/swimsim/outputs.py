@@ -9,6 +9,7 @@ grid types the locations reader builds and the contact log's columns.
 from __future__ import annotations
 
 import json
+import math
 import re
 from typing import TYPE_CHECKING
 
@@ -39,7 +40,11 @@ def write_locations_file(location_map: LocationMap, path) -> None:
 
 
 def read_locations_file(path) -> LocationMap:
-    """Parse a locations file back into a LocationMap."""
+    """Parse a locations file back into a LocationMap.
+
+    A cell line that is not `id,min_x,min_y,max_x,max_y` with an integer id
+    and finite coordinates fails with a message naming its file and line.
+    """
     with open(path) as f:
         header = f.readline().rstrip("\n")
         m = LOCATIONS_HEADER_RE.match(header)
@@ -47,11 +52,18 @@ def read_locations_file(path) -> LocationMap:
             raise ValueError(f"{path}: not a swim-locations v1 file")
         rows, cols = int(m.group(1)), int(m.group(2))
         cells = []
-        for line in f:
-            cid, min_x, min_y, max_x, max_y = line.rstrip("\n").split(",")
-            cells.append(
-                Cell(int(cid), float(min_x), float(min_y), float(max_x), float(max_y))
-            )
+        for lineno, line in enumerate(f, start=2):
+            fields = line.rstrip("\n").split(",")
+            try:
+                values = [int(fields[0]), *map(float, fields[1:])]
+            except ValueError:
+                values = []
+            if len(values) != 5 or not all(map(math.isfinite, values[1:])):
+                raise ValueError(
+                    f"{path}:{lineno}: expected id,min_x,min_y,max_x,max_y with "
+                    f"finite coordinates, got {line.rstrip()!r}"
+                )
+            cells.append(Cell(*values))
     if len(cells) != rows * cols:
         raise ValueError(f"{path}: expected {rows * cols} cells, found {len(cells)}")
     if [c.id for c in cells] != list(range(len(cells))):

@@ -162,8 +162,6 @@ def test_finish_censors_open_contacts():
     tracker.finish(10.0)
     record = tracker.records[0]
     assert (record.end, record.censored) == (10.0, True)
-    pauses = {p.node: p for p in tracker.pauses}
-    assert pauses[0].censored and pauses[0].end == 10.0
 
 
 def test_seen_sum_identity_on_run():

@@ -79,7 +79,7 @@ def scripted_state(position, randoms, uniforms, **param_overrides):
         rngs=[FakeRng(randoms, uniforms, location_map)],
         tracker=ContactTracker(params.seen_update),
     )
-    node.phase = Paused(cell=node.home, until=0.0, since=0.0)
+    node.phase = Paused(node=0, cell=node.home, start=0.0, end=0.0)
     state.tracker.node_paused(0, node.home, 0.0)
     state.schedule(0.0, DEPARTURE, 0)
     return state
@@ -167,7 +167,7 @@ def test_position_at_interpolation():
         position_at(node, 9.9)
     with pytest.raises(ValueError):
         position_at(node, 110.1)
-    node.phase = Paused(cell=0, until=20.0, since=5.0)
+    node.phase = Paused(node=0, cell=0, start=5.0, end=20.0)
     node.position = Point2D(3.0, 4.0)
     assert position_at(node, 12.0) == Point2D(3.0, 4.0)
     with pytest.raises(ValueError):
@@ -227,6 +227,51 @@ def test_run_finite_difference_speed():
         else:
             handle_arrival(state, node_id)
     assert checked == 100
+
+
+def test_run_censors_pauses_open_at_the_horizon():
+    # waits are at least 2 s, so at t = 1 every node is still in its first pause
+    state = initialize(make_params())
+    report = run(state, until=1.0)
+    assert [(p.node, p.cell, p.start, p.end, p.censored) for p in report.pauses] == [
+        (node.id, node.home, 0.0, 1.0, True) for node in state.nodes
+    ]
+    # pauses about as long as trips, so some nodes are paused at the horizon
+    params = make_params(wait=UniformWait(20.0, 200.0))
+    state = initialize(params)
+    report = run(state, until=params.sim_duration)
+    still_paused = [node.phase for node in state.nodes if isinstance(node.phase, Paused)]
+    censored = [p for p in report.pauses if p.censored]
+    assert still_paused
+    assert sorted(map(id, censored)) == sorted(map(id, still_paused))
+    assert all(p.end == params.sim_duration for p in censored)
+    assert all(p.end <= params.sim_duration for p in report.pauses)
+
+
+def test_pauses_rebuilt_from_waypoints_and_selections():
+    # each node's first pause is at home from t = 0; every later one starts
+    # at an arrival in the cell its last selection chose; each ends at the
+    # node's next departure, or censored at the horizon
+    params = make_params(wait=UniformWait(20.0, 200.0))
+    state = initialize(params)
+    report = run(state, until=params.sim_duration)
+    last_events = {w.node: w.event for w in report.waypoints}
+    assert sorted(set(last_events.values())) == ["arrive", "depart"]
+    expected = {node.id: [[node.home, 0.0, params.sim_duration, True]] for node in state.nodes}
+    selections = {
+        node.id: iter([s for s in report.selections if s.node == node.id]) for node in state.nodes
+    }
+    for w in report.waypoints:
+        pauses = expected[w.node]
+        if w.event == "depart":
+            pauses[-1][2:] = [w.time, False]
+        else:
+            cell = next(selections[w.node]).cell
+            pauses.append([cell, w.time, params.sim_duration, True])
+    got = {node.id: [] for node in state.nodes}
+    for p in report.pauses:
+        got[p.node].append([p.cell, p.start, p.end, p.censored])
+    assert got == expected
 
 
 def test_run_determinism():

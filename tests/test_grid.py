@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -241,3 +242,13 @@ def test_locations_file_io_errors(tmp_path):
     bad.write_text("not a header\n")
     with pytest.raises(ValueError):
         read_locations_file(bad)
+
+
+@pytest.mark.parametrize(
+    "line", ["1,nan,0.0,2.0,1.0", "1,1.0,0.0,inf,1.0", "1,1.0,0.0,2.0", "1,1,0,2,1,0", "one,1,0,2,1"]
+)
+def test_locations_file_rejects_bad_cell_lines(tmp_path, line):
+    path = tmp_path / "locations.csv"
+    path.write_text(f"# swim-locations v1 rows=1 cols=2\n0,0,0,1,1\n{line}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: .*{re.escape(line)}"):
+        read_locations_file(path)

@@ -1,10 +1,11 @@
 import math
 from collections import defaultdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from swimsim.encounters import ContactLog, ContactRecord
+from swimsim.encounters import ContactLog, ContactRecord, ContactTracker
 from swimsim.engine import SelectionRecord, simulate
 from swimsim.grid import AreaBounds, LocationClass, Point2D, build_grid, classify_locations
 from swimsim.metrics import (
@@ -86,16 +87,28 @@ def test_ict_censored_adjacent_gaps_dropped():
     assert ict_samples(log) == []
 
 
-def test_per_pair_breakdowns():
-    from swimsim.metrics import ict_by_pair
-
-    log = [
-        rec(0, 1, 0.0, 5.0),
-        rec(0, 1, 12.0, 20.0),
-        rec(0, 2, 3.0, 3.0),
-        rec(0, 2, 9.0, 11.0),
-    ]
-    assert ict_by_pair(log) == {(0, 1): [7.0], (0, 2): [6.0]}
+@pytest.mark.parametrize(
+    "measure",
+    [
+        ict_samples,
+        inter_contact_times,
+        duration_samples,
+        contact_durations,
+        contacts_per_pair_samples,
+        contacts_per_pair,
+        lambda log: metrics_report(log, []),
+    ],
+)
+def test_metrics_reject_open_contacts(measure):
+    nodes = [SimpleNamespace(seen=np.zeros(1, dtype=np.int64)) for _ in range(2)]
+    tracker = ContactTracker()
+    tracker.on_arrival_signal(nodes, 0, 0, 0.0)
+    tracker.node_paused(0, 0, 0.0)
+    tracker.on_arrival_signal(nodes, 1, 0, 2.0)  # opens a contact; finish() never closes it
+    open_logs = ([rec(0, 1, 0.0, 5.0), rec(0, 1, 12.0, None)], tracker.records)
+    for log in open_logs:
+        with pytest.raises(ValueError, match="open contacts"):
+            measure(log)
 
 
 def test_durations():

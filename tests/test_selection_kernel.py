@@ -25,7 +25,6 @@ from swimsim.grid import (
 from swimsim.mobility import (
     ModelParams,
     UniformWait,
-    build_home_profile,
     make_node_state,
     node_stream,
     select_destination,
@@ -224,27 +223,3 @@ def test_seen_rows_are_views_of_one_matrix():
     assert (np.diag(state.seen[:, :8]) >= 100).all()
     report = run(state, until=params.sim_duration)
     assert report.seen is state.seen
-
-
-@pytest.mark.parametrize(
-    "change", [dict(alpha=0.8), dict(decay_scale=0.01), dict(neighbour_limit=100.0)]
-)
-def test_profile_for_other_params_is_rebuilt(change):
-    params = make_params()
-    other = make_params(**change)
-    stale = build_home_profile(GRID, 0, other)
-    node = make_node_state(0, HOMES[0], GRID, params, profile=stale)
-    assert node.profile is not stale
-    assert node.profile.fits(params)
-    # a node whose profile went stale after construction is rebuilt on its next draw
-    node = make_node_state(0, HOMES[0], GRID, other)
-    node.seen[:] = seen_pattern("sparse")
-    assert_stratified_matches_dense(node, params, STEP1_UNIFORMS[1])
-    assert node.profile.fits(params)
-
-
-def test_profile_for_other_home_is_rebuilt():
-    params = make_params()
-    wrong_home = build_home_profile(GRID, 20, params)
-    node = make_node_state(0, HOMES[0], GRID, params, profile=wrong_home)
-    assert node.home == node.profile.home == 0
