@@ -52,8 +52,8 @@ print(f"contact durations:   n={dur.samples} mean={dur.mean:.1f} s max={dur.max:
 
 outputs.write_waypoints(report, out / "waypoints.csv")
 outputs.write_contacts_csv(report.contacts, out / "contacts.csv")
-outputs.write_ccdf_csv(ict, out / "ccdf_inter_contact_times.csv")
-outputs.write_ccdf_csv(dur, out / "ccdf_contact_durations.csv")
+outputs.write_ccdf_csv(ict.ccdf, out / "ccdf_inter_contact_times.csv")
+outputs.write_ccdf_csv(dur.ccdf, out / "ccdf_contact_durations.csv")
 outputs.write_metrics_json(metrics_report(report.contacts, report.selections), out / "metrics.json")
 print(f"wrote traces and metrics under {out}/")
 

@@ -14,14 +14,7 @@ from pathlib import Path
 from .config import ConfigError, load_config
 from .engine import simulate
 from .grid import build_grid, classify_locations, LocationClass
-from .metrics import (
-    contact_durations,
-    contacts_per_pair,
-    inter_contact_times,
-    metrics_report,
-    selection_stats,
-    SelectionStats,
-)
+from .metrics import metrics_report, selection_stats, SelectionStats
 from .mobility import ModelParams
 # bound here under these names because perfbench/worker.py traces them here
 from .outputs import write_ccdf_csv, write_contacts_csv, write_metrics_json, write_sweep_csv
@@ -90,21 +83,17 @@ def _cmd_run(args) -> int:
     out = _out_dir(args, config)
     with _staged(out) as stage:
         report = simulate(params, locations_path=stage / "locations.csv")
-        # each summary is built once and feeds both metrics.json and its CCDF file
-        summaries = {
-            "inter_contact_times": inter_contact_times(report.contacts),
-            "contact_durations": contact_durations(report.contacts),
-            "contacts_per_pair": contacts_per_pair(report.contacts),
-        }
-        metrics = metrics_report(report.contacts, report.selections, summaries)
+        metrics = metrics_report(report.contacts, report.selections)
 
         for name, writer in (
             ("waypoints.csv", lambda p: _write_waypoints(report, p)),
             ("contacts.csv", lambda p: write_contacts_csv(report.contacts, p)),
             ("metrics.json", lambda p: write_metrics_json(metrics, p)),
+            # each distribution summary in metrics.json also goes to its CCDF file
             *(
-                (f"ccdf_{kind}.csv", lambda p, summary=summary: write_ccdf_csv(summary, p))
-                for kind, summary in summaries.items()
+                (f"ccdf_{kind}.csv", lambda p, ccdf=part["ccdf"]: write_ccdf_csv(ccdf, p))
+                for kind, part in metrics.items()
+                if "ccdf" in part
             ),
         ):
             writer(stage / name)

@@ -5,7 +5,7 @@ same cell registers the encounter, and one contact interval opens per
 co-located pair. Nodes elsewhere ignore the signal. Contacts close when
 either member leaves the cell, so no contact ever spans a cell change.
 The tracker knows only who is paused where; the pauses themselves are the
-engine's Paused records.
+engine's Paused records. It is the only writer of the run's seen counters.
 
 The contact log is kept as columns, one row per contact in the order the
 contacts opened; ContactRecord is the row type it yields.
@@ -18,8 +18,6 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
-
-from .mobility import NodeState
 
 
 @dataclass
@@ -60,6 +58,14 @@ class ContactLog:
         dtypes = (np.int64, np.int64, np.int64, np.float64, np.float64, bool)
         return cls(*(np.array(c, dtype=t) for c, t in zip(columns, dtypes)))
 
+    @classmethod
+    def finished(cls, records) -> ContactLog:
+        """The columns of `records`, as from_records gives them, with no contact open."""
+        log = cls.from_records(records)
+        if np.isnan(log.end).any():
+            raise ValueError("contact log has open contacts: finish the run first")
+        return log
+
     def __len__(self) -> int:
         return len(self.start)
 
@@ -83,12 +89,15 @@ class ContactLog:
 class ContactTracker:
     """Tracks who is paused where, open contacts, and the finished log.
 
-    seen_update picks how an encounter is counted: "symmetric" increments
-    the arriving node once per bystander and each bystander once,
-    "bystanders_only" leaves the arriving node's counters untouched.
+    `seen` is the run's N x L matrix of encounter counters, one row per
+    node; the tracker is its only writer. seen_update picks how an
+    encounter is counted: "symmetric" increments the arriving node once per
+    bystander and each bystander once, "bystanders_only" leaves the
+    arriving node's counters untouched.
     """
 
-    def __init__(self, seen_update: str = "symmetric"):
+    def __init__(self, seen: np.ndarray, seen_update: str = "symmetric"):
+        self.seen = seen
         self.seen_update = seen_update
         self._paused_at: dict[int, dict[int, None]] = {}  # cell -> ordered node ids
         self._open: dict[tuple[int, int], int] = {}  # pair -> row of its open contact
@@ -109,15 +118,16 @@ class ContactTracker:
             np.array(self._censored, dtype=bool),
         )
 
-    def on_arrival_signal(
-        self, nodes: list[NodeState], arriving: int, cell: int, now: float
-    ) -> None:
-        """Fan the arrival signal out to the nodes paused at `cell`."""
-        bystanders = [n for n in self._paused_at.get(cell, {}) if n != arriving]
+    def on_arrival_signal(self, arriving: int, cell: int, now: float) -> None:
+        """Fan the arrival signal out to the nodes paused at `cell`; `arriving` pauses there."""
+        paused = self._paused_at.setdefault(cell, {})
+        bystanders = [n for n in paused if n != arriving]
+        paused[arriving] = None
         if not bystanders:
             return
+        seen = self.seen
         for row, other in enumerate(bystanders, len(self._start)):
-            nodes[other].seen[cell] += 1
+            seen[other, cell] += 1
             a, b = (other, arriving) if other < arriving else (arriving, other)
             self._open[(a, b)] = row
             self._a.append(a)
@@ -128,10 +138,7 @@ class ContactTracker:
         self._end.extend([math.nan] * count)
         self._censored.extend([0] * count)
         if self.seen_update == "symmetric":
-            nodes[arriving].seen[cell] += count
-
-    def node_paused(self, node: int, cell: int, now: float) -> None:
-        self._paused_at.setdefault(cell, {})[node] = None
+            seen[arriving, cell] += count
 
     def on_departure_signal(self, leaving: int, cell: int, now: float) -> None:
         """Close every open contact involving `leaving` at `cell`."""

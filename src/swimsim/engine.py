@@ -73,22 +73,16 @@ class SimulationState:
     location_map: LocationMap
     nodes: list[NodeState]
     rngs: list[np.random.Generator]
+    seen: np.ndarray  # N x L; each node's seen is a row view of it
+    tracker: ContactTracker  # the only writer of `seen`
     now: float = 0.0
     queue: list[tuple[float, int, int, int]] = field(default_factory=list)
     seq: int = 0
-    tracker: ContactTracker = None
     waypoints: list[WaypointRecord] = field(default_factory=list)
     selections: list[SelectionRecord] = field(default_factory=list)
     pauses: list[Paused] = field(default_factory=list)  # every pause, in the order they began
     events_processed: int = 0
     finished: bool = False
-    seen: np.ndarray = None  # N x L; each node's seen is a row view of it
-
-    def __post_init__(self):
-        if self.seen is None:
-            self.seen = np.stack([node.seen for node in self.nodes])
-            for node, row in zip(self.nodes, self.seen):
-                node.seen = row
 
     def schedule(self, time: float, kind: int, node: int) -> None:
         heapq.heappush(self.queue, (time, self.seq, kind, node))
@@ -104,7 +98,7 @@ def initialize(params: ModelParams, locations_path=None) -> SimulationState:
     that start co-located meet before anyone moves. When `locations_path`
     is given the shared locations file is written there. Nodes that share
     a home share one HomeProfile, and all seen counters live in one N x L
-    matrix.
+    matrix, which the contact tracker writes.
     """
     location_map = build_grid(params.area, params.n_locations)
     if locations_path is not None:
@@ -127,12 +121,11 @@ def initialize(params: ModelParams, locations_path=None) -> SimulationState:
         location_map=location_map,
         nodes=nodes,
         rngs=rngs,
-        tracker=ContactTracker(params.seen_update),
         seen=seen,
+        tracker=ContactTracker(seen, params.seen_update),
     )
     for node, rng in zip(nodes, rngs):
-        state.tracker.on_arrival_signal(nodes, node.id, node.home, 0.0)
-        state.tracker.node_paused(node.id, node.home, 0.0)
+        state.tracker.on_arrival_signal(node.id, node.home, 0.0)
         wait = draw_wait_time(params.wait, rng)
         node.phase = Paused(node.id, node.home, 0.0, wait)
         state.pauses.append(node.phase)
@@ -177,8 +170,7 @@ def handle_arrival(state: SimulationState, node_id: int) -> None:
     cell = node.phase.target_cell
     node.position = node.phase.target
     state.waypoints.append(WaypointRecord(now, node_id, node.position.x, node.position.y, "arrive"))
-    state.tracker.on_arrival_signal(state.nodes, node_id, cell, now)
-    state.tracker.node_paused(node_id, cell, now)
+    state.tracker.on_arrival_signal(node_id, cell, now)
     end = now + draw_wait_time(state.params.wait, state.rngs[node_id])
     node.phase = Paused(node_id, cell, now, end)
     state.pauses.append(node.phase)

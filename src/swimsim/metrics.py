@@ -7,7 +7,7 @@ dropped because the true gap is unknown. CCDFs are evaluated at 50
 log-spaced thresholds for heavy-tail inspection. The pipelines work on the
 columns of a ContactLog; a list of ContactRecord is converted once, where
 it enters. A log with a contact still open, one that has no end yet, is
-rejected there.
+rejected there (ContactLog.finished).
 """
 
 from __future__ import annotations
@@ -65,14 +65,6 @@ def summarize(values) -> DistributionSummary:
     )
 
 
-def _finished(log) -> ContactLog:
-    """The columns of `log`, which must hold no open contact."""
-    log = ContactLog.from_records(log)
-    if np.isnan(log.end).any():
-        raise ValueError("contact log has open contacts: finish the run before measuring it")
-    return log
-
-
 def _pair_keys(log: ContactLog) -> np.ndarray:
     """One integer per row that orders the pairs (a, b) lexicographically."""
     return log.a * (int(log.b.max(initial=0)) + 1) + log.b
@@ -96,11 +88,11 @@ def _gaps(log: ContactLog) -> tuple[np.ndarray, np.ndarray]:
 
 def ict_samples(log) -> list[float]:
     """Gaps between consecutive contacts, pooled across pairs."""
-    return _gaps(_finished(log))[0].tolist()
+    return _gaps(ContactLog.finished(log))[0].tolist()
 
 
 def inter_contact_times(log) -> DistributionSummary:
-    return summarize(_gaps(_finished(log))[0])
+    return summarize(_gaps(ContactLog.finished(log))[0])
 
 
 def _durations(log: ContactLog) -> np.ndarray:
@@ -110,11 +102,11 @@ def _durations(log: ContactLog) -> np.ndarray:
 
 def duration_samples(log) -> list[float]:
     """Durations of finished contacts; zero-length ones carry no information."""
-    return _durations(_finished(log)).tolist()
+    return _durations(ContactLog.finished(log)).tolist()
 
 
 def contact_durations(log) -> DistributionSummary:
-    return summarize(_durations(_finished(log)))
+    return summarize(_durations(ContactLog.finished(log)))
 
 
 def _pair_counts(log: ContactLog) -> np.ndarray:
@@ -123,11 +115,11 @@ def _pair_counts(log: ContactLog) -> np.ndarray:
 
 def contacts_per_pair_samples(log) -> list[int]:
     """Record count of every pair that ever met, in pair order."""
-    return _pair_counts(_finished(log)).tolist()
+    return _pair_counts(ContactLog.finished(log)).tolist()
 
 
 def contacts_per_pair(log) -> DistributionSummary:
-    return summarize(_pair_counts(_finished(log)))
+    return summarize(_pair_counts(ContactLog.finished(log)))
 
 
 @dataclass(frozen=True)
@@ -189,26 +181,18 @@ def selection_stats(selections) -> SelectionStats:
     )
 
 
-def metrics_report(
-    contacts,
-    selections: list[SelectionRecord],
-    summaries: dict[str, DistributionSummary] | None = None,
-) -> dict:
+def metrics_report(contacts, selections: list[SelectionRecord]) -> dict:
     """Structured metrics for JSON export.
 
-    `contacts` is a ContactLog or a list of ContactRecord. `summaries` holds
-    the three distribution summaries of `contacts` when the caller has built
-    them already; they are built here otherwise.
+    `contacts` is a ContactLog or a list of ContactRecord. The three
+    distribution summaries are built here, once per run; `swimsim run`
+    writes their CCDF files from the `ccdf` lists of this dict.
     """
-    contacts = _finished(contacts)
-    if summaries is None:
-        summaries = {
-            "inter_contact_times": inter_contact_times(contacts),
-            "contact_durations": contact_durations(contacts),
-            "contacts_per_pair": contacts_per_pair(contacts),
-        }
+    contacts = ContactLog.finished(contacts)
     return {
-        **{name: summary.as_dict() for name, summary in summaries.items()},
+        "inter_contact_times": inter_contact_times(contacts).as_dict(),
+        "contact_durations": contact_durations(contacts).as_dict(),
+        "contacts_per_pair": contacts_per_pair(contacts).as_dict(),
         "selection": selection_stats(selections).as_dict(),
         "contacts": {
             "total": len(contacts),

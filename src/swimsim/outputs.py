@@ -20,7 +20,7 @@ from .grid import AreaBounds, Cell, LocationMap
 
 if TYPE_CHECKING:
     from .engine import SimulationReport
-    from .metrics import DistributionSummary, SelectionStats
+    from .metrics import SelectionStats
 
 LOCATIONS_HEADER_RE = re.compile(r"^# swim-locations v1 rows=(\d+) cols=(\d+)$")
 ROWS_PER_WRITE = 4096  # rows joined into one write; bounds the text held in memory
@@ -42,8 +42,10 @@ def write_locations_file(location_map: LocationMap, path) -> None:
 def read_locations_file(path) -> LocationMap:
     """Parse a locations file back into a LocationMap.
 
-    A cell line that is not `id,min_x,min_y,max_x,max_y` with an integer id
-    and finite coordinates fails with a message naming its file and line.
+    A header with fewer than one row or column fails with a message naming
+    the file. A cell line that is not `id,min_x,min_y,max_x,max_y` with an
+    integer id, finite coordinates and `0 <= min < max` on both axes fails
+    with a message naming its file and line.
     """
     with open(path) as f:
         header = f.readline().rstrip("\n")
@@ -51,6 +53,8 @@ def read_locations_file(path) -> LocationMap:
         if not m:
             raise ValueError(f"{path}: not a swim-locations v1 file")
         rows, cols = int(m.group(1)), int(m.group(2))
+        if rows < 1 or cols < 1:
+            raise ValueError(f"{path}: rows and cols must be >= 1, got rows={rows} cols={cols}")
         cells = []
         for lineno, line in enumerate(f, start=2):
             fields = line.rstrip("\n").split(",")
@@ -58,10 +62,15 @@ def read_locations_file(path) -> LocationMap:
                 values = [int(fields[0]), *map(float, fields[1:])]
             except ValueError:
                 values = []
-            if len(values) != 5 or not all(map(math.isfinite, values[1:])):
+            if not (
+                len(values) == 5
+                and all(map(math.isfinite, values[1:]))
+                and 0 <= values[1] < values[3]
+                and 0 <= values[2] < values[4]
+            ):
                 raise ValueError(
-                    f"{path}:{lineno}: expected id,min_x,min_y,max_x,max_y with "
-                    f"finite coordinates, got {line.rstrip()!r}"
+                    f"{path}:{lineno}: expected id,min_x,min_y,max_x,max_y with finite "
+                    f"coordinates and 0 <= min < max on both axes, got {line.rstrip()!r}"
                 )
             cells.append(Cell(*values))
     if len(cells) != rows * cols:
@@ -93,9 +102,7 @@ def write_contacts_csv(records, path) -> None:
     it, so each distinct time is formatted once and the rows look it up,
     as they do the text of node and cell ids.
     """
-    log = ContactLog.from_records(records)
-    if np.isnan(log.end).any():
-        raise ValueError("contact log has open contacts: finish the run before writing it")
+    log = ContactLog.finished(records)
     n = len(log)
     times, which = np.unique(np.concatenate([log.start, log.end]), return_inverse=True)
     # each field's text together with the separator that follows it
@@ -120,11 +127,13 @@ def write_contacts_csv(records, path) -> None:
             ]))
 
 
-def write_ccdf_csv(summary: DistributionSummary, path) -> None:
-    """CCDF export, one `value,fraction` row per threshold."""
+def write_ccdf_csv(ccdf, path) -> None:
+    """CCDF export, one `value,fraction` row per (value, fraction) pair of
+    `ccdf`: a DistributionSummary's `ccdf`, or the `ccdf` list of a summary
+    in the `metrics_report` dict."""
     with open(path, "w", newline="") as f:
         f.write("value,fraction\n")
-        for value, fraction in summary.ccdf:
+        for value, fraction in ccdf:
             f.write(f"{value:.6f},{fraction:.6f}\n")
 
 

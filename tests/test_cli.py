@@ -69,6 +69,25 @@ def test_run_writes_all_outputs(config_path, tmp_path):
         assert (out / name).exists(), name
 
 
+def test_run_ccdf_files_match_metrics_json(tmp_path):
+    config = tmp_path / "reference.conf"
+    config.write_text(
+        "neighbourLocationLimit = 300\nspeed = 1.4\nmaxAreaX = 400\nmaxAreaY = 400\n"
+        "waitTime = uniform(2,5)\nalpha = 0.3\nnoOfLocations = 21\nnodeCount = 10\n"
+        "simDuration = 50000\nseed = 1\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    kinds = ("inter_contact_times", "contact_durations", "contacts_per_pair")
+    assert sorted(p.name for p in out.glob("ccdf_*.csv")) == sorted(f"ccdf_{k}.csv" for k in kinds)
+    for kind in kinds:
+        rows = (out / f"ccdf_{kind}.csv").read_text().splitlines()
+        assert rows[0] == "value,fraction"
+        assert metrics[kind]["ccdf"]  # the reference run has samples of every kind
+        assert rows[1:] == [f"{v:.6f},{f:.6f}" for v, f in metrics[kind]["ccdf"]], kind
+
+
 def test_run_outputs_deterministic(config_path, tmp_path):
     first = tmp_path / "first"
     second = tmp_path / "second"

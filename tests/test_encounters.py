@@ -30,12 +30,19 @@ def make_params(**overrides):
 
 
 def make_nodes(count, params=None):
+    """`count` nodes whose seen counters are the rows of one matrix, as in a run."""
     params = params or make_params(node_count=count)
     location_map = build_grid(params.area, params.n_locations)
+    seen = np.zeros((count, len(location_map)), dtype=np.int64)
     return [
-        make_node_state(i, Point2D(10.0, 10.0), location_map, params)
+        make_node_state(i, Point2D(10.0, 10.0), location_map, params, seen=seen[i])
         for i in range(count)
     ]
+
+
+def tracker_for(nodes, **kwargs):
+    """A tracker that counts encounters into the nodes' seen matrix."""
+    return ContactTracker(nodes[0].seen.base, **kwargs)
 
 
 def brute_force_contacts(pauses):
@@ -62,9 +69,8 @@ def contact_tuples(records):
 
 def test_lone_arrival_is_a_noop():
     nodes = make_nodes(2)
-    tracker = ContactTracker()
-    tracker.on_arrival_signal(nodes, 0, 3, 1.0)
-    tracker.node_paused(0, 3, 1.0)
+    tracker = tracker_for(nodes)
+    tracker.on_arrival_signal(0, 3, 1.0)
     assert nodes[0].seen.sum() == 0
     assert nodes[1].seen.sum() == 0
     assert len(tracker.records) == 0
@@ -72,11 +78,9 @@ def test_lone_arrival_is_a_noop():
 
 def test_pair_arrival_opens_contact():
     nodes = make_nodes(2)
-    tracker = ContactTracker()
-    tracker.on_arrival_signal(nodes, 0, 3, 1.0)
-    tracker.node_paused(0, 3, 1.0)
-    tracker.on_arrival_signal(nodes, 1, 3, 2.5)
-    tracker.node_paused(1, 3, 2.5)
+    tracker = tracker_for(nodes)
+    tracker.on_arrival_signal(0, 3, 1.0)
+    tracker.on_arrival_signal(1, 3, 2.5)
     assert nodes[0].seen[3] == 1
     assert nodes[1].seen[3] == 1
     assert len(tracker.records) == 1
@@ -87,12 +91,10 @@ def test_pair_arrival_opens_contact():
 
 def test_arrival_with_two_paused_counts_both():
     nodes = make_nodes(3)
-    tracker = ContactTracker()
+    tracker = tracker_for(nodes)
     for node_id in (0, 1):
-        tracker.on_arrival_signal(nodes, node_id, 5, 1.0)
-        tracker.node_paused(node_id, 5, 1.0)
-    tracker.on_arrival_signal(nodes, 2, 5, 4.0)
-    tracker.node_paused(2, 5, 4.0)
+        tracker.on_arrival_signal(node_id, 5, 1.0)
+    tracker.on_arrival_signal(2, 5, 4.0)
     assert nodes[2].seen[5] == 2
     assert nodes[0].seen[5] == 2  # one from node 1 arriving, one from node 2
     assert nodes[1].seen[5] == 2
@@ -101,11 +103,9 @@ def test_arrival_with_two_paused_counts_both():
 
 def test_nodes_elsewhere_ignore_signal():
     nodes = make_nodes(3)
-    tracker = ContactTracker()
-    tracker.on_arrival_signal(nodes, 0, 2, 1.0)
-    tracker.node_paused(0, 2, 1.0)
-    tracker.on_arrival_signal(nodes, 1, 9, 2.0)
-    tracker.node_paused(1, 9, 2.0)
+    tracker = tracker_for(nodes)
+    tracker.on_arrival_signal(0, 2, 1.0)
+    tracker.on_arrival_signal(1, 9, 2.0)
     assert nodes[0].seen.sum() == 0
     assert nodes[1].seen.sum() == 0
     assert len(tracker.records) == 0
@@ -113,11 +113,9 @@ def test_nodes_elsewhere_ignore_signal():
 
 def test_bystanders_only_mode():
     nodes = make_nodes(2)
-    tracker = ContactTracker(seen_update="bystanders_only")
-    tracker.on_arrival_signal(nodes, 0, 3, 1.0)
-    tracker.node_paused(0, 3, 1.0)
-    tracker.on_arrival_signal(nodes, 1, 3, 2.0)
-    tracker.node_paused(1, 3, 2.0)
+    tracker = tracker_for(nodes, seen_update="bystanders_only")
+    tracker.on_arrival_signal(0, 3, 1.0)
+    tracker.on_arrival_signal(1, 3, 2.0)
     assert nodes[0].seen[3] == 1  # bystander still updates
     assert nodes[1].seen[3] == 0  # arriving node does not
     assert len(tracker.records) == 1
@@ -125,11 +123,9 @@ def test_bystanders_only_mode():
 
 def test_departure_closes_overlap():
     nodes = make_nodes(2)
-    tracker = ContactTracker()
-    tracker.on_arrival_signal(nodes, 0, 3, 1.0)
-    tracker.node_paused(0, 3, 1.0)
-    tracker.on_arrival_signal(nodes, 1, 3, 2.0)
-    tracker.node_paused(1, 3, 2.0)
+    tracker = tracker_for(nodes)
+    tracker.on_arrival_signal(0, 3, 1.0)
+    tracker.on_arrival_signal(1, 3, 2.0)
     tracker.on_departure_signal(0, 3, 6.0)
     record = tracker.records[0]
     assert (record.start, record.end, record.censored) == (2.0, 6.0, False)
@@ -141,11 +137,9 @@ def test_departure_closes_overlap():
 def test_zero_length_overlap_kept():
     # arrival processed just before the other's departure at the same time
     nodes = make_nodes(2)
-    tracker = ContactTracker()
-    tracker.on_arrival_signal(nodes, 0, 3, 1.0)
-    tracker.node_paused(0, 3, 1.0)
-    tracker.on_arrival_signal(nodes, 1, 3, 5.0)
-    tracker.node_paused(1, 3, 5.0)
+    tracker = tracker_for(nodes)
+    tracker.on_arrival_signal(0, 3, 1.0)
+    tracker.on_arrival_signal(1, 3, 5.0)
     tracker.on_departure_signal(0, 3, 5.0)
     record = tracker.records[0]
     assert record.start == record.end == 5.0
@@ -154,11 +148,9 @@ def test_zero_length_overlap_kept():
 
 def test_finish_censors_open_contacts():
     nodes = make_nodes(2)
-    tracker = ContactTracker()
-    tracker.on_arrival_signal(nodes, 0, 3, 1.0)
-    tracker.node_paused(0, 3, 1.0)
-    tracker.on_arrival_signal(nodes, 1, 3, 2.0)
-    tracker.node_paused(1, 3, 2.0)
+    tracker = tracker_for(nodes)
+    tracker.on_arrival_signal(0, 3, 1.0)
+    tracker.on_arrival_signal(1, 3, 2.0)
     tracker.finish(10.0)
     record = tracker.records[0]
     assert (record.end, record.censored) == (10.0, True)

@@ -71,16 +71,17 @@ def scripted_state(position, randoms, uniforms, **param_overrides):
         node_count=1, **param_overrides,
     )
     location_map = build_grid(params.area, params.n_locations)
-    node = make_node_state(0, position, location_map, params)
+    seen = np.zeros((1, len(location_map)), dtype=np.int64)
+    node = make_node_state(0, position, location_map, params, seen=seen[0])
     state = SimulationState(
         params=params,
         location_map=location_map,
         nodes=[node],
         rngs=[FakeRng(randoms, uniforms, location_map)],
-        tracker=ContactTracker(params.seen_update),
+        seen=seen,
+        tracker=ContactTracker(seen, params.seen_update),
     )
     node.phase = Paused(node=0, cell=node.home, start=0.0, end=0.0)
-    state.tracker.node_paused(0, node.home, 0.0)
     state.schedule(0.0, DEPARTURE, 0)
     return state
 

@@ -245,10 +245,28 @@ def test_locations_file_io_errors(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "line", ["1,nan,0.0,2.0,1.0", "1,1.0,0.0,inf,1.0", "1,1.0,0.0,2.0", "1,1,0,2,1,0", "one,1,0,2,1"]
+    "line",
+    [
+        "1,nan,0.0,2.0,1.0",
+        "1,1.0,0.0,inf,1.0",
+        "1,1.0,0.0,2.0",
+        "1,1,0,2,1,0",
+        "one,1,0,2,1",
+        "1,2.0,0.0,1.0,1.0",  # min_x > max_x
+        "1,1.0,1.0,2.0,1.0",  # min_y == max_y
+        "1,-1.0,0.0,2.0,1.0",  # negative bound
+    ],
 )
 def test_locations_file_rejects_bad_cell_lines(tmp_path, line):
     path = tmp_path / "locations.csv"
     path.write_text(f"# swim-locations v1 rows=1 cols=2\n0,0,0,1,1\n{line}\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: .*{re.escape(line)}"):
+        read_locations_file(path)
+
+
+@pytest.mark.parametrize("shape", ["rows=0 cols=5", "rows=2 cols=0"])
+def test_locations_file_rejects_empty_grid(tmp_path, shape):
+    path = tmp_path / "locations.csv"
+    path.write_text(f"# swim-locations v1 {shape}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{shape}"):
         read_locations_file(path)

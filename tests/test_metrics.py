@@ -1,6 +1,5 @@
 import math
 from collections import defaultdict
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -100,11 +99,9 @@ def test_ict_censored_adjacent_gaps_dropped():
     ],
 )
 def test_metrics_reject_open_contacts(measure):
-    nodes = [SimpleNamespace(seen=np.zeros(1, dtype=np.int64)) for _ in range(2)]
-    tracker = ContactTracker()
-    tracker.on_arrival_signal(nodes, 0, 0, 0.0)
-    tracker.node_paused(0, 0, 0.0)
-    tracker.on_arrival_signal(nodes, 1, 0, 2.0)  # opens a contact; finish() never closes it
+    tracker = ContactTracker(np.zeros((2, 1), dtype=np.int64))
+    tracker.on_arrival_signal(0, 0, 0.0)
+    tracker.on_arrival_signal(1, 0, 2.0)  # opens a contact; finish() never closes it
     open_logs = ([rec(0, 1, 0.0, 5.0), rec(0, 1, 12.0, None)], tracker.records)
     for log in open_logs:
         with pytest.raises(ValueError, match="open contacts"):
@@ -282,7 +279,7 @@ def test_ccdf_csv_and_metrics_json(tmp_path):
     log = [rec(0, 1, 0.0, 5.0), rec(0, 1, 12.0, 20.0), rec(0, 2, 1.0, 2.0)]
     summary = inter_contact_times(log)
     path = tmp_path / "ccdf.csv"
-    write_ccdf_csv(summary, path)
+    write_ccdf_csv(summary.ccdf, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "value,fraction"
     assert len(lines) == 1 + len(summary.ccdf)

@@ -217,6 +217,7 @@ def test_seen_rows_are_views_of_one_matrix():
     params = make_params(node_count=8)
     state = initialize(params)
     assert state.seen.shape == (8, 21)
+    assert state.tracker.seen is state.seen
     for i, node in enumerate(state.nodes):
         assert node.seen.base is state.seen
         node.seen[i] += 100
