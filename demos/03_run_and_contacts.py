@@ -35,11 +35,11 @@ params = ModelParams(
     seed=2024,
 )
 
-report = simulate(params, locations_path=out / "locations.csv")
+report = simulate(params)
 print(f"processed {report.events_processed} events over {params.sim_duration:.0f} s")
 print(f"waypoints: {len(report.waypoints)}, contacts: {len(report.contacts)}")
 
-stats = selection_stats(report)
+stats = selection_stats(report.selections)
 print(
     f"destination types: {stats.near} neighbouring / {stats.visiting} visiting "
     f"({stats.near_fraction:.3f} near, {stats.fallbacks} fallbacks)"
@@ -50,7 +50,8 @@ dur = contact_durations(report.contacts)
 print(f"inter-contact times: n={ict.samples} mean={ict.mean:.1f} s max={ict.max:.0f} s")
 print(f"contact durations:   n={dur.samples} mean={dur.mean:.1f} s max={dur.max:.0f} s")
 
-outputs.write_waypoints(report, out / "waypoints.csv")
+outputs.write_locations_file(report.location_map, out / "locations.csv")
+outputs.write_waypoints(report.waypoints, out / "waypoints.csv")
 outputs.write_contacts_csv(report.contacts, out / "contacts.csv")
 outputs.write_ccdf_csv(ict.ccdf, out / "ccdf_inter_contact_times.csv")
 outputs.write_ccdf_csv(dur.ccdf, out / "ccdf_contact_durations.csv")

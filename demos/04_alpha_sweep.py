@@ -26,8 +26,7 @@ base = ModelParams(
 print(f"{'alpha':>6} {'selections':>11} {'neighbouring':>13} {'visiting':>9} {'fallbacks':>10}")
 rows = []
 for alpha in (0.1, 0.3, 0.5, 0.8, 0.95):
-    report = simulate(dataclasses.replace(base, alpha=alpha))
-    stats = selection_stats(report)
+    stats = selection_stats(simulate(dataclasses.replace(base, alpha=alpha)).selections)
     rows.append((alpha, stats))
     print(
         f"{alpha:>6.2f} {stats.total:>11} {stats.near_fraction:>13.3f} "

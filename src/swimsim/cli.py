@@ -18,6 +18,7 @@ from .metrics import metrics_report, selection_stats, SelectionStats
 from .mobility import ModelParams
 # bound here under these names because perfbench/worker.py traces them here
 from .outputs import write_ccdf_csv, write_contacts_csv, write_metrics_json, write_sweep_csv
+from .outputs import write_locations_file
 from .outputs import write_waypoints as _write_waypoints
 
 
@@ -31,7 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one scenario and write all outputs")
     p_run.add_argument("--config", required=True, help="scenario config file")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--until", type=float, default=None, help="override simDuration")
     p_run.add_argument("--out", help="output directory (default: the config's outputDir)")
 
     p_sweep = sub.add_parser("sweep", help="matched-seed runs over several alpha values")
@@ -76,17 +76,16 @@ def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    if args.until is not None:
-        config = dataclasses.replace(config, sim_duration=args.until)
     params = config.to_params()
 
     out = _out_dir(args, config)
     with _staged(out) as stage:
-        report = simulate(params, locations_path=stage / "locations.csv")
+        report = simulate(params)
         metrics = metrics_report(report.contacts, report.selections)
 
         for name, writer in (
-            ("waypoints.csv", lambda p: _write_waypoints(report, p)),
+            ("locations.csv", lambda p: write_locations_file(report.location_map, p)),
+            ("waypoints.csv", lambda p: _write_waypoints(report.waypoints, p)),
             ("contacts.csv", lambda p: write_contacts_csv(report.contacts, p)),
             ("metrics.json", lambda p: write_metrics_json(metrics, p)),
             # each distribution summary in metrics.json also goes to its CCDF file

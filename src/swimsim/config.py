@@ -14,7 +14,7 @@ import re
 from dataclasses import MISSING, dataclass, fields
 from types import SimpleNamespace
 
-from .grid import AreaBounds
+from .grid import AreaBounds, grid_shape
 from .mobility import ModelParams, PowerLawWait, UniformWait, WaitTimeDist
 
 
@@ -150,9 +150,19 @@ def loads_config(text: str, source: str = "<config>") -> ScenarioConfig:
     values.pop(None, None)  # one-value keys are parsed only to check them
     config = ScenarioConfig(**values)
     try:
-        config.to_params()  # every range check, each error naming its key
+        params = config.to_params()  # every range check, each error naming its key
     except ValueError as e:
         raise ConfigError(f"{source}: {e}") from None
+    # locations.csv prints 6 decimals, so a cell side of 1e-6 m or less
+    # would print as a zero-width cell that read_locations_file rejects
+    area = params.area
+    rows, cols = grid_shape(area, params.n_locations)
+    for key, side in (("maxAreaX", area.width / cols), ("maxAreaY", area.height / rows)):
+        if side <= 1e-6:
+            raise ConfigError(
+                f"{source}: {key} gives {side} m cells on a {rows} x {cols} grid; "
+                f"locations.csv needs cells wider than 1e-6 m"
+            )
     return config
 
 

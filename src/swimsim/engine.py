@@ -2,10 +2,12 @@
 
 Nodes move along straight segments at constant speed, so the only events
 are departures (pause over, next destination chosen) and arrivals
-(destination reached, arrival signal sent, pause begins). Events are kept
-in a heap ordered by (time, insertion seq); the seq counter makes
-simultaneous events process in a total, deterministic order. Positions at
-any other instant are interpolated analytically.
+(destination reached, arrival signal sent, pause begins). Every node has
+exactly one pending event, and its phase says which: a paused node departs
+next, a moving node arrives next. Events are kept in a heap of
+(time, insertion seq, node); the seq counter makes simultaneous events
+process in a total, deterministic order. Positions at any other instant
+are interpolated analytically. The engine writes no files.
 """
 
 from __future__ import annotations
@@ -29,10 +31,6 @@ from .mobility import (
     node_stream,
     select_destination,
 )
-from .outputs import write_locations_file
-
-DEPARTURE = 0
-ARRIVAL = 1
 
 
 @dataclass(frozen=True)
@@ -58,13 +56,16 @@ class SimulationReport:
 
     params: ModelParams
     location_map: LocationMap
-    end_time: float
-    events_processed: int
     waypoints: list[WaypointRecord]
     contacts: ContactLog
     pauses: list[Paused]
     selections: list[SelectionRecord]
     seen: np.ndarray  # final N x L encounter counters, one row per node
+
+    @property
+    def events_processed(self) -> int:
+        """Every event appends one waypoint, so the waypoints count the events."""
+        return len(self.waypoints)
 
 
 @dataclass
@@ -76,33 +77,29 @@ class SimulationState:
     seen: np.ndarray  # N x L; each node's seen is a row view of it
     tracker: ContactTracker  # the only writer of `seen`
     now: float = 0.0
-    queue: list[tuple[float, int, int, int]] = field(default_factory=list)
+    queue: list[tuple[float, int, int]] = field(default_factory=list)  # (time, seq, node)
     seq: int = 0
     waypoints: list[WaypointRecord] = field(default_factory=list)
     selections: list[SelectionRecord] = field(default_factory=list)
     pauses: list[Paused] = field(default_factory=list)  # every pause, in the order they began
-    events_processed: int = 0
     finished: bool = False
 
-    def schedule(self, time: float, kind: int, node: int) -> None:
-        heapq.heappush(self.queue, (time, self.seq, kind, node))
+    def schedule(self, time: float, node: int) -> None:
+        heapq.heappush(self.queue, (time, self.seq, node))
         self.seq += 1
 
 
-def initialize(params: ModelParams, locations_path=None) -> SimulationState:
+def initialize(params: ModelParams) -> SimulationState:
     """Build the grid, place nodes, and schedule each node's first departure.
 
     Initial positions are uniform over the area; the containing cell becomes
     the node's home. Every node starts with a pause at home, and the pause
     is announced like any other arrival (in node-id order at t=0) so nodes
-    that start co-located meet before anyone moves. When `locations_path`
-    is given the shared locations file is written there. Nodes that share
-    a home share one HomeProfile, and all seen counters live in one N x L
+    that start co-located meet before anyone moves. Nodes that share a
+    home share one HomeProfile, and all seen counters live in one N x L
     matrix, which the contact tracker writes.
     """
     location_map = build_grid(params.area, params.n_locations)
-    if locations_path is not None:
-        write_locations_file(location_map, locations_path)
     rngs = [node_stream(params.seed, i) for i in range(params.node_count)]
     seen = np.zeros((params.node_count, len(location_map)), dtype=np.int64)
     profiles: dict[int, HomeProfile] = {}
@@ -129,14 +126,13 @@ def initialize(params: ModelParams, locations_path=None) -> SimulationState:
         wait = draw_wait_time(params.wait, rng)
         node.phase = Paused(node.id, node.home, 0.0, wait)
         state.pauses.append(node.phase)
-        state.schedule(wait, DEPARTURE, node.id)
+        state.schedule(wait, node.id)
     return state
 
 
 def handle_departure(state: SimulationState, node_id: int) -> None:
     """Pause over: leave the cell, pick the next destination, start moving."""
     node = state.nodes[node_id]
-    assert isinstance(node.phase, Paused)
     now = state.now
     state.tracker.on_departure_signal(node_id, node.phase.cell, now)
     choice = select_destination(node, state.location_map, state.params, state.rngs[node_id])
@@ -159,13 +155,12 @@ def handle_departure(state: SimulationState, node_id: int) -> None:
         )
     )
     state.waypoints.append(WaypointRecord(now, node_id, origin.x, origin.y, "depart"))
-    state.schedule(arrive_at, ARRIVAL, node_id)
+    state.schedule(arrive_at, node_id)
 
 
 def handle_arrival(state: SimulationState, node_id: int) -> None:
     """Destination reached: signal the arrival, then pause."""
     node = state.nodes[node_id]
-    assert isinstance(node.phase, Moving)
     now = state.now
     cell = node.phase.target_cell
     node.position = node.phase.target
@@ -174,7 +169,7 @@ def handle_arrival(state: SimulationState, node_id: int) -> None:
     end = now + draw_wait_time(state.params.wait, state.rngs[node_id])
     node.phase = Paused(node_id, cell, now, end)
     state.pauses.append(node.phase)
-    state.schedule(end, DEPARTURE, node_id)
+    state.schedule(end, node_id)
 
 
 def position_at(node: NodeState, t: float) -> Point2D:
@@ -205,12 +200,13 @@ def run(state: SimulationState, until: float) -> SimulationReport:
         raise RuntimeError("simulation state has already been run")
     if until < state.now:
         raise ValueError(f"until={until} is before now={state.now}")
-    handlers = {DEPARTURE: handle_departure, ARRIVAL: handle_arrival}
-    while state.queue and state.queue[0][0] <= until:
-        time, _seq, kind, node_id = heapq.heappop(state.queue)
-        state.now = time
-        handlers[kind](state, node_id)
-        state.events_processed += 1
+    queue, nodes = state.queue, state.nodes
+    while queue and queue[0][0] <= until:
+        state.now, _seq, node_id = heapq.heappop(queue)
+        if isinstance(nodes[node_id].phase, Paused):
+            handle_departure(state, node_id)
+        else:
+            handle_arrival(state, node_id)
     state.now = until
     state.tracker.finish(until)
     for node in state.nodes:
@@ -220,8 +216,6 @@ def run(state: SimulationState, until: float) -> SimulationReport:
     return SimulationReport(
         params=state.params,
         location_map=state.location_map,
-        end_time=until,
-        events_processed=state.events_processed,
         waypoints=state.waypoints,
         contacts=state.tracker.records,
         pauses=state.pauses,
@@ -230,7 +224,7 @@ def run(state: SimulationState, until: float) -> SimulationReport:
     )
 
 
-def simulate(params: ModelParams, locations_path=None) -> SimulationReport:
+def simulate(params: ModelParams) -> SimulationReport:
     """Initialize and run a full scenario in one call."""
-    state = initialize(params, locations_path=locations_path)
+    state = initialize(params)
     return run(state, until=params.sim_duration)

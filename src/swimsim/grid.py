@@ -164,12 +164,6 @@ def point_in_cell(cell: Cell, fx: float, fy: float) -> Point2D:
     )
 
 
-def random_point_in_cell(cell: Cell, rng: np.random.Generator) -> Point2D:
-    """Uniform point over the cell rectangle, one independent draw per axis."""
-    fx, fy = rng.random(2).tolist()
-    return point_in_cell(cell, fx, fy)
-
-
 def classify_locations(
     location_map: LocationMap, home: int, limit: float
 ) -> list[LocationClass]:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encounters import ContactLog
-from .engine import SelectionRecord, SimulationReport
 
 CCDF_POINTS = 50
 
@@ -153,10 +152,8 @@ class SelectionStats:
 def selection_stats(selections) -> SelectionStats:
     """Destination-type tallies per node and overall; fallbacks counted apart.
 
-    Accepts either a SimulationReport or its list of selection records.
+    `selections` is a run's list of SelectionRecord (`report.selections`).
     """
-    if isinstance(selections, SimulationReport):
-        selections = selections.selections
     per_node: dict[int, dict[str, int]] = {}
     near = visiting = fallbacks = 0
     for record in selections:
@@ -181,12 +178,13 @@ def selection_stats(selections) -> SelectionStats:
     )
 
 
-def metrics_report(contacts, selections: list[SelectionRecord]) -> dict:
+def metrics_report(contacts, selections) -> dict:
     """Structured metrics for JSON export.
 
-    `contacts` is a ContactLog or a list of ContactRecord. The three
-    distribution summaries are built here, once per run; `swimsim run`
-    writes their CCDF files from the `ccdf` lists of this dict.
+    `contacts` is a ContactLog or a list of ContactRecord, `selections` a
+    list of SelectionRecord. The three distribution summaries are built
+    here, once per run; `swimsim run` writes their CCDF files from the
+    `ccdf` lists of this dict.
     """
     contacts = ContactLog.finished(contacts)
     return {

@@ -1,9 +1,11 @@
 """Every output file format of the simulator, and the locations reader.
 
 Numeric fields are 6-decimal fixed point, so a fixed config and seed give
-byte-identical files. The engine writes the locations file through this
-module, so at run time it imports no other swimsim module apart from the
-grid types the locations reader builds and the contact log's columns.
+byte-identical files. Each writer takes the data it writes (a location
+map, waypoint rows, a contact log, CCDF pairs, a metrics dict or sweep
+rows), not a whole run report, and `swimsim run` calls them all from one
+loop. At run time this module imports no other swimsim module apart from
+the grid types the locations reader builds and the contact log's columns.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .encounters import ContactLog
 from .grid import AreaBounds, Cell, LocationMap
 
 if TYPE_CHECKING:
-    from .engine import SimulationReport
     from .metrics import SelectionStats
 
 LOCATIONS_HEADER_RE = re.compile(r"^# swim-locations v1 rows=(\d+) cols=(\d+)$")
@@ -81,9 +82,9 @@ def read_locations_file(path) -> LocationMap:
     return LocationMap(cells=tuple(cells), rows=rows, cols=cols, area=area)
 
 
-def write_waypoints(report: SimulationReport, path) -> None:
-    """Waypoint trace export: `time,node,x,y,event` rows in event order."""
-    waypoints = report.waypoints
+def write_waypoints(waypoints, path) -> None:
+    """Waypoint trace export: one `time,node,x,y,event` row per WaypointRecord,
+    in the order given (a run report's `waypoints` are in event order)."""
     with open(path, "w", newline="") as f:
         f.write("time,node,x,y,event\n")
         for lo in range(0, len(waypoints), ROWS_PER_WRITE):

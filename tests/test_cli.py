@@ -261,7 +261,7 @@ def test_no_output_directory_names_both(config_path, tmp_path, monkeypatch, caps
 
 
 def test_run_killed_leaves_no_outputs(config_path, tmp_path):
-    # long enough to be killed mid-way: after locations.csv is written, before the end
+    # long enough to be killed mid-way: after the staging directory is made, before the end
     config_path.write_text(
         config_path.read_text().replace("nodeCount = 5", "nodeCount = 200")
         .replace("simDuration = 2000", "simDuration = 1000000")
@@ -276,9 +276,9 @@ def test_run_killed_leaves_no_outputs(config_path, tmp_path):
     )
     try:
         deadline = time.monotonic() + 30.0
-        while not list(out.rglob("locations.csv")):
+        while not list(out.glob(".swimsim-*")):
             assert proc.poll() is None, "run ended before it could be killed"
-            assert time.monotonic() < deadline, "locations.csv was never written"
+            assert time.monotonic() < deadline, "the staging directory was never made"
             time.sleep(0.01)
         proc.send_signal(signal.SIGKILL)
     finally:

@@ -194,6 +194,9 @@ def test_dump_of_every_optional_key_is_pinned():
         ("maxAreaX", {"noOfLocations = 21": "noOfLocations = 1" + "0" * 400}),
         # the default k = 2 / diagonal overflows for a subnormal area
         ("k", {"maxAreaX = 400": "maxAreaX = 5e-324", "maxAreaY = 400": "maxAreaY = 5e-324"}),
+        # locations.csv would print every cell 0 m wide
+        ("maxAreaX", {"maxAreaX = 400": "maxAreaX = 1e-6", "maxAreaY = 400": "maxAreaY = 1e-6",
+                      "noOfLocations = 21": "noOfLocations = 100"}),
     ],
 )
 def test_unrunnable_values_name_key(key, edits):

@@ -7,7 +7,7 @@ from swimsim import outputs
 from swimsim.encounters import ContactLog, ContactRecord, ContactTracker
 from swimsim.engine import simulate
 from swimsim.grid import AreaBounds, Point2D, build_grid
-from swimsim.mobility import ModelParams, UniformWait, make_node_state
+from swimsim.mobility import ModelParams, Paused, UniformWait, make_node_state
 from swimsim.outputs import write_contacts_csv
 
 AREA = AreaBounds(400.0, 400.0)
@@ -176,15 +176,14 @@ def test_seen_counters_monotone():
     # replay a run and check counters never decrease
     import heapq
 
-    from swimsim.engine import DEPARTURE, handle_arrival, handle_departure, initialize
+    from swimsim.engine import handle_arrival, handle_departure, initialize
 
     params = make_params(sim_duration=1000.0)
     state = initialize(params)
     previous = np.stack([n.seen for n in state.nodes]).copy()
     while state.queue and state.queue[0][0] <= params.sim_duration:
-        time, _seq, kind, node_id = heapq.heappop(state.queue)
-        state.now = time
-        if kind == DEPARTURE:
+        state.now, _seq, node_id = heapq.heappop(state.queue)
+        if isinstance(state.nodes[node_id].phase, Paused):
             handle_departure(state, node_id)
         else:
             handle_arrival(state, node_id)

@@ -8,8 +8,6 @@ import pytest
 from swimsim import outputs
 from swimsim.encounters import ContactTracker
 from swimsim.engine import (
-    ARRIVAL,
-    DEPARTURE,
     SimulationState,
     handle_arrival,
     handle_departure,
@@ -82,7 +80,7 @@ def scripted_state(position, randoms, uniforms, **param_overrides):
         tracker=ContactTracker(seen, params.seen_update),
     )
     node.phase = Paused(node=0, cell=node.home, start=0.0, end=0.0)
-    state.schedule(0.0, DEPARTURE, 0)
+    state.schedule(0.0, 0)
     return state
 
 
@@ -90,8 +88,8 @@ def test_initialize_single_node():
     state = initialize(make_params(node_count=1))
     assert state.now == 0.0
     assert len(state.queue) == 1
-    time, _seq, kind, node_id = state.queue[0]
-    assert kind == DEPARTURE and node_id == 0
+    time, _seq, node_id = state.queue[0]
+    assert node_id == 0
     assert 2.0 <= time <= 5.0
     node = state.nodes[0]
     assert isinstance(node.phase, Paused)
@@ -118,12 +116,6 @@ def test_initialize_uniform_positions():
     assert abs(ys.mean() - 200.0) < 3 * sigma
 
 
-def test_initialize_writes_locations_file(tmp_path):
-    path = tmp_path / "locations.csv"
-    initialize(make_params(node_count=1), locations_path=path)
-    assert path.read_text().startswith("# swim-locations v1 rows=3 cols=7")
-
-
 def test_forced_trip_travel_time():
     # 140 m at 1.4 m/s takes 100 s
     state = scripted_state(Point2D(10.0, 10.0), randoms=[0.0, 0.0], uniforms=[150.0, 10.0])
@@ -134,8 +126,7 @@ def test_forced_trip_travel_time():
     assert isinstance(node.phase, Moving)
     assert node.phase.target_cell == 0
     assert node.phase.arrive_at == pytest.approx(100.0)
-    assert state.queue[0][0] == pytest.approx(100.0)
-    assert state.queue[0][2] == ARRIVAL
+    assert state.queue == [(pytest.approx(100.0), 1, 0)]  # the node's arrival, its one event
 
 
 def test_zero_length_trip():
@@ -211,9 +202,8 @@ def test_run_finite_difference_speed():
     rng = np.random.default_rng(13)
     checked = 0
     while state.queue and checked < 100:
-        time, _seq, kind, node_id = heapq.heappop(state.queue)
-        state.now = time
-        if kind == DEPARTURE:
+        state.now, _seq, node_id = heapq.heappop(state.queue)
+        if isinstance(state.nodes[node_id].phase, Paused):
             handle_departure(state, node_id)
             node = state.nodes[node_id]
             phase = node.phase
@@ -313,7 +303,7 @@ def test_run_single_pending_event_per_node():
     params = make_params()
     state = initialize(params)
     run(state, until=params.sim_duration)
-    pending = Counter(entry[3] for entry in state.queue)
+    pending = Counter(node_id for _time, _seq, node_id in state.queue)
     assert pending == {i: 1 for i in range(params.node_count)}
 
 
@@ -355,7 +345,7 @@ def test_waypoints_csv_matches_row_formatting(tmp_path, monkeypatch):
     report = simulate(make_params(node_count=12, sim_duration=300.0))
     assert len(report.waypoints) % 7 and max(w.node for w in report.waypoints) > 9
     path = tmp_path / "waypoints.csv"
-    outputs.write_waypoints(report, path)
+    outputs.write_waypoints(report.waypoints, path)
     assert path.read_text() == "time,node,x,y,event\n" + "".join(
         f"{w.time:.6f},{w.node},{w.x:.6f},{w.y:.6f},{w.event}\n" for w in report.waypoints
     )

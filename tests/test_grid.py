@@ -13,7 +13,7 @@ from swimsim.grid import (
     cell_of,
     classify_locations,
     grid_shape,
-    random_point_in_cell,
+    point_in_cell,
 )
 from swimsim.outputs import read_locations_file, write_locations_file
 
@@ -140,7 +140,7 @@ def test_random_point_in_cell_containment_and_moments():
     xs = np.empty(n)
     ys = np.empty(n)
     for i in range(n):
-        p = random_point_in_cell(cell, rng)
+        p = point_in_cell(cell, *rng.random(2).tolist())
         assert cell.contains(p)
         xs[i], ys[i] = p.x, p.y
     for values, low, high, center in (
@@ -155,7 +155,7 @@ def test_random_point_in_degenerate_cell():
     cell = Cell(id=0, min_x=5.0, min_y=1.0, max_x=5.0, max_y=3.0)
     rng = np.random.default_rng(0)
     for _ in range(100):
-        p = random_point_in_cell(cell, rng)
+        p = point_in_cell(cell, *rng.random(2).tolist())
         assert p.x == 5.0
         assert 1.0 <= p.y <= 3.0
 

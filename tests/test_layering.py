@@ -1,0 +1,65 @@
+"""The engine is only the event loop: the layers above it do not import it.
+
+Imports are read from each module's source, so a function-level import
+counts too. Imports under `if TYPE_CHECKING:` are for annotations only and
+do not count.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import swimsim
+
+PACKAGE = Path(swimsim.__file__).resolve().parent
+
+
+def _is_type_checking(test: ast.expr) -> bool:
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
+def runtime_imports(module: str) -> set[str]:
+    """The swimsim modules `swimsim.<module>` imports at run time."""
+    found = set()
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, ast.If) and _is_type_checking(node.test):
+            for child in node.orelse:
+                visit(child)
+            return
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                found.add(node.module.split(".")[0])
+            elif node.level == 1:
+                found.update(alias.name for alias in node.names)
+            elif node.module and node.module.split(".")[0] == "swimsim":
+                parts = node.module.split(".")
+                found.update(parts[1:2] or [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "swimsim" and len(parts) > 1:
+                    found.add(parts[1])
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse((PACKAGE / f"{module}.py").read_text()))
+    return found
+
+
+@pytest.mark.parametrize(
+    "module, allowed",
+    [
+        ("engine", {"grid", "mobility", "encounters"}),
+        ("metrics", {"encounters"}),
+    ],
+)
+def test_imports_only_lower_layers(module, allowed):
+    assert runtime_imports(module) == allowed
+
+
+def test_outputs_does_not_import_engine():
+    assert "engine" not in runtime_imports("outputs")

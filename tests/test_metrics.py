@@ -234,7 +234,6 @@ def test_selection_stats_alpha_one_run():
     assert stats.visiting == 0
     assert stats.fallbacks == 0
     assert stats.total > 0
-    assert selection_stats(report) == stats  # a report works directly too
 
 
 def test_selection_stats_step1_binomial():

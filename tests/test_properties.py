@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from swimsim.cli import main
 from swimsim.config import ConfigError, loads_config
 from swimsim.mobility import PowerLawWait, UniformWait, draw_wait_time
+from swimsim.outputs import read_locations_file
 
 SETTINGS = dict(derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -119,11 +120,13 @@ def config_texts(draw):
 @given(config_texts())
 def test_every_config_fails_naming_a_key_or_runs(text):
     try:
-        loads_config(text)
+        config = loads_config(text)
     except ConfigError as e:
         assert set(re.findall(r"\w+", str(e))) & {*KEY_VALUES, "bogus"}, str(e)
         return
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "scenario.conf"
+        path, out = Path(tmp) / "scenario.conf", Path(tmp) / "out"
         path.write_text(text)
-        assert main(["run", "--config", str(path), "--out", str(Path(tmp) / "out")]) == 0
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        # the written grid reads back as the config's number of cells
+        assert len(read_locations_file(out / "locations.csv")) == config.n_locations

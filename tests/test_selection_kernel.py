@@ -20,7 +20,7 @@ from swimsim.grid import (
     Point2D,
     build_grid,
     classify_locations,
-    random_point_in_cell,
+    point_in_cell,
 )
 from swimsim.mobility import (
     ModelParams,
@@ -91,7 +91,7 @@ def dense_select(home, seen, location_map, params, rng):
     idx = int(np.searchsorted(np.cumsum(probs), r, side="right"))
     idx = min(idx, len(candidates) - 1)
     cell = int(candidates[idx])
-    point = random_point_in_cell(location_map.cells[cell], rng)
+    point = point_in_cell(location_map.cells[cell], *rng.random(2).tolist())
     return cell, point, classes[cell] is LocationClass.VISITING, fallback
 
 
