@@ -7,8 +7,11 @@ either member leaves the cell, so no contact ever spans a cell change.
 The tracker knows only who is paused where; the pauses themselves are the
 engine's Paused records. It is the only writer of the run's seen counters.
 
-The contact log is kept as columns, one row per contact in the order the
-contacts opened; ContactRecord is the row type it yields.
+The contact log is a numpy record array with fields a, b, cell, start,
+end and censored, one row per contact in the order the contacts opened; an
+open contact's end is NaN. ContactRecord is a contact as a plain object,
+for logs built by hand; contact_log turns a list of them into the record
+array.
 """
 
 from __future__ import annotations
@@ -30,60 +33,33 @@ class ContactRecord:
     censored: bool = False
 
 
-@dataclass(frozen=True, eq=False)
-class ContactLog:
-    """The contact log as numpy columns, one row per contact in opening order.
+# a < b, and `end` is NaN while the contact is open
+CONTACT_DTYPE = np.dtype(
+    [("a", "i8"), ("b", "i8"), ("cell", "i8"), ("start", "f8"), ("end", "f8"), ("censored", "?")]
+)
 
-    `end` is NaN while a contact is open. `len`, indexing and iteration work
-    row by row and yield ContactRecord rows, whose `end` is None while open.
+
+def contact_log(records) -> np.recarray:
+    """The contact log of `records` as a record array; a record array is returned as it is.
+
+    `records` is a record array or a sequence of ContactRecord, whose `end`
+    of None (an open contact) becomes NaN.
     """
+    if isinstance(records, np.recarray):
+        return records
+    rows = [
+        (r.a, r.b, r.cell, r.start, math.nan if r.end is None else r.end, r.censored)
+        for r in records
+    ]
+    return np.array(rows, dtype=CONTACT_DTYPE).view(np.recarray)
 
-    a: np.ndarray  # int64, a < b
-    b: np.ndarray  # int64
-    cell: np.ndarray  # int64
-    start: np.ndarray  # float64
-    end: np.ndarray  # float64
-    censored: np.ndarray  # bool
 
-    @classmethod
-    def from_records(cls, records) -> ContactLog:
-        """Columns of a sequence of ContactRecord; a ContactLog is returned as it is."""
-        if isinstance(records, ContactLog):
-            return records
-        rows = [
-            (r.a, r.b, r.cell, r.start, math.nan if r.end is None else r.end, r.censored)
-            for r in records
-        ]
-        columns = list(zip(*rows)) or [()] * 6
-        dtypes = (np.int64, np.int64, np.int64, np.float64, np.float64, bool)
-        return cls(*(np.array(c, dtype=t) for c, t in zip(columns, dtypes)))
-
-    @classmethod
-    def finished(cls, records) -> ContactLog:
-        """The columns of `records`, as from_records gives them, with no contact open."""
-        log = cls.from_records(records)
-        if np.isnan(log.end).any():
-            raise ValueError("contact log has open contacts: finish the run first")
-        return log
-
-    def __len__(self) -> int:
-        return len(self.start)
-
-    def __getitem__(self, i: int) -> ContactRecord:
-        end = float(self.end[i])
-        return ContactRecord(
-            a=int(self.a[i]),
-            b=int(self.b[i]),
-            cell=int(self.cell[i]),
-            start=float(self.start[i]),
-            end=None if math.isnan(end) else end,
-            censored=bool(self.censored[i]),
-        )
-
-    def __iter__(self):
-        columns = (self.a, self.b, self.cell, self.start, self.end, self.censored)
-        for a, b, cell, start, end, censored in zip(*(c.tolist() for c in columns)):
-            yield ContactRecord(a, b, cell, start, None if math.isnan(end) else end, censored)
+def finished_log(records) -> np.recarray:
+    """The contact log of `records`, as contact_log gives it, with no contact open."""
+    log = contact_log(records)
+    if np.isnan(log.end).any():
+        raise ValueError("contact log has open contacts: finish the run first")
+    return log
 
 
 class ContactTracker:
@@ -107,16 +83,10 @@ class ContactTracker:
         self._censored = array("b")
 
     @property
-    def records(self) -> ContactLog:
-        """The contact log so far, as a copy of its columns."""
-        return ContactLog(
-            np.array(self._a),
-            np.array(self._b),
-            np.array(self._cell),
-            np.array(self._start),
-            np.array(self._end),
-            np.array(self._censored, dtype=bool),
-        )
+    def records(self) -> np.recarray:
+        """A copy of the contact log so far, one row per contact in opening order."""
+        columns = (self._a, self._b, self._cell, self._start, self._end, self._censored)
+        return np.rec.fromarrays(columns, dtype=CONTACT_DTYPE)
 
     def on_arrival_signal(self, arriving: int, cell: int, now: float) -> None:
         """Fan the arrival signal out to the nodes paused at `cell`; `arriving` pauses there."""

@@ -8,17 +8,22 @@ next, a moving node arrives next. Events are kept in a heap of
 (time, insertion seq, node); the seq counter makes simultaneous events
 process in a total, deterministic order. Positions at any other instant
 are interpolated analytically. The engine writes no files.
+
+The handlers append each event's waypoint, and each departure's
+selection, to flat array columns; `run` turns them into numpy record
+arrays once, at the end. The pauses are the nodes' Paused phases.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encounters import ContactLog, ContactTracker
+from .encounters import ContactTracker
 from .grid import LocationMap, Point2D, build_grid
 from .mobility import (
     HomeProfile,
@@ -33,33 +38,28 @@ from .mobility import (
 )
 
 
-@dataclass(frozen=True)
-class WaypointRecord:
-    time: float
-    node: int
-    x: float
-    y: float
-    event: str  # "depart" | "arrive"
-
-
-@dataclass(frozen=True)
-class SelectionRecord:
-    node: int
-    cell: int
-    visiting: bool  # chosen cell's class for this node; False means home/neighbouring
-    fallback: bool
+EVENTS = np.array(["depart", "arrive"])  # a waypoint's event, by its arrive flag
+WAYPOINT_DTYPE = np.dtype(
+    [("time", "f8"), ("node", "i8"), ("x", "f8"), ("y", "f8"), ("event", "U6")]
+)
+# visiting is the chosen cell's class for the node; False means home or neighbouring
+SELECTION_DTYPE = np.dtype([("node", "i8"), ("cell", "i8"), ("visiting", "?"), ("fallback", "?")])
 
 
 @dataclass
 class SimulationReport:
-    """Immutable result of one run: traces plus raw logs for the metrics."""
+    """Immutable result of one run: traces plus raw logs for the metrics.
+
+    The waypoint, selection and contact logs are numpy record arrays, read
+    by field name by row or by column.
+    """
 
     params: ModelParams
     location_map: LocationMap
-    waypoints: list[WaypointRecord]
-    contacts: ContactLog
+    waypoints: np.recarray  # time, node, x, y, event: one row per event
+    contacts: np.recarray  # a, b, cell, start, end, censored: one row per contact
     pauses: list[Paused]
-    selections: list[SelectionRecord]
+    selections: np.recarray  # node, cell, visiting, fallback: one row per departure
     seen: np.ndarray  # final N x L encounter counters, one row per node
 
     @property
@@ -79,8 +79,10 @@ class SimulationState:
     now: float = 0.0
     queue: list[tuple[float, int, int]] = field(default_factory=list)  # (time, seq, node)
     seq: int = 0
-    waypoints: list[WaypointRecord] = field(default_factory=list)
-    selections: list[SelectionRecord] = field(default_factory=list)
+    # the waypoint log's columns (time, node, x, y, arrive flag) and the
+    # selection log's (node, cell, visiting, fallback)
+    waypoints: tuple[array, ...] = field(default_factory=lambda: tuple(map(array, "dqddb")))
+    selections: tuple[array, ...] = field(default_factory=lambda: tuple(map(array, "qqbb")))
     pauses: list[Paused] = field(default_factory=list)  # every pause, in the order they began
     finished: bool = False
 
@@ -146,15 +148,12 @@ def handle_departure(state: SimulationState, node_id: int) -> None:
         depart_at=now,
         arrive_at=arrive_at,
     )
-    state.selections.append(
-        SelectionRecord(
-            node=node_id,
-            cell=choice.cell,
-            visiting=choice.visiting,
-            fallback=choice.fallback,
-        )
-    )
-    state.waypoints.append(WaypointRecord(now, node_id, origin.x, origin.y, "depart"))
+    node_ids, cells, visiting, fallback = state.selections
+    node_ids.append(node_id)
+    cells.append(choice.cell)
+    visiting.append(choice.visiting)
+    fallback.append(choice.fallback)
+    _log_waypoint(state, node_id, origin, 0)
     state.schedule(arrive_at, node_id)
 
 
@@ -164,12 +163,21 @@ def handle_arrival(state: SimulationState, node_id: int) -> None:
     now = state.now
     cell = node.phase.target_cell
     node.position = node.phase.target
-    state.waypoints.append(WaypointRecord(now, node_id, node.position.x, node.position.y, "arrive"))
+    _log_waypoint(state, node_id, node.position, 1)
     state.tracker.on_arrival_signal(node_id, cell, now)
     end = now + draw_wait_time(state.params.wait, state.rngs[node_id])
     node.phase = Paused(node_id, cell, now, end)
     state.pauses.append(node.phase)
     state.schedule(end, node_id)
+
+
+def _log_waypoint(state: SimulationState, node_id: int, point: Point2D, arrive: int) -> None:
+    times, node_ids, xs, ys, arrives = state.waypoints
+    times.append(state.now)
+    node_ids.append(node_id)
+    xs.append(point.x)
+    ys.append(point.y)
+    arrives.append(arrive)
 
 
 def position_at(node: NodeState, t: float) -> Point2D:
@@ -198,6 +206,8 @@ def run(state: SimulationState, until: float) -> SimulationReport:
     """
     if state.finished:
         raise RuntimeError("simulation state has already been run")
+    if not math.isfinite(until):
+        raise ValueError(f"until={until} is not finite")
     if until < state.now:
         raise ValueError(f"until={until} is before now={state.now}")
     queue, nodes = state.queue, state.nodes
@@ -213,13 +223,14 @@ def run(state: SimulationState, until: float) -> SimulationReport:
         if isinstance(node.phase, Paused):
             node.phase.end, node.phase.censored = until, True
     state.finished = True
+    *waypoints, arrives = state.waypoints
     return SimulationReport(
         params=state.params,
         location_map=state.location_map,
-        waypoints=state.waypoints,
+        waypoints=np.rec.fromarrays([*waypoints, EVENTS[arrives]], dtype=WAYPOINT_DTYPE),
         contacts=state.tracker.records,
         pauses=state.pauses,
-        selections=state.selections,
+        selections=np.rec.fromarrays(state.selections, dtype=SELECTION_DTYPE),
         seen=state.seen,
     )
 

@@ -5,9 +5,10 @@ common distribution summary. Censored records (still open at the end of a
 run) never contribute a duration, and gaps touching a censored record are
 dropped because the true gap is unknown. CCDFs are evaluated at 50
 log-spaced thresholds for heavy-tail inspection. The pipelines work on the
-columns of a ContactLog; a list of ContactRecord is converted once, where
-it enters. A log with a contact still open, one that has no end yet, is
-rejected there (ContactLog.finished).
+columns of the contact log's record array; a list of ContactRecord is
+converted once, where it enters. A log with a contact still open, one
+whose end is NaN, is rejected there (finished_log). Selection statistics
+are counted from the columns of a run's selection log.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encounters import ContactLog
+from .encounters import finished_log
 
 CCDF_POINTS = 50
 
@@ -64,12 +65,12 @@ def summarize(values) -> DistributionSummary:
     )
 
 
-def _pair_keys(log: ContactLog) -> np.ndarray:
+def _pair_keys(log: np.recarray) -> np.ndarray:
     """One integer per row that orders the pairs (a, b) lexicographically."""
     return log.a * (int(log.b.max(initial=0)) + 1) + log.b
 
 
-def _gaps(log: ContactLog) -> tuple[np.ndarray, np.ndarray]:
+def _gaps(log: np.recarray) -> tuple[np.ndarray, np.ndarray]:
     """Inter-contact gaps pooled across pairs, and the row each gap ends at.
 
     Rows are grouped by pair, pairs in order of first appearance and each
@@ -87,38 +88,38 @@ def _gaps(log: ContactLog) -> tuple[np.ndarray, np.ndarray]:
 
 def ict_samples(log) -> list[float]:
     """Gaps between consecutive contacts, pooled across pairs."""
-    return _gaps(ContactLog.finished(log))[0].tolist()
+    return _gaps(finished_log(log))[0].tolist()
 
 
 def inter_contact_times(log) -> DistributionSummary:
-    return summarize(_gaps(ContactLog.finished(log))[0])
+    return summarize(_gaps(finished_log(log))[0])
 
 
-def _durations(log: ContactLog) -> np.ndarray:
+def _durations(log: np.recarray) -> np.ndarray:
     lengths = log.end - log.start
     return lengths[~log.censored & (log.end > log.start)]
 
 
 def duration_samples(log) -> list[float]:
     """Durations of finished contacts; zero-length ones carry no information."""
-    return _durations(ContactLog.finished(log)).tolist()
+    return _durations(finished_log(log)).tolist()
 
 
 def contact_durations(log) -> DistributionSummary:
-    return summarize(_durations(ContactLog.finished(log)))
+    return summarize(_durations(finished_log(log)))
 
 
-def _pair_counts(log: ContactLog) -> np.ndarray:
+def _pair_counts(log: np.recarray) -> np.ndarray:
     return np.unique(_pair_keys(log), return_counts=True)[1]
 
 
 def contacts_per_pair_samples(log) -> list[int]:
     """Record count of every pair that ever met, in pair order."""
-    return _pair_counts(ContactLog.finished(log)).tolist()
+    return _pair_counts(finished_log(log)).tolist()
 
 
 def contacts_per_pair(log) -> DistributionSummary:
-    return summarize(_pair_counts(ContactLog.finished(log)))
+    return summarize(_pair_counts(finished_log(log)))
 
 
 @dataclass(frozen=True)
@@ -152,28 +153,23 @@ class SelectionStats:
 def selection_stats(selections) -> SelectionStats:
     """Destination-type tallies per node and overall; fallbacks counted apart.
 
-    `selections` is a run's list of SelectionRecord (`report.selections`).
+    `selections` is a run's selection log (`report.selections`), a record
+    array with `node`, `visiting` and `fallback` fields.
     """
-    per_node: dict[int, dict[str, int]] = {}
-    near = visiting = fallbacks = 0
-    for record in selections:
-        counts = per_node.setdefault(
-            record.node, {"neighbouring": 0, "visiting": 0, "fallbacks": 0}
-        )
-        if record.visiting:
-            counts["visiting"] += 1
-            visiting += 1
-        else:
-            counts["neighbouring"] += 1
-            near += 1
-        if record.fallback:
-            counts["fallbacks"] += 1
-            fallbacks += 1
+    nodes, which = np.unique(selections.node, return_inverse=True)
+    totals, visiting, fallbacks = (
+        np.bincount(rows, minlength=len(nodes)).tolist()
+        for rows in (which, which[selections.visiting], which[selections.fallback])
+    )
+    per_node = {
+        node: {"neighbouring": t - v, "visiting": v, "fallbacks": f}
+        for node, t, v, f in zip(nodes.tolist(), totals, visiting, fallbacks)
+    }
     return SelectionStats(
         total=len(selections),
-        near=near,
-        visiting=visiting,
-        fallbacks=fallbacks,
+        near=len(selections) - sum(visiting),
+        visiting=sum(visiting),
+        fallbacks=sum(fallbacks),
         per_node=per_node,
     )
 
@@ -181,12 +177,12 @@ def selection_stats(selections) -> SelectionStats:
 def metrics_report(contacts, selections) -> dict:
     """Structured metrics for JSON export.
 
-    `contacts` is a ContactLog or a list of ContactRecord, `selections` a
-    list of SelectionRecord. The three distribution summaries are built
-    here, once per run; `swimsim run` writes their CCDF files from the
-    `ccdf` lists of this dict.
+    `contacts` is a contact log's record array or a list of ContactRecord,
+    `selections` a run's selection log. The three distribution summaries
+    are built here, once per run; `swimsim run` writes their CCDF files
+    from the `ccdf` lists of this dict.
     """
-    contacts = ContactLog.finished(contacts)
+    contacts = finished_log(contacts)
     return {
         "inter_contact_times": inter_contact_times(contacts).as_dict(),
         "contact_durations": contact_durations(contacts).as_dict(),

@@ -2,10 +2,12 @@
 
 Numeric fields are 6-decimal fixed point, so a fixed config and seed give
 byte-identical files. Each writer takes the data it writes (a location
-map, waypoint rows, a contact log, CCDF pairs, a metrics dict or sweep
+map, the waypoint log, a contact log, CCDF pairs, a metrics dict or sweep
 rows), not a whole run report, and `swimsim run` calls them all from one
-loop. At run time this module imports no other swimsim module apart from
-the grid types the locations reader builds and the contact log's columns.
+loop. The waypoint and contact logs are numpy record arrays, written a
+chunk of rows at a time. At run time this module imports no other swimsim
+module apart from the grid types the locations reader builds and the
+contact log's conversion.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .encounters import ContactLog
+from .encounters import finished_log
 from .grid import AreaBounds, Cell, LocationMap
 
 if TYPE_CHECKING:
@@ -83,27 +85,28 @@ def read_locations_file(path) -> LocationMap:
 
 
 def write_waypoints(waypoints, path) -> None:
-    """Waypoint trace export: one `time,node,x,y,event` row per WaypointRecord,
-    in the order given (a run report's `waypoints` are in event order)."""
+    """Waypoint trace export: one `time,node,x,y,event` row per row of the
+    waypoint log, a record array with those fields, in the order given (a
+    run report's `waypoints` are in event order)."""
     with open(path, "w", newline="") as f:
         f.write("time,node,x,y,event\n")
         for lo in range(0, len(waypoints), ROWS_PER_WRITE):
             # %-formatting gives the same text as an f-string, in less time
             f.write("".join([
-                "%.6f,%d,%.6f,%.6f,%s\n" % (w.time, w.node, w.x, w.y, w.event)
-                for w in waypoints[lo:lo + ROWS_PER_WRITE]
+                "%.6f,%d,%.6f,%.6f,%s\n" % row
+                for row in waypoints[lo:lo + ROWS_PER_WRITE].tolist()
             ]))
 
 
 def write_contacts_csv(records, path) -> None:
     """Contact log export, one `a,b,cell,start,end,censored` row per record.
 
-    `records` is a ContactLog or a list of ContactRecord. Every start and
-    end is an event time, and contacts opened or closed by one event share
-    it, so each distinct time is formatted once and the rows look it up,
-    as they do the text of node and cell ids.
+    `records` is a contact log's record array or a list of ContactRecord.
+    Every start and end is an event time, and contacts opened or closed by
+    one event share it, so each distinct time is formatted once and the
+    rows look it up, as they do the text of node and cell ids.
     """
-    log = ContactLog.finished(records)
+    log = finished_log(records)
     n = len(log)
     times, which = np.unique(np.concatenate([log.start, log.end]), return_inverse=True)
     # each field's text together with the separator that follows it

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from swimsim import outputs
+from swimsim import metrics_report, outputs, selection_stats
 from swimsim.encounters import ContactTracker
 from swimsim.engine import (
     SimulationState,
@@ -269,20 +269,46 @@ def test_run_determinism():
     params = make_params()
     a = simulate(params)
     b = simulate(params)
-    assert a.waypoints == b.waypoints
+    assert a.waypoints.tolist() == b.waypoints.tolist()
     assert [(c.a, c.b, c.cell, c.start, c.end, c.censored) for c in a.contacts] == [
         (c.a, c.b, c.cell, c.start, c.end, c.censored) for c in b.contacts
     ]
-    assert a.selections == b.selections
+    assert a.selections.tolist() == b.selections.tolist()
     assert np.array_equal(a.seen, b.seen)
 
 
-def test_run_zero_horizon():
+def test_run_zero_horizon(tmp_path):
     state = initialize(make_params(node_count=1))
     report = run(state, until=0.0)
     assert report.events_processed == 0
     assert len(report.contacts) == 0
-    assert report.waypoints == []
+    assert report.waypoints.tolist() == []
+    # a zero-event report goes through the summaries and the trace writer
+    stats = selection_stats(report.selections)
+    assert (stats.total, stats.near_fraction, stats.visiting_fraction) == (0, 0.0, 0.0)
+    assert stats.per_node == {}
+    selection = metrics_report(report.contacts, report.selections)["selection"]
+    assert selection["total"] == 0 and selection["per_node"] == {}
+    assert selection["neighbouring_fraction"] == selection["visiting_fraction"] == 0.0
+    path = tmp_path / "waypoints.csv"
+    outputs.write_waypoints(report.waypoints, path)
+    assert path.read_text() == "time,node,x,y,event\n"
+
+
+def test_logs_are_record_arrays_with_pinned_fields():
+    report = simulate(make_params(sim_duration=200.0))
+    tracker = ContactTracker(np.zeros((1, 1), dtype=np.int64))
+    logs = (report.waypoints, report.selections, report.contacts, tracker.records)
+    assert [log.dtype.names for log in logs] == [
+        ("time", "node", "x", "y", "event"),
+        ("node", "cell", "visiting", "fallback"),
+        ("a", "b", "cell", "start", "end", "censored"),
+        ("a", "b", "cell", "start", "end", "censored"),
+    ]
+    assert all(isinstance(log, np.recarray) for log in logs)
+    # the bytes per row that README quotes
+    assert [log.itemsize for log in logs] == [56, 18, 41, 41]
+    assert len(report.waypoints) and len(report.selections) and len(report.contacts)
 
 
 def test_run_monotone_horizon():
@@ -312,8 +338,9 @@ def test_run_is_one_shot():
     run(state, until=10.0)
     with pytest.raises(RuntimeError):
         run(state, until=20.0)
-    with pytest.raises(ValueError):
-        run(initialize(make_params(node_count=1)), until=-1.0)
+    for until in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="until"):
+            run(initialize(make_params(node_count=1)), until=until)
 
 
 def test_alpha_one_traces_invariant_to_node_count():

@@ -4,8 +4,8 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from swimsim.encounters import ContactLog, ContactRecord, ContactTracker
-from swimsim.engine import SelectionRecord, simulate
+from swimsim.encounters import ContactRecord, ContactTracker, contact_log
+from swimsim.engine import SELECTION_DTYPE, simulate
 from swimsim.grid import AreaBounds, LocationClass, Point2D, build_grid, classify_locations
 from swimsim.metrics import (
     contact_durations,
@@ -201,7 +201,7 @@ def test_samples_keep_record_walk_order():
     rng = np.random.default_rng(41)
     for _ in range(300):
         log = interleaved_log(rng)
-        columns = ContactLog.from_records(log)
+        columns = contact_log(log)
         walk_durations = [r.end - r.start for r in log if not r.censored and r.end > r.start]
         for form in (log, columns):
             assert ict_samples(form) == record_walk_ict(log)
@@ -211,12 +211,17 @@ def test_samples_keep_record_walk_order():
 
 
 def sel(node, visiting, fallback=False):
-    return SelectionRecord(node=node, cell=0, visiting=visiting, fallback=fallback)
+    """One selection log row, in cell 0."""
+    return (node, 0, visiting, fallback)
+
+
+def selection_log(rows):
+    return np.rec.array(rows, dtype=SELECTION_DTYPE)
 
 
 def test_selection_stats_counts():
     records = [sel(0, False), sel(0, True), sel(1, False), sel(1, False, fallback=True)]
-    stats = selection_stats(records)
+    stats = selection_stats(selection_log(records))
     assert (stats.total, stats.near, stats.visiting, stats.fallbacks) == (4, 3, 1, 1)
     assert stats.near + stats.visiting == stats.total
     assert stats.per_node[0] == {"neighbouring": 1, "visiting": 1, "fallbacks": 0}
@@ -251,14 +256,9 @@ def test_selection_stats_step1_binomial():
     for _ in range(n):
         choice = select_destination(node, location_map, params, rng)
         records.append(
-            SelectionRecord(
-                node=0,
-                cell=choice.cell,
-                visiting=classes[choice.cell] is LocationClass.VISITING,
-                fallback=choice.fallback,
-            )
+            (0, choice.cell, classes[choice.cell] is LocationClass.VISITING, choice.fallback)
         )
-    stats = selection_stats(records)
+    stats = selection_stats(selection_log(records))
     assert stats.fallbacks == 0
     sigma = math.sqrt(0.3 * 0.7 / n)
     assert abs(stats.near_fraction - 0.3) < 3 * sigma
@@ -282,7 +282,7 @@ def test_ccdf_csv_and_metrics_json(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "value,fraction"
     assert len(lines) == 1 + len(summary.ccdf)
-    report = metrics_report(log, [sel(0, False), sel(1, True)])
+    report = metrics_report(log, selection_log([sel(0, False), sel(1, True)]))
     assert report["contacts"]["total"] == 3
     assert report["contacts"]["censored"] == 0
     assert report["selection"]["neighbouring"] == 1
