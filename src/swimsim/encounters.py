@@ -5,7 +5,8 @@ same cell registers the encounter, and one contact interval opens per
 co-located pair. Nodes elsewhere ignore the signal. Contacts close when
 either member leaves the cell, so no contact ever spans a cell change.
 The tracker knows only who is paused where; the pauses themselves are the
-engine's Paused records. It is the only writer of the run's seen counters.
+engine's Paused records. It is the only writer of the nodes' seen
+counters (mobility.SeenCounters) during a run.
 
 The contact log is a numpy record array with fields a, b, cell, start,
 end and censored, one row per contact in the order the contacts opened; an
@@ -18,9 +19,14 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .mobility import SeenCounters
 
 
 @dataclass
@@ -65,14 +71,15 @@ def finished_log(records) -> np.recarray:
 class ContactTracker:
     """Tracks who is paused where, open contacts, and the finished log.
 
-    `seen` is the run's N x L matrix of encounter counters, one row per
-    node; the tracker is its only writer. seen_update picks how an
+    `seen` holds each node's encounter counters, indexed by node id (the
+    nodes' SeenCounters in a run); the tracker is their only writer and
+    counts with `seen[node].add(cell, n)`. seen_update picks how an
     encounter is counted: "symmetric" increments the arriving node once per
     bystander and each bystander once, "bystanders_only" leaves the
     arriving node's counters untouched.
     """
 
-    def __init__(self, seen: np.ndarray, seen_update: str = "symmetric"):
+    def __init__(self, seen: Sequence[SeenCounters], seen_update: str = "symmetric"):
         self.seen = seen
         self.seen_update = seen_update
         self._paused_at: dict[int, dict[int, None]] = {}  # cell -> ordered node ids
@@ -97,7 +104,7 @@ class ContactTracker:
             return
         seen = self.seen
         for row, other in enumerate(bystanders, len(self._start)):
-            seen[other, cell] += 1
+            seen[other].add(cell, 1)
             a, b = (other, arriving) if other < arriving else (arriving, other)
             self._open[(a, b)] = row
             self._a.append(a)
@@ -108,7 +115,7 @@ class ContactTracker:
         self._end.extend([math.nan] * count)
         self._censored.extend([0] * count)
         if self.seen_update == "symmetric":
-            seen[arriving, cell] += count
+            seen[arriving].add(cell, count)
 
     def on_departure_signal(self, leaving: int, cell: int, now: float) -> None:
         """Close every open contact involving `leaving` at `cell`."""

@@ -11,7 +11,11 @@ are interpolated analytically. The engine writes no files.
 
 The handlers append each event's waypoint, and each departure's
 selection, to flat array columns; `run` turns them into numpy record
-arrays once, at the end. The pauses are the nodes' Paused phases.
+arrays once, at the end. The pauses are the nodes' Paused phases. Each
+node's seen counters are its own sparse SeenCounters, written by the
+contact tracker; `run` builds the report's dense N x L matrix from them
+once. Each node's random stream is read in blocks (UniformStream): a
+departure takes four uniforms and a pause one (none for a fixed wait).
 """
 
 from __future__ import annotations
@@ -31,10 +35,11 @@ from .mobility import (
     Moving,
     NodeState,
     Paused,
+    UniformStream,
+    choose_destination,
     draw_wait_time,
     make_node_state,
     node_stream,
-    select_destination,
 )
 
 
@@ -60,7 +65,7 @@ class SimulationReport:
     contacts: np.recarray  # a, b, cell, start, end, censored: one row per contact
     pauses: list[Paused]
     selections: np.recarray  # node, cell, visiting, fallback: one row per departure
-    seen: np.ndarray  # final N x L encounter counters, one row per node
+    seen: np.ndarray  # final N x L encounter counters, one row per node, built at the end
 
     @property
     def events_processed(self) -> int:
@@ -73,9 +78,8 @@ class SimulationState:
     params: ModelParams
     location_map: LocationMap
     nodes: list[NodeState]
-    rngs: list[np.random.Generator]
-    seen: np.ndarray  # N x L; each node's seen is a row view of it
-    tracker: ContactTracker  # the only writer of `seen`
+    uniforms: list[UniformStream]  # one per node, from its node_stream
+    tracker: ContactTracker  # the only writer of the nodes' seen counters
     now: float = 0.0
     queue: list[tuple[float, int, int]] = field(default_factory=list)  # (time, seq, node)
     seq: int = 0
@@ -98,12 +102,12 @@ def initialize(params: ModelParams) -> SimulationState:
     the node's home. Every node starts with a pause at home, and the pause
     is announced like any other arrival (in node-id order at t=0) so nodes
     that start co-located meet before anyone moves. Nodes that share a
-    home share one HomeProfile, and all seen counters live in one N x L
-    matrix, which the contact tracker writes.
+    home share one HomeProfile; each node's seen counters are its own
+    sparse SeenCounters, which the contact tracker writes. No N x L array
+    is allocated.
     """
     location_map = build_grid(params.area, params.n_locations)
     rngs = [node_stream(params.seed, i) for i in range(params.node_count)]
-    seen = np.zeros((params.node_count, len(location_map)), dtype=np.int64)
     profiles: dict[int, HomeProfile] = {}
     nodes = []
     for i, rng in enumerate(rngs):
@@ -112,20 +116,21 @@ def initialize(params: ModelParams) -> SimulationState:
             float(rng.uniform(0.0, params.area.height)),
         )
         profile = profiles.get(location_map.cell_of(position))
-        node = make_node_state(i, position, location_map, params, profile, seen[i])
+        node = make_node_state(i, position, location_map, params, profile)
         profiles[node.home] = node.profile
         nodes.append(node)
+    # each node's blocks follow the two position values drawn above
+    uniforms = [UniformStream(rng) for rng in rngs]
     state = SimulationState(
         params=params,
         location_map=location_map,
         nodes=nodes,
-        rngs=rngs,
-        seen=seen,
-        tracker=ContactTracker(seen, params.seen_update),
+        uniforms=uniforms,
+        tracker=ContactTracker([node.seen for node in nodes], params.seen_update),
     )
-    for node, rng in zip(nodes, rngs):
+    for node, stream in zip(nodes, uniforms):
         state.tracker.on_arrival_signal(node.id, node.home, 0.0)
-        wait = draw_wait_time(params.wait, rng)
+        wait = draw_wait_time(params.wait, stream)
         node.phase = Paused(node.id, node.home, 0.0, wait)
         state.pauses.append(node.phase)
         state.schedule(wait, node.id)
@@ -137,22 +142,24 @@ def handle_departure(state: SimulationState, node_id: int) -> None:
     node = state.nodes[node_id]
     now = state.now
     state.tracker.on_departure_signal(node_id, node.phase.cell, now)
-    choice = select_destination(node, state.location_map, state.params, state.rngs[node_id])
+    cell, target, visiting, fallback = choose_destination(
+        node, state.location_map, state.params, *state.uniforms[node_id].take(4)
+    )
     origin = node.position
-    distance = math.hypot(choice.point.x - origin.x, choice.point.y - origin.y)
+    distance = math.hypot(target.x - origin.x, target.y - origin.y)
     arrive_at = now + distance / state.params.speed
     node.phase = Moving(
         origin=origin,
-        target=choice.point,
-        target_cell=choice.cell,
+        target=target,
+        target_cell=cell,
         depart_at=now,
         arrive_at=arrive_at,
     )
-    node_ids, cells, visiting, fallback = state.selections
+    node_ids, cells, visitings, fallbacks = state.selections
     node_ids.append(node_id)
-    cells.append(choice.cell)
-    visiting.append(choice.visiting)
-    fallback.append(choice.fallback)
+    cells.append(cell)
+    visitings.append(visiting)
+    fallbacks.append(fallback)
     _log_waypoint(state, node_id, origin, 0)
     state.schedule(arrive_at, node_id)
 
@@ -165,7 +172,7 @@ def handle_arrival(state: SimulationState, node_id: int) -> None:
     node.position = node.phase.target
     _log_waypoint(state, node_id, node.position, 1)
     state.tracker.on_arrival_signal(node_id, cell, now)
-    end = now + draw_wait_time(state.params.wait, state.rngs[node_id])
+    end = now + draw_wait_time(state.params.wait, state.uniforms[node_id])
     node.phase = Paused(node_id, cell, now, end)
     state.pauses.append(node.phase)
     state.schedule(end, node_id)
@@ -223,6 +230,10 @@ def run(state: SimulationState, until: float) -> SimulationReport:
         if isinstance(node.phase, Paused):
             node.phase.end, node.phase.censored = until, True
     state.finished = True
+    seen = np.zeros((len(nodes), len(state.location_map)), dtype=np.int64)
+    for node in nodes:
+        counts = node.seen.counts
+        seen[node.id, list(counts)] = list(counts.values())
     *waypoints, arrives = state.waypoints
     return SimulationReport(
         params=state.params,
@@ -231,7 +242,7 @@ def run(state: SimulationState, until: float) -> SimulationReport:
         contacts=state.tracker.records,
         pauses=state.pauses,
         selections=np.rec.fromarrays(state.selections, dtype=SELECTION_DTYPE),
-        seen=state.seen,
+        seen=seen,
     )
 
 

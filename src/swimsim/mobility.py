@@ -13,7 +13,11 @@ set, then one cell of the chosen set is drawn proportionally to w(C).
 Everything that depends only on the home cell (the two sets, the decay
 term, its mass and the cold-start CDF) lives in a HomeProfile shared by all
 nodes of that home; a node itself holds only its position, phase and seen
-counters.
+counters. The seen counters are sparse (SeenCounters): a dict of the cells
+where the node has met someone and the running total, so no N x L matrix
+exists during a run. A node's random stream is read in blocks of BLOCK
+uniforms (UniformStream), which give the same doubles, in the same order,
+as one `random()` call per value.
 """
 
 from __future__ import annotations
@@ -91,8 +95,11 @@ class PowerLawWait:
 WaitTimeDist = UniformWait | PowerLawWait
 
 
-def draw_wait_time(dist: WaitTimeDist, rng: np.random.Generator) -> float:
-    """Inverse-CDF sample of the pause duration; always within [low, high]."""
+def draw_wait_time(dist: WaitTimeDist, rng: np.random.Generator | UniformStream) -> float:
+    """Inverse-CDF sample of the pause duration; always within [low, high].
+
+    Takes one uniform from `rng`, or none when low == high.
+    """
     if dist.high == dist.low:
         return dist.low
     u = rng.random()
@@ -169,6 +176,94 @@ def node_stream(seed: int, node_id: int) -> np.random.Generator:
     return np.random.default_rng([seed, node_id])
 
 
+BLOCK = 64  # uniforms drawn from a node's stream in one call
+
+
+class UniformStream:
+    """A node's generator read BLOCK uniforms at a time.
+
+    `random()` and `take(k)` give the same doubles, in the same order, as
+    successive `rng.random()` calls would. A block is filled by one
+    `rng.random(out=...)` call when the last one is used up, and the first
+    only when the first value is taken, so values drawn from `rng` itself
+    before that (a node's start position) come first in the stream.
+    """
+
+    __slots__ = ("_rng", "_block", "_values", "_pos")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._block = np.empty(BLOCK)
+        self._values = memoryview(self._block)  # indexing it gives Python floats
+        self._pos = BLOCK
+
+    def random(self) -> float:
+        """The next uniform in [0, 1)."""
+        if self._pos == BLOCK:
+            self._rng.random(out=self._block)
+            self._pos = 0
+        self._pos += 1
+        return self._values[self._pos - 1]
+
+    def take(self, k: int) -> list[float]:
+        """The next k uniforms, k <= BLOCK."""
+        pos, end = self._pos, self._pos + k
+        if end <= BLOCK:
+            self._pos = end
+            return self._values[pos:end].tolist()
+        head = self._values[pos:].tolist()
+        self._rng.random(out=self._block)
+        self._pos = k - len(head)
+        return head + self._values[: self._pos].tolist()
+
+
+class SeenCounters:
+    """One node's encounter counts over the L cells, kept for the cells it met someone in.
+
+    `counts` maps each such cell id to its count, never 0, and `total` is
+    their sum. The contact tracker writes them with `add`. They also read
+    and write like a length-L int64 vector, through a dense copy: `seen[c]`,
+    `seen[cells]`, `seen[:] = row`, `seen[c] += 1`, `seen.sum()` and
+    `np.asarray(seen)`; a read returns a new array, never a view.
+    """
+
+    __slots__ = ("size", "counts", "total")
+
+    def __init__(self, size: int):
+        self.size = size
+        self.counts: dict[int, int] = {}
+        self.total = 0
+
+    def add(self, cell: int, n: int) -> None:
+        """Count n more encounters at `cell`."""
+        counts = self.counts
+        counts[cell] = counts.get(cell, 0) + n
+        self.total += n
+
+    def sum(self) -> int:
+        return self.total
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("seen counters are sparse: a dense array is always a copy")
+        row = np.zeros(self.size, dtype=np.int64)
+        row[list(self.counts)] = list(self.counts.values())
+        return row if dtype is None else row.astype(dtype, copy=False)
+
+    def __getitem__(self, key):
+        return np.asarray(self)[key]
+
+    def __setitem__(self, key, value) -> None:
+        row = np.asarray(self)
+        row[key] = value
+        cells = row.nonzero()[0]
+        self.counts = dict(zip(cells.tolist(), row[cells].tolist()))
+        self.total = sum(self.counts.values())
+
+    def __repr__(self) -> str:
+        return f"SeenCounters(size={self.size}, counts={self.counts})"
+
+
 @dataclass
 class Paused:
     """A node's pause in `cell` over [start, end], and its record in the run's log.
@@ -213,6 +308,7 @@ class HomeProfile:
 
     near: CandidateSet = field(repr=False)      # home + neighbouring cells
     visiting: CandidateSet = field(repr=False)
+    is_visiting: bytes = field(repr=False)      # 1 at each visiting cell id, else 0
 
 
 def _candidate_set(cells: np.ndarray, decay: np.ndarray, alpha: float) -> CandidateSet:
@@ -225,10 +321,12 @@ def build_home_profile(location_map: LocationMap, home: int, params: ModelParams
     """Classify the cells around `home` and cache its selection vectors."""
     distances = center_distances(location_map, home)
     near = near_mask(distances, home, params.neighbour_limit)
+    visiting = ~near
     decay = decay_of(distances, params.k)
     return HomeProfile(
         near=_candidate_set(np.flatnonzero(near), decay, params.alpha),
-        visiting=_candidate_set(np.flatnonzero(~near), decay, params.alpha),
+        visiting=_candidate_set(np.flatnonzero(visiting), decay, params.alpha),
+        is_visiting=visiting.tobytes(),
     )
 
 
@@ -238,7 +336,7 @@ class NodeState:
     home: int
     position: Point2D
     phase: Paused | Moving
-    seen: np.ndarray  # this node's row of the run's N x L encounter matrix
+    seen: SeenCounters
     profile: HomeProfile = field(repr=False)
 
 
@@ -248,13 +346,11 @@ def make_node_state(
     location_map: LocationMap,
     params: ModelParams,
     profile: HomeProfile | None = None,
-    seen: np.ndarray | None = None,
 ) -> NodeState:
-    """Node at `position`, homed in the cell containing it.
+    """Node at `position`, homed in the cell containing it, with no encounters.
 
     `profile` is the one built for that home under `params`, shared with
-    the other nodes of the home; one is built when none is given. `seen` is
-    the node's encounter-counter row, fresh zeros by default.
+    the other nodes of the home; one is built when none is given.
     """
     home = location_map.cell_of(position)
     if profile is None:
@@ -264,7 +360,7 @@ def make_node_state(
         home=home,
         position=position,
         phase=Paused(node_id, home, 0.0, 0.0),
-        seen=np.zeros(len(location_map), dtype=np.int64) if seen is None else seen,
+        seen=SeenCounters(len(location_map)),
         profile=profile,
     )
 
@@ -311,66 +407,79 @@ class DestinationChoice:
     fallback: bool  # step-1 set was empty and the other set was used
 
 
-def select_destination(
+def choose_destination(
     node: NodeState,
     location_map: LocationMap,
     params: ModelParams,
-    rng: np.random.Generator,
-) -> DestinationChoice:
+    u: float,
+    r: float,
+    fx: float,
+    fy: float,
+) -> tuple[int, Point2D, bool, bool]:
     """Two-step SWIM destination draw from four uniforms u, r, fx, fy.
 
-    Step 1: the near set (home + neighbouring) when u < alpha, otherwise the
-    visiting set; an empty set falls back to the other one. Step 2: one
-    candidate is drawn with r proportionally to w(C), uniformly if every
-    weight in the set is zero. The point, at fractions fx, fy of the chosen
-    cell, may lie in the node's current cell.
+    Returns the cell, the point, whether the cell was drawn from the
+    visiting set and whether the step-1 set was empty (the fields of a
+    DestinationChoice). Step 1: the near set (home + neighbouring) when
+    u < alpha, otherwise the visiting set; an empty set falls back to the
+    other one. Step 2: one candidate is drawn with r proportionally to
+    w(C), uniformly if every weight in the set is zero. The point, at
+    fractions fx, fy of the chosen cell, may lie in the node's current cell.
 
     w(C) is a mixture of the home's static term, with mass S and the cached
     CDF, and a dynamic term that is non-zero only in the few cells where the
     node has met someone, with mass D. r * (S + D) below S draws from the
-    static CDF, at or above it walks the dynamic cells in id order. While D
-    is 0 (a node that has met nobody, or alpha = 1) r goes straight to the
-    static CDF, so such a draw does not depend on the seen counters at all.
+    static CDF, at or above it walks the dynamic cells in id order. A node
+    that has met nobody goes straight to the static CDF without reading its
+    counters, and while D is 0 (also at alpha = 1) the draw does not depend
+    on the seen counters at all. Otherwise the cost is O(log L) plus the
+    node's seen cells.
     """
     profile = node.profile
-    u, r, fx, fy = rng.random(4).tolist()
     visiting = u >= params.alpha
     candidates = profile.visiting if visiting else profile.near
     fallback = candidates.cells.size == 0
     if fallback:
         visiting = not visiting
         candidates = profile.visiting if visiting else profile.near
-    cells = candidates.cells
     cell_id = None
-    # astype(bool) first: numpy finds the non-zeros of a bool row several
-    # times faster than those of an int64 one
-    seen_cells = node.seen.astype(bool).nonzero()[0]
-    if seen_cells.size:
-        counts = node.seen[seen_cells]
-        total = float(sum(counts.tolist()))
-        # the seen cells that belong to this set; a position past the end
-        # clips to the last cell, which is then smaller than the seen cell
-        hit = cells.take(cells.searchsorted(seen_cells), mode="clip") == seen_cells
-        hit_counts = counts[hit].tolist()
+    seen = node.seen
+    if seen.total:
+        counts, is_visiting = seen.counts, profile.is_visiting
+        hits = [cell for cell in counts if is_visiting[cell] == visiting]
         # every dynamic weight shares the factor (1 - alpha) / (1 + total),
         # so their sum is the weight of their summed counts
-        dynamic_mass = candidate_weights(0.0, sum(hit_counts), total, params.alpha)
+        dynamic_mass = candidate_weights(
+            0.0, sum([counts[cell] for cell in hits]), seen.total, params.alpha
+        )
         if dynamic_mass > 0.0:
             static_mass = candidates.static_mass
             x = r * (static_mass + dynamic_mass)
             if x < static_mass:
                 r = x / static_mass
             else:
-                hit_cells = seen_cells[hit].tolist()
-                cell_id = hit_cells[-1]  # when rounding runs past the last entry
+                hits.sort()
+                cell_id = hits[-1]  # when rounding runs past the last entry
                 acc = static_mass
-                for cell, n in zip(hit_cells, hit_counts):
-                    acc += candidate_weights(0.0, n, total, params.alpha)
+                for cell in hits:
+                    acc += candidate_weights(0.0, counts[cell], seen.total, params.alpha)
                     if x < acc:
                         cell_id = cell
                         break
     if cell_id is None:
+        cells = candidates.cells
         idx = int(candidates.cold_cdf.searchsorted(r, side="right"))
         cell_id = int(cells[min(idx, cells.size - 1)])
     point = point_in_cell(location_map.cells[cell_id], fx, fy)
-    return DestinationChoice(cell=cell_id, point=point, visiting=visiting, fallback=fallback)
+    return cell_id, point, visiting, fallback
+
+
+def select_destination(
+    node: NodeState,
+    location_map: LocationMap,
+    params: ModelParams,
+    rng: np.random.Generator,
+) -> DestinationChoice:
+    """choose_destination with four uniforms from `rng.random(4)`, as a DestinationChoice."""
+    u, r, fx, fy = rng.random(4).tolist()
+    return DestinationChoice(*choose_destination(node, location_map, params, u, r, fx, fy))

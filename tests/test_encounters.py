@@ -31,19 +31,15 @@ def make_params(**overrides):
 
 
 def make_nodes(count, params=None):
-    """`count` nodes whose seen counters are the rows of one matrix, as in a run."""
+    """`count` nodes, each with its own seen counters, as in a run."""
     params = params or make_params(node_count=count)
     location_map = build_grid(params.area, params.n_locations)
-    seen = np.zeros((count, len(location_map)), dtype=np.int64)
-    return [
-        make_node_state(i, Point2D(10.0, 10.0), location_map, params, seen=seen[i])
-        for i in range(count)
-    ]
+    return [make_node_state(i, Point2D(10.0, 10.0), location_map, params) for i in range(count)]
 
 
 def tracker_for(nodes, **kwargs):
-    """A tracker that counts encounters into the nodes' seen matrix."""
-    return ContactTracker(nodes[0].seen.base, **kwargs)
+    """A tracker that counts encounters into the nodes' seen counters, indexed by node id."""
+    return ContactTracker([node.seen for node in nodes], **kwargs)
 
 
 def brute_force_contacts(pauses):
@@ -181,7 +177,8 @@ def test_seen_counters_monotone():
 
     params = make_params(sim_duration=1000.0)
     state = initialize(params)
-    previous = np.stack([n.seen for n in state.nodes]).copy()
+    # np.stack reads each node's sparse counters as a dense copy
+    previous = np.stack([n.seen for n in state.nodes])
     while state.queue and state.queue[0][0] <= params.sim_duration:
         state.now, _seq, node_id = heapq.heappop(state.queue)
         if isinstance(state.nodes[node_id].phase, Paused):
@@ -190,7 +187,8 @@ def test_seen_counters_monotone():
             handle_arrival(state, node_id)
         current = np.stack([n.seen for n in state.nodes])
         assert (current >= previous).all()
-        previous = current.copy()
+        assert [n.seen.total for n in state.nodes] == current.sum(axis=1).tolist()
+        previous = current
 
 
 def test_contacts_csv_format(tmp_path):

@@ -17,7 +17,19 @@ from swimsim.engine import (
     simulate,
 )
 from swimsim.grid import AreaBounds, LocationClass, Point2D, build_grid, classify_locations
-from swimsim.mobility import ModelParams, Moving, Paused, UniformWait, make_node_state
+from swimsim.mobility import (
+    BLOCK,
+    ModelParams,
+    Moving,
+    Paused,
+    SeenCounters,
+    UniformStream,
+    UniformWait,
+    draw_wait_time,
+    make_node_state,
+    node_stream,
+    select_destination,
+)
 
 AREA = AreaBounds(400.0, 400.0)
 
@@ -38,13 +50,14 @@ def make_params(**overrides):
     return ModelParams(**base)
 
 
-class FakeRng:
-    """Plays back scripted draws so a trip can be forced exactly.
+class FakeUniforms:
+    """Stands in for a node's UniformStream and plays back scripted draws, so
+    a trip can be forced exactly.
 
-    `randoms` are played one per `random()` call. A selection's
-    `random(4)` takes its step-1 and step-2 uniforms from `randoms` and its
-    target from `uniforms`, an x and a y turned into fractions of the cell
-    that holds them.
+    `randoms` are played one per `random()` call, a wait's uniform. A
+    selection's `take(4)` takes its step-1 and step-2 uniforms from
+    `randoms` and its target from `uniforms`, an x and a y turned into
+    fractions of the cell that holds them.
     """
 
     def __init__(self, randoms, uniforms, location_map):
@@ -52,15 +65,16 @@ class FakeRng:
         self.uniforms = list(uniforms)
         self.location_map = location_map
 
-    def random(self, size=None):
-        if size is None:
-            return self.randoms.pop(0)
-        assert size == 4
+    def random(self):
+        return self.randoms.pop(0)
+
+    def take(self, k):
+        assert k == 4
         x, y = self.uniforms.pop(0), self.uniforms.pop(0)
         cell = self.location_map.cells[self.location_map.cell_of(Point2D(x, y))]
         fx = (x - cell.min_x) / (cell.max_x - cell.min_x)
         fy = (y - cell.min_y) / (cell.max_y - cell.min_y)
-        return np.array([self.randoms.pop(0), self.randoms.pop(0), fx, fy])
+        return [self.randoms.pop(0), self.randoms.pop(0), fx, fy]
 
 
 def scripted_state(position, randoms, uniforms, **param_overrides):
@@ -69,15 +83,13 @@ def scripted_state(position, randoms, uniforms, **param_overrides):
         node_count=1, **param_overrides,
     )
     location_map = build_grid(params.area, params.n_locations)
-    seen = np.zeros((1, len(location_map)), dtype=np.int64)
-    node = make_node_state(0, position, location_map, params, seen=seen[0])
+    node = make_node_state(0, position, location_map, params)
     state = SimulationState(
         params=params,
         location_map=location_map,
         nodes=[node],
-        rngs=[FakeRng(randoms, uniforms, location_map)],
-        seen=seen,
-        tracker=ContactTracker(seen, params.seen_update),
+        uniforms=[FakeUniforms(randoms, uniforms, location_map)],
+        tracker=ContactTracker([node.seen], params.seen_update),
     )
     node.phase = Paused(node=0, cell=node.home, start=0.0, end=0.0)
     state.schedule(0.0, 0)
@@ -297,7 +309,7 @@ def test_run_zero_horizon(tmp_path):
 
 def test_logs_are_record_arrays_with_pinned_fields():
     report = simulate(make_params(sim_duration=200.0))
-    tracker = ContactTracker(np.zeros((1, 1), dtype=np.int64))
+    tracker = ContactTracker([SeenCounters(1)])
     logs = (report.waypoints, report.selections, report.contacts, tracker.records)
     assert [log.dtype.names for log in logs] == [
         ("time", "node", "x", "y", "event"),
@@ -364,6 +376,39 @@ def test_alpha_one_traces_invariant_to_injected_seen():
         (w.time, w.node, w.x, w.y) for w in poked.waypoints
     ]
     assert [s.cell for s in clean.selections] == [s.cell for s in poked.selections]
+
+
+def test_uniform_stream_reads_the_generator_in_order():
+    # four values per selection and one per wait, so takes straddle block ends
+    stream, fresh = UniformStream(node_stream(5, 3)), node_stream(5, 3)
+    for i in range(3 * BLOCK):
+        if i % 3 == 2:
+            assert stream.random() == fresh.random()
+        else:
+            assert stream.take(4) == fresh.random(4).tolist()
+
+
+@pytest.mark.parametrize("wait", [UniformWait(3.0, 3.0), UniformWait(2.0, 5.0)])
+def test_engine_draws_follow_the_node_stream(wait):
+    # alpha = 1 makes every draw independent of the seen counters, so a
+    # node's run replays from a fresh node_stream read by one random() per
+    # wait (none when low == high) and one random(4) per selection
+    params = make_params(alpha=1.0, node_count=1, wait=wait, sim_duration=20000.0)
+    state = initialize(params)
+    report = run(state, until=params.sim_duration)
+    assert 4 * len(report.selections) > 3 * BLOCK  # several blocks of the stream
+    rng = node_stream(params.seed, 0)
+    position = Point2D(float(rng.uniform(0.0, AREA.width)), float(rng.uniform(0.0, AREA.height)))
+    node = make_node_state(0, position, state.location_map, params)
+    arrivals = report.waypoints[report.waypoints.event == "arrive"]
+    for k, pause in enumerate(report.pauses):
+        end = pause.start + draw_wait_time(wait, rng)
+        assert pause.end == (params.sim_duration if pause.censored else end)
+        if k < len(report.selections):
+            choice = select_destination(node, state.location_map, params, rng)
+            assert report.selections[k].item() == (0, choice.cell, choice.visiting, choice.fallback)
+            if k < len(arrivals):  # the last trip may end past the horizon
+                assert (arrivals[k].x, arrivals[k].y) == (choice.point.x, choice.point.y)
 
 
 def test_waypoints_csv_matches_row_formatting(tmp_path, monkeypatch):

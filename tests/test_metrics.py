@@ -18,7 +18,14 @@ from swimsim.metrics import (
     selection_stats,
     summarize,
 )
-from swimsim.mobility import ModelParams, UniformWait, make_node_state, node_stream, select_destination
+from swimsim.mobility import (
+    ModelParams,
+    SeenCounters,
+    UniformWait,
+    make_node_state,
+    node_stream,
+    select_destination,
+)
 from swimsim.outputs import write_ccdf_csv
 
 AREA = AreaBounds(400.0, 400.0)
@@ -99,7 +106,7 @@ def test_ict_censored_adjacent_gaps_dropped():
     ],
 )
 def test_metrics_reject_open_contacts(measure):
-    tracker = ContactTracker(np.zeros((2, 1), dtype=np.int64))
+    tracker = ContactTracker([SeenCounters(1), SeenCounters(1)])
     tracker.on_arrival_signal(0, 0, 0.0)
     tracker.on_arrival_signal(1, 0, 2.0)  # opens a contact; finish() never closes it
     open_logs = ([rec(0, 1, 0.0, 5.0), rec(0, 1, 12.0, None)], tracker.records)

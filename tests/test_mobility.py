@@ -14,6 +14,7 @@ from swimsim.grid import (
 from swimsim.mobility import (
     ModelParams,
     PowerLawWait,
+    SeenCounters,
     UniformWait,
     build_home_profile,
     candidate_weights,
@@ -315,3 +316,27 @@ def test_node_stream_independent_of_node_count():
     c = node_stream(5, 4).random(8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_seen_counters_read_and_write_like_a_dense_row():
+    seen = SeenCounters(6)
+    assert seen.sum() == 0 and seen.counts == {}
+    assert np.array_equal(np.asarray(seen), np.zeros(6, dtype=np.int64))
+    seen[:] = [0, 3, 0, 0, 5, 0]
+    assert seen.counts == {1: 3, 4: 5} and seen.total == seen.sum() == 8
+    seen[2] += 1
+    seen[4] += 1
+    seen.add(1, 2)
+    assert seen.counts == {1: 5, 2: 1, 4: 6} and seen.sum() == 12
+    assert seen[4] == 6 and seen[0] == 0
+    assert seen[[4, 0, 1]].tolist() == [6, 0, 5]
+    assert seen[np.array([2, 5])].tolist() == [1, 0]
+    row = np.asarray(seen)
+    assert row.dtype == np.int64 and row.tolist() == [0, 5, 1, 0, 6, 0]
+    row[0] = 9  # a read is a copy
+    assert seen[0] == 0
+    assert np.asarray(seen, dtype=float).tolist() == [0.0, 5.0, 1.0, 0.0, 6.0, 0.0]
+    with pytest.raises(ValueError, match="copy"):
+        seen.__array__(copy=False)  # numpy 2's np.asarray(seen, copy=False)
+    seen[4] = 0  # a count set to zero leaves the sparse form
+    assert seen.counts == {1: 5, 2: 1} and seen.sum() == 6

@@ -10,6 +10,8 @@ give each cell the probability of the dense weights: a stratified sweep of
 the step-2 uniform over each step-1 set is compared with them exactly.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from swimsim.grid import (
 )
 from swimsim.mobility import (
     ModelParams,
+    SeenCounters,
     UniformWait,
     make_node_state,
     node_stream,
@@ -213,14 +216,50 @@ def test_initialize_builds_one_profile_per_home():
             assert other.profile.near.cold_cdf is first.profile.near.cold_cdf
 
 
-def test_seen_rows_are_views_of_one_matrix():
+def test_seen_counters_are_sparse_and_per_node():
     params = make_params(node_count=8)
     state = initialize(params)
-    assert state.seen.shape == (8, 21)
-    assert state.tracker.seen is state.seen
     for i, node in enumerate(state.nodes):
-        assert node.seen.base is state.seen
+        assert isinstance(node.seen, SeenCounters) and node.seen.size == 21
+        assert state.tracker.seen[i] is node.seen
         node.seen[i] += 100
-    assert (np.diag(state.seen[:, :8]) >= 100).all()
     report = run(state, until=params.sim_duration)
-    assert report.seen is state.seen
+    assert report.seen.shape == (8, 21) and report.seen.dtype == np.int64
+    assert (np.diag(report.seen[:, :8]) >= 100).all()
+    for row, node in zip(report.seen, state.nodes):
+        assert np.array_equal(row, np.asarray(node.seen))
+        assert {c: row[c] for c in row.nonzero()[0].tolist()} == node.seen.counts
+
+
+def test_initialize_holds_no_n_by_l_array():
+    params = make_params(node_count=400, n_locations=400, neighbour_limit=60.0)
+    tracemalloc.start()
+    try:
+        state = initialize(params)
+        largest = max(trace.size for trace in tracemalloc.take_snapshot().traces)
+    finally:
+        tracemalloc.stop()
+    # an N x L int64 matrix would take 1.28 MB in one block; the per-home
+    # arrays are L values each, and a node's uniform block BLOCK values
+    assert largest < 8 * params.node_count * len(state.location_map) // 10
+
+
+class NoCounters:
+    """Seen counters of a node that has met nobody, whose cells must not be read."""
+
+    total = 0
+
+    @property
+    def counts(self):
+        raise AssertionError("a cold selection read the seen counters")
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+def test_cold_selection_reads_no_counters(alpha):
+    params = make_params(alpha=alpha)
+    for position in HOMES:
+        node = make_node_state(0, position, GRID, params)
+        node.seen = NoCounters()
+        rng = node_stream(5, 0)
+        for _ in range(200):
+            select_destination(node, GRID, params, rng)
