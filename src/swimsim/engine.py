@@ -9,13 +9,15 @@ next, a moving node arrives next. Events are kept in a heap of
 process in a total, deterministic order. Positions at any other instant
 are interpolated analytically. The engine writes no files.
 
-The handlers append each event's waypoint, and each departure's
-selection, to flat array columns; `run` turns them into numpy record
-arrays once, at the end. The pauses are the nodes' Paused phases. Each
-node's seen counters are its own sparse SeenCounters, written by the
-contact tracker; `run` builds the report's dense N x L matrix from them
-once. Each node's random stream is read in blocks (UniformStream): a
-departure takes four uniforms and a pause one (none for a fixed wait).
+An event allocates nothing but its heap entry. The handlers read and write
+each node's phase as plain values in place (mobility.NodeState), and
+append each event's waypoint, each departure's selection and each pause to
+flat array columns; `run` turns the columns into numpy record arrays once,
+at the end. Each node's seen counters are its own sparse SeenCounters,
+written by the contact tracker; the report builds the dense N x L matrix
+from them only when it is read. Each node's random stream is read in
+blocks (UniformStream): a departure takes four uniforms and a pause one
+(none for a fixed wait).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import heapq
 import math
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,9 +35,8 @@ from .grid import LocationMap, Point2D, build_grid
 from .mobility import (
     HomeProfile,
     ModelParams,
-    Moving,
     NodeState,
-    Paused,
+    SeenCounters,
     UniformStream,
     choose_destination,
     draw_wait_time,
@@ -49,28 +51,40 @@ WAYPOINT_DTYPE = np.dtype(
 )
 # visiting is the chosen cell's class for the node; False means home or neighbouring
 SELECTION_DTYPE = np.dtype([("node", "i8"), ("cell", "i8"), ("visiting", "?"), ("fallback", "?")])
+# end is the departure; a pause still running at the horizon ends there, censored
+PAUSE_DTYPE = np.dtype(
+    [("node", "i8"), ("cell", "i8"), ("start", "f8"), ("end", "f8"), ("censored", "?")]
+)
 
 
 @dataclass
 class SimulationReport:
     """Immutable result of one run: traces plus raw logs for the metrics.
 
-    The waypoint, selection and contact logs are numpy record arrays, read
-    by field name by row or by column.
+    The waypoint, selection, pause and contact logs are numpy record
+    arrays, read by field name by row or by column.
     """
 
     params: ModelParams
     location_map: LocationMap
     waypoints: np.recarray  # time, node, x, y, event: one row per event
     contacts: np.recarray  # a, b, cell, start, end, censored: one row per contact
-    pauses: list[Paused]
+    pauses: np.recarray  # node, cell, start, end, censored: one row per pause, in start order
     selections: np.recarray  # node, cell, visiting, fallback: one row per departure
-    seen: np.ndarray  # final N x L encounter counters, one row per node, built at the end
+    counters: list[SeenCounters] = field(repr=False)  # each node's final seen counters
 
     @property
     def events_processed(self) -> int:
         """Every event appends one waypoint, so the waypoints count the events."""
         return len(self.waypoints)
+
+    @cached_property
+    def seen(self) -> np.ndarray:
+        """Final N x L encounter counters, one row per node, built from `counters` on first read."""
+        seen = np.zeros((len(self.counters), len(self.location_map)), dtype=np.int64)
+        for row, counters in zip(seen, self.counters):
+            row[list(counters.counts)] = list(counters.counts.values())
+        return seen
 
 
 @dataclass
@@ -83,11 +97,12 @@ class SimulationState:
     now: float = 0.0
     queue: list[tuple[float, int, int]] = field(default_factory=list)  # (time, seq, node)
     seq: int = 0
-    # the waypoint log's columns (time, node, x, y, arrive flag) and the
-    # selection log's (node, cell, visiting, fallback)
+    # the columns of the waypoint log (time, node, x, y, arrive flag), the
+    # selection log (node, cell, visiting, fallback) and the pause log
+    # (node, cell, start, end; censored is set when the run ends)
     waypoints: tuple[array, ...] = field(default_factory=lambda: tuple(map(array, "dqddb")))
     selections: tuple[array, ...] = field(default_factory=lambda: tuple(map(array, "qqbb")))
-    pauses: list[Paused] = field(default_factory=list)  # every pause, in the order they began
+    pauses: tuple[array, ...] = field(default_factory=lambda: tuple(map(array, "qqdd")))
     finished: bool = False
 
     def schedule(self, time: float, node: int) -> None:
@@ -128,12 +143,15 @@ def initialize(params: ModelParams) -> SimulationState:
         uniforms=uniforms,
         tracker=ContactTracker([node.seen for node in nodes], params.seen_update),
     )
+    pause_nodes, pause_cells, starts, ends = state.pauses
     for node, stream in zip(nodes, uniforms):
         state.tracker.on_arrival_signal(node.id, node.home, 0.0)
-        wait = draw_wait_time(params.wait, stream)
-        node.phase = Paused(node.id, node.home, 0.0, wait)
-        state.pauses.append(node.phase)
-        state.schedule(wait, node.id)
+        node.end = draw_wait_time(params.wait, stream)  # the pause at home began at 0
+        pause_nodes.append(node.id)
+        pause_cells.append(node.home)
+        starts.append(0.0)
+        ends.append(node.end)
+        state.schedule(node.end, node.id)
     return state
 
 
@@ -141,68 +159,66 @@ def handle_departure(state: SimulationState, node_id: int) -> None:
     """Pause over: leave the cell, pick the next destination, start moving."""
     node = state.nodes[node_id]
     now = state.now
-    state.tracker.on_departure_signal(node_id, node.phase.cell, now)
-    cell, target, visiting, fallback = choose_destination(
+    state.tracker.on_departure_signal(node_id, node.cell, now)
+    cell, tx, ty, visiting, fallback = choose_destination(
         node, state.location_map, state.params, *state.uniforms[node_id].take(4)
     )
-    origin = node.position
-    distance = math.hypot(target.x - origin.x, target.y - origin.y)
-    arrive_at = now + distance / state.params.speed
-    node.phase = Moving(
-        origin=origin,
-        target=target,
-        target_cell=cell,
-        depart_at=now,
-        arrive_at=arrive_at,
-    )
+    x, y = node.x, node.y
+    arrive_at = now + math.hypot(tx - x, ty - y) / state.params.speed
+    node.paused = False
+    node.cell, node.tx, node.ty, node.start, node.end = cell, tx, ty, now, arrive_at
     node_ids, cells, visitings, fallbacks = state.selections
     node_ids.append(node_id)
     cells.append(cell)
     visitings.append(visiting)
     fallbacks.append(fallback)
-    _log_waypoint(state, node_id, origin, 0)
-    state.schedule(arrive_at, node_id)
+    times, node_ids, xs, ys, arrives = state.waypoints
+    times.append(now)
+    node_ids.append(node_id)
+    xs.append(x)
+    ys.append(y)
+    arrives.append(0)
+    heapq.heappush(state.queue, (arrive_at, state.seq, node_id))
+    state.seq += 1
 
 
 def handle_arrival(state: SimulationState, node_id: int) -> None:
     """Destination reached: signal the arrival, then pause."""
     node = state.nodes[node_id]
     now = state.now
-    cell = node.phase.target_cell
-    node.position = node.phase.target
-    _log_waypoint(state, node_id, node.position, 1)
+    cell = node.cell
+    node.x = x = node.tx
+    node.y = y = node.ty
+    times, node_ids, xs, ys, arrives = state.waypoints
+    times.append(now)
+    node_ids.append(node_id)
+    xs.append(x)
+    ys.append(y)
+    arrives.append(1)
     state.tracker.on_arrival_signal(node_id, cell, now)
     end = now + draw_wait_time(state.params.wait, state.uniforms[node_id])
-    node.phase = Paused(node_id, cell, now, end)
-    state.pauses.append(node.phase)
-    state.schedule(end, node_id)
-
-
-def _log_waypoint(state: SimulationState, node_id: int, point: Point2D, arrive: int) -> None:
-    times, node_ids, xs, ys, arrives = state.waypoints
-    times.append(state.now)
+    node.paused = True
+    node.start, node.end = now, end
+    node_ids, cells, starts, ends = state.pauses
     node_ids.append(node_id)
-    xs.append(point.x)
-    ys.append(point.y)
-    arrives.append(arrive)
+    cells.append(cell)
+    starts.append(now)
+    ends.append(end)
+    heapq.heappush(state.queue, (end, state.seq, node_id))
+    state.seq += 1
 
 
 def position_at(node: NodeState, t: float) -> Point2D:
     """Analytic position of a node at time t within its current phase."""
-    phase = node.phase
-    if isinstance(phase, Paused):
-        if not (phase.start <= t <= phase.end):
-            raise ValueError(f"t={t} outside pause [{phase.start}, {phase.end}]")
-        return node.position
-    if not (phase.depart_at <= t <= phase.arrive_at):
-        raise ValueError(f"t={t} outside trip [{phase.depart_at}, {phase.arrive_at}]")
-    if phase.arrive_at == phase.depart_at:
-        return phase.target
-    frac = (t - phase.depart_at) / (phase.arrive_at - phase.depart_at)
-    return Point2D(
-        phase.origin.x + frac * (phase.target.x - phase.origin.x),
-        phase.origin.y + frac * (phase.target.y - phase.origin.y),
-    )
+    start, end = node.start, node.end
+    if not (start <= t <= end):
+        raise ValueError(f"t={t} outside {'pause' if node.paused else 'trip'} [{start}, {end}]")
+    if node.paused:
+        return Point2D(node.x, node.y)
+    if end == start:
+        return Point2D(node.tx, node.ty)
+    frac = (t - start) / (end - start)
+    return Point2D(node.x + frac * (node.tx - node.x), node.y + frac * (node.ty - node.y))
 
 
 def run(state: SimulationState, until: float) -> SimulationReport:
@@ -220,29 +236,31 @@ def run(state: SimulationState, until: float) -> SimulationReport:
     queue, nodes = state.queue, state.nodes
     while queue and queue[0][0] <= until:
         state.now, _seq, node_id = heapq.heappop(queue)
-        if isinstance(nodes[node_id].phase, Paused):
+        if nodes[node_id].paused:
             handle_departure(state, node_id)
         else:
             handle_arrival(state, node_id)
     state.now = until
     state.tracker.finish(until)
-    for node in state.nodes:
-        if isinstance(node.phase, Paused):
-            node.phase.end, node.phase.censored = until, True
-    state.finished = True
-    seen = np.zeros((len(nodes), len(state.location_map)), dtype=np.int64)
     for node in nodes:
-        counts = node.seen.counts
-        seen[node.id, list(counts)] = list(counts.values())
+        if node.paused:
+            node.end = until
+    state.finished = True
+    # a pause's end is its departure's event time, so the pauses whose
+    # departure is still pending are exactly those that end past the horizon
+    *pause_columns, ends = state.pauses
+    ends = np.array(ends)
+    censored = ends > until
+    ends[censored] = until
     *waypoints, arrives = state.waypoints
     return SimulationReport(
         params=state.params,
         location_map=state.location_map,
         waypoints=np.rec.fromarrays([*waypoints, EVENTS[arrives]], dtype=WAYPOINT_DTYPE),
         contacts=state.tracker.records,
-        pauses=state.pauses,
+        pauses=np.rec.fromarrays([*pause_columns, ends, censored], dtype=PAUSE_DTYPE),
         selections=np.rec.fromarrays(state.selections, dtype=SELECTION_DTYPE),
-        seen=seen,
+        counters=[node.seen for node in nodes],
     )
 
 

@@ -12,12 +12,12 @@ set, then one cell of the chosen set is drawn proportionally to w(C).
 
 Everything that depends only on the home cell (the two sets, the decay
 term, its mass and the cold-start CDF) lives in a HomeProfile shared by all
-nodes of that home; a node itself holds only its position, phase and seen
-counters. The seen counters are sparse (SeenCounters): a dict of the cells
-where the node has met someone and the running total, so no N x L matrix
-exists during a run. A node's random stream is read in blocks of BLOCK
-uniforms (UniformStream), which give the same doubles, in the same order,
-as one `random()` call per value.
+nodes of that home; a node itself holds only its seen counters and its
+phase, as plain values the engine writes in place. The seen counters are
+sparse (SeenCounters): a dict of the cells where the node has met someone
+and the running total, so no N x L matrix exists during a run. A node's
+random stream is read in blocks of BLOCK uniforms (UniformStream), which
+give the same doubles, in the same order, as one `random()` call per value.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .grid import (
     Point2D,
     center_distances,
     near_mask,
-    point_in_cell,
 )
 
 SEEN_UPDATE_MODES = ("symmetric", "bystanders_only")
@@ -264,22 +263,17 @@ class SeenCounters:
         return f"SeenCounters(size={self.size}, counts={self.counts})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Paused:
-    """A node's pause in `cell` over [start, end], and its record in the run's log.
-
-    `end` is the scheduled departure. A pause still running at the horizon
-    is cut to end there and flagged censored.
-    """
+    """A node's pause in `cell` over [start, end]; `end` is the scheduled departure."""
 
     node: int
     cell: int
     start: float
     end: float
-    censored: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class Moving:
     origin: Point2D
     target: Point2D
@@ -330,14 +324,62 @@ def build_home_profile(location_map: LocationMap, home: int, params: ModelParams
     )
 
 
-@dataclass
 class NodeState:
-    id: int
-    home: int
-    position: Point2D
-    phase: Paused | Moving
-    seen: SeenCounters
-    profile: HomeProfile = field(repr=False)
+    """One node: its home, its seen counters and its current phase.
+
+    The phase is kept as plain values, which the engine's handlers read and
+    write in place, so that an event builds no object:
+
+    * `paused`: True while paused (the next event is a departure), False
+      on a trip (the next event is the arrival);
+    * `cell`: the pause's cell, or the trip's target cell;
+    * `x`, `y`: the position while paused, the trip's origin while moving;
+    * `tx`, `ty`: the trip's target;
+    * `start`, `end`: the pause's start and scheduled departure, or the
+      trip's departure and arrival.
+
+    `position` and `phase` are views: reading one builds a Point2D, or a
+    Paused or Moving, from these values, and assigning one sets them.
+    """
+
+    __slots__ = ("id", "home", "seen", "profile", "paused", "cell", "x", "y", "tx", "ty",
+                 "start", "end")
+
+    def __init__(self, id: int, home: int, position: Point2D, seen: SeenCounters,
+                 profile: HomeProfile):
+        self.id, self.home, self.seen, self.profile = id, home, seen, profile
+        self.x = self.tx = position.x
+        self.y = self.ty = position.y
+        self.paused, self.cell, self.start, self.end = True, home, 0.0, 0.0
+
+    @property
+    def position(self) -> Point2D:
+        return Point2D(self.x, self.y)
+
+    @position.setter
+    def position(self, point: Point2D) -> None:
+        self.x, self.y = point.x, point.y
+
+    @property
+    def phase(self) -> Paused | Moving:
+        if self.paused:
+            return Paused(self.id, self.cell, self.start, self.end)
+        return Moving(Point2D(self.x, self.y), Point2D(self.tx, self.ty), self.cell,
+                      self.start, self.end)
+
+    @phase.setter
+    def phase(self, phase: Paused | Moving) -> None:
+        if isinstance(phase, Paused):
+            self.paused, self.cell, self.start, self.end = True, phase.cell, phase.start, phase.end
+            return
+        self.paused, self.cell = False, phase.target_cell
+        self.start, self.end = phase.depart_at, phase.arrive_at
+        self.position = phase.origin
+        self.tx, self.ty = phase.target.x, phase.target.y
+
+    def __repr__(self) -> str:
+        return (f"NodeState(id={self.id}, home={self.home}, position={self.position}, "
+                f"phase={self.phase})")
 
 
 def make_node_state(
@@ -349,20 +391,14 @@ def make_node_state(
 ) -> NodeState:
     """Node at `position`, homed in the cell containing it, with no encounters.
 
-    `profile` is the one built for that home under `params`, shared with
-    the other nodes of the home; one is built when none is given.
+    The node starts paused at home over [0, 0]. `profile` is the one built
+    for that home under `params`, shared with the other nodes of the home;
+    one is built when none is given.
     """
     home = location_map.cell_of(position)
     if profile is None:
         profile = build_home_profile(location_map, home, params)
-    return NodeState(
-        id=node_id,
-        home=home,
-        position=position,
-        phase=Paused(node_id, home, 0.0, 0.0),
-        seen=SeenCounters(len(location_map)),
-        profile=profile,
-    )
+    return NodeState(node_id, home, position, SeenCounters(len(location_map)), profile)
 
 
 def decay_of(distances: np.ndarray, k: float) -> np.ndarray:
@@ -415,16 +451,18 @@ def choose_destination(
     r: float,
     fx: float,
     fy: float,
-) -> tuple[int, Point2D, bool, bool]:
+) -> tuple[int, float, float, bool, bool]:
     """Two-step SWIM destination draw from four uniforms u, r, fx, fy.
 
-    Returns the cell, the point, whether the cell was drawn from the
-    visiting set and whether the step-1 set was empty (the fields of a
-    DestinationChoice). Step 1: the near set (home + neighbouring) when
-    u < alpha, otherwise the visiting set; an empty set falls back to the
-    other one. Step 2: one candidate is drawn with r proportionally to
-    w(C), uniformly if every weight in the set is zero. The point, at
-    fractions fx, fy of the chosen cell, may lie in the node's current cell.
+    Returns the cell, the point's x and y, whether the cell was drawn from
+    the visiting set and whether the step-1 set was empty, all plain values
+    (a DestinationChoice holds them with the point as a Point2D).
+
+    Step 1: the near set (home + neighbouring) when u < alpha, otherwise
+    the visiting set; an empty set falls back to the other one. Step 2: one
+    candidate is drawn with r proportionally to w(C), uniformly if every
+    weight in the set is zero. The point, at fractions fx, fy of the chosen
+    cell, may lie in the node's current cell.
 
     w(C) is a mixture of the home's static term, with mass S and the cached
     CDF, and a dynamic term that is non-zero only in the few cells where the
@@ -470,8 +508,11 @@ def choose_destination(
         cells = candidates.cells
         idx = int(candidates.cold_cdf.searchsorted(r, side="right"))
         cell_id = int(cells[min(idx, cells.size - 1)])
-    point = point_in_cell(location_map.cells[cell_id], fx, fy)
-    return cell_id, point, visiting, fallback
+    # point_in_cell's arithmetic, without building a Point2D
+    cell = location_map.cells[cell_id]
+    x = cell.min_x + (cell.max_x - cell.min_x) * fx
+    y = cell.min_y + (cell.max_y - cell.min_y) * fy
+    return cell_id, x, y, visiting, fallback
 
 
 def select_destination(
@@ -482,4 +523,5 @@ def select_destination(
 ) -> DestinationChoice:
     """choose_destination with four uniforms from `rng.random(4)`, as a DestinationChoice."""
     u, r, fx, fy = rng.random(4).tolist()
-    return DestinationChoice(*choose_destination(node, location_map, params, u, r, fx, fy))
+    cell, x, y, visiting, fallback = choose_destination(node, location_map, params, u, r, fx, fy)
+    return DestinationChoice(cell, Point2D(x, y), visiting, fallback)

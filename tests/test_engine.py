@@ -1,3 +1,4 @@
+import gc
 import heapq
 import math
 from collections import Counter
@@ -8,6 +9,7 @@ import pytest
 from swimsim import metrics_report, outputs, selection_stats
 from swimsim.encounters import ContactTracker
 from swimsim.engine import (
+    PAUSE_DTYPE,
     SimulationState,
     handle_arrival,
     handle_departure,
@@ -246,7 +248,9 @@ def test_run_censors_pauses_open_at_the_horizon():
     still_paused = [node.phase for node in state.nodes if isinstance(node.phase, Paused)]
     censored = [p for p in report.pauses if p.censored]
     assert still_paused
-    assert sorted(map(id, censored)) == sorted(map(id, still_paused))
+    assert sorted(p.item() for p in censored) == sorted(
+        (p.node, p.cell, p.start, p.end, True) for p in still_paused
+    )
     assert all(p.end == params.sim_duration for p in censored)
     assert all(p.end <= params.sim_duration for p in report.pauses)
 
@@ -321,6 +325,39 @@ def test_logs_are_record_arrays_with_pinned_fields():
     # the bytes per row that README quotes
     assert [log.itemsize for log in logs] == [56, 18, 41, 41]
     assert len(report.waypoints) and len(report.selections) and len(report.contacts)
+
+
+def test_pause_log_is_a_record_array_with_pinned_fields():
+    report = simulate(make_params(sim_duration=200.0))
+    pauses = report.pauses
+    assert isinstance(pauses, np.recarray)
+    assert pauses.dtype == PAUSE_DTYPE
+    assert pauses.dtype.names == ("node", "cell", "start", "end", "censored")
+    assert pauses.itemsize == 33  # packed, like the other logs
+    # rows read by field name, as the acceptance oracles read them
+    first = pauses[0]
+    assert (first.node, first.start, first.censored) == (0, 0.0, False)
+    assert first.cell == pauses.cell[0] and 2.0 <= first.end <= 5.0
+
+
+def test_run_keeps_no_object_per_event():
+    # the live objects a run leaves behind, with its state and report kept,
+    # do not grow with the horizon: no phase, point or pause object per event
+    def objects_held(until):
+        gc.collect()
+        before = len(gc.get_objects())
+        state = initialize(make_params(sim_duration=until))
+        report = run(state, until=until)
+        gc.collect()
+        held = len(gc.get_objects()) - before
+        assert state.nodes and report.events_processed  # both alive up to the count
+        return held, report.events_processed
+
+    objects_held(100.0)  # fills the process's one-time caches
+    short, short_events = objects_held(5000.0)
+    long, long_events = objects_held(20000.0)
+    assert long_events > 3 * short_events
+    assert abs(long - short) <= 50
 
 
 def test_run_monotone_horizon():
