@@ -2,11 +2,18 @@
 
 A node announces its arrival at a cell; every node currently paused in that
 same cell registers the encounter, and one contact interval opens per
-co-located pair. Nodes elsewhere ignore the signal. Contacts close when
+co-located pair. Nodes elsewhere ignore the signal. A contact closes when
 either member leaves the cell, so no contact ever spans a cell change.
-The tracker knows only who is paused where; the pauses themselves are the
-engine's Paused records. It is the only writer of the nodes' seen
-counters (mobility.SeenCounters) during a run.
+Since a pause's departure is drawn when the pause begins, the arrival
+signal carries it, and a contact's end is known when the contact opens:
+the earlier of its members' scheduled departures. The tracker knows only
+who is paused where and until when; the pauses themselves are the
+engine's. It is the only writer of the nodes' seen counters
+(mobility.SeenCounters) during a run.
+
+No signal does work per bystander in Python: an arrival logs its
+contacts as one block and a departure settles only the leaving node's
+seen counters (see ContactTracker).
 
 The contact log is a numpy record array with fields a, b, cell, start,
 end and censored, one row per contact in the order the contacts opened; an
@@ -69,69 +76,107 @@ def finished_log(records) -> np.recarray:
 
 
 class ContactTracker:
-    """Tracks who is paused where, open contacts, and the finished log.
+    """Tracks who is paused where until when, and logs each contact as it opens.
 
     `seen` holds each node's encounter counters, indexed by node id (the
     nodes' SeenCounters in a run); the tracker is their only writer and
     counts with `seen[node].add(cell, n)`. seen_update picks how an
     encounter is counted: "symmetric" increments the arriving node once per
     bystander and each bystander once, "bystanders_only" leaves the
-    arriving node's counters untouched.
+    arriving node's counters untouched. The arriving node's counts are
+    added at its arrival. A bystander's are settled when it departs, or at
+    `finish` if it is still paused then: it gains one count per arrival at
+    its cell since its own. So a node's counters are up to date from its
+    departure signal until its next arrival.
+
+    A contact ends at the earlier of its members' scheduled departures and
+    is censored iff that lies past the horizon given to `finish`. The log
+    keeps one block per arrival with bystanders (arriving node, cell, time,
+    scheduled end, bystander count) and one id and scheduled end per
+    bystander; `records` expands them into rows.
     """
 
     def __init__(self, seen: Sequence[SeenCounters], seen_update: str = "symmetric"):
         self.seen = seen
         self.seen_update = seen_update
-        self._paused_at: dict[int, dict[int, None]] = {}  # cell -> ordered node ids
-        self._open: dict[tuple[int, int], int] = {}  # pair -> row of its open contact
-        # the contact log's columns, grown one row per contact
-        self._a, self._b, self._cell = array("q"), array("q"), array("q")
+        self._paused_at: dict[int, dict[int, float]] = {}  # cell -> {node: scheduled end}
+        self._arrivals: dict[int, int] = {}  # cell -> arrivals there so far
+        self._marks = [0] * len(seen)  # a node's cell's arrivals, as of its own
+        self._now = -math.inf  # the latest signal's time
+        self._until: float | None = None  # the horizon, once finished
+        # one block per arrival with bystanders, then one entry per bystander
+        self._arriving, self._cell, self._count = array("q"), array("q"), array("q")
         self._start, self._end = array("d"), array("d")
-        self._censored = array("b")
+        self._others, self._other_ends = array("q"), array("d")
 
     @property
     def records(self) -> np.recarray:
-        """A copy of the contact log so far, one row per contact in opening order."""
-        columns = (self._a, self._b, self._cell, self._start, self._end, self._censored)
+        """A copy of the contact log so far, one row per contact in opening order.
+
+        Before `finish`, a contact that ends after the latest signal is open
+        (its end is NaN); after it, a contact that ends past the horizon
+        ends there, censored.
+        """
+        counts = np.array(self._count, dtype=np.int64)
+        arriving = np.repeat(np.array(self._arriving, dtype=np.int64), counts)
+        others = np.array(self._others, dtype=np.int64)
+        end = np.minimum(np.repeat(np.array(self._end), counts), np.array(self._other_ends))
+        if self._until is None:
+            censored = np.zeros(len(end), dtype=bool)
+            end[end > self._now] = math.nan
+        else:
+            censored = end > self._until
+            end[censored] = self._until
+        columns = (
+            np.minimum(arriving, others),
+            np.maximum(arriving, others),
+            np.repeat(np.array(self._cell, dtype=np.int64), counts),
+            np.repeat(np.array(self._start), counts),
+            end,
+            censored,
+        )
         return np.rec.fromarrays(columns, dtype=CONTACT_DTYPE)
 
-    def on_arrival_signal(self, arriving: int, cell: int, now: float) -> None:
-        """Fan the arrival signal out to the nodes paused at `cell`; `arriving` pauses there."""
+    def on_arrival_signal(self, arriving: int, cell: int, now: float, end: float) -> None:
+        """`arriving` pauses at `cell` from `now` until `end`, and meets the nodes paused there."""
+        self._now = now
         paused = self._paused_at.setdefault(cell, {})
-        bystanders = [n for n in paused if n != arriving]
-        paused[arriving] = None
-        if not bystanders:
-            return
-        seen = self.seen
-        for row, other in enumerate(bystanders, len(self._start)):
-            seen[other].add(cell, 1)
-            a, b = (other, arriving) if other < arriving else (arriving, other)
-            self._open[(a, b)] = row
-            self._a.append(a)
-            self._b.append(b)
-        count = len(bystanders)
-        self._cell.extend([cell] * count)
-        self._start.extend([now] * count)
-        self._end.extend([math.nan] * count)
-        self._censored.extend([0] * count)
-        if self.seen_update == "symmetric":
-            seen[arriving].add(cell, count)
+        if arriving in paused:
+            raise ValueError(f"node {arriving} is already paused at cell {cell}")
+        arrivals = self._arrivals.get(cell, 0) + 1
+        self._arrivals[cell] = arrivals
+        self._marks[arriving] = arrivals
+        count = len(paused)
+        if count:
+            self._arriving.append(arriving)
+            self._cell.append(cell)
+            self._start.append(now)
+            self._end.append(end)
+            self._count.append(count)
+            self._others.extend(paused)
+            self._other_ends.extend(paused.values())
+            if self.seen_update == "symmetric":
+                self.seen[arriving].add(cell, count)
+        paused[arriving] = end
 
     def on_departure_signal(self, leaving: int, cell: int, now: float) -> None:
-        """Close every open contact involving `leaving` at `cell`."""
-        paused = self._paused_at.get(cell, {})
-        for other in paused:
-            if other == leaving:
-                continue
-            pair = (other, leaving) if other < leaving else (leaving, other)
-            row = self._open.pop(pair, None)
-            if row is not None:
-                self._end[row] = now
-        paused.pop(leaving, None)
+        """`leaving` leaves `cell`: settle its counts there; a node not paused there is ignored."""
+        self._now = now
+        paused = self._paused_at.get(cell)
+        if paused is None or paused.pop(leaving, None) is None:
+            return
+        self._settle(leaving, cell)
 
-    def finish(self, now: float) -> None:
-        """Close every contact still open at the simulation horizon as censored."""
-        for row in self._open.values():
-            self._end[row] = now
-            self._censored[row] = 1
-        self._open.clear()
+    def finish(self, until: float) -> None:
+        """End the run at `until`: settle the counts of the nodes still paused."""
+        self._now = self._until = until
+        for cell, paused in self._paused_at.items():
+            for node in paused:
+                self._settle(node, cell)
+            paused.clear()
+
+    def _settle(self, node: int, cell: int) -> None:
+        """Count one encounter for each arrival at `cell` since `node`'s own."""
+        pending = self._arrivals[cell] - self._marks[node]
+        if pending:
+            self.seen[node].add(cell, pending)

@@ -15,9 +15,12 @@ append each event's waypoint, each departure's selection and each pause to
 flat array columns; `run` turns the columns into numpy record arrays once,
 at the end. Each node's seen counters are its own sparse SeenCounters,
 written by the contact tracker; the report builds the dense N x L matrix
-from them only when it is read. Each node's random stream is read in
-blocks (UniformStream): a departure takes four uniforms and a pause one
-(none for a fixed wait).
+from them only when it is read. An arrival draws the pause's end before
+it signals, and the signal carries that end to the tracker, which logs
+each contact with its end as it opens. A departure signals before the
+kernel draws, so the tracker settles the departing node's counters first.
+Each node's random stream is read in blocks (UniformStream): a departure
+takes four uniforms and a pause one (none for a fixed wait).
 """
 
 from __future__ import annotations
@@ -145,8 +148,8 @@ def initialize(params: ModelParams) -> SimulationState:
     )
     pause_nodes, pause_cells, starts, ends = state.pauses
     for node, stream in zip(nodes, uniforms):
-        state.tracker.on_arrival_signal(node.id, node.home, 0.0)
         node.end = draw_wait_time(params.wait, stream)  # the pause at home began at 0
+        state.tracker.on_arrival_signal(node.id, node.home, 0.0, node.end)
         pause_nodes.append(node.id)
         pause_cells.append(node.home)
         starts.append(0.0)
@@ -195,8 +198,8 @@ def handle_arrival(state: SimulationState, node_id: int) -> None:
     xs.append(x)
     ys.append(y)
     arrives.append(1)
-    state.tracker.on_arrival_signal(node_id, cell, now)
     end = now + draw_wait_time(state.params.wait, state.uniforms[node_id])
+    state.tracker.on_arrival_signal(node_id, cell, now, end)
     node.paused = True
     node.start, node.end = now, end
     node_ids, cells, starts, ends = state.pauses

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -220,10 +221,16 @@ class SeenCounters:
     """One node's encounter counts over the L cells, kept for the cells it met someone in.
 
     `counts` maps each such cell id to its count, never 0, and `total` is
-    their sum. The contact tracker writes them with `add`. They also read
-    and write like a length-L int64 vector, through a dense copy: `seen[c]`,
-    `seen[cells]`, `seen[:] = row`, `seen[c] += 1`, `seen.sum()` and
-    `np.asarray(seen)`; a read returns a new array, never a view.
+    their sum. The contact tracker writes them with `add`. It adds an
+    arriving node's counts at its arrival but settles a bystander's at its
+    departure, and at the end of a run for a node still paused then, so
+    mid-run they are up to date only from the node's departure signal to
+    its next arrival, which is where the selection kernel reads them.
+
+    They also read and write like a length-L int64 vector, through a dense
+    copy: `seen[c]`, `seen[cells]`, `seen[:] = row`, `seen[c] += 1`,
+    `seen.sum()` and `np.asarray(seen)`; a read returns a new array, never
+    a view.
     """
 
     __slots__ = ("size", "counts", "total")
@@ -290,6 +297,11 @@ class CandidateSet:
     cold_cdf: np.ndarray  # cumsum of the normalized static term alpha * decay[cells]:
                           # the draw while seen is all zero
     static_mass: float    # sum of the static term, its share of the set's weight
+    # cold_cdf's own memory, whose items read as Python floats, for bisect
+    cold_values: memoryview = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "cold_values", memoryview(self.cold_cdf))
 
 
 @dataclass(frozen=True, eq=False)
@@ -506,7 +518,7 @@ def choose_destination(
                         break
     if cell_id is None:
         cells = candidates.cells
-        idx = int(candidates.cold_cdf.searchsorted(r, side="right"))
+        idx = bisect_right(candidates.cold_values, r)
         cell_id = int(cells[min(idx, cells.size - 1)])
     # point_in_cell's arithmetic, without building a Point2D
     cell = location_map.cells[cell_id]

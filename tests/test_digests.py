@@ -12,7 +12,10 @@ which changes every draw of a node that has met someone.
 The crowded case packs 60 nodes into 4 cells with heavy-tailed pauses, so
 most pairs meet many times. It guards what the reference pins barely
 reach: the pooled order of the inter-contact times (the mean's last bits
-depend on it), the CCDF fractions and the bulk contact writer.
+depend on it), the CCDF fractions and the bulk contact writer. It is
+pinned under both seen_update modes, since each mode counts encounters
+on its own path: "symmetric" counts both members of a contact,
+"bystanders_only" only the member that was paused first.
 """
 
 import hashlib
@@ -60,16 +63,18 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("alpha", sorted(DIGESTS))
-def test_reference_run_digests(tmp_path, alpha):
-    config = tmp_path / "reference.conf"
-    config.write_text(REFERENCE_CONFIG.format(alpha=alpha))
+def run_digests(tmp_path, config_text):
+    """SHA-256 of each file `swimsim run` writes for the config `config_text`."""
+    config = tmp_path / "scenario.conf"
+    config.write_text(config_text)
     out = tmp_path / "out"
     assert main(["run", "--config", str(config), "--out", str(out)]) == 0
-    digests = {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()
-    }
-    assert digests == DIGESTS[alpha]
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+
+
+@pytest.mark.parametrize("alpha", sorted(DIGESTS))
+def test_reference_run_digests(tmp_path, alpha):
+    assert run_digests(tmp_path, REFERENCE_CONFIG.format(alpha=alpha)) == DIGESTS[alpha]
 
 
 CROWDED_CONFIG = """\
@@ -98,12 +103,23 @@ CROWDED_DIGESTS = {
 }
 
 
+# the crowded case with seen_update = bystanders_only, where an arriving
+# node's counters stay untouched and only the bystanders count
+BYSTANDERS_ONLY_DIGESTS = {
+    "locations.csv": "b68db4a572f56af8230baba8fb93048d1a0dab6b206e5ad0591979669622332b",
+    "waypoints.csv": "bab177515611fccb745533b3828a3cd4a34ccff83d7035512ab9131d1a54b8c2",
+    "contacts.csv": "6427f933738c54bd6eab364e57e2e83fea49fbdbac54168136e5d62bc8ce0178",
+    "metrics.json": "2f0d25d77058a82dd35383ece88d6a4ec6972c43baccdb238b50cb5b663558a1",
+    "ccdf_inter_contact_times.csv": "53504da5f892b5f70a613a3de573d82b4ff8c54b52a4704be6e524a940134ecc",
+    "ccdf_contact_durations.csv": "6b6f0701b2cb1f135c4f828944627a63a8a74d2444297e97eb5ba2a856012314",
+    "ccdf_contacts_per_pair.csv": "99c7e702393ace9b77beb024431f14604f97ec2d55b2bfe62a65c018fbd0caa4",
+}
+
+
 def test_crowded_run_digests(tmp_path):
-    config = tmp_path / "crowded.conf"
-    config.write_text(CROWDED_CONFIG)
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
-    digests = {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()
-    }
-    assert digests == CROWDED_DIGESTS
+    assert run_digests(tmp_path, CROWDED_CONFIG) == CROWDED_DIGESTS
+
+
+def test_crowded_bystanders_only_run_digests(tmp_path):
+    config = CROWDED_CONFIG + "seen_update = bystanders_only\n"
+    assert run_digests(tmp_path, config) == BYSTANDERS_ONLY_DIGESTS

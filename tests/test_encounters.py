@@ -1,14 +1,21 @@
 import math
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from swimsim import outputs
+from swimsim import engine, outputs
 from swimsim.encounters import ContactRecord, ContactTracker, contact_log
-from swimsim.engine import simulate
+from swimsim.engine import initialize, run, simulate
 from swimsim.grid import AreaBounds, Point2D, build_grid
-from swimsim.mobility import ModelParams, Paused, UniformWait, make_node_state
+from swimsim.mobility import (
+    SEEN_UPDATE_MODES,
+    ModelParams,
+    Paused,
+    UniformWait,
+    make_node_state,
+)
 from swimsim.outputs import write_contacts_csv
 
 AREA = AreaBounds(400.0, 400.0)
@@ -67,7 +74,7 @@ def contact_tuples(records):
 def test_lone_arrival_is_a_noop():
     nodes = make_nodes(2)
     tracker = tracker_for(nodes)
-    tracker.on_arrival_signal(0, 3, 1.0)
+    tracker.on_arrival_signal(0, 3, 1.0, 4.0)
     assert nodes[0].seen.sum() == 0
     assert nodes[1].seen.sum() == 0
     assert len(tracker.records) == 0
@@ -76,23 +83,25 @@ def test_lone_arrival_is_a_noop():
 def test_pair_arrival_opens_contact():
     nodes = make_nodes(2)
     tracker = tracker_for(nodes)
-    tracker.on_arrival_signal(0, 3, 1.0)
-    tracker.on_arrival_signal(1, 3, 2.5)
-    assert nodes[0].seen[3] == 1
-    assert nodes[1].seen[3] == 1
+    tracker.on_arrival_signal(0, 3, 1.0, 6.0)
+    tracker.on_arrival_signal(1, 3, 2.5, 8.0)
     assert len(tracker.records) == 1
     record = tracker.records[0]
     assert (record.a, record.b, record.cell, record.start) == (0, 1, 3, 2.5)
-    assert math.isnan(record.end)
+    assert math.isnan(record.end)  # ends at 6.0, after the latest signal
+    assert nodes[1].seen[3] == 1
+    tracker.on_departure_signal(0, 3, 6.0)  # settles the bystander's counts
+    assert nodes[0].seen[3] == 1
 
 
 def test_arrival_with_two_paused_counts_both():
     nodes = make_nodes(3)
     tracker = tracker_for(nodes)
     for node_id in (0, 1):
-        tracker.on_arrival_signal(node_id, 5, 1.0)
-    tracker.on_arrival_signal(2, 5, 4.0)
+        tracker.on_arrival_signal(node_id, 5, 1.0, 20.0)
+    tracker.on_arrival_signal(2, 5, 4.0, 20.0)
     assert nodes[2].seen[5] == 2
+    tracker.finish(10.0)  # settles the bystanders' counts
     assert nodes[0].seen[5] == 2  # one from node 1 arriving, one from node 2
     assert nodes[1].seen[5] == 2
     assert len(tracker.records) == 3
@@ -101,8 +110,9 @@ def test_arrival_with_two_paused_counts_both():
 def test_nodes_elsewhere_ignore_signal():
     nodes = make_nodes(3)
     tracker = tracker_for(nodes)
-    tracker.on_arrival_signal(0, 2, 1.0)
-    tracker.on_arrival_signal(1, 9, 2.0)
+    tracker.on_arrival_signal(0, 2, 1.0, 6.0)
+    tracker.on_arrival_signal(1, 9, 2.0, 6.0)
+    tracker.finish(10.0)
     assert nodes[0].seen.sum() == 0
     assert nodes[1].seen.sum() == 0
     assert len(tracker.records) == 0
@@ -111,8 +121,9 @@ def test_nodes_elsewhere_ignore_signal():
 def test_bystanders_only_mode():
     nodes = make_nodes(2)
     tracker = tracker_for(nodes, seen_update="bystanders_only")
-    tracker.on_arrival_signal(0, 3, 1.0)
-    tracker.on_arrival_signal(1, 3, 2.0)
+    tracker.on_arrival_signal(0, 3, 1.0, 12.0)
+    tracker.on_arrival_signal(1, 3, 2.0, 15.0)
+    tracker.finish(10.0)  # settles the bystander's counts
     assert nodes[0].seen[3] == 1  # bystander still updates
     assert nodes[1].seen[3] == 0  # arriving node does not
     assert len(tracker.records) == 1
@@ -121,8 +132,8 @@ def test_bystanders_only_mode():
 def test_departure_closes_overlap():
     nodes = make_nodes(2)
     tracker = tracker_for(nodes)
-    tracker.on_arrival_signal(0, 3, 1.0)
-    tracker.on_arrival_signal(1, 3, 2.0)
+    tracker.on_arrival_signal(0, 3, 1.0, 6.0)
+    tracker.on_arrival_signal(1, 3, 2.0, 8.0)
     tracker.on_departure_signal(0, 3, 6.0)
     record = tracker.records[0]
     assert (record.start, record.end, record.censored) == (2.0, 6.0, False)
@@ -135,8 +146,8 @@ def test_zero_length_overlap_kept():
     # arrival processed just before the other's departure at the same time
     nodes = make_nodes(2)
     tracker = tracker_for(nodes)
-    tracker.on_arrival_signal(0, 3, 1.0)
-    tracker.on_arrival_signal(1, 3, 5.0)
+    tracker.on_arrival_signal(0, 3, 1.0, 5.0)
+    tracker.on_arrival_signal(1, 3, 5.0, 9.0)
     tracker.on_departure_signal(0, 3, 5.0)
     record = tracker.records[0]
     assert record.start == record.end == 5.0
@@ -146,11 +157,42 @@ def test_zero_length_overlap_kept():
 def test_finish_censors_open_contacts():
     nodes = make_nodes(2)
     tracker = tracker_for(nodes)
-    tracker.on_arrival_signal(0, 3, 1.0)
-    tracker.on_arrival_signal(1, 3, 2.0)
+    tracker.on_arrival_signal(0, 3, 1.0, 12.0)
+    tracker.on_arrival_signal(1, 3, 2.0, 15.0)
     tracker.finish(10.0)
     record = tracker.records[0]
     assert (record.end, record.censored) == (10.0, True)
+
+
+def test_bystander_counts_settle_at_departure():
+    nodes = make_nodes(3)
+    tracker = tracker_for(nodes)
+    tracker.on_arrival_signal(0, 5, 1.0, 9.0)
+    tracker.on_arrival_signal(1, 5, 2.0, 3.0)
+    tracker.on_departure_signal(1, 5, 3.0)
+    tracker.on_arrival_signal(2, 5, 4.0, 6.0)
+    tracker.on_arrival_signal(1, 2, 5.0, 8.0)  # no one else at cell 2
+    tracker.on_departure_signal(2, 5, 6.0)
+    tracker.on_departure_signal(1, 2, 8.0)
+    tracker.on_departure_signal(0, 5, 9.0)  # met 1 and then 2 while paused
+    assert [node.seen.counts for node in nodes] == [{5: 2}, {5: 1}, {5: 1}]
+    assert [node.seen.total for node in nodes] == [2, 1, 1]
+    assert contact_tuples(tracker.records) == [
+        (0, 1, 5, 2.0, 3.0, False),
+        (0, 2, 5, 4.0, 6.0, False),
+    ]
+
+
+def test_departure_of_a_node_not_paused_there_is_ignored():
+    nodes = make_nodes(2)
+    tracker = tracker_for(nodes)
+    tracker.on_arrival_signal(0, 3, 1.0, 6.0)
+    tracker.on_departure_signal(1, 3, 2.0)
+    tracker.on_departure_signal(0, 4, 2.0)
+    tracker.on_arrival_signal(1, 3, 2.5, 8.0)
+    assert [(r.a, r.b, r.cell, r.start) for r in tracker.records] == [(0, 1, 3, 2.5)]
+    with pytest.raises(ValueError, match="already paused"):
+        tracker.on_arrival_signal(1, 3, 3.0, 9.0)
 
 
 def test_seen_sum_identity_on_run():
@@ -173,7 +215,7 @@ def test_seen_counters_monotone():
     # replay a run and check counters never decrease
     import heapq
 
-    from swimsim.engine import handle_arrival, handle_departure, initialize
+    from swimsim.engine import handle_arrival, handle_departure
 
     params = make_params(sim_duration=1000.0)
     state = initialize(params)
@@ -189,6 +231,54 @@ def test_seen_counters_monotone():
         assert (current >= previous).all()
         assert [n.seen.total for n in state.nodes] == current.sum(axis=1).tolist()
         previous = current
+
+
+def recount(node_id, contacts, pauses, seen_update):
+    """`node_id`'s encounter counts per cell, counted from the contact and pause logs.
+
+    Under bystanders_only a contact counts for the member whose pause at
+    the cell began first, which is the earlier of the two members' pause
+    rows that hold the contact's start.
+    """
+    pause_nodes, _cells, pause_starts, _ends = (np.array(column) for column in pauses)
+
+    def pause_row(member, start):
+        """The row of `member`'s pause that holds `start`: its last one begun by then."""
+        return np.flatnonzero((pause_nodes == member) & (pause_starts <= start))[-1]
+
+    counts = Counter()
+    for contact in contacts[(contacts.a == node_id) | (contacts.b == node_id)]:
+        other = contact.b if contact.a == node_id else contact.a
+        if (seen_update == "bystanders_only"
+                and pause_row(node_id, contact.start) > pause_row(other, contact.start)):
+            continue  # node_id arrived second
+        counts[int(contact.cell)] += 1
+    return dict(counts)
+
+
+@pytest.mark.parametrize("seen_update", SEEN_UPDATE_MODES)
+def test_kernel_reads_settled_counters(monkeypatch, seen_update):
+    # the tracker settles a bystander's counts at its departure, before the
+    # kernel reads them; at every selection they must equal a recount
+    params = make_params(
+        node_count=20, n_locations=4, wait=UniformWait(20.0, 200.0),
+        sim_duration=3000.0, seen_update=seen_update,
+    )
+    state = initialize(params)
+    choose = engine.choose_destination
+    read = []
+
+    def checking_choose(node, *args):
+        expected = recount(node.id, state.tracker.records, state.pauses, seen_update)
+        assert node.seen.counts == expected
+        assert node.seen.total == sum(expected.values())
+        read.append(node.seen.total)
+        return choose(node, *args)
+
+    monkeypatch.setattr(engine, "choose_destination", checking_choose)
+    run(state, params.sim_duration)
+    assert len(read) > 100
+    assert sum(total > 0 for total in read) > len(read) // 2
 
 
 def test_contacts_csv_format(tmp_path):

@@ -107,8 +107,9 @@ def test_ict_censored_adjacent_gaps_dropped():
 )
 def test_metrics_reject_open_contacts(measure):
     tracker = ContactTracker([SeenCounters(1), SeenCounters(1)])
-    tracker.on_arrival_signal(0, 0, 0.0)
-    tracker.on_arrival_signal(1, 0, 2.0)  # opens a contact; finish() never closes it
+    tracker.on_arrival_signal(0, 0, 0.0, 10.0)
+    # opens a contact that ends after the latest signal; finish() never closes it
+    tracker.on_arrival_signal(1, 0, 2.0, 12.0)
     open_logs = ([rec(0, 1, 0.0, 5.0), rec(0, 1, 12.0, None)], tracker.records)
     for log in open_logs:
         with pytest.raises(ValueError, match="open contacts"):
