@@ -38,7 +38,7 @@ def selection_histogram(alpha, seen=None, draws=20000):
 print("home is cell 0 (bottom-left); fractions of 20000 draws per cell\n")
 for alpha in (0.3, 0.8):
     counts, node = selection_histogram(alpha)
-    visiting = set(int(c) for c in node.profile.visiting.cells)
+    visiting = set(node.profile.cells(visiting=True).tolist())
     remote_share = counts[sorted(visiting)].sum() / counts.sum()
     print(f"alpha = {alpha}: remote share {remote_share:.3f}")
     for row in range(2, -1, -1):  # print rows top-down

@@ -39,6 +39,7 @@ from .mobility import (
     HomeProfile,
     ModelParams,
     NodeState,
+    OffsetTable,
     SeenCounters,
     UniformStream,
     choose_destination,
@@ -120,12 +121,14 @@ def initialize(params: ModelParams) -> SimulationState:
     the node's home. Every node starts with a pause at home, and the pause
     is announced like any other arrival (in node-id order at t=0) so nodes
     that start co-located meet before anyone moves. Nodes that share a
-    home share one HomeProfile; each node's seen counters are its own
-    sparse SeenCounters, which the contact tracker writes. No N x L array
-    is allocated.
+    home share one HomeProfile, built from the run's one OffsetTable, so
+    selection state is O(L + distinct homes x R). Each node's seen
+    counters are its own sparse SeenCounters, which the contact tracker
+    writes. No N x L array is allocated.
     """
     location_map = build_grid(params.area, params.n_locations)
     rngs = [node_stream(params.seed, i) for i in range(params.node_count)]
+    table = OffsetTable(location_map, params)
     profiles: dict[int, HomeProfile] = {}
     nodes = []
     for i, rng in enumerate(rngs):
@@ -133,10 +136,10 @@ def initialize(params: ModelParams) -> SimulationState:
             float(rng.uniform(0.0, params.area.width)),
             float(rng.uniform(0.0, params.area.height)),
         )
-        profile = profiles.get(location_map.cell_of(position))
-        node = make_node_state(i, position, location_map, params, profile)
-        profiles[node.home] = node.profile
-        nodes.append(node)
+        home = location_map.cell_of(position)
+        if home not in profiles:
+            profiles[home] = table.profile(home)
+        nodes.append(make_node_state(i, position, location_map, params, profiles[home]))
     # each node's blocks follow the two position values drawn above
     uniforms = [UniformStream(rng) for rng in rngs]
     state = SimulationState(

@@ -9,8 +9,9 @@ neighbour limit of the home center) or a visiting location.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -71,16 +72,11 @@ class LocationMap:
     rows: int
     cols: int
     area: AreaBounds
-    # (n, 2) cell-center coordinates, kept alongside for vectorized math
-    centers: np.ndarray = field(compare=False, repr=False, default=None)
 
-    def __post_init__(self):
-        if self.centers is None:
-            object.__setattr__(
-                self,
-                "centers",
-                np.array([[c.center.x, c.center.y] for c in self.cells]),
-            )
+    @cached_property
+    def centers(self) -> np.ndarray:
+        """(n, 2) cell-center coordinates, built on first read."""
+        return np.array([[c.center.x, c.center.y] for c in self.cells])
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -180,9 +176,32 @@ def classify_locations(
     return classes
 
 
+def offset_distances(location_map: LocationMap) -> np.ndarray:
+    """Center distance of every (row, column) offset between two cells of the grid.
+
+    Entry [dr + rows - 1, dc + cols - 1] is the distance between the centers
+    of two cells dr rows and dc columns apart, sqrt(dx*dx + dy*dy) with
+    dx = dc * width / cols and dy = dr * height / rows: IEEE basic operations
+    only, so every SIMD target rounds them alike. Each entry's dx and dy are
+    scaled by the power of two that brings the larger into [0.5, 1) while
+    squared, which changes no bit where the squares neither overflow nor
+    underflow and keeps the distance right elsewhere. The distance grows
+    with |dc| within a row offset, and with |dr| within a column offset.
+    """
+    rows, cols, area = location_map.rows, location_map.cols, location_map.area
+    dx = np.arange(1 - cols, cols) * area.width / cols
+    dy = (np.arange(1 - rows, rows) * area.height / rows)[:, None]
+    exp = np.frexp(np.maximum(np.abs(dx), np.abs(dy)))[1]
+    dx, dy = np.ldexp(dx, -exp), np.ldexp(dy, -exp)
+    return np.ldexp(np.sqrt(dx * dx + dy * dy), exp)
+
+
 def center_distances(location_map: LocationMap, home: int) -> np.ndarray:
-    """Distance from the home cell's center to every cell's center."""
-    return np.hypot(*(location_map.centers - location_map.centers[home]).T)
+    """Distance from the home cell's center to every cell's center, from offset_distances."""
+    rows, cols = location_map.rows, location_map.cols
+    row, col = divmod(home, cols)
+    offsets = offset_distances(location_map)
+    return offsets[rows - 1 - row:2 * rows - 1 - row, cols - 1 - col:2 * cols - 1 - col].ravel()
 
 
 def near_mask(distances: np.ndarray, home: int, limit: float) -> np.ndarray:

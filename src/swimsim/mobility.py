@@ -10,10 +10,13 @@ plus its total encounters. A destination is picked in two steps: alpha
 decides between the near set (home + neighbouring cells) and the visiting
 set, then one cell of the chosen set is drawn proportionally to w(C).
 
-Everything that depends only on the home cell (the two sets, the decay
-term, its mass and the cold-start CDF) lives in a HomeProfile shared by all
-nodes of that home; a node itself holds only its seen counters and its
-phase, as plain values the engine writes in place. The seen counters are
+On the regular grid the decay and the near test depend only on a cell's
+(row, column) offset from home, so one OffsetTable per run holds them for
+every offset, with their prefix sums along each row offset. What depends
+on the home cell itself (each set's size, static mass and CDF over the
+grid rows, O(R) values) lives in a HomeProfile shared by all nodes of that
+home; a node itself holds only its seen counters and its phase, as plain
+values the engine writes in place. The seen counters are
 sparse (SeenCounters): a dict of the cells where the node has met someone
 and the running total, so no N x L matrix exists during a run. A node's
 random stream is read in blocks of BLOCK uniforms (UniformStream), which
@@ -24,7 +27,8 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -34,13 +38,7 @@ import numpy as np
 # the forked workers of a parallel sweep inherit it
 import numpy.random  # noqa: F401
 
-from .grid import (
-    AreaBounds,
-    LocationMap,
-    Point2D,
-    center_distances,
-    near_mask,
-)
+from .grid import AreaBounds, LocationMap, Point2D, offset_distances
 
 SEEN_UPDATE_MODES = ("symmetric", "bystanders_only")
 
@@ -68,6 +66,10 @@ class PowerLawWait:
     exponent: float
     low: float
     high: float
+    # the sampler's constants for g = 1 - exponent: low**g, high**g and 1/g
+    low_g: float = field(init=False, repr=False, compare=False)
+    high_g: float = field(init=False, repr=False, compare=False)
+    inv_g: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_finite("waitTime", self.exponent, self.low, self.high)
@@ -90,6 +92,9 @@ class PowerLawWait:
                 f"waitTime powerlaw({self.exponent}, {self.low}, {self.high}) "
                 "cannot be sampled in floating point"
             )
+        object.__setattr__(self, "low_g", self.low**g)
+        object.__setattr__(self, "high_g", self.high**g)
+        object.__setattr__(self, "inv_g", 1.0 / g)
 
 
 WaitTimeDist = UniformWait | PowerLawWait
@@ -106,10 +111,9 @@ def draw_wait_time(dist: WaitTimeDist, rng: np.random.Generator | UniformStream)
     if isinstance(dist, UniformWait):
         t = dist.low + u * (dist.high - dist.low)
     else:
-        g = 1.0 - dist.exponent
-        low_g, high_g = dist.low**g, dist.high**g
+        low_g, high_g = dist.low_g, dist.high_g
         # high_g < low_g; rounding can push the sum below high_g or to 0
-        t = max(low_g + u * (high_g - low_g), high_g) ** (1.0 / g)
+        t = max(low_g + u * (high_g - low_g), high_g) ** dist.inv_g
     return min(max(t, dist.low), dist.high)  # rounding can leave the range
 
 
@@ -289,51 +293,142 @@ class Moving:
     arrive_at: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class CandidateSet:
-    """One step-1 set of a home: cell ids plus their cached weight terms."""
+    """One step-1 set of a home: its size, its static mass and the CDF of its grid rows."""
 
-    cells: np.ndarray     # ascending cell ids; intp, which numpy indexes with fastest
-    cold_cdf: np.ndarray  # cumsum of the normalized static term alpha * decay[cells]:
-                          # the draw while seen is all zero
-    static_mass: float    # sum of the static term, its share of the set's weight
-    # cold_cdf's own memory, whose items read as Python floats, for bisect
-    cold_values: memoryview = field(init=False, repr=False)
+    size: int            # cells in the set
+    static_mass: float   # alpha * decay summed over the set, its share of the set's weight
+    # the cumulative draw mass of the set's cells in grid rows 0..R-1: the
+    # decay, or one per cell when every static weight is 0 and the set is
+    # drawn uniformly
+    rows: array = field(repr=False)
+    last: int            # the last row with draw mass, for an r rounded up to the total
+    prefix: memoryview = field(repr=False)  # the table's sums of the draw mass along row offsets
+    # per grid row, the index in `prefix` of the end of the set's last cell
+    stops: array = field(repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "cold_values", memoryview(self.cold_cdf))
+
+class OffsetTable:
+    """The selection data of one run that depend only on a cell's offset from home.
+
+    On the regular grid, a cell's distance from the home cell's center, and
+    so its decay and whether it is near, depend only on its (row, column)
+    offset from home. `visiting` is the (2R-1) x (2C-1) array of the
+    offsets of visiting cells, and `visiting_flags` the same as bytes, 1 at
+    a visiting offset, for the kernel. The near offsets of a row offset are
+    those with |dc| up to a half-width: an interval, because the distance
+    grows with |dc|.
+
+    For each set, `decay_sums[visiting]` holds the prefix sums of the decay
+    along each row offset, over the set's offsets only (the other set's
+    count 0): 2C sums per row offset, the first one 0, flat, as a
+    memoryview whose items read as Python floats. `count_sums` holds the
+    same sums of one per offset of the set, the CDF of a set drawn
+    uniformly; it is built on first use. A home's profile reads its column
+    of the table's other arrays, O(L) in all, for the grid rows it covers.
+    """
+
+    def __init__(self, location_map: LocationMap, params: ModelParams):
+        rows, cols = self.rows, self.cols = location_map.rows, location_map.cols
+        self.alpha = params.alpha
+        distances = offset_distances(location_map)
+        self.visiting = distances > params.neighbour_limit
+        self.visiting_flags = self.visiting.tobytes()
+        half = ((~self.visiting).sum(axis=1, dtype=np.int32) - 1) // 2
+        sums = _row_sums(decay_of(distances, params.k) * self._sets())
+        self.decay_sums = tuple(map(memoryview, sums))
+        # what a home in column c reads for each row offset i, at [..., i, c],
+        # per set: the grid row's decay mass, its cell count and the index in
+        # the sums of the end of its last cell (its last near column is
+        # c + half, its last visiting one the grid's last or c - half - 1)
+        home_cols = np.arange(cols, dtype=np.int32)
+        starts = (np.arange(2 * rows - 1, dtype=np.int32)[:, None] * (2 * cols)
+                  + (cols - 1 - home_cols))  # the index of the start of column 0
+        sums = sums.reshape(2, 2 * rows - 1, 2 * cols)
+        self._masses = sums[:, :, cols - 1 - home_cols + cols] - sums[:, :, cols - 1 - home_cols]
+        near_start = home_cols - half[:, None]
+        near_end = np.minimum(home_cols + half[:, None] + 1, cols)
+        near_counts = np.maximum(near_end - np.maximum(near_start, 0), 0)
+        self._counts = np.stack([near_counts, cols - near_counts])
+        self._stops = starts + np.stack([near_end, np.where(near_end < cols, cols, near_start)])
+
+    def _sets(self) -> np.ndarray:
+        """The near and the visiting offsets."""
+        return np.stack([~self.visiting, self.visiting])
+
+    @cached_property
+    def count_sums(self) -> tuple[memoryview, memoryview]:
+        return tuple(map(memoryview, _row_sums(self._sets().astype(float))))
+
+    def profile(self, home: int) -> HomeProfile:
+        """The selection profile of the home cell `home`."""
+        rows, cols = self.rows, self.cols
+        row, col = divmod(home, cols)
+        window = slice(rows - 1 - row, 2 * rows - 1 - row)  # the grid rows' row offsets
+        masses = np.cumsum(self._masses[:, window, col], axis=1).tolist()
+        counts = np.cumsum(self._counts[:, window, col], axis=1).tolist()
+        sets = []
+        for visiting, stops in enumerate(self._stops[:, window, col].tolist()):
+            mass = masses[visiting]
+            weighted = self.alpha > 0.0 and mass[-1] > 0.0
+            if not weighted:
+                mass = counts[visiting]
+            sets.append(CandidateSet(
+                size=counts[visiting][-1],
+                static_mass=self.alpha * mass[-1] if weighted else 0.0,
+                rows=array("d", mass),
+                # the first row at the total is the last one that adds to it
+                last=bisect_left(mass, mass[-1]),
+                prefix=(self.decay_sums if weighted else self.count_sums)[visiting],
+                stops=array("i", stops),
+            ))
+        # index in `visiting_flags` of cell 0's offset: a cell's is that plus
+        # the cell id and (C-1) per grid row
+        flags_base = (rows - 1 - row) * (2 * cols - 1) + cols - 1 - col
+        # index in the sums of the start of grid row 0's column 0
+        sums_base = (rows - 1 - row) * (2 * cols) + cols - 1 - col
+        return HomeProfile(self, row, col, flags_base, sums_base, *sets)
 
 
-@dataclass(frozen=True, eq=False)
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Prefix sums from 0 along the last axis of `terms`, flat for each entry of the first."""
+    sums = np.zeros((*terms.shape[:-1], terms.shape[-1] + 1))
+    np.cumsum(terms, axis=-1, out=sums[..., 1:])
+    return sums.reshape(len(terms), -1)
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class HomeProfile:
     """Everything selection needs that depends only on the home cell.
 
     Built once per distinct home under one run's params and shared by every
-    node homed there.
+    node homed there. It keeps O(R) values per set, and reads the rest from
+    the run's OffsetTable.
     """
 
+    table: OffsetTable = field(repr=False)
+    row: int  # the home's grid row and column
+    col: int
+    # cell c is visiting when the table's visiting_flags[c + c // C * (C-1)
+    # + flags_base] is 1; grid row r's column 0 starts at sums_base + 2C * r
+    # in the table's sums
+    flags_base: int
+    sums_base: int
     near: CandidateSet = field(repr=False)      # home + neighbouring cells
     visiting: CandidateSet = field(repr=False)
-    is_visiting: bytes = field(repr=False)      # 1 at each visiting cell id, else 0
 
-
-def _candidate_set(cells: np.ndarray, decay: np.ndarray, alpha: float) -> CandidateSet:
-    static = alpha * decay[cells]
-    cold_cdf = np.cumsum(normalized_weights(static)) if cells.size else static
-    return CandidateSet(cells=cells, cold_cdf=cold_cdf, static_mass=float(static.sum()))
+    def cells(self, visiting: bool) -> np.ndarray:
+        """Ascending ids of the cells of the visiting set, or of the near set."""
+        rows, cols = self.table.rows, self.table.cols
+        offsets = self.table.visiting[rows - 1 - self.row:2 * rows - 1 - self.row,
+                                      cols - 1 - self.col:2 * cols - 1 - self.col]
+        return np.flatnonzero(offsets == visiting)
 
 
 def build_home_profile(location_map: LocationMap, home: int, params: ModelParams) -> HomeProfile:
-    """Classify the cells around `home` and cache its selection vectors."""
-    distances = center_distances(location_map, home)
-    near = near_mask(distances, home, params.neighbour_limit)
-    visiting = ~near
-    decay = decay_of(distances, params.k)
-    return HomeProfile(
-        near=_candidate_set(np.flatnonzero(near), decay, params.alpha),
-        visiting=_candidate_set(np.flatnonzero(visiting), decay, params.alpha),
-        is_visiting=visiting.tobytes(),
-    )
+    """The selection profile of `home`, from an OffsetTable of its own."""
+    return OffsetTable(location_map, params).profile(home)
 
 
 class NodeState:
@@ -405,7 +500,7 @@ def make_node_state(
 
     The node starts paused at home over [0, 0]. `profile` is the one built
     for that home under `params`, shared with the other nodes of the home;
-    one is built when none is given.
+    one is built, with an OffsetTable of its own, when none is given.
     """
     home = location_map.cell_of(position)
     if profile is None:
@@ -476,27 +571,31 @@ def choose_destination(
     weight in the set is zero. The point, at fractions fx, fy of the chosen
     cell, may lie in the node's current cell.
 
-    w(C) is a mixture of the home's static term, with mass S and the cached
-    CDF, and a dynamic term that is non-zero only in the few cells where the
-    node has met someone, with mass D. r * (S + D) below S draws from the
-    static CDF, at or above it walks the dynamic cells in id order. A node
-    that has met nobody goes straight to the static CDF without reading its
+    w(C) is a mixture of the home's static term, with mass S, and a dynamic
+    term that is non-zero only in the few cells where the node has met
+    someone, with mass D. r * (S + D) below S makes the static draw, at or
+    above it walks the dynamic cells in id order. The static draw bisects
+    the home's CDF over the grid rows, then the offset table's sums along
+    the chosen row's row offset, and reads no numpy scalar. A node that has
+    met nobody goes straight to the static draw without reading its
     counters, and while D is 0 (also at alpha = 1) the draw does not depend
-    on the seen counters at all. Otherwise the cost is O(log L) plus the
-    node's seen cells.
+    on the seen counters at all. Otherwise the cost is O(log R + log C)
+    plus the node's seen cells.
     """
     profile = node.profile
     visiting = u >= params.alpha
     candidates = profile.visiting if visiting else profile.near
-    fallback = candidates.cells.size == 0
+    fallback = candidates.size == 0
     if fallback:
         visiting = not visiting
         candidates = profile.visiting if visiting else profile.near
+    cols = profile.table.cols
     cell_id = None
     seen = node.seen
     if seen.total:
-        counts, is_visiting = seen.counts, profile.is_visiting
-        hits = [cell for cell in counts if is_visiting[cell] == visiting]
+        counts, flags, base = seen.counts, profile.table.visiting_flags, profile.flags_base
+        step = cols - 1
+        hits = [cell for cell in counts if flags[cell + cell // cols * step + base] == visiting]
         # every dynamic weight shares the factor (1 - alpha) / (1 + total),
         # so their sum is the weight of their summed counts
         dynamic_mass = candidate_weights(
@@ -517,9 +616,19 @@ def choose_destination(
                         cell_id = cell
                         break
     if cell_id is None:
-        cells = candidates.cells
-        idx = bisect_right(candidates.cold_values, r)
-        cell_id = int(cells[min(idx, cells.size - 1)])
+        # the static draw: the grid row by the home's row CDF, then the
+        # column by the sums along the row's row offset, up to the set's
+        # last cell in the row (the other set's cells weigh 0)
+        rows = candidates.rows
+        t = r * rows[-1]
+        row = bisect_right(rows, t)
+        if row == len(rows):
+            row = candidates.last
+        if row:
+            t -= rows[row - 1]
+        prefix, start = candidates.prefix, profile.sums_base + 2 * cols * row
+        col = bisect_right(prefix, prefix[start] + t, start + 1, candidates.stops[row]) - start - 1
+        cell_id = row * cols + col
     # point_in_cell's arithmetic, without building a Point2D
     cell = location_map.cells[cell_id]
     x = cell.min_x + (cell.max_x - cell.min_x) * fx

@@ -63,8 +63,8 @@ def all_weights(node, location_map, params):
     profile = build_home_profile(location_map, node.home, params)
     decay = decay_of(center_distances(location_map, node.home), params.k)
     w = np.full(len(location_map), np.nan)
-    for candidates in (profile.near, profile.visiting):
-        cells = candidates.cells
+    for visiting in (False, True):
+        cells = profile.cells(visiting)
         w[cells] = candidate_weights(
             params.alpha * decay[cells], node.seen[cells], node.seen.sum(), params.alpha
         )
@@ -244,7 +244,7 @@ def test_select_destination_cold_start_step1_fraction():
     assert node.home == 0
     rng = np.random.default_rng(37)
     n = 100_000
-    visiting_cells = node.profile.visiting.cells
+    visiting_cells = node.profile.cells(visiting=True)
     visiting_ids = set(int(c) for c in visiting_cells)
     hits = {c: 0 for c in visiting_ids}
     n_visiting = 0
@@ -283,7 +283,7 @@ def test_select_destination_empty_visiting_falls_back():
     m = build_grid(AREA, 21)
     params = make_params(alpha=0.0, neighbour_limit=AREA.diagonal)
     node = node_at(Point2D(10.0, 10.0), params, m)
-    assert node.profile.visiting.cells.size == 0
+    assert node.profile.cells(visiting=True).size == 0
     classes = classify_locations(m, node.home, params.neighbour_limit)
     rng = np.random.default_rng(41)
     for _ in range(50):
@@ -303,9 +303,9 @@ def test_select_destination_zero_weights_uniform():
     for _ in range(n):
         choice = select_destination(node, m, params, rng)
         counts[choice.cell] += 1
-    visiting = node.profile.visiting.cells
+    visiting = node.profile.cells(visiting=True)
     assert counts.sum() == n
-    assert counts[node.profile.near.cells].sum() == 0  # alpha=0 never picks the near set
+    assert counts[node.profile.cells(visiting=False)].sum() == 0  # alpha=0 never picks the near set
     empirical = counts[visiting] / n
     assert 0.5 * np.abs(empirical - 1.0 / len(visiting)).sum() < 0.02
 

@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from swimsim.cli import main
@@ -57,6 +57,34 @@ def test_accepted_waits_draw_finite_values_in_range(dist, u):
         return
     t = draw_wait_time(dist, FixedDraw(u))
     assert math.isfinite(t) and dist.low <= t <= dist.high, (dist, u, t)
+
+
+# uniforms with both ends of [0, 1) and the doubles just below 1 included
+UNIFORMS = st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from(
+    [0.0, math.nextafter(1.0, 0.0), math.nextafter(math.nextafter(1.0, 0.0), 0.0), 1.0 - 2.0**-30]
+)
+
+
+@st.composite
+def power_laws(draw):
+    """A PowerLawWait with low < high; parameters the validator rejects are not used."""
+    low = draw(st.floats(1e-6, 1e6))
+    high = draw(st.floats(low, 1e4 * low, exclude_min=True))
+    try:
+        return PowerLawWait(draw(st.floats(1.0, 8.0, exclude_min=True)), low, high)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(power_laws(), UNIFORMS)
+def test_power_law_draws_equal_the_per_call_formula(dist, u):
+    # the sampler's constants are computed once per distribution; its draws
+    # must be those of the formula evaluated afresh on every call
+    g = 1.0 - dist.exponent
+    low_g, high_g = dist.low**g, dist.high**g
+    t = max(low_g + u * (high_g - low_g), high_g) ** (1.0 / g)
+    assert draw_wait_time(dist, FixedDraw(u)) == min(max(t, dist.low), dist.high)
 
 
 def _wait_text(low, high, exponent):

@@ -8,17 +8,30 @@ kernel must make the same draw, bit for bit, from the same random stream.
 Where both mix it draws each component on its own, so it must instead
 give each cell the probability of the dense weights: a stratified sweep of
 the step-2 uniform over each step-1 set is compared with them exactly.
+
+The kernel reads its static draw from the run's offset table. A property
+test checks that draw on generated grids of up to 12 x 12 cells against a
+dense reference built from the cell centers with `math.dist`: the same
+near set, a cell of the chosen set always, and the reference's cell
+wherever r is not within rounding of one of its CDF boundaries.
 """
 
+import math
 import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from swimsim import engine
 from swimsim.engine import initialize, run
 from swimsim.grid import (
     AreaBounds,
+    Cell,
     LocationClass,
+    LocationMap,
     Point2D,
     build_grid,
     classify_locations,
@@ -28,6 +41,7 @@ from swimsim.mobility import (
     ModelParams,
     SeenCounters,
     UniformWait,
+    choose_destination,
     make_node_state,
     node_stream,
     select_destination,
@@ -96,6 +110,96 @@ def dense_select(home, seen, location_map, params, rng):
     cell = int(candidates[idx])
     point = point_in_cell(location_map.cells[cell], *rng.random(2).tolist())
     return cell, point, classes[cell] is LocationClass.VISITING, fallback
+
+
+def grid_of(rows, cols, area):
+    """The rows x cols grid over `area`, with build_grid's cell bounds."""
+    cells = tuple(
+        Cell(r * cols + c, area.width * c / cols, area.height * r / rows,
+             area.width * (c + 1) / cols, area.height * (r + 1) / rows)
+        for r in range(rows) for c in range(cols)
+    )
+    return LocationMap(cells=cells, rows=rows, cols=cols, area=area)
+
+
+# a tolerance, relative to the distances and to the set's unit total, for
+# comparisons that the kernel's and the reference's roundings may settle apart
+EDGE = 1e-12
+
+
+@st.composite
+def offset_cases(draw):
+    """A grid of up to 12 x 12 cells over any area, with params, a home and uniforms."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    assume(rows * cols >= 2)
+    area = AreaBounds(draw(st.floats(1e-150, 1e150)), draw(st.floats(1e-150, 1e150)))
+    # k * d from tiny to huge: past about 6.7e153 the decay is subnormal,
+    # and past about 1.3e154 it is 0
+    k = draw(st.none() | st.floats(1e-6, 1e6).map(lambda s: s / area.diagonal)
+             | st.floats(1e153, 2e154).map(lambda s: s / area.diagonal) | st.just(1e308))
+    try:
+        params = make_params(
+            alpha=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+            n_locations=rows * cols, area=area, decay_scale=k,
+            neighbour_limit=draw(st.just(0.0) | st.floats(0.0, 1.5)) * area.diagonal,
+        )
+    except ValueError:
+        assume(False)
+    home = draw(st.integers(0, rows * cols - 1))
+    # r just below 1 can round r * total up to the total
+    unit = st.floats(0.0, 1.0, exclude_max=True) | st.just(math.nextafter(1.0, 0.0))
+    uniforms = draw(st.lists(st.tuples(unit, unit), max_size=20))
+    return grid_of(rows, cols, area), params, home, uniforms
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(offset_cases())
+def test_offset_table_draw_matches_dense_reference(case):
+    location_map, params, home, uniforms = case
+    # the reference: distances between cell centers, and w(C) = alpha * decay,
+    # whose common factor alpha > 0 does not change the draw
+    centers = [((c.min_x + c.max_x) / 2, (c.min_y + c.max_y) / 2) for c in location_map.cells]
+    distances = [math.dist(centers[home], center) for center in centers]
+    near = [cell == home or d <= params.neighbour_limit for cell, d in enumerate(distances)]
+    decay = [1.0 / ((1.0 + params.k * d) * (1.0 + params.k * d)) for d in distances]
+
+    node = make_node_state(0, location_map.cells[home].center, location_map, params)
+    assert node.home == home
+    for visiting in (False, True):
+        kernel = set(node.profile.cells(visiting).tolist())
+        for cell, d in enumerate(distances):
+            if abs(d - params.neighbour_limit) > EDGE * max(d, params.neighbour_limit):
+                assert (cell in kernel) == (near[cell] != visiting), (cell, d)
+        assert len(kernel) == getattr(node.profile, "visiting" if visiting else "near").size
+
+    def reference(visiting):
+        chosen = [c for c in range(len(location_map)) if near[c] != visiting]
+        weights = np.array([decay[c] for c in chosen])
+        if params.alpha == 0.0 or not weights.any():
+            weights = np.ones(len(chosen))
+        return chosen, np.cumsum(weights / weights.sum())
+
+    for u, r in uniforms:
+        cell, _, _, visiting, fallback = choose_destination(
+            node, location_map, params, u, r, 0.5, 0.5
+        )
+        chosen, boundaries = reference(visiting)
+        assert cell in chosen
+        assert fallback == (visiting != (u >= params.alpha))
+        if np.abs(boundaries - r).min() > EDGE:
+            expected = chosen[min(bisect_right(boundaries, r), len(chosen) - 1)]
+            assert cell == expected, (r, boundaries)
+
+    # at and just below every boundary of either set, where the two may
+    # settle apart, the cell is still one of the chosen set; so it is at
+    # r = 1, which the static share x / S of a warm draw can round to
+    for u in (0.0, math.nextafter(1.0, 0.0)):
+        visiting = choose_destination(node, location_map, params, u, 0.0, 0.5, 0.5)[3]
+        chosen, boundaries = reference(visiting)
+        for b in boundaries.tolist():
+            for r in {min(b, 1.0), math.nextafter(b, 0.0)}:
+                assert choose_destination(node, location_map, params, u, r, 0.5, 0.5)[0] in chosen
 
 
 class StratifiedDraws:
@@ -192,7 +296,7 @@ def test_profiled_kernel_matches_dense_without_visiting_cells(alpha, kind):
     # the visiting uniform falls back to the near set
     for position, u in zip(HOMES, STEP1_UNIFORMS * 2):
         node = make_node_state(0, position, GRID, params)
-        assert node.profile.visiting.cells.size == 0
+        assert node.profile.cells(visiting=True).size == 0
         if mixed(alpha, kind):
             node.seen[:] = seen_pattern(kind)
             assert_stratified_matches_dense(node, params, u)
@@ -211,9 +315,10 @@ def test_initialize_builds_one_profile_per_home():
     for first, *rest in shared:
         for other in rest:
             assert other.profile is first.profile
-            assert other.profile.near.cells is first.profile.near.cells
-            assert other.profile.visiting.cells is first.profile.visiting.cells
-            assert other.profile.near.cold_cdf is first.profile.near.cold_cdf
+            assert other.profile.near.rows is first.profile.near.rows
+            assert other.profile.visiting.rows is first.profile.visiting.rows
+    # and every home reads the run's one offset table
+    assert len({id(node.profile.table) for node in state.nodes}) == 1
 
 
 def test_seen_counters_are_sparse_and_per_node():
@@ -242,6 +347,25 @@ def test_initialize_holds_no_n_by_l_array():
     # an N x L int64 matrix would take 1.28 MB in one block; the per-home
     # arrays are L values each, and a node's uniform block BLOCK values
     assert largest < 8 * params.node_count * len(state.location_map) // 10
+
+
+def test_selection_state_is_not_per_home_per_cell(monkeypatch):
+    # 500 nodes on a 100 x 100 grid have about 490 distinct homes; selection
+    # state of a few bytes per home and cell would take megabytes per byte.
+    # The grid is built before tracing: its cells take the same O(L) memory
+    # whatever selection keeps.
+    params = make_params(node_count=500, n_locations=10_000, area=AreaBounds(4000.0, 4000.0))
+    grid = build_grid(params.area, params.n_locations)
+    assert (grid.rows, grid.cols) == (100, 100)
+    monkeypatch.setattr(engine, "build_grid", lambda area, n_locations: grid)
+    tracemalloc.start()
+    try:
+        state = initialize(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    homes = len({node.home for node in state.nodes})
+    assert peak < homes * len(grid), (peak, homes)
 
 
 class NoCounters:
