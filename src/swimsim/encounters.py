@@ -17,9 +17,11 @@ seen counters (see ContactTracker).
 
 The contact log is a numpy record array with fields a, b, cell, start,
 end and censored, one row per contact in the order the contacts opened; an
-open contact's end is NaN. ContactRecord is a contact as a plain object,
-for logs built by hand; contact_log turns a list of them into the record
-array.
+open contact's end is NaN. The tracker builds it on request as one array,
+filling each field in place from zero-copy views of its own columns, so
+the log is the only thing as long as the log that it keeps. ContactRecord
+is a contact as a plain object, for logs built by hand; contact_log turns
+a list of them into the record array.
 """
 
 from __future__ import annotations
@@ -117,25 +119,27 @@ class ContactTracker:
         (its end is NaN); after it, a contact that ends past the horizon
         ends there, censored.
         """
-        counts = np.array(self._count, dtype=np.int64)
-        arriving = np.repeat(np.array(self._arriving, dtype=np.int64), counts)
-        others = np.array(self._others, dtype=np.int64)
-        end = np.minimum(np.repeat(np.array(self._end), counts), np.array(self._other_ends))
+        # the columns are read through views, released on return, so the
+        # tracker can grow them again; each field of the log is filled in place
+        counts = np.frombuffer(self._count, dtype=np.int64)
+        others = np.frombuffer(self._others, dtype=np.int64)
+        log = np.empty(len(others), dtype=CONTACT_DTYPE)
+        arriving = np.repeat(np.frombuffer(self._arriving, dtype=np.int64), counts)
+        np.minimum(arriving, others, out=log["a"])
+        np.maximum(arriving, others, out=log["b"])
+        del arriving
+        log["cell"] = np.repeat(np.frombuffer(self._cell, dtype=np.int64), counts)
+        log["start"] = np.repeat(np.frombuffer(self._start), counts)
+        end = np.repeat(np.frombuffer(self._end), counts)
+        np.minimum(end, np.frombuffer(self._other_ends), out=end)
         if self._until is None:
-            censored = np.zeros(len(end), dtype=bool)
+            log["censored"] = False
             end[end > self._now] = math.nan
         else:
-            censored = end > self._until
+            censored = np.greater(end, self._until, out=log["censored"])
             end[censored] = self._until
-        columns = (
-            np.minimum(arriving, others),
-            np.maximum(arriving, others),
-            np.repeat(np.array(self._cell, dtype=np.int64), counts),
-            np.repeat(np.array(self._start), counts),
-            end,
-            censored,
-        )
-        return np.rec.fromarrays(columns, dtype=CONTACT_DTYPE)
+        log["end"] = end
+        return log.view(np.recarray)
 
     def on_arrival_signal(self, arriving: int, cell: int, now: float, end: float) -> None:
         """`arriving` pauses at `cell` from `now` until `end`, and meets the nodes paused there."""

@@ -7,7 +7,9 @@ dropped because the true gap is unknown. CCDFs are evaluated at 50
 log-spaced thresholds for heavy-tail inspection. The pipelines work on the
 columns of the contact log's record array; a list of ContactRecord is
 converted once, where it enters. A log with a contact still open, one
-whose end is NaN, is rejected there (finished_log). Selection statistics
+whose end is NaN, is rejected there (finished_log). The inter-contact
+times and the contacts per pair come from one grouping of the rows by pair
+(_pairs), which metrics_report makes once per run. Selection statistics
 are counted from the columns of a run's selection log.
 """
 
@@ -65,34 +67,53 @@ def summarize(values) -> DistributionSummary:
     )
 
 
-def _pair_keys(log: np.recarray) -> np.ndarray:
-    """One integer per row that orders the pairs (a, b) lexicographically."""
-    return log.a * (int(log.b.max(initial=0)) + 1) + log.b
+def _pairs(log: np.recarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inter-contact gaps pooled across pairs, and each pair's contact count.
 
-
-def _gaps(log: np.recarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inter-contact gaps pooled across pairs, and the row each gap ends at.
-
-    Rows are grouped by pair, pairs in order of first appearance and each
-    pair's rows in log order, so the pooled order (and with it the last
-    bits of the mean) is that of a walk over the log.
+    The gaps are in the order of a walk over the log: pairs in order of
+    first appearance, each pair's rows in log order, so the pooled order
+    (and with it the last bits of the mean) is the walk's. The counts are
+    in pair order, (a, b) lexicographic. An argsort of the pair keys puts
+    each pair's rows together, in no order, which gives the counts and
+    each pair's first row; then one sort of (first row, row), packed into
+    one int64 as first row * n + row, puts the rows in walk order. Both
+    are below n, the log's length, so the packing is exact for any ids.
     """
-    keys = _pair_keys(log)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first[inverse], kind="stable")
-    keys, censored = keys[order], log.censored[order]
-    known = (keys[1:] == keys[:-1]) & ~censored[:-1] & ~censored[1:]
-    ends_at = order[1:][known]
-    return log.start[ends_at] - log.end[order[:-1][known]], ends_at
+    # each temporary as long as the log is dropped once used, which keeps
+    # the peak near four of them
+    n = len(log)
+    keys = log.a * (int(log.b.max(initial=0)) + 1)
+    keys += log.b
+    by_pair = np.argsort(keys)
+    keys = keys[by_pair]
+    new_pair = np.ones(n, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new_pair[1:])
+    del keys
+    starts = np.flatnonzero(new_pair)
+    counts = np.diff(starts, append=n)
+    walk = np.repeat(np.minimum.reduceat(by_pair, starts) * n, counts)
+    walk += by_pair
+    del by_pair
+    walk.sort()
+    rows = walk % n
+    walk //= n  # each row's pair, as the pair's first row
+    censored = log.censored[rows]
+    known = walk[1:] == walk[:-1]
+    del walk
+    known &= ~censored[:-1]
+    known &= ~censored[1:]
+    gaps = log.start[rows[1:][known]]
+    gaps -= log.end[rows[:-1][known]]
+    return gaps, counts
 
 
 def ict_samples(log) -> list[float]:
     """Gaps between consecutive contacts, pooled across pairs."""
-    return _gaps(finished_log(log))[0].tolist()
+    return _pairs(finished_log(log))[0].tolist()
 
 
 def inter_contact_times(log) -> DistributionSummary:
-    return summarize(_gaps(finished_log(log))[0])
+    return summarize(_pairs(finished_log(log))[0])
 
 
 def _durations(log: np.recarray) -> np.ndarray:
@@ -109,17 +130,13 @@ def contact_durations(log) -> DistributionSummary:
     return summarize(_durations(finished_log(log)))
 
 
-def _pair_counts(log: np.recarray) -> np.ndarray:
-    return np.unique(_pair_keys(log), return_counts=True)[1]
-
-
 def contacts_per_pair_samples(log) -> list[int]:
     """Record count of every pair that ever met, in pair order."""
-    return _pair_counts(finished_log(log)).tolist()
+    return _pairs(finished_log(log))[1].tolist()
 
 
 def contacts_per_pair(log) -> DistributionSummary:
-    return summarize(_pair_counts(finished_log(log)))
+    return summarize(_pairs(finished_log(log))[1])
 
 
 @dataclass(frozen=True)
@@ -180,13 +197,15 @@ def metrics_report(contacts, selections) -> dict:
     `contacts` is a contact log's record array or a list of ContactRecord,
     `selections` a run's selection log. The three distribution summaries
     are built here, once per run; `swimsim run` writes their CCDF files
-    from the `ccdf` lists of this dict.
+    from the `ccdf` lists of this dict. The log's rows are grouped by pair
+    once, for the gaps and the counts per pair both.
     """
     contacts = finished_log(contacts)
+    gaps, counts = _pairs(contacts)
     return {
-        "inter_contact_times": inter_contact_times(contacts).as_dict(),
+        "inter_contact_times": summarize(gaps).as_dict(),
         "contact_durations": contact_durations(contacts).as_dict(),
-        "contacts_per_pair": contacts_per_pair(contacts).as_dict(),
+        "contacts_per_pair": summarize(counts).as_dict(),
         "selection": selection_stats(selections).as_dict(),
         "contacts": {
             "total": len(contacts),

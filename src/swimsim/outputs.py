@@ -107,30 +107,32 @@ def write_contacts_csv(records, path) -> None:
 
     `records` is a contact log's record array or a list of ContactRecord.
     Every start and end is an event time, and contacts opened or closed by
-    one event share it, so each distinct time is formatted once and the
-    rows look it up, as they do the text of node and cell ids.
+    one event share it, so each distinct time of a chunk of ROWS_PER_WRITE
+    rows is formatted once per chunk and the chunk's rows look it up, as
+    they do the text of node and cell ids. What the writer holds beyond
+    the log is bounded by the chunk, not by the log's length.
     """
     log = finished_log(records)
-    n = len(log)
-    times, which = np.unique(np.concatenate([log.start, log.end]), return_inverse=True)
-    # each field's text together with the separator that follows it
-    time_text = [f"{t:.6f}," for t in times.tolist()]
     top = max(int(column.max(initial=0)) for column in (log.a, log.b, log.cell))
+    # each field's text together with the separator that follows it
     id_text = [f"{i}," for i in range(top + 1)]
     flag_text = ("0\n", "1\n")
     with open(path, "w", newline="") as f:
         f.write("a,b,cell,start,end,censored\n")
-        for lo in range(0, n, ROWS_PER_WRITE):
-            rows = slice(lo, lo + ROWS_PER_WRITE)
+        for lo in range(0, len(log), ROWS_PER_WRITE):
+            chunk = log[lo:lo + ROWS_PER_WRITE]
+            times, which = np.unique(np.concatenate([chunk.start, chunk.end]), return_inverse=True)
+            time_text = [f"{t:.6f}," for t in times.tolist()]
+            rows = len(chunk)
             f.write("".join([
                 f"{id_text[a]}{id_text[b]}{id_text[cell]}{time_text[s]}{time_text[e]}{flag_text[c]}"
                 for a, b, cell, s, e, c in zip(
-                    log.a[rows].tolist(),
-                    log.b[rows].tolist(),
-                    log.cell[rows].tolist(),
-                    which[:n][rows].tolist(),
-                    which[n:][rows].tolist(),
-                    log.censored[rows].tolist(),
+                    chunk.a.tolist(),
+                    chunk.b.tolist(),
+                    chunk.cell.tolist(),
+                    which[:rows].tolist(),
+                    which[rows:].tolist(),
+                    chunk.censored.tolist(),
                 )
             ]))
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -9,10 +10,12 @@ from swimsim import engine, outputs
 from swimsim.encounters import ContactRecord, ContactTracker, contact_log
 from swimsim.engine import initialize, run, simulate
 from swimsim.grid import AreaBounds, Point2D, build_grid
+from swimsim.metrics import metrics_report
 from swimsim.mobility import (
     SEEN_UPDATE_MODES,
     ModelParams,
     Paused,
+    PowerLawWait,
     UniformWait,
     make_node_state,
 )
@@ -336,3 +339,66 @@ def test_contacts_csv_matches_row_formatting(tmp_path, monkeypatch):
 def test_contacts_csv_rejects_open_contacts(tmp_path):
     with pytest.raises(ValueError, match="open contacts"):
         write_contacts_csv([ContactRecord(0, 1, 3, 2.0)], tmp_path / "contacts.csv")
+
+
+def test_records_snapshot_survives_later_signals():
+    # records reads the tracker's columns through views; they must be
+    # released on return, or the next signal could not grow the columns
+    rng = np.random.default_rng(5)
+    signals, paused, now = [], {}, 0.0
+    for _ in range(400):
+        now += float(rng.uniform(0.0, 2.0))
+        node = int(rng.integers(0, 8))
+        if node in paused:
+            signals.append(("on_departure_signal", (node, paused.pop(node), now)))
+        else:
+            paused[node] = cell = int(rng.integers(0, 2))
+            signals.append(("on_arrival_signal", (node, cell, now, now + float(rng.uniform(1.0, 30.0)))))
+
+    def replay(tracker, steps):
+        for name, args in steps:
+            getattr(tracker, name)(*args)
+
+    tracker = tracker_for(make_nodes(8))
+    replay(tracker, signals[:200])
+    snapshot = tracker.records
+    kept = snapshot.copy()
+    replay(tracker, signals[200:])
+    tracker.finish(now)
+    fresh = tracker_for(make_nodes(8))
+    replay(fresh, signals)
+    fresh.finish(now)
+    # bytes, since an open contact's end is NaN
+    assert snapshot.tobytes() == kept.tobytes()
+    assert len(tracker.records) > len(snapshot) > 0
+    assert tracker.records.tobytes() == fresh.records.tobytes()
+
+
+def test_contact_pipeline_peak_per_contact(tmp_path, monkeypatch):
+    # 200 nodes in 4 cells with heavy-tailed pauses meet about 47 000 times
+    # in 2 000 s. Each stage's tracemalloc peak above what is live when it
+    # starts, per contact: a log row is 41 bytes, and an index or column as
+    # long as the log is 8, so these bounds leave room for few of them
+    params = make_params(
+        node_count=200, n_locations=4, wait=PowerLawWait(1.5, 10.0, 3600.0), sim_duration=2000.0
+    )
+    state = initialize(params)
+    report = run(state, params.sim_duration)
+    n = len(report.contacts)
+    assert n >= 20_000
+    # the writer holds one chunk's text at a time; fewer rows per write
+    # keep that small against the log, so that what grows with it shows
+    monkeypatch.setattr(outputs, "ROWS_PER_WRITE", 256)
+
+    def peak_per_contact(stage, *args):
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            stage(*args)
+            return (tracemalloc.get_traced_memory()[1] - live) / n
+        finally:
+            tracemalloc.stop()
+
+    assert peak_per_contact(lambda: state.tracker.records) <= 41 + 16
+    assert peak_per_contact(metrics_report, report.contacts, report.selections) <= 44
+    assert peak_per_contact(write_contacts_csv, report.contacts, tmp_path / "contacts.csv") <= 8

@@ -1,5 +1,5 @@
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -216,6 +216,26 @@ def test_samples_keep_record_walk_order():
             assert duration_samples(form) == walk_durations
         assert inter_contact_times(columns) == summarize(record_walk_ict(log))
         assert contact_durations(columns) == summarize(walk_durations)
+
+
+def test_walk_order_with_ids_near_2_31():
+    # pair keys a * (max b + 1) + b reach 2**62 here, so a pair key packed
+    # with the row into one int64 would overflow
+    rng = np.random.default_rng(43)
+    ids = [2**31 - 3, 2**31 - 1, 2**31, 2**31 + 5, 2**31 + 9]
+    for _ in range(50):
+        log = []
+        for _ in range(int(rng.integers(3, 200))):
+            a, b = sorted(rng.choice(ids, size=2, replace=False).tolist())
+            start = float(rng.uniform(0.0, 100.0))
+            log.append(rec(a, b, start, start + float(rng.uniform(0.0, 8.0)),
+                           censored=bool(rng.random() < 0.15)))
+        assert min(r.a for r in log) * (max(r.b for r in log) + 1) * len(log) >= 2**63
+        pairs = Counter((r.a, r.b) for r in log)
+        for form in (log, contact_log(log)):
+            assert ict_samples(form) == record_walk_ict(log)
+            assert inter_contact_times(form) == summarize(record_walk_ict(log))
+            assert contacts_per_pair_samples(form) == [pairs[pair] for pair in sorted(pairs)]
 
 
 def sel(node, visiting, fallback=False):
