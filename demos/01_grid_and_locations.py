@@ -9,7 +9,14 @@ cells relative to a home location, and the shared locations file.
 from pathlib import Path
 
 from swimsim import AreaBounds
-from swimsim.grid import LocationClass, Point2D, build_grid, cell_of, classify_locations
+from swimsim.grid import (
+    LocationClass,
+    Point2D,
+    build_grid,
+    cell_bounds,
+    cell_of,
+    classify_locations,
+)
 from swimsim.outputs import read_locations_file, write_locations_file
 
 area = AreaBounds(400.0, 400.0)
@@ -18,8 +25,9 @@ grid = build_grid(area, 21)
 # 21 locations over a square area settle on 3 rows x 7 cols: that is the
 # factor pair whose cells are closest to square
 print(f"grid: {grid.rows} rows x {grid.cols} cols")
-cell = grid.cells[0]
-print(f"cell size: {cell.max_x - cell.min_x:.6f} m x {cell.max_y - cell.min_y:.6f} m")
+# the grid keeps only its column and row edges; a cell's bounds are two of each
+min_x, min_y, max_x, max_y = cell_bounds(grid, 0)
+print(f"cell size: {max_x - min_x:.6f} m x {max_y - min_y:.6f} m")
 
 # any point in the area maps to exactly one cell; shared edges belong to
 # the higher-index cell, the outer boundary is closed

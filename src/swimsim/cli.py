@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .config import ConfigError, load_config
 from .engine import simulate
-from .grid import build_grid, classify_locations, LocationClass
+from .grid import build_grid, cell_bounds, classify_locations, LocationClass
 from .metrics import metrics_report, selection_stats, SelectionStats
 from .mobility import ModelParams
 # bound here under these names because perfbench/worker.py traces them here
@@ -162,12 +162,12 @@ def _cmd_validate(args) -> int:
     classes = classify_locations(location_map, args.home, params.neighbour_limit)
     neighbouring = sum(1 for c in classes if c is LocationClass.NEIGHBOURING)
     visiting = sum(1 for c in classes if c is LocationClass.VISITING)
-    cell = location_map.cells[0]
+    min_x, min_y, max_x, max_y = cell_bounds(location_map, 0)
     print("config OK")
     print(
         f"grid: rows={location_map.rows} cols={location_map.cols} "
         f"({len(location_map)} locations), "
-        f"cell {cell.max_x - cell.min_x:.6f} m x {cell.max_y - cell.min_y:.6f} m"
+        f"cell {max_x - min_x:.6f} m x {max_y - min_y:.6f} m"
     )
     print(
         f"home cell {args.home}: neighbouring={neighbouring} visiting={visiting} "

@@ -4,14 +4,18 @@ The movement area is split into a grid of equal-size rectangular cells
 ("locations"). Every node shares the same grid; a node classifies each cell
 as its home location, a neighbouring location (cell center within the
 neighbour limit of the home center) or a visiting location.
+
+A cell is given by its row and column, so a LocationMap keeps no object
+per cell, only its C+1 column and R+1 row edges. Outside this module, only
+the selection kernel reads the edges themselves.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -42,22 +46,6 @@ class AreaBounds:
         return 0.0 <= p.x <= self.width and 0.0 <= p.y <= self.height
 
 
-@dataclass(frozen=True)
-class Cell:
-    id: int
-    min_x: float
-    min_y: float
-    max_x: float
-    max_y: float
-
-    @property
-    def center(self) -> Point2D:
-        return Point2D((self.min_x + self.max_x) / 2.0, (self.min_y + self.max_y) / 2.0)
-
-    def contains(self, p: Point2D) -> bool:
-        return self.min_x <= p.x <= self.max_x and self.min_y <= p.y <= self.max_y
-
-
 class LocationClass(Enum):
     HOME = "home"
     NEIGHBOURING = "neighbouring"
@@ -66,20 +54,17 @@ class LocationClass(Enum):
 
 @dataclass
 class LocationMap:
-    """Immutable grid of cells tiling the movement area, row-major ids."""
+    """Grid of cells tiling the movement area, row-major ids: cell `row * cols + col`
+    spans x_edges[col:col + 2] by y_edges[row:row + 2], each axis's edges from 0."""
 
-    cells: tuple[Cell, ...]
     rows: int
     cols: int
     area: AreaBounds
-
-    @cached_property
-    def centers(self) -> np.ndarray:
-        """(n, 2) cell-center coordinates, built on first read."""
-        return np.array([[c.center.x, c.center.y] for c in self.cells])
+    x_edges: tuple[float, ...]
+    y_edges: tuple[float, ...]
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return self.rows * self.cols
 
     def cell_of(self, p: Point2D) -> int:
         return cell_of(self, p)
@@ -108,56 +93,33 @@ def build_grid(area: AreaBounds, n_locations: int) -> LocationMap:
     if n_locations < 2:
         raise ValueError(f"noOfLocations must be >= 2, got {n_locations}")
     rows, cols = grid_shape(area, n_locations)
-    cells = []
-    for r in range(rows):
-        for c in range(cols):
-            cells.append(
-                Cell(
-                    id=r * cols + c,
-                    min_x=area.width * c / cols,
-                    min_y=area.height * r / rows,
-                    max_x=area.width * (c + 1) / cols,
-                    max_y=area.height * (r + 1) / rows,
-                )
-            )
-    return LocationMap(cells=tuple(cells), rows=rows, cols=cols, area=area)
+    x_edges = tuple(area.width * c / cols for c in range(cols + 1))
+    y_edges = tuple(area.height * r / rows for r in range(rows + 1))
+    return LocationMap(rows, cols, area, x_edges, y_edges)
 
 
-def _axis_index(v: float, extent: float, n: int) -> int:
-    i = int(v / extent * n)
-    return min(i, n - 1)  # points on the outer closed edge belong to the last cell
+def grid_from_edges(x_edges: list[float], y_edges: list[float]) -> LocationMap:
+    """The grid with these column and row edges, each axis rising from 0 to the area's side."""
+    area = AreaBounds(x_edges[-1], y_edges[-1])
+    return LocationMap(len(y_edges) - 1, len(x_edges) - 1, area, tuple(x_edges), tuple(y_edges))
+
+
+def cell_bounds(location_map: LocationMap, cell: int) -> tuple[float, float, float, float]:
+    """(min_x, min_y, max_x, max_y) of a cell."""
+    row, col = divmod(cell, location_map.cols)
+    xs, ys = location_map.x_edges, location_map.y_edges
+    return xs[col], ys[row], xs[col + 1], ys[row + 1]
 
 
 def cell_of(location_map: LocationMap, p: Point2D) -> int:
-    """Id of the cell containing p; interior edges belong to the higher index."""
+    """Id of the cell containing p; interior edges belong to the higher index,
+    the area's outer edges, which are closed, to the last cell."""
     if not location_map.area.contains(p):
         raise ValueError(f"point ({p.x}, {p.y}) outside area")
-    col = _axis_index(p.x, location_map.area.width, location_map.cols)
-    row = _axis_index(p.y, location_map.area.height, location_map.rows)
-    # float division above can land one cell off near shared edges; settle
-    # against the stored bounds so containment is exact
-    cell = location_map.cells[row * location_map.cols + col]
-    if p.x < cell.min_x:
-        col -= 1
-    elif p.x >= cell.max_x and col < location_map.cols - 1:
-        col += 1
-    if p.y < cell.min_y:
-        row -= 1
-    elif p.y >= cell.max_y and row < location_map.rows - 1:
-        row += 1
-    return row * location_map.cols + col
-
-
-def point_in_cell(cell: Cell, fx: float, fy: float) -> Point2D:
-    """The point at fractions `fx`, `fy` in [0, 1) of the cell's width and height.
-
-    The arithmetic is numpy's `uniform`, so uniform fractions give exactly
-    the point `rng.uniform(min, max)` would have drawn from the same doubles.
-    """
-    return Point2D(
-        cell.min_x + (cell.max_x - cell.min_x) * fx,
-        cell.min_y + (cell.max_y - cell.min_y) * fy,
-    )
+    cols, rows = location_map.cols, location_map.rows
+    col = min(bisect_right(location_map.x_edges, p.x), cols) - 1
+    row = min(bisect_right(location_map.y_edges, p.y), rows) - 1
+    return row * cols + col
 
 
 def classify_locations(

@@ -629,10 +629,13 @@ def choose_destination(
         prefix, start = candidates.prefix, profile.sums_base + 2 * cols * row
         col = bisect_right(prefix, prefix[start] + t, start + 1, candidates.stops[row]) - start - 1
         cell_id = row * cols + col
-    # point_in_cell's arithmetic, without building a Point2D
-    cell = location_map.cells[cell_id]
-    x = cell.min_x + (cell.max_x - cell.min_x) * fx
-    y = cell.min_y + (cell.max_y - cell.min_y) * fy
+    else:
+        row, col = divmod(cell_id, cols)
+    # numpy's uniform arithmetic, min + (max - min) * f, on the cell's edges:
+    # the point rng.uniform(min, max) would draw from the same doubles
+    xs, ys = location_map.x_edges, location_map.y_edges
+    x = xs[col] + (xs[col + 1] - xs[col]) * fx
+    y = ys[row] + (ys[row + 1] - ys[row]) * fy
     return cell_id, x, y, visiting, fallback
 
 

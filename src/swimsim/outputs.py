@@ -6,8 +6,8 @@ map, the waypoint log, a contact log, CCDF pairs, a metrics dict or sweep
 rows), not a whole run report, and `swimsim run` calls them all from one
 loop. The waypoint and contact logs are numpy record arrays, written a
 chunk of rows at a time. At run time this module imports no other swimsim
-module apart from the grid types the locations reader builds and the
-contact log's conversion.
+module apart from the grid, whose cell bounds the locations files hold,
+and the contact log's conversion.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .encounters import finished_log
-from .grid import AreaBounds, Cell, LocationMap
+from .grid import LocationMap, cell_bounds, grid_from_edges
 
 if TYPE_CHECKING:
     from .metrics import SelectionStats
@@ -33,11 +33,9 @@ def write_locations_file(location_map: LocationMap, path) -> None:
     """Write the shared locations file: one `id,min_x,min_y,max_x,max_y` line
     per cell at 6-decimal fixed point, preceded by a versioned header."""
     lines = [f"# swim-locations v1 rows={location_map.rows} cols={location_map.cols}\n"]
-    for cell in location_map.cells:
-        lines.append(
-            f"{cell.id},{cell.min_x:.6f},{cell.min_y:.6f},"
-            f"{cell.max_x:.6f},{cell.max_y:.6f}\n"
-        )
+    for cell in range(len(location_map)):
+        min_x, min_y, max_x, max_y = cell_bounds(location_map, cell)
+        lines.append(f"{cell},{min_x:.6f},{min_y:.6f},{max_x:.6f},{max_y:.6f}\n")
     with open(path, "w", newline="") as f:
         f.writelines(lines)
 
@@ -48,7 +46,11 @@ def read_locations_file(path) -> LocationMap:
     A header with fewer than one row or column fails with a message naming
     the file. A cell line that is not `id,min_x,min_y,max_x,max_y` with an
     integer id, finite coordinates and `0 <= min < max` on both axes fails
-    with a message naming its file and line.
+    with a message naming its file and line. The cells must be the grid of
+    the header, over an area whose corner is the origin: the column edges
+    are 0 and row 0's `max_x` values, the row edges 0 and column 0's
+    `max_y` values, and a line whose bounds are not its column's and row's
+    edges fails with a message naming its file and line.
     """
     with open(path) as f:
         header = f.readline().rstrip("\n")
@@ -75,13 +77,22 @@ def read_locations_file(path) -> LocationMap:
                     f"{path}:{lineno}: expected id,min_x,min_y,max_x,max_y with finite "
                     f"coordinates and 0 <= min < max on both axes, got {line.rstrip()!r}"
                 )
-            cells.append(Cell(*values))
+            cells.append((lineno, line, values))
     if len(cells) != rows * cols:
         raise ValueError(f"{path}: expected {rows * cols} cells, found {len(cells)}")
-    if [c.id for c in cells] != list(range(len(cells))):
+    if [values[0] for _, _, values in cells] != list(range(len(cells))):
         raise ValueError(f"{path}: cell ids are not 0..{len(cells) - 1} in order")
-    area = AreaBounds(max(c.max_x for c in cells), max(c.max_y for c in cells))
-    return LocationMap(cells=tuple(cells), rows=rows, cols=cols, area=area)
+    xs = [0.0] + [values[3] for _, _, values in cells[:cols]]
+    ys = [0.0] + [values[4] for _, _, values in cells[::cols]]
+    for lineno, line, (cell, *bounds) in cells:
+        row, col = divmod(cell, cols)
+        if bounds != [xs[col], ys[row], xs[col + 1], ys[row + 1]]:
+            raise ValueError(
+                f"{path}:{lineno}: cell {cell} is not the grid's cell at row {row}, "
+                f"column {col}: its bounds must be its column's and row's edges, "
+                f"got {line.rstrip()!r}"
+            )
+    return grid_from_edges(xs, ys)
 
 
 def write_waypoints(waypoints, path) -> None:
@@ -102,6 +113,15 @@ def write_waypoints(waypoints, path) -> None:
             ]))
 
 
+class _IdText(dict):
+    """The text of an id and its comma, formatted the first time it is looked up,
+    so the writer holds text only for the ids the log holds."""
+
+    def __missing__(self, i: int) -> str:
+        text = self[i] = f"{i},"
+        return text
+
+
 def write_contacts_csv(records, path) -> None:
     """Contact log export, one `a,b,cell,start,end,censored` row per record.
 
@@ -109,13 +129,15 @@ def write_contacts_csv(records, path) -> None:
     Every start and end is an event time, and contacts opened or closed by
     one event share it, so each distinct time of a chunk of ROWS_PER_WRITE
     rows is formatted once per chunk and the chunk's rows look it up, as
-    they do the text of node and cell ids. What the writer holds beyond
-    the log is bounded by the chunk, not by the log's length.
+    they do the text of node and cell ids, formatted once per run. What
+    the writer holds beyond the log is bounded by the chunk and the log's
+    length, not by its largest id.
     """
     log = finished_log(records)
     top = max(int(column.max(initial=0)) for column in (log.a, log.b, log.cell))
-    # each field's text together with the separator that follows it
-    id_text = [f"{i}," for i in range(top + 1)]
+    # each field's text together with the separator that follows it; a list
+    # by id is the fastest lookup, and is built when no longer than the log
+    id_text = [f"{i}," for i in range(top + 1)] if top < len(log) else _IdText()
     flag_text = ("0\n", "1\n")
     with open(path, "w", newline="") as f:
         f.write("a,b,cell,start,end,censored\n")

@@ -341,6 +341,19 @@ def test_contacts_csv_rejects_open_contacts(tmp_path):
         write_contacts_csv([ContactRecord(0, 1, 3, 2.0)], tmp_path / "contacts.csv")
 
 
+def test_contacts_csv_memory_follows_the_ids_held(tmp_path):
+    # the text of every id up to 10**6 would take about 64 MB
+    path = tmp_path / "contacts.csv"
+    tracemalloc.start()
+    try:
+        write_contacts_csv([ContactRecord(0, 10**6, 10**6, 1.0, 2.0, False)], path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    assert path.read_text() == "a,b,cell,start,end,censored\n0,1000000,1000000,1.000000,2.000000,0\n"
+
+
 def test_records_snapshot_survives_later_signals():
     # records reads the tracker's columns through views; they must be
     # released on return, or the next signal could not grow the columns

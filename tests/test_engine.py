@@ -73,9 +73,10 @@ class FakeUniforms:
     def take(self, k):
         assert k == 4
         x, y = self.uniforms.pop(0), self.uniforms.pop(0)
-        cell = self.location_map.cells[self.location_map.cell_of(Point2D(x, y))]
-        fx = (x - cell.min_x) / (cell.max_x - cell.min_x)
-        fy = (y - cell.min_y) / (cell.max_y - cell.min_y)
+        row, col = divmod(self.location_map.cell_of(Point2D(x, y)), self.location_map.cols)
+        xs, ys = self.location_map.x_edges, self.location_map.y_edges
+        fx = (x - xs[col]) / (xs[col + 1] - xs[col])
+        fy = (y - ys[row]) / (ys[row + 1] - ys[row])
         return [self.randoms.pop(0), self.randoms.pop(0), fx, fy]
 
 

@@ -3,18 +3,20 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from swimsim.grid import (
     AreaBounds,
-    Cell,
     LocationClass,
     Point2D,
     build_grid,
+    cell_bounds,
     cell_of,
     classify_locations,
     grid_shape,
-    point_in_cell,
 )
+from swimsim.mobility import ModelParams, UniformWait, make_node_state, select_destination
 from swimsim.outputs import read_locations_file, write_locations_file
 
 
@@ -29,13 +31,23 @@ def brute_force_shape(n, width, height):
     return min(candidates)[3]
 
 
+def centers(location_map):
+    """Every cell's center, in id order, from the grid's edges."""
+    xs, ys = location_map.x_edges, location_map.y_edges
+    return [
+        ((xs[c] + xs[c + 1]) / 2, (ys[r] + ys[r + 1]) / 2)
+        for r in range(location_map.rows)
+        for c in range(location_map.cols)
+    ]
+
+
 def brute_force_classes(location_map, home, limit):
     classes = []
-    hx, hy = location_map.cells[home].center.x, location_map.cells[home].center.y
-    for cell in location_map.cells:
-        if cell.id == home:
+    all_centers = centers(location_map)
+    for cell, center in enumerate(all_centers):
+        if cell == home:
             classes.append(LocationClass.HOME)
-        elif math.dist((hx, hy), (cell.center.x, cell.center.y)) <= limit:
+        elif math.dist(all_centers[home], center) <= limit:
             classes.append(LocationClass.NEIGHBOURING)
         else:
             classes.append(LocationClass.VISITING)
@@ -45,20 +57,33 @@ def brute_force_classes(location_map, home, limit):
 AREA = AreaBounds(400.0, 400.0)
 
 
+@st.composite
+def grids(draw):
+    """An area of 1e-3 to 1e9 m a side and 2 to 400 cells whose sides are wider
+    than 1e-6 m, as a config must give them."""
+    side = st.floats(1e-3, 1e9)
+    area = AreaBounds(draw(side), draw(side))
+    n = draw(st.integers(2, 400))
+    rows, cols = grid_shape(area, n)
+    assume(area.width / cols > 1e-6 and area.height / rows > 1e-6)
+    return area, n
+
+
 def test_build_grid_21_locations_is_3_by_7():
     m = build_grid(AREA, 21)
     assert (m.rows, m.cols) == (3, 7)
-    cell = m.cells[0]
-    assert cell.max_x - cell.min_x == pytest.approx(57.142857, abs=1e-6)
-    assert cell.max_y - cell.min_y == pytest.approx(133.333333, abs=1e-6)
+    min_x, min_y, max_x, max_y = cell_bounds(m, 0)
+    assert max_x - min_x == pytest.approx(57.142857, abs=1e-6)
+    assert max_y - min_y == pytest.approx(133.333333, abs=1e-6)
 
 
 def test_build_grid_perfect_square():
     m = build_grid(AREA, 4)
     assert (m.rows, m.cols) == (2, 2)
-    for cell in m.cells:
-        assert cell.max_x - cell.min_x == pytest.approx(200.0)
-        assert cell.max_y - cell.min_y == pytest.approx(200.0)
+    for cell in range(len(m)):
+        min_x, min_y, max_x, max_y = cell_bounds(m, cell)
+        assert max_x - min_x == pytest.approx(200.0)
+        assert max_y - min_y == pytest.approx(200.0)
 
 
 def test_build_grid_rejects_bad_inputs():
@@ -80,20 +105,20 @@ def test_grid_shape_matches_brute_force(area):
 
 def test_cells_tile_area_exactly():
     m = build_grid(AREA, 21)
-    assert len(m.cells) == m.rows * m.cols == 21
-    assert [c.id for c in m.cells] == list(range(21))
+    assert len(m) == m.rows * m.cols == 21
+    assert cell_bounds(m, 0)[:2] == (0.0, 0.0)
     # shared edges are the same float on both sides, outer edges hit the area
     for r in range(m.rows):
         for c in range(m.cols):
-            cell = m.cells[r * m.cols + c]
+            min_x, min_y, max_x, max_y = cell_bounds(m, r * m.cols + c)
             if c + 1 < m.cols:
-                assert cell.max_x == m.cells[r * m.cols + c + 1].min_x
+                assert max_x == cell_bounds(m, r * m.cols + c + 1)[0]
             else:
-                assert cell.max_x == AREA.width
+                assert max_x == AREA.width
             if r + 1 < m.rows:
-                assert cell.max_y == m.cells[(r + 1) * m.cols + c].min_y
+                assert max_y == cell_bounds(m, (r + 1) * m.cols + c)[1]
             else:
-                assert cell.max_y == AREA.height
+                assert max_y == AREA.height
 
 
 def test_cell_of_corners_and_boundaries():
@@ -113,16 +138,25 @@ def test_cell_of_corners_and_boundaries():
 @pytest.mark.parametrize("n", [2, 4, 21, 36, 50])
 def test_cell_of_center_roundtrip(n):
     m = build_grid(AREA, n)
-    for cell in m.cells:
-        assert cell_of(m, cell.center) == cell.id
+    for cell, center in enumerate(centers(m)):
+        assert cell_of(m, Point2D(*center)) == cell
 
 
-def test_cell_of_contains_random_points():
-    m = build_grid(AreaBounds(400.0, 300.0), 21)
-    rng = np.random.default_rng(42)
-    for _ in range(10_000):
-        p = Point2D(float(rng.uniform(0, 400)), float(rng.uniform(0, 300)))
-        assert m.cells[cell_of(m, p)].contains(p)
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(grids(), st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=50))
+@example((AreaBounds(400.0, 300.0), 21), [(0.5, 0.5)])
+def test_cell_of_contains_random_points(case, fractions):
+    area, n = case
+    m = build_grid(area, n)
+    xs, ys = m.x_edges, m.y_edges
+    # points anywhere in the area, and every edge crossing of the grid
+    points = [(area.width * fx, area.height * fy) for fx, fy in fractions]
+    points += [(x, y) for x in xs for y in ys if area.contains(Point2D(x, y))]
+    for x, y in points:
+        row, col = divmod(cell_of(m, Point2D(x, y)), m.cols)
+        assert xs[col] <= x <= xs[col + 1] and ys[row] <= y <= ys[row + 1]
+        # a point on an interior edge belongs to the higher index
+        assert x not in xs[col + 1:-1] and y not in ys[row + 1:-1]
 
 
 def test_cell_of_lattice_covers_every_cell():
@@ -134,30 +168,31 @@ def test_cell_of_lattice_covers_every_cell():
 
 def test_random_point_in_cell_containment_and_moments():
     m = build_grid(AREA, 21)
-    cell = m.cells[10]
+    min_x, min_y, max_x, max_y = m.x_edges[3], m.y_edges[1], m.x_edges[4], m.y_edges[2]
+    center = Point2D((min_x + max_x) / 2, (min_y + max_y) / 2)
+    # alpha = 1 and limit 0 leave the home alone to draw: every trip goes to
+    # cell 10, at the point select_destination draws in it
+    params = ModelParams(
+        alpha=1.0, speed=1.4, neighbour_limit=0.0, n_locations=21, area=AREA,
+        wait=UniformWait(2.0, 5.0), node_count=1, sim_duration=1000.0,
+    )
+    node = make_node_state(0, center, m, params)
     rng = np.random.default_rng(7)
     n = 100_000
     xs = np.empty(n)
     ys = np.empty(n)
     for i in range(n):
-        p = point_in_cell(cell, *rng.random(2).tolist())
-        assert cell.contains(p)
+        choice = select_destination(node, m, params, rng)
+        p = choice.point
+        assert choice.cell == 10
+        assert min_x <= p.x <= max_x and min_y <= p.y <= max_y
         xs[i], ys[i] = p.x, p.y
-    for values, low, high, center in (
-        (xs, cell.min_x, cell.max_x, cell.center.x),
-        (ys, cell.min_y, cell.max_y, cell.center.y),
+    for values, low, high, mid in (
+        (xs, min_x, max_x, center.x),
+        (ys, min_y, max_y, center.y),
     ):
         sigma = (high - low) / math.sqrt(12 * n)
-        assert abs(values.mean() - center) < 3 * sigma
-
-
-def test_random_point_in_degenerate_cell():
-    cell = Cell(id=0, min_x=5.0, min_y=1.0, max_x=5.0, max_y=3.0)
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        p = point_in_cell(cell, *rng.random(2).tolist())
-        assert p.x == 5.0
-        assert 1.0 <= p.y <= 3.0
+        assert abs(values.mean() - mid) < 3 * sigma
 
 
 def test_classify_limit_zero_and_full_coverage():
@@ -220,8 +255,12 @@ def test_locations_file_roundtrip_identity(tmp_path):
     assert read_locations_file(path) == m
 
 
-def test_locations_file_byte_roundtrip(tmp_path):
-    m = build_grid(AREA, 21)
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(grids())
+@example((AREA, 21))
+def test_locations_file_byte_roundtrip(tmp_path, case):
+    m = build_grid(*case)
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
     write_locations_file(m, first)
@@ -229,9 +268,10 @@ def test_locations_file_byte_roundtrip(tmp_path):
     assert first.read_bytes() == second.read_bytes()
     back = read_locations_file(first)
     assert (back.rows, back.cols) == (m.rows, m.cols)
-    for ours, theirs in zip(m.cells, back.cells):
-        assert theirs.min_x == pytest.approx(ours.min_x, abs=1e-6)
-        assert theirs.max_y == pytest.approx(ours.max_y, abs=1e-6)
+    for cell in range(len(m)):
+        ours, theirs = cell_bounds(m, cell), cell_bounds(back, cell)
+        assert theirs[0] == pytest.approx(ours[0], abs=1e-6)
+        assert theirs[3] == pytest.approx(ours[3], abs=1e-6)
 
 
 def test_locations_file_io_errors(tmp_path):
@@ -261,6 +301,24 @@ def test_locations_file_rejects_bad_cell_lines(tmp_path, line):
     path = tmp_path / "locations.csv"
     path.write_text(f"# swim-locations v1 rows=1 cols=2\n0,0,0,1,1\n{line}\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: .*{re.escape(line)}"):
+        read_locations_file(path)
+
+
+@pytest.mark.parametrize(
+    "lineno, line",
+    [
+        (6, "4,1.5,1.0,2.0,2.0"),  # min_x off its column's edge
+        (6, "4,1.0,1.0,2.0,2.5"),  # max_y off its row's edge
+        (2, "0,0.5,0.0,1.0,1.0"),  # the grid's corner is not the origin
+    ],
+)
+def test_locations_file_rejects_cells_off_the_grid(tmp_path, lineno, line):
+    # a 3 x 3 grid of unit cells with one line replaced
+    lines = [f"{r * 3 + c},{c}.0,{r}.0,{c + 1}.0,{r + 1}.0" for r in range(3) for c in range(3)]
+    lines[lineno - 2] = line
+    path = tmp_path / "locations.csv"
+    path.write_text("# swim-locations v1 rows=3 cols=3\n" + "".join(f"{x}\n" for x in lines))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: .*{re.escape(line)}"):
         read_locations_file(path)
 
 

@@ -2,7 +2,8 @@
 
 Imports are read from each module's source, so a function-level import
 counts too. Imports under `if TYPE_CHECKING:` are for annotations only and
-do not count.
+do not count. The grid is the lowest layer, and its layout (the column and
+row edges) stays behind it.
 """
 
 import ast
@@ -55,6 +56,7 @@ def runtime_imports(module: str) -> set[str]:
     [
         ("engine", {"grid", "mobility", "encounters"}),
         ("metrics", {"encounters"}),
+        ("grid", set()),
     ],
 )
 def test_imports_only_lower_layers(module, allowed):
@@ -63,3 +65,33 @@ def test_imports_only_lower_layers(module, allowed):
 
 def test_outputs_does_not_import_engine():
     assert "engine" not in runtime_imports("outputs")
+
+
+EDGE_FIELDS = {"x_edges", "y_edges"}
+
+
+def edge_references(module: str) -> set[str]:
+    """The functions of `swimsim.<module>` that name a grid edge field, as an
+    attribute or a keyword; "<module>" for a reference outside any function."""
+    found = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Attribute) and node.attr in EDGE_FIELDS:
+            found.add(scope)
+        elif isinstance(node, ast.keyword) and node.arg in EDGE_FIELDS:
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse((PACKAGE / f"{module}.py").read_text()), "<module>")
+    return found
+
+
+def test_only_the_grid_and_the_kernel_read_the_edges():
+    modules = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "grid")
+    assert edge_references("grid")
+    assert {m: edge_references(m) for m in modules if edge_references(m)} == {
+        "mobility": {"choose_destination"}
+    }

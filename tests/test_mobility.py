@@ -233,7 +233,9 @@ def test_select_destination_support():
         for _ in range(200):
             choice = select_destination(node, m, params, rng)
             assert 0 <= choice.cell < 21
-            assert m.cells[choice.cell].contains(choice.point)
+            row, col = divmod(choice.cell, m.cols)
+            assert m.x_edges[col] <= choice.point.x <= m.x_edges[col + 1]
+            assert m.y_edges[row] <= choice.point.y <= m.y_edges[row + 1]
 
 
 def test_select_destination_cold_start_step1_fraction():

@@ -25,17 +25,14 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from swimsim import engine
 from swimsim.engine import initialize, run
 from swimsim.grid import (
     AreaBounds,
-    Cell,
     LocationClass,
     LocationMap,
     Point2D,
     build_grid,
     classify_locations,
-    point_in_cell,
 )
 from swimsim.mobility import (
     ModelParams,
@@ -77,6 +74,16 @@ def make_params(**overrides):
     return ModelParams(**base)
 
 
+def centers(location_map):
+    """Every cell's center, in id order, from the grid's edges."""
+    xs, ys = location_map.x_edges, location_map.y_edges
+    return [
+        ((xs[c] + xs[c + 1]) / 2, (ys[r] + ys[r + 1]) / 2)
+        for r in range(location_map.rows)
+        for c in range(location_map.cols)
+    ]
+
+
 def dense_weights(home, seen, location_map, params, u):
     """The dense kernel's step-2 candidates and probabilities for step-1 uniform u."""
     classes = classify_locations(location_map, home, params.neighbour_limit)
@@ -86,7 +93,8 @@ def dense_weights(home, seen, location_map, params, u):
     visiting = np.array(
         [i for i, c in enumerate(classes) if c is LocationClass.VISITING], dtype=np.int64
     )
-    d = np.hypot(*(location_map.centers - location_map.centers[home]).T)
+    all_centers = np.array(centers(location_map))
+    d = np.hypot(*(all_centers - all_centers[home]).T)
     decay = 1.0 / (1.0 + params.k * d) ** 2
 
     candidates = near if u < params.alpha else visiting
@@ -108,18 +116,21 @@ def dense_select(home, seen, location_map, params, rng):
     idx = int(np.searchsorted(np.cumsum(probs), r, side="right"))
     idx = min(idx, len(candidates) - 1)
     cell = int(candidates[idx])
-    point = point_in_cell(location_map.cells[cell], *rng.random(2).tolist())
+    # numpy's uniform arithmetic on the cell's bounds
+    row, col = divmod(cell, location_map.cols)
+    xs, ys = location_map.x_edges, location_map.y_edges
+    fx, fy = rng.random(2).tolist()
+    point = Point2D(xs[col] + (xs[col + 1] - xs[col]) * fx, ys[row] + (ys[row + 1] - ys[row]) * fy)
     return cell, point, classes[cell] is LocationClass.VISITING, fallback
 
 
 def grid_of(rows, cols, area):
     """The rows x cols grid over `area`, with build_grid's cell bounds."""
-    cells = tuple(
-        Cell(r * cols + c, area.width * c / cols, area.height * r / rows,
-             area.width * (c + 1) / cols, area.height * (r + 1) / rows)
-        for r in range(rows) for c in range(cols)
+    return LocationMap(
+        rows=rows, cols=cols, area=area,
+        x_edges=tuple(area.width * c / cols for c in range(cols + 1)),
+        y_edges=tuple(area.height * r / rows for r in range(rows + 1)),
     )
-    return LocationMap(cells=cells, rows=rows, cols=cols, area=area)
 
 
 # a tolerance, relative to the distances and to the set's unit total, for
@@ -159,12 +170,12 @@ def test_offset_table_draw_matches_dense_reference(case):
     location_map, params, home, uniforms = case
     # the reference: distances between cell centers, and w(C) = alpha * decay,
     # whose common factor alpha > 0 does not change the draw
-    centers = [((c.min_x + c.max_x) / 2, (c.min_y + c.max_y) / 2) for c in location_map.cells]
-    distances = [math.dist(centers[home], center) for center in centers]
+    all_centers = centers(location_map)
+    distances = [math.dist(all_centers[home], center) for center in all_centers]
     near = [cell == home or d <= params.neighbour_limit for cell, d in enumerate(distances)]
     decay = [1.0 / ((1.0 + params.k * d) * (1.0 + params.k * d)) for d in distances]
 
-    node = make_node_state(0, location_map.cells[home].center, location_map, params)
+    node = make_node_state(0, Point2D(*all_centers[home]), location_map, params)
     assert node.home == home
     for visiting in (False, True):
         kernel = set(node.profile.cells(visiting).tolist())
@@ -349,21 +360,18 @@ def test_initialize_holds_no_n_by_l_array():
     assert largest < 8 * params.node_count * len(state.location_map) // 10
 
 
-def test_selection_state_is_not_per_home_per_cell(monkeypatch):
+def test_selection_state_is_not_per_home_per_cell():
     # 500 nodes on a 100 x 100 grid have about 490 distinct homes; selection
     # state of a few bytes per home and cell would take megabytes per byte.
-    # The grid is built before tracing: its cells take the same O(L) memory
-    # whatever selection keeps.
     params = make_params(node_count=500, n_locations=10_000, area=AreaBounds(4000.0, 4000.0))
-    grid = build_grid(params.area, params.n_locations)
-    assert (grid.rows, grid.cols) == (100, 100)
-    monkeypatch.setattr(engine, "build_grid", lambda area, n_locations: grid)
     tracemalloc.start()
     try:
         state = initialize(params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    grid = state.location_map
+    assert (grid.rows, grid.cols) == (100, 100)
     homes = len({node.home for node in state.nodes})
     assert peak < homes * len(grid), (peak, homes)
 
