@@ -9,11 +9,13 @@ next, a moving node arrives next. Events are kept in a heap of
 process in a total, deterministic order. Positions at any other instant
 are interpolated analytically. The engine writes no files.
 
-An event allocates nothing but its heap entry. The handlers read and write
-each node's phase as plain values in place (mobility.NodeState), and
-append each event's waypoint, each departure's selection and each pause to
-flat array columns; `run` turns the columns into numpy record arrays once,
-at the end. Each node's seen counters are its own sparse SeenCounters,
+An event allocates nothing but its heap entry. Both kinds of event are
+handled in `run`'s one loop, which holds the queue, the nodes, their
+streams and the log columns' appenders in locals. It reads and writes each
+node's phase as plain values in place (mobility.NodeState), and appends
+each event's waypoint, each departure's selection and each pause to flat
+array columns; `run` turns the columns into numpy record arrays once, at
+the end. Each node's seen counters are its own sparse SeenCounters,
 written by the contact tracker; the report builds the dense N x L matrix
 from them only when it is read. An arrival draws the pause's end before
 it signals, and the signal carries that end to the tracker, which logs
@@ -161,59 +163,6 @@ def initialize(params: ModelParams) -> SimulationState:
     return state
 
 
-def handle_departure(state: SimulationState, node_id: int) -> None:
-    """Pause over: leave the cell, pick the next destination, start moving."""
-    node = state.nodes[node_id]
-    now = state.now
-    state.tracker.on_departure_signal(node_id, node.cell, now)
-    cell, tx, ty, visiting, fallback = choose_destination(
-        node, state.location_map, state.params, *state.uniforms[node_id].take(4)
-    )
-    x, y = node.x, node.y
-    arrive_at = now + math.hypot(tx - x, ty - y) / state.params.speed
-    node.paused = False
-    node.cell, node.tx, node.ty, node.start, node.end = cell, tx, ty, now, arrive_at
-    node_ids, cells, visitings, fallbacks = state.selections
-    node_ids.append(node_id)
-    cells.append(cell)
-    visitings.append(visiting)
-    fallbacks.append(fallback)
-    times, node_ids, xs, ys, arrives = state.waypoints
-    times.append(now)
-    node_ids.append(node_id)
-    xs.append(x)
-    ys.append(y)
-    arrives.append(0)
-    heapq.heappush(state.queue, (arrive_at, state.seq, node_id))
-    state.seq += 1
-
-
-def handle_arrival(state: SimulationState, node_id: int) -> None:
-    """Destination reached: signal the arrival, then pause."""
-    node = state.nodes[node_id]
-    now = state.now
-    cell = node.cell
-    node.x = x = node.tx
-    node.y = y = node.ty
-    times, node_ids, xs, ys, arrives = state.waypoints
-    times.append(now)
-    node_ids.append(node_id)
-    xs.append(x)
-    ys.append(y)
-    arrives.append(1)
-    end = now + draw_wait_time(state.params.wait, state.uniforms[node_id])
-    state.tracker.on_arrival_signal(node_id, cell, now, end)
-    node.paused = True
-    node.start, node.end = now, end
-    node_ids, cells, starts, ends = state.pauses
-    node_ids.append(node_id)
-    cells.append(cell)
-    starts.append(now)
-    ends.append(end)
-    heapq.heappush(state.queue, (end, state.seq, node_id))
-    state.seq += 1
-
-
 def position_at(node: NodeState, t: float) -> Point2D:
     """Analytic position of a node at time t within its current phase."""
     start, end = node.start, node.end
@@ -239,13 +188,58 @@ def run(state: SimulationState, until: float) -> SimulationReport:
         raise ValueError(f"until={until} is not finite")
     if until < state.now:
         raise ValueError(f"until={until} is before now={state.now}")
-    queue, nodes = state.queue, state.nodes
+    queue, nodes, uniforms = state.queue, state.nodes, state.uniforms
+    location_map, params = state.location_map, state.params
+    speed, wait = params.speed, params.wait
+    # looked up per run, not at import, so a function replaced on the module
+    # or on the tracker's class (by a test or a tracer) sees every call
+    choose, wait_time = choose_destination, draw_wait_time
+    on_arrival, on_departure = state.tracker.on_arrival_signal, state.tracker.on_departure_signal
+    log_time, log_node, log_x, log_y, log_arrive = (column.append for column in state.waypoints)
+    pick_node, pick_cell, pick_visiting, pick_fallback = (
+        column.append for column in state.selections
+    )
+    pause_node, pause_cell, pause_start, pause_end = (column.append for column in state.pauses)
+    heappop, heappush, hypot = heapq.heappop, heapq.heappush, math.hypot
+    seq = state.seq
     while queue and queue[0][0] <= until:
-        state.now, _seq, node_id = heapq.heappop(queue)
-        if nodes[node_id].paused:
-            handle_departure(state, node_id)
+        now, _seq, node_id = heappop(queue)
+        node = nodes[node_id]
+        if node.paused:
+            # pause over: leave the cell, pick the next destination, start moving
+            on_departure(node_id, node.cell, now)
+            cell, tx, ty, visiting, fallback = choose(
+                node, location_map, params, *uniforms[node_id].take(4)
+            )
+            x, y = node.x, node.y
+            end = now + hypot(tx - x, ty - y) / speed
+            node.paused = False
+            node.cell, node.tx, node.ty = cell, tx, ty
+            pick_node(node_id)
+            pick_cell(cell)
+            pick_visiting(visiting)
+            pick_fallback(fallback)
         else:
-            handle_arrival(state, node_id)
+            # destination reached: signal the arrival, then pause
+            cell = node.cell
+            node.x = x = node.tx
+            node.y = y = node.ty
+            end = now + wait_time(wait, uniforms[node_id])
+            on_arrival(node_id, cell, now, end)
+            node.paused = True
+            pause_node(node_id)
+            pause_cell(cell)
+            pause_start(now)
+            pause_end(end)
+        node.start, node.end = now, end
+        log_time(now)
+        log_node(node_id)
+        log_x(x)
+        log_y(y)
+        log_arrive(node.paused)
+        heappush(queue, (end, seq, node_id))
+        seq += 1
+    state.seq = seq
     state.now = until
     state.tracker.finish(until)
     for node in nodes:

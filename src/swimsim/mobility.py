@@ -16,11 +16,14 @@ every offset, with their prefix sums along each row offset. What depends
 on the home cell itself (each set's size, static mass and CDF over the
 grid rows, O(R) values) lives in a HomeProfile shared by all nodes of that
 home; a node itself holds only its seen counters and its phase, as plain
-values the engine writes in place. The seen counters are
-sparse (SeenCounters): a dict of the cells where the node has met someone
-and the running total, so no N x L matrix exists during a run. A node's
-random stream is read in blocks of BLOCK uniforms (UniformStream), which
-give the same doubles, in the same order, as one `random()` call per value.
+values the engine writes in place. The seen counters are sparse
+(SeenCounters): a dict of the cells where the node has met someone and
+the running total, so no N x L matrix exists during a run, and, from the
+node's first count, each set's count total and its seen cells in id
+order, so a selection reads its set's seen mass without classifying
+cells. A node's random stream is read in blocks of BLOCK uniforms
+(UniformStream), which give the same doubles, in the same order, as one
+`random()` call per value.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -231,24 +234,53 @@ class SeenCounters:
     mid-run they are up to date only from the node's departure signal to
     its next arrival, which is where the selection kernel reads them.
 
+    Counters given the home's `profile` (a node's, from make_node_state)
+    also keep, for each step-1 set of the home (0 near, 1 visiting), the
+    set's count total, `set_totals[s]`, and its seen cells in ascending id
+    order, `set_cells[s]`, so the kernel reads a set's seen mass without
+    classifying cells. Both are None until the first count and are kept by
+    `add` from then on. Counters made with no profile keep only `counts`
+    and `total`.
+
     They also read and write like a length-L int64 vector, through a dense
     copy: `seen[c]`, `seen[cells]`, `seen[:] = row`, `seen[c] += 1`,
     `seen.sum()` and `np.asarray(seen)`; a read returns a new array, never
-    a view.
+    a view, and a write rebuilds the per-set state.
     """
 
-    __slots__ = ("size", "counts", "total")
+    __slots__ = ("size", "counts", "total", "profile", "set_totals", "set_cells")
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, profile: HomeProfile | None = None):
         self.size = size
         self.counts: dict[int, int] = {}
         self.total = 0
+        self.profile = profile
+        self.set_totals: list[int] | None = None
+        self.set_cells: tuple[list[int], list[int]] | None = None
 
     def add(self, cell: int, n: int) -> None:
         """Count n more encounters at `cell`."""
         counts = self.counts
-        counts[cell] = counts.get(cell, 0) + n
+        count = counts.get(cell, 0)
+        counts[cell] = count + n
         self.total += n
+        if self.set_totals is not None:
+            in_set = self.profile.set_of(cell)
+            self.set_totals[in_set] += n
+            if not count:
+                insort(self.set_cells[in_set], cell)
+        elif self.profile is not None:
+            self._build_sets()
+
+    def _build_sets(self) -> None:
+        """Per-set totals and ordered cells, recounted from `counts`."""
+        totals, cells = [0, 0], ([], [])
+        set_of = self.profile.set_of
+        for cell in sorted(self.counts):
+            in_set = set_of(cell)
+            totals[in_set] += self.counts[cell]
+            cells[in_set].append(cell)
+        self.set_totals, self.set_cells = totals, cells
 
     def sum(self) -> int:
         return self.total
@@ -269,6 +301,8 @@ class SeenCounters:
         cells = row.nonzero()[0]
         self.counts = dict(zip(cells.tolist(), row[cells].tolist()))
         self.total = sum(self.counts.values())
+        if self.profile is not None:
+            self._build_sets()
 
     def __repr__(self) -> str:
         return f"SeenCounters(size={self.size}, counts={self.counts})"
@@ -418,6 +452,11 @@ class HomeProfile:
     near: CandidateSet = field(repr=False)      # home + neighbouring cells
     visiting: CandidateSet = field(repr=False)
 
+    def set_of(self, cell: int) -> int:
+        """The step-1 set of `cell` for this home: 1 if it is visiting, 0 if near."""
+        table = self.table
+        return table.visiting_flags[cell + cell // table.cols * (table.cols - 1) + self.flags_base]
+
     def cells(self, visiting: bool) -> np.ndarray:
         """Ascending ids of the cells of the visiting set, or of the near set."""
         rows, cols = self.table.rows, self.table.cols
@@ -434,8 +473,8 @@ def build_home_profile(location_map: LocationMap, home: int, params: ModelParams
 class NodeState:
     """One node: its home, its seen counters and its current phase.
 
-    The phase is kept as plain values, which the engine's handlers read and
-    write in place, so that an event builds no object:
+    The phase is kept as plain values, which the engine's event loop reads
+    and writes in place, so that an event builds no object:
 
     * `paused`: True while paused (the next event is a departure), False
       on a trip (the next event is the arrival);
@@ -505,7 +544,7 @@ def make_node_state(
     home = location_map.cell_of(position)
     if profile is None:
         profile = build_home_profile(location_map, home, params)
-    return NodeState(node_id, home, position, SeenCounters(len(location_map)), profile)
+    return NodeState(node_id, home, position, SeenCounters(len(location_map), profile), profile)
 
 
 def decay_of(distances: np.ndarray, k: float) -> np.ndarray:
@@ -573,14 +612,16 @@ def choose_destination(
 
     w(C) is a mixture of the home's static term, with mass S, and a dynamic
     term that is non-zero only in the few cells where the node has met
-    someone, with mass D. r * (S + D) below S makes the static draw, at or
-    above it walks the dynamic cells in id order. The static draw bisects
-    the home's CDF over the grid rows, then the offset table's sums along
-    the chosen row's row offset, and reads no numpy scalar. A node that has
-    met nobody goes straight to the static draw without reading its
-    counters, and while D is 0 (also at alpha = 1) the draw does not depend
-    on the seen counters at all. Otherwise the cost is O(log R + log C)
-    plus the node's seen cells.
+    someone, with mass D, read in O(1) from the set's count total that the
+    seen counters keep. r * (S + D) below S makes the static draw, which
+    reads no seen cell; at or above it, the draw walks the set's seen cells
+    in id order. The static draw bisects the home's CDF over the grid rows,
+    then the offset table's sums along the chosen row's row offset, and
+    reads no numpy scalar. A node that has met nobody goes straight to the
+    static draw without reading its counters, and while D is 0 (also at
+    alpha = 1) the draw does not depend on the seen counters at all. So a
+    static draw costs O(log R + log C), and a dynamic one the chosen set's
+    seen cells.
     """
     profile = node.profile
     visiting = u >= params.alpha
@@ -592,26 +633,27 @@ def choose_destination(
     cols = profile.table.cols
     cell_id = None
     seen = node.seen
-    if seen.total:
-        counts, flags, base = seen.counts, profile.table.visiting_flags, profile.flags_base
-        step = cols - 1
-        hits = [cell for cell in counts if flags[cell + cell // cols * step + base] == visiting]
+    total = seen.total
+    if total:
         # every dynamic weight shares the factor (1 - alpha) / (1 + total),
-        # so their sum is the weight of their summed counts
-        dynamic_mass = candidate_weights(
-            0.0, sum([counts[cell] for cell in hits]), seen.total, params.alpha
-        )
+        # so their sum is the weight of the set's summed counts
+        dynamic_mass = candidate_weights(0.0, seen.set_totals[visiting], total, params.alpha)
         if dynamic_mass > 0.0:
             static_mass = candidates.static_mass
             x = r * (static_mass + dynamic_mass)
             if x < static_mass:
                 r = x / static_mass
             else:
-                hits.sort()
-                cell_id = hits[-1]  # when rounding runs past the last entry
+                # each weight is candidate_weights(0.0, count, total, alpha)
+                # written out, added one at a time in ascending cell id: the
+                # draws are pinned to these roundings, and another order or a
+                # cumulative form would round the partial sums differently
+                counts, alpha = seen.counts, params.alpha
+                cells = seen.set_cells[visiting]
+                cell_id = cells[-1]  # when rounding runs past the last entry
                 acc = static_mass
-                for cell in hits:
-                    acc += candidate_weights(0.0, counts[cell], seen.total, params.alpha)
+                for cell in cells:
+                    acc += (1.0 - alpha) * counts[cell] / (1.0 + total)
                     if x < acc:
                         cell_id = cell
                         break

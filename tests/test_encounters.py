@@ -14,7 +14,6 @@ from swimsim.metrics import metrics_report
 from swimsim.mobility import (
     SEEN_UPDATE_MODES,
     ModelParams,
-    Paused,
     PowerLawWait,
     UniformWait,
     make_node_state,
@@ -215,25 +214,31 @@ def test_contact_log_matches_interval_oracle():
 
 
 def test_seen_counters_monotone():
-    # replay a run and check counters never decrease
-    import heapq
-
-    from swimsim.engine import handle_arrival, handle_departure
-
+    # run with the tracker's two signals, the counters' only writes, wrapped,
+    # and check after every event that the counters never decrease
     params = make_params(sim_duration=1000.0)
     state = initialize(params)
+    tracker = state.tracker
     # np.stack reads each node's sparse counters as a dense copy
     previous = np.stack([n.seen for n in state.nodes])
-    while state.queue and state.queue[0][0] <= params.sim_duration:
-        state.now, _seq, node_id = heapq.heappop(state.queue)
-        if isinstance(state.nodes[node_id].phase, Paused):
-            handle_departure(state, node_id)
-        else:
-            handle_arrival(state, node_id)
-        current = np.stack([n.seen for n in state.nodes])
-        assert (current >= previous).all()
-        assert [n.seen.total for n in state.nodes] == current.sum(axis=1).tolist()
-        previous = current
+    signals = []
+
+    def checked(signal):
+        def checked_signal(*args):
+            nonlocal previous
+            signal(*args)
+            current = np.stack([n.seen for n in state.nodes])
+            assert (current >= previous).all()
+            assert [n.seen.total for n in state.nodes] == current.sum(axis=1).tolist()
+            previous = current
+            signals.append(args[0])
+
+        return checked_signal
+
+    tracker.on_arrival_signal = checked(tracker.on_arrival_signal)
+    tracker.on_departure_signal = checked(tracker.on_departure_signal)
+    report = run(state, params.sim_duration)
+    assert signals == report.waypoints.node.tolist()  # one signal per event
 
 
 def recount(node_id, contacts, pauses, seen_update):
@@ -275,6 +280,15 @@ def test_kernel_reads_settled_counters(monkeypatch, seen_update):
         expected = recount(node.id, state.tracker.records, state.pauses, seen_update)
         assert node.seen.counts == expected
         assert node.seen.total == sum(expected.values())
+        # each set's total and ordered seen cells, as the recount splits them
+        for in_set in (0, 1):
+            cells = set(node.profile.cells(bool(in_set)).tolist())
+            split = {cell: n for cell, n in expected.items() if cell in cells}
+            if node.seen.set_totals is None:
+                assert not expected
+            else:
+                assert node.seen.set_totals[in_set] == sum(split.values())
+                assert node.seen.set_cells[in_set] == sorted(split)
         read.append(node.seen.total)
         return choose(node, *args)
 

@@ -1,5 +1,4 @@
 import gc
-import heapq
 import math
 from collections import Counter
 
@@ -11,8 +10,6 @@ from swimsim.encounters import ContactTracker
 from swimsim.engine import (
     PAUSE_DTYPE,
     SimulationState,
-    handle_arrival,
-    handle_departure,
     initialize,
     position_at,
     run,
@@ -134,9 +131,7 @@ def test_initialize_uniform_positions():
 def test_forced_trip_travel_time():
     # 140 m at 1.4 m/s takes 100 s
     state = scripted_state(Point2D(10.0, 10.0), randoms=[0.0, 0.0], uniforms=[150.0, 10.0])
-    heapq.heappop(state.queue)
-    state.now = 0.0
-    handle_departure(state, 0)
+    run(state, until=50.0)
     node = state.nodes[0]
     assert isinstance(node.phase, Moving)
     assert node.phase.target_cell == 0
@@ -214,24 +209,30 @@ def test_run_kinematics_identity():
 def test_run_finite_difference_speed():
     params = make_params(node_count=3)
     state = initialize(params)
+    report = run(state, until=20 * params.sim_duration)
     rng = np.random.default_rng(13)
     checked = 0
-    while state.queue and checked < 100:
-        state.now, _seq, node_id = heapq.heappop(state.queue)
-        if isinstance(state.nodes[node_id].phase, Paused):
-            handle_departure(state, node_id)
-            node = state.nodes[node_id]
-            phase = node.phase
-            if phase.arrive_at - phase.depart_at > 1.0:
-                dt = 1e-3
-                t = float(rng.uniform(phase.depart_at, phase.arrive_at - dt))
-                p0 = position_at(node, t)
-                p1 = position_at(node, t + dt)
-                speed = math.hypot(p1.x - p0.x, p1.y - p0.y) / dt
-                assert abs(speed - params.speed) < 1e-6
-                checked += 1
-        else:
-            handle_arrival(state, node_id)
+    departures = {}
+    # each of the engine's trips, from a depart waypoint to the node's next
+    # arrive waypoint, set into the node's phase
+    for w in report.waypoints:
+        if w.event == "depart":
+            departures[w.node] = w
+            continue
+        depart = departures.pop(w.node)
+        node = state.nodes[w.node]
+        node.phase = Moving(Point2D(depart.x, depart.y), Point2D(w.x, w.y), 0, depart.time, w.time)
+        phase = node.phase
+        if phase.arrive_at - phase.depart_at > 1.0:
+            dt = 1e-3
+            t = float(rng.uniform(phase.depart_at, phase.arrive_at - dt))
+            p0 = position_at(node, t)
+            p1 = position_at(node, t + dt)
+            speed = math.hypot(p1.x - p0.x, p1.y - p0.y) / dt
+            assert abs(speed - params.speed) < 1e-6
+            checked += 1
+            if checked == 100:
+                break
     assert checked == 100
 
 

@@ -342,3 +342,33 @@ def test_seen_counters_read_and_write_like_a_dense_row():
         seen.__array__(copy=False)  # numpy 2's np.asarray(seen, copy=False)
     seen[4] = 0  # a count set to zero leaves the sparse form
     assert seen.counts == {1: 5, 2: 1} and seen.sum() == 6
+    # a node's counters also keep each set's total and seen cells in id
+    # order, built at the first count, through every kind of write
+    params = make_params(n_locations=12, neighbour_limit=150.0)
+    location_map = build_grid(params.area, params.n_locations)
+    node = node_at(Point2D(10.0, 10.0), params, location_map)
+    seen = node.seen
+    near, visiting = (node.profile.cells(v).tolist() for v in (False, True))
+    assert near and visiting and seen.set_totals is None
+
+    def dense_sets():
+        row = np.asarray(seen)
+        return [int(row[cells].sum()) for cells in (near, visiting)], tuple(
+            [c for c in cells if row[c]] for cells in (near, visiting)
+        )
+
+    for write in (
+        lambda: seen.add(visiting[-1], 2),
+        lambda: seen.add(near[0], 1),
+        lambda: seen.add(visiting[0], 3),
+        lambda: seen.add(visiting[-1], 1),
+        lambda: seen.__setitem__(slice(None), np.arange(12) % 3),
+        lambda: seen.__setitem__(near[-1], 0),
+        lambda: seen.add(near[-1], 4),
+    ):
+        write()
+        assert (seen.set_totals, seen.set_cells) == dense_sets()
+    seen[visiting[1]] += 1
+    seen[near[0]] += 1
+    assert (seen.set_totals, seen.set_cells) == dense_sets()
+    assert sum(seen.set_totals) == seen.total
