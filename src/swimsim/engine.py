@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .encounters import ContactTracker
-from .grid import LocationMap, Point2D, build_grid
+from .grid import LocationMap, Point2D, build_grid, cell_of
 from .mobility import (
     HomeProfile,
     ModelParams,
@@ -89,7 +89,7 @@ class SimulationReport:
         """Final N x L encounter counters, one row per node, built from `counters` on first read."""
         seen = np.zeros((len(self.counters), len(self.location_map)), dtype=np.int64)
         for row, counters in zip(seen, self.counters):
-            row[list(counters.counts)] = list(counters.counts.values())
+            row[:] = counters
         return seen
 
 
@@ -138,7 +138,7 @@ def initialize(params: ModelParams) -> SimulationState:
             float(rng.uniform(0.0, params.area.width)),
             float(rng.uniform(0.0, params.area.height)),
         )
-        home = location_map.cell_of(position)
+        home = cell_of(location_map, position)
         if home not in profiles:
             profiles[home] = table.profile(home)
         nodes.append(make_node_state(i, position, location_map, params, profiles[home]))

@@ -66,9 +66,6 @@ class LocationMap:
     def __len__(self) -> int:
         return self.rows * self.cols
 
-    def cell_of(self, p: Point2D) -> int:
-        return cell_of(self, p)
-
 
 def grid_shape(area: AreaBounds, n_locations: int) -> tuple[int, int]:
     """Pick (rows, cols) with rows*cols == n_locations and the squarest cells.

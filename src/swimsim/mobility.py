@@ -17,13 +17,12 @@ on the home cell itself (each set's size, static mass and CDF over the
 grid rows, O(R) values) lives in a HomeProfile shared by all nodes of that
 home; a node itself holds only its seen counters and its phase, as plain
 values the engine writes in place. The seen counters are sparse
-(SeenCounters): a dict of the cells where the node has met someone and
-the running total, so no N x L matrix exists during a run, and, from the
-node's first count, each set's count total and its seen cells in id
-order, so a selection reads its set's seen mass without classifying
-cells. A node's random stream is read in blocks of BLOCK uniforms
-(UniformStream), which give the same doubles, in the same order, as one
-`random()` call per value.
+(SeenCounters): for each set, the cells where the node has met someone,
+in id order, with their counts and the set's count total, so no N x L
+matrix exists during a run and a selection reads its set's seen mass
+without classifying cells. A node's random stream is read in blocks of
+BLOCK uniforms (UniformStream), which give the same doubles, in the same
+order, as one `random()` call per value.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -41,7 +40,7 @@ import numpy as np
 # the forked workers of a parallel sweep inherit it
 import numpy.random  # noqa: F401
 
-from .grid import AreaBounds, LocationMap, Point2D, offset_distances
+from .grid import AreaBounds, LocationMap, Point2D, cell_of, offset_distances
 
 SEEN_UPDATE_MODES = ("symmetric", "bystanders_only")
 
@@ -227,60 +226,45 @@ class UniformStream:
 class SeenCounters:
     """One node's encounter counts over the L cells, kept for the cells it met someone in.
 
-    `counts` maps each such cell id to its count, never 0, and `total` is
-    their sum. The contact tracker writes them with `add`. It adds an
-    arriving node's counts at its arrival but settles a bystander's at its
-    departure, and at the end of a run for a node still paused then, so
-    mid-run they are up to date only from the node's departure signal to
-    its next arrival, which is where the selection kernel reads them.
-
-    Counters given the home's `profile` (a node's, from make_node_state)
-    also keep, for each step-1 set of the home (0 near, 1 visiting), the
-    set's count total, `set_totals[s]`, and its seen cells in ascending id
-    order, `set_cells[s]`, so the kernel reads a set's seen mass without
-    classifying cells. Both are None until the first count and are kept by
-    `add` from then on. Counters made with no profile keep only `counts`
-    and `total`.
+    The counts are kept per step-1 set of the node's home `profile` (0 near,
+    1 visiting): `cells[s]` holds the set's seen cell ids in ascending
+    order, `counts[s]` their counts, never 0, in the same order, and
+    `totals[s]` the set's count total; `total` is the sum over both sets.
+    So the selection kernel reads a set's seen mass without classifying
+    cells, and walks only the set's seen cells. The contact tracker writes
+    them with `add`. It adds an arriving node's counts at its arrival but
+    settles a bystander's at its departure, and at the end of a run for a
+    node still paused then, so mid-run they are up to date only from the
+    node's departure signal to its next arrival, which is where the
+    selection kernel reads them.
 
     They also read and write like a length-L int64 vector, through a dense
     copy: `seen[c]`, `seen[cells]`, `seen[:] = row`, `seen[c] += 1`,
     `seen.sum()` and `np.asarray(seen)`; a read returns a new array, never
-    a view, and a write rebuilds the per-set state.
+    a view, and a write recounts the store from the written row.
     """
 
-    __slots__ = ("size", "counts", "total", "profile", "set_totals", "set_cells")
+    __slots__ = ("profile", "cells", "counts", "totals", "total")
 
-    def __init__(self, size: int, profile: HomeProfile | None = None):
-        self.size = size
-        self.counts: dict[int, int] = {}
-        self.total = 0
+    def __init__(self, profile: HomeProfile):
         self.profile = profile
-        self.set_totals: list[int] | None = None
-        self.set_cells: tuple[list[int], list[int]] | None = None
+        self.cells: tuple[list[int], list[int]] = ([], [])
+        self.counts: tuple[list[int], list[int]] = ([], [])
+        self.totals = [0, 0]
+        self.total = 0
 
     def add(self, cell: int, n: int) -> None:
         """Count n more encounters at `cell`."""
-        counts = self.counts
-        count = counts.get(cell, 0)
-        counts[cell] = count + n
+        in_set = self.profile.set_of(cell)
+        cells = self.cells[in_set]
+        i = bisect_left(cells, cell)
+        if i < len(cells) and cells[i] == cell:
+            self.counts[in_set][i] += n
+        else:
+            cells.insert(i, cell)
+            self.counts[in_set].insert(i, n)
+        self.totals[in_set] += n
         self.total += n
-        if self.set_totals is not None:
-            in_set = self.profile.set_of(cell)
-            self.set_totals[in_set] += n
-            if not count:
-                insort(self.set_cells[in_set], cell)
-        elif self.profile is not None:
-            self._build_sets()
-
-    def _build_sets(self) -> None:
-        """Per-set totals and ordered cells, recounted from `counts`."""
-        totals, cells = [0, 0], ([], [])
-        set_of = self.profile.set_of
-        for cell in sorted(self.counts):
-            in_set = set_of(cell)
-            totals[in_set] += self.counts[cell]
-            cells[in_set].append(cell)
-        self.set_totals, self.set_cells = totals, cells
 
     def sum(self) -> int:
         return self.total
@@ -288,8 +272,10 @@ class SeenCounters:
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if copy is False:
             raise ValueError("seen counters are sparse: a dense array is always a copy")
-        row = np.zeros(self.size, dtype=np.int64)
-        row[list(self.counts)] = list(self.counts.values())
+        table = self.profile.table
+        row = np.zeros(table.rows * table.cols, dtype=np.int64)
+        for cells, counts in zip(self.cells, self.counts):
+            row[cells] = counts
         return row if dtype is None else row.astype(dtype, copy=False)
 
     def __getitem__(self, key):
@@ -298,14 +284,13 @@ class SeenCounters:
     def __setitem__(self, key, value) -> None:
         row = np.asarray(self)
         row[key] = value
+        self.__init__(self.profile)
         cells = row.nonzero()[0]
-        self.counts = dict(zip(cells.tolist(), row[cells].tolist()))
-        self.total = sum(self.counts.values())
-        if self.profile is not None:
-            self._build_sets()
+        for cell, count in zip(cells.tolist(), row[cells].tolist()):
+            self.add(cell, count)
 
     def __repr__(self) -> str:
-        return f"SeenCounters(size={self.size}, counts={self.counts})"
+        return f"SeenCounters(cells={self.cells}, counts={self.counts})"
 
 
 @dataclass(frozen=True)
@@ -465,11 +450,6 @@ class HomeProfile:
         return np.flatnonzero(offsets == visiting)
 
 
-def build_home_profile(location_map: LocationMap, home: int, params: ModelParams) -> HomeProfile:
-    """The selection profile of `home`, from an OffsetTable of its own."""
-    return OffsetTable(location_map, params).profile(home)
-
-
 class NodeState:
     """One node: its home, its seen counters and its current phase.
 
@@ -541,10 +521,10 @@ def make_node_state(
     for that home under `params`, shared with the other nodes of the home;
     one is built, with an OffsetTable of its own, when none is given.
     """
-    home = location_map.cell_of(position)
+    home = cell_of(location_map, position)
     if profile is None:
-        profile = build_home_profile(location_map, home, params)
-    return NodeState(node_id, home, position, SeenCounters(len(location_map), profile), profile)
+        profile = OffsetTable(location_map, params).profile(home)
+    return NodeState(node_id, home, position, SeenCounters(profile), profile)
 
 
 def decay_of(distances: np.ndarray, k: float) -> np.ndarray:
@@ -567,18 +547,6 @@ def candidate_weights(
     both may be arrays over the set or the scalars of one cell.
     """
     return static + (1.0 - alpha) * seen / (1.0 + total)
-
-
-def normalized_weights(weights: np.ndarray) -> np.ndarray:
-    """Selection probabilities proportional to nonnegative weights.
-
-    All-zero weights fall back to a uniform choice, so scaling every weight
-    by a positive constant never changes the result.
-    """
-    total = weights.sum()
-    if total <= 0.0:
-        return np.full(len(weights), 1.0 / len(weights))
-    return weights / total
 
 
 @dataclass(frozen=True)
@@ -637,7 +605,7 @@ def choose_destination(
     if total:
         # every dynamic weight shares the factor (1 - alpha) / (1 + total),
         # so their sum is the weight of the set's summed counts
-        dynamic_mass = candidate_weights(0.0, seen.set_totals[visiting], total, params.alpha)
+        dynamic_mass = candidate_weights(0.0, seen.totals[visiting], total, params.alpha)
         if dynamic_mass > 0.0:
             static_mass = candidates.static_mass
             x = r * (static_mass + dynamic_mass)
@@ -648,12 +616,12 @@ def choose_destination(
                 # written out, added one at a time in ascending cell id: the
                 # draws are pinned to these roundings, and another order or a
                 # cumulative form would round the partial sums differently
-                counts, alpha = seen.counts, params.alpha
-                cells = seen.set_cells[visiting]
+                alpha = params.alpha
+                cells = seen.cells[visiting]
                 cell_id = cells[-1]  # when rounding runs past the last entry
                 acc = static_mass
-                for cell in cells:
-                    acc += (1.0 - alpha) * counts[cell] / (1.0 + total)
+                for cell, count in zip(cells, seen.counts[visiting]):
+                    acc += (1.0 - alpha) * count / (1.0 + total)
                     if x < acc:
                         cell_id = cell
                         break

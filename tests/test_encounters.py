@@ -46,6 +46,12 @@ def make_nodes(count, params=None):
     return [make_node_state(i, Point2D(10.0, 10.0), location_map, params) for i in range(count)]
 
 
+def seen_dict(seen):
+    """A node's seen counts as {cell: count}, read from both sets of its store."""
+    return {cell: count for cells, counts in zip(seen.cells, seen.counts)
+            for cell, count in zip(cells, counts)}
+
+
 def tracker_for(nodes, **kwargs):
     """A tracker that counts encounters into the nodes' seen counters, indexed by node id."""
     return ContactTracker([node.seen for node in nodes], **kwargs)
@@ -177,7 +183,7 @@ def test_bystander_counts_settle_at_departure():
     tracker.on_departure_signal(2, 5, 6.0)
     tracker.on_departure_signal(1, 2, 8.0)
     tracker.on_departure_signal(0, 5, 9.0)  # met 1 and then 2 while paused
-    assert [node.seen.counts for node in nodes] == [{5: 2}, {5: 1}, {5: 1}]
+    assert [seen_dict(node.seen) for node in nodes] == [{5: 2}, {5: 1}, {5: 1}]
     assert [node.seen.total for node in nodes] == [2, 1, 1]
     assert contact_tuples(tracker.records) == [
         (0, 1, 5, 2.0, 3.0, False),
@@ -278,17 +284,16 @@ def test_kernel_reads_settled_counters(monkeypatch, seen_update):
 
     def checking_choose(node, *args):
         expected = recount(node.id, state.tracker.records, state.pauses, seen_update)
-        assert node.seen.counts == expected
+        assert seen_dict(node.seen) == expected
         assert node.seen.total == sum(expected.values())
-        # each set's total and ordered seen cells, as the recount splits them
+        # each set's ordered seen cells, their counts and the set's total,
+        # as the recount splits them
         for in_set in (0, 1):
             cells = set(node.profile.cells(bool(in_set)).tolist())
-            split = {cell: n for cell, n in expected.items() if cell in cells}
-            if node.seen.set_totals is None:
-                assert not expected
-            else:
-                assert node.seen.set_totals[in_set] == sum(split.values())
-                assert node.seen.set_cells[in_set] == sorted(split)
+            split = sorted((cell, n) for cell, n in expected.items() if cell in cells)
+            assert node.seen.cells[in_set] == [cell for cell, _ in split]
+            assert node.seen.counts[in_set] == [n for _, n in split]
+            assert node.seen.totals[in_set] == sum(n for _, n in split)
         read.append(node.seen.total)
         return choose(node, *args)
 

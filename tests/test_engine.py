@@ -15,13 +15,12 @@ from swimsim.engine import (
     run,
     simulate,
 )
-from swimsim.grid import AreaBounds, LocationClass, Point2D, build_grid, classify_locations
+from swimsim.grid import AreaBounds, LocationClass, Point2D, build_grid, cell_of, classify_locations
 from swimsim.mobility import (
     BLOCK,
     ModelParams,
     Moving,
     Paused,
-    SeenCounters,
     UniformStream,
     UniformWait,
     draw_wait_time,
@@ -70,7 +69,7 @@ class FakeUniforms:
     def take(self, k):
         assert k == 4
         x, y = self.uniforms.pop(0), self.uniforms.pop(0)
-        row, col = divmod(self.location_map.cell_of(Point2D(x, y)), self.location_map.cols)
+        row, col = divmod(cell_of(self.location_map, Point2D(x, y)), self.location_map.cols)
         xs, ys = self.location_map.x_edges, self.location_map.y_edges
         fx = (x - xs[col]) / (xs[col + 1] - xs[col])
         fy = (y - ys[row]) / (ys[row + 1] - ys[row])
@@ -315,7 +314,8 @@ def test_run_zero_horizon(tmp_path):
 
 def test_logs_are_record_arrays_with_pinned_fields():
     report = simulate(make_params(sim_duration=200.0))
-    tracker = ContactTracker([SeenCounters(1)])
+    node = make_node_state(0, Point2D(10.0, 10.0), report.location_map, report.params)
+    tracker = ContactTracker([node.seen])
     logs = (report.waypoints, report.selections, report.contacts, tracker.records)
     assert [log.dtype.names for log in logs] == [
         ("time", "node", "x", "y", "event"),

@@ -20,7 +20,6 @@ from swimsim.metrics import (
 )
 from swimsim.mobility import (
     ModelParams,
-    SeenCounters,
     UniformWait,
     make_node_state,
     node_stream,
@@ -106,7 +105,13 @@ def test_ict_censored_adjacent_gaps_dropped():
     ],
 )
 def test_metrics_reject_open_contacts(measure):
-    tracker = ContactTracker([SeenCounters(1), SeenCounters(1)])
+    params = ModelParams(
+        alpha=0.3, speed=1.4, neighbour_limit=300.0, n_locations=2, area=AREA,
+        wait=UniformWait(2.0, 5.0), node_count=2, sim_duration=20.0, seed=5,
+    )
+    location_map = build_grid(AREA, 2)
+    nodes = [make_node_state(i, Point2D(10.0, 10.0), location_map, params) for i in range(2)]
+    tracker = ContactTracker([node.seen for node in nodes])
     tracker.on_arrival_signal(0, 0, 0.0, 10.0)
     # opens a contact that ends after the latest signal; finish() never closes it
     tracker.on_arrival_signal(1, 0, 2.0, 12.0)

@@ -14,15 +14,12 @@ from swimsim.grid import (
 from swimsim.mobility import (
     ModelParams,
     PowerLawWait,
-    SeenCounters,
     UniformWait,
-    build_home_profile,
     candidate_weights,
     decay_of,
     draw_wait_time,
     make_node_state,
     node_stream,
-    normalized_weights,
     select_destination,
 )
 
@@ -60,7 +57,7 @@ def seen_normalized(node, c):
 
 def all_weights(node, location_map, params):
     """w(C) for every cell, gathered from both candidate sets of the node's home."""
-    profile = build_home_profile(location_map, node.home, params)
+    profile = node.profile
     decay = decay_of(center_distances(location_map, node.home), params.k)
     w = np.full(len(location_map), np.nan)
     for visiting in (False, True):
@@ -163,16 +160,6 @@ def test_weight_bounds_random():
         assert ((0.0 <= w) & (w <= 1.0)).all()
 
 
-def test_normalized_weights_scale_invariant():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        w = rng.uniform(0.0, 3.0, size=8)
-        scale = float(rng.uniform(0.1, 1000.0))
-        assert normalized_weights(w * scale) == pytest.approx(normalized_weights(w))
-    uniform = normalized_weights(np.zeros(5))
-    assert uniform == pytest.approx(np.full(5, 0.2))
-
-
 def test_wait_uniform_moments():
     rng = np.random.default_rng(23)
     n = 100_000
@@ -260,7 +247,8 @@ def test_select_destination_cold_start_step1_fraction():
     assert abs(n_visiting / n - 0.7) < 3 * sigma
     # within the visiting set, frequencies follow the normalized decay weights
     decay = decay_of(center_distances(m, node.home), params.k)
-    expected = normalized_weights(decay[visiting_cells])
+    w = decay[visiting_cells]
+    expected = w / w.sum()
     empirical = np.array([hits[int(c)] / n_visiting for c in visiting_cells])
     tv = 0.5 * np.abs(empirical - expected).sum()
     assert tv < 0.02
@@ -321,54 +309,54 @@ def test_node_stream_independent_of_node_count():
 
 
 def test_seen_counters_read_and_write_like_a_dense_row():
-    seen = SeenCounters(6)
-    assert seen.sum() == 0 and seen.counts == {}
-    assert np.array_equal(np.asarray(seen), np.zeros(6, dtype=np.int64))
-    seen[:] = [0, 3, 0, 0, 5, 0]
-    assert seen.counts == {1: 3, 4: 5} and seen.total == seen.sum() == 8
-    seen[2] += 1
-    seen[4] += 1
-    seen.add(1, 2)
-    assert seen.counts == {1: 5, 2: 1, 4: 6} and seen.sum() == 12
-    assert seen[4] == 6 and seen[0] == 0
-    assert seen[[4, 0, 1]].tolist() == [6, 0, 5]
-    assert seen[np.array([2, 5])].tolist() == [1, 0]
-    row = np.asarray(seen)
-    assert row.dtype == np.int64 and row.tolist() == [0, 5, 1, 0, 6, 0]
-    row[0] = 9  # a read is a copy
-    assert seen[0] == 0
-    assert np.asarray(seen, dtype=float).tolist() == [0.0, 5.0, 1.0, 0.0, 6.0, 0.0]
-    with pytest.raises(ValueError, match="copy"):
-        seen.__array__(copy=False)  # numpy 2's np.asarray(seen, copy=False)
-    seen[4] = 0  # a count set to zero leaves the sparse form
-    assert seen.counts == {1: 5, 2: 1} and seen.sum() == 6
-    # a node's counters also keep each set's total and seen cells in id
-    # order, built at the first count, through every kind of write
+    # a node's counters keep, per set of its home, the seen cells in id
+    # order, their counts and the set's total; after every kind of write
+    # they must equal the dense row, recounted and split by the home's sets
     params = make_params(n_locations=12, neighbour_limit=150.0)
     location_map = build_grid(params.area, params.n_locations)
     node = node_at(Point2D(10.0, 10.0), params, location_map)
     seen = node.seen
     near, visiting = (node.profile.cells(v).tolist() for v in (False, True))
-    assert near and visiting and seen.set_totals is None
+    assert near and visiting
 
-    def dense_sets():
+    def check_recount():
         row = np.asarray(seen)
-        return [int(row[cells].sum()) for cells in (near, visiting)], tuple(
-            [c for c in cells if row[c]] for cells in (near, visiting)
-        )
+        for in_set, cells in enumerate((near, visiting)):
+            held = [c for c in cells if row[c]]
+            assert seen.cells[in_set] == held
+            assert seen.counts[in_set] == row[held].tolist()
+            assert seen.totals[in_set] == int(row[cells].sum())
+        assert seen.total == seen.sum() == int(row.sum())
 
+    assert seen.sum() == 0 and seen.cells == seen.counts == ([], [])
+    assert np.array_equal(np.asarray(seen), np.zeros(12, dtype=np.int64))
+    check_recount()
     for write in (
         lambda: seen.add(visiting[-1], 2),
-        lambda: seen.add(near[0], 1),
+        lambda: seen.add(near[-1], 1),
         lambda: seen.add(visiting[0], 3),
+        lambda: seen.add(near[0], 1),
         lambda: seen.add(visiting[-1], 1),
         lambda: seen.__setitem__(slice(None), np.arange(12) % 3),
-        lambda: seen.__setitem__(near[-1], 0),
+        lambda: seen.__setitem__(near[-1], 0),  # a count set to zero leaves the store
         lambda: seen.add(near[-1], 4),
+        lambda: seen.__setitem__(visiting[1], seen[visiting[1]] + 1),  # seen[c] += 1
+        lambda: seen.__setitem__(slice(None), [0, 3, 0, 0, 5] + [0] * 7),
     ):
         write()
-        assert (seen.set_totals, seen.set_cells) == dense_sets()
-    seen[visiting[1]] += 1
-    seen[near[0]] += 1
-    assert (seen.set_totals, seen.set_cells) == dense_sets()
-    assert sum(seen.set_totals) == seen.total
+        check_recount()
+    seen[2] += 1
+    seen[4] += 1
+    seen.add(1, 2)
+    check_recount()
+    assert seen.sum() == 12
+    assert seen[4] == 6 and seen[0] == 0
+    assert seen[[4, 0, 1]].tolist() == [6, 0, 5]
+    assert seen[np.array([2, 5])].tolist() == [1, 0]
+    row = np.asarray(seen)
+    assert row.dtype == np.int64 and row.tolist() == [0, 5, 1, 0, 6] + [0] * 7
+    row[0] = 9  # a read is a copy
+    assert seen[0] == 0
+    assert np.asarray(seen, dtype=float).tolist() == [0.0, 5.0, 1.0, 0.0, 6.0] + [0.0] * 7
+    with pytest.raises(ValueError, match="copy"):
+        seen.__array__(copy=False)  # numpy 2's np.asarray(seen, copy=False)

@@ -336,7 +336,7 @@ def test_seen_counters_are_sparse_and_per_node():
     params = make_params(node_count=8)
     state = initialize(params)
     for i, node in enumerate(state.nodes):
-        assert isinstance(node.seen, SeenCounters) and node.seen.size == 21
+        assert isinstance(node.seen, SeenCounters) and np.asarray(node.seen).shape == (21,)
         assert state.tracker.seen[i] is node.seen
         node.seen[i] += 100
     report = run(state, until=params.sim_duration)
@@ -344,7 +344,10 @@ def test_seen_counters_are_sparse_and_per_node():
     assert (np.diag(report.seen[:, :8]) >= 100).all()
     for row, node in zip(report.seen, state.nodes):
         assert np.array_equal(row, np.asarray(node.seen))
-        assert {c: row[c] for c in row.nonzero()[0].tolist()} == node.seen.counts
+        for in_set in (0, 1):
+            cells = [c for c in node.profile.cells(bool(in_set)).tolist() if row[c]]
+            assert node.seen.cells[in_set] == cells
+            assert node.seen.counts[in_set] == row[cells].tolist()
 
 
 def test_initialize_holds_no_n_by_l_array():
@@ -377,13 +380,14 @@ def test_selection_state_is_not_per_home_per_cell():
 
 
 class NoCounters:
-    """Seen counters of a node that has met nobody, whose cells must not be read."""
+    """Seen counters of a node that has met nobody, whose sets must not be read."""
 
     total = 0
 
-    @property
-    def counts(self):
+    def _unread(self):
         raise AssertionError("a cold selection read the seen counters")
+
+    cells = counts = totals = property(_unread)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
