@@ -125,12 +125,17 @@ def classify_locations(
     """Per-cell class for a node homed at `home`.
 
     A cell is neighbouring when its center lies within `limit` meters of the
-    home cell's center; everything else (other than home itself) is visiting.
+    home cell's center, a distance read from offset_distances; everything
+    else (other than home itself) is visiting.
     """
-    classes = [
-        LocationClass.NEIGHBOURING if near else LocationClass.VISITING
-        for near in near_mask(center_distances(location_map, home), home, limit)
-    ]
+    if limit < 0:
+        raise ValueError(f"neighbourLocationLimit must be >= 0, got {limit}")
+    rows, cols = location_map.rows, location_map.cols
+    row, col = divmod(home, cols)
+    distances = offset_distances(location_map)[rows - 1 - row:2 * rows - 1 - row,
+                                               cols - 1 - col:2 * cols - 1 - col]
+    classes = [LocationClass.NEIGHBOURING if d <= limit else LocationClass.VISITING
+               for d in distances.ravel().tolist()]
     classes[home] = LocationClass.HOME
     return classes
 
@@ -153,20 +158,3 @@ def offset_distances(location_map: LocationMap) -> np.ndarray:
     exp = np.frexp(np.maximum(np.abs(dx), np.abs(dy)))[1]
     dx, dy = np.ldexp(dx, -exp), np.ldexp(dy, -exp)
     return np.ldexp(np.sqrt(dx * dx + dy * dy), exp)
-
-
-def center_distances(location_map: LocationMap, home: int) -> np.ndarray:
-    """Distance from the home cell's center to every cell's center, from offset_distances."""
-    rows, cols = location_map.rows, location_map.cols
-    row, col = divmod(home, cols)
-    offsets = offset_distances(location_map)
-    return offsets[rows - 1 - row:2 * rows - 1 - row, cols - 1 - col:2 * cols - 1 - col].ravel()
-
-
-def near_mask(distances: np.ndarray, home: int, limit: float) -> np.ndarray:
-    """True for the home cell and every cell whose center is within `limit`."""
-    if limit < 0:
-        raise ValueError(f"neighbourLocationLimit must be >= 0, got {limit}")
-    mask = distances <= limit
-    mask[home] = True
-    return mask

@@ -15,7 +15,11 @@ are counted from the columns of a run's selection log.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -50,14 +54,10 @@ def summarize(values) -> DistributionSummary:
     positive = arr[arr > 0]
     ccdf = []
     if positive.size:
-        # with one distinct positive value geomspace lands an ulp either side
-        # of it; clipping keeps every threshold within the sample range
-        thresholds = np.clip(
-            np.geomspace(positive.min(), arr.max(), CCDF_POINTS), positive.min(), arr.max()
-        )
+        thresholds = _thresholds(float(positive.min()), float(arr.max()))
         # the count of samples >= t over the count, exactly np.mean(arr >= t)
         below = np.searchsorted(np.sort(arr), thresholds, "left")
-        ccdf = list(zip(thresholds.tolist(), ((arr.size - below) / arr.size).tolist()))
+        ccdf = list(zip(thresholds, ((arr.size - below) / arr.size).tolist()))
     return DistributionSummary(
         samples=int(arr.size),
         mean=float(arr.mean()),
@@ -65,6 +65,22 @@ def summarize(values) -> DistributionSummary:
         max=float(arr.max()),
         ccdf=ccdf,
     )
+
+
+def _thresholds(low: float, high: float) -> list[float]:
+    """CCDF_POINTS log-spaced thresholds from low to high, by IEEE products only,
+    which round alike on every CPU (np.geomspace's vector log and power do not).
+
+    Each is the one before times q, the largest double, found by bisection,
+    for which the last so built is at most high; the last is then high.
+    """
+    lo, hi = 1.0, min(high / low, sys.float_info.max)
+    while lo < (q := lo + (hi - lo) / 2) < hi:
+        if reduce(mul, [q] * (CCDF_POINTS - 1), low) <= high:
+            lo = q
+        else:
+            hi = q
+    return [*accumulate([lo] * (CCDF_POINTS - 2), mul, initial=low), high]
 
 
 def _pairs(log: np.recarray) -> tuple[np.ndarray, np.ndarray]:

@@ -537,18 +537,6 @@ def decay_of(distances: np.ndarray, k: float) -> np.ndarray:
         return 1.0 / (1.0 + k * distances) ** 2
 
 
-def candidate_weights(
-    static: np.ndarray | float, seen: np.ndarray | int, total: float, alpha: float
-) -> np.ndarray | float:
-    """w(C) = alpha * decay(C) + (1 - alpha) * seen(C) / (1 + total) over a set.
-
-    `static` is the home profile's alpha * decay term of the candidates and
-    `seen` their encounter counts out of `total` encounters in all cells;
-    both may be arrays over the set or the scalars of one cell.
-    """
-    return static + (1.0 - alpha) * seen / (1.0 + total)
-
-
 @dataclass(frozen=True)
 class DestinationChoice:
     cell: int
@@ -603,19 +591,18 @@ def choose_destination(
     seen = node.seen
     total = seen.total
     if total:
-        # every dynamic weight shares the factor (1 - alpha) / (1 + total),
-        # so their sum is the weight of the set's summed counts
-        dynamic_mass = candidate_weights(0.0, seen.totals[visiting], total, params.alpha)
+        # the seen terms (1 - alpha) * count / (1 + total) share their factor,
+        # so their sum is the term of the set's summed counts
+        dynamic_mass = (1.0 - params.alpha) * seen.totals[visiting] / (1.0 + total)
         if dynamic_mass > 0.0:
             static_mass = candidates.static_mass
             x = r * (static_mass + dynamic_mass)
             if x < static_mass:
                 r = x / static_mass
             else:
-                # each weight is candidate_weights(0.0, count, total, alpha)
-                # written out, added one at a time in ascending cell id: the
-                # draws are pinned to these roundings, and another order or a
-                # cumulative form would round the partial sums differently
+                # each seen term is added one at a time in ascending cell id:
+                # the draws are pinned to these roundings, and another order
+                # or a cumulative form would round the partial sums differently
                 alpha = params.alpha
                 cells = seen.cells[visiting]
                 cell_id = cells[-1]  # when rounding runs past the last entry

@@ -46,7 +46,7 @@ DIGESTS = {
         "locations.csv": LOCATIONS,
         "waypoints.csv": "b23f20758d63054051c7e9d8068cdf1e13386500ff5c5df13379d0a00195607c",
         "contacts.csv": "5e8be45a927210fb7933a9f6d9ad78622a9f3c9f035caf38ca83e16b50f893a5",
-        "metrics.json": "6137466a699d804ba0a49415f48ebe01a902658ad6f932c4299fa1d6e040c7d2",
+        "metrics.json": "a1296d926643a5619c52e8ae2def7cdfbb4f31ba111a6919dc8e837657bf1ec6",
         "ccdf_inter_contact_times.csv": "38dda2725cd029443c3d4537026deff448d859a6aa947279c2cc2d1601964da1",
         "ccdf_contact_durations.csv": "60df0bf4b020e30503f280fb2a537f0eef0577811b90da3c51e4acc2860530e4",
         "ccdf_contacts_per_pair.csv": "ac75cce72e0a5c0f7bb07434d5b0e63a015d44af0382d7dc536713348e8319b2",
@@ -55,7 +55,7 @@ DIGESTS = {
         "locations.csv": LOCATIONS,
         "waypoints.csv": "84404d628a674c10f72ec14e318485a6585eb2bb1d6ed0ae8744cfc7facfc09a",
         "contacts.csv": "0a178704a0625e181219e9633c30420aefd3a74269dba92c30401f5122161a50",
-        "metrics.json": "29c1f7a1c83c117bf3d9f54660b5b7047056c28a5dc2c58e431c0508debff0d8",
+        "metrics.json": "11f7a38076a8cb612411d401da5b4f38ab36a196d3b3b9e59fb1eeaab21516b3",
         "ccdf_inter_contact_times.csv": "80b3e49442e8168ceaa1ed0e796f5687471ddf867860985040356f4b4bcad4c5",
         "ccdf_contact_durations.csv": "1fe36f446127f44acdda792c08a8c3a0449e649a814fd532fab3cbbac2142406",
         "ccdf_contacts_per_pair.csv": "1c1da39a569f2268a70ec9538f7cced8b074f64b6e11dc2396008107a88e8631",
@@ -96,7 +96,7 @@ CROWDED_DIGESTS = {
     "locations.csv": "b68db4a572f56af8230baba8fb93048d1a0dab6b206e5ad0591979669622332b",
     "waypoints.csv": "bcc542dd025026f1f2f25098b6caa363faa5e93927acf19c76f649433e3abd42",
     "contacts.csv": "503c3ae704772b805bcbe4d1a08b56837ef774eb7ae59c8c98e5ea1bef646e33",
-    "metrics.json": "8f258ae8f8512c66e1c9eff5fa5b1833fbb6402dd9f8b428a9aadbeff954ed08",
+    "metrics.json": "0420264df0b4df01b2a32533741c2a03358655dd0acc2463f1c572f667f0eab4",
     "ccdf_inter_contact_times.csv": "1670a0a6f224ab8205f01a639ea3aea9c0d95f7eb856793852c4df535991e49a",
     "ccdf_contact_durations.csv": "d871bfb64a49c46cb255bd10abdf64272335f770947d9be7b87dccb3b9cb7d46",
     "ccdf_contacts_per_pair.csv": "8885097556db6543998b3f8d6eec0a48be9e3a4c4907c81d953f98e3130b0a25",
@@ -109,7 +109,7 @@ BYSTANDERS_ONLY_DIGESTS = {
     "locations.csv": "b68db4a572f56af8230baba8fb93048d1a0dab6b206e5ad0591979669622332b",
     "waypoints.csv": "bab177515611fccb745533b3828a3cd4a34ccff83d7035512ab9131d1a54b8c2",
     "contacts.csv": "6427f933738c54bd6eab364e57e2e83fea49fbdbac54168136e5d62bc8ce0178",
-    "metrics.json": "2f0d25d77058a82dd35383ece88d6a4ec6972c43baccdb238b50cb5b663558a1",
+    "metrics.json": "46e45b1a15b8fa52df15cade11b3a07f74dccd32ae59fec0fce2d622149e64e3",
     "ccdf_inter_contact_times.csv": "53504da5f892b5f70a613a3de573d82b4ff8c54b52a4704be6e524a940134ecc",
     "ccdf_contact_durations.csv": "6b6f0701b2cb1f135c4f828944627a63a8a74d2444297e97eb5ba2a856012314",
     "ccdf_contacts_per_pair.csv": "99c7e702393ace9b77beb024431f14604f97ec2d55b2bfe62a65c018fbd0caa4",

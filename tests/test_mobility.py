@@ -3,19 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from swimsim.grid import (
-    AreaBounds,
-    LocationClass,
-    Point2D,
-    build_grid,
-    center_distances,
-    classify_locations,
-)
+from test_grid import centers
+
+from swimsim.grid import AreaBounds, LocationClass, Point2D, build_grid, classify_locations
 from swimsim.mobility import (
     ModelParams,
     PowerLawWait,
     UniformWait,
-    candidate_weights,
     decay_of,
     draw_wait_time,
     make_node_state,
@@ -46,25 +40,25 @@ def node_at(point, params, location_map):
     return make_node_state(0, point, location_map, params)
 
 
-def distance_decay(home, c, location_map, k):
-    return decay_of(center_distances(location_map, home), k)[c]
+def center_decays(location_map, home, k):
+    """The decay 1 / (1 + k*d)^2 of every cell, d its center's distance from the home cell's."""
+    cells = centers(location_map)
+    return decay_of(np.array([math.dist(cells[home], center) for center in cells]), k)
 
 
 def seen_normalized(node, c):
-    """The seen term alone: candidate_weights with alpha = 0 and no static term."""
-    return candidate_weights(np.zeros(1), node.seen[[c]], node.seen.sum(), 0.0)[0]
+    """The seen term alone, seen(C) / (1 + total seen)."""
+    return node.seen[c] / (1.0 + node.seen.sum())
 
 
 def all_weights(node, location_map, params):
     """w(C) for every cell, gathered from both candidate sets of the node's home."""
-    profile = node.profile
-    decay = decay_of(center_distances(location_map, node.home), params.k)
+    decay = center_decays(location_map, node.home, params.k)
     w = np.full(len(location_map), np.nan)
     for visiting in (False, True):
-        cells = profile.cells(visiting)
-        w[cells] = candidate_weights(
-            params.alpha * decay[cells], node.seen[cells], node.seen.sum(), params.alpha
-        )
+        cells = node.profile.cells(visiting)
+        seen = node.seen[cells] / (1.0 + node.seen.sum())
+        w[cells] = params.alpha * decay[cells] + (1.0 - params.alpha) * seen
     return w
 
 
@@ -93,20 +87,20 @@ def test_default_decay_scale_is_two_over_diagonal():
 
 def test_distance_decay_home_is_one():
     m = build_grid(AREA, 21)
-    assert distance_decay(0, 0, m, 0.01) == 1.0
+    assert center_decays(m, 0, 0.01)[0] == 1.0
 
 
 def test_distance_decay_direct_value():
     # two cells side by side whose centers sit 100 m apart
     m = build_grid(AreaBounds(200.0, 100.0), 2)
     assert (m.rows, m.cols) == (1, 2)
-    assert distance_decay(0, 1, m, 0.01) == pytest.approx(0.25)
+    assert center_decays(m, 0, 0.01)[1] == pytest.approx(0.25)
 
 
 def test_distance_decay_strictly_decreasing():
     m = build_grid(AREA, 21)
     for k in (0.001, 0.01, 0.5):
-        decays = [distance_decay(0, c, m, k) for c in range(7)]  # first row
+        decays = center_decays(m, 0, k)[:7]  # first row
         assert all(a > b for a, b in zip(decays, decays[1:]))
 
 
@@ -130,7 +124,7 @@ def test_weight_alpha_extremes_and_mix():
     pure_decay = all_weights(node, m, make_params(alpha=1.0))
     pure_seen = all_weights(node, m, make_params(alpha=0.0))
     for c in range(21):
-        assert pure_decay[c] == pytest.approx(distance_decay(node.home, c, m, make_params().k))
+        assert pure_decay[c] == pytest.approx(center_decays(m, node.home, make_params().k)[c])
         assert pure_seen[c] == pytest.approx(seen_normalized(node, c))
 
 
@@ -246,7 +240,7 @@ def test_select_destination_cold_start_step1_fraction():
     sigma = math.sqrt(0.3 * 0.7 / n)
     assert abs(n_visiting / n - 0.7) < 3 * sigma
     # within the visiting set, frequencies follow the normalized decay weights
-    decay = decay_of(center_distances(m, node.home), params.k)
+    decay = center_decays(m, node.home, params.k)
     w = decay[visiting_cells]
     expected = w / w.sum()
     empirical = np.array([hits[int(c)] / n_visiting for c in visiting_cells])

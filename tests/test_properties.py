@@ -1,5 +1,5 @@
 """Property tests: every accepted config runs, every accepted wait samples in
-range, and the seen counters agree with the contact log.
+range, and the engine's run equals the reference simulator's (reference.py).
 
 Hypothesis generates the inputs. Examples are derandomized, so a run of the
 suite always tries the same inputs and a failure reproduces.
@@ -9,11 +9,14 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from unittest.mock import patch
 
-import numpy as np
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
+from reference import simulate_reference
+from test_cpu_targets import CONFIGS
 
+from swimsim import engine
 from swimsim.cli import main
 from swimsim.config import ConfigError, loads_config
 from swimsim.engine import simulate
@@ -187,16 +190,33 @@ def small_scenarios(draw):
     )
 
 
-@settings(max_examples=80, **SETTINGS)
+# the four scenarios whose output bytes test_digests pins
+DIGEST_SCENARIOS = [loads_config(text).to_params() for text in CONFIGS]
+
+
+@settings(max_examples=400, **SETTINGS)
 @given(small_scenarios())
-def test_seen_counters_recount_from_the_contact_log(params):
-    # the contact log is judged against the pauses by the interval oracles
-    # elsewhere, so here it is the reference for the sparse counters
-    report = simulate(params)
-    if params.seen_update == "bystanders_only":
-        assert int(report.seen.sum()) == len(report.contacts)
-        return
-    recount = np.zeros_like(report.seen)
-    for member in (report.contacts.a, report.contacts.b):
-        np.add.at(recount, (member, report.contacts.cell), 1)
-    assert np.array_equal(report.seen, recount)
+@example(DIGEST_SCENARIOS[0])
+@example(DIGEST_SCENARIOS[1])
+@example(DIGEST_SCENARIOS[2])
+@example(DIGEST_SCENARIOS[3])
+def test_engine_matches_the_reference_simulator(params):
+    # every log, the final seen counts and the seen counts each selection
+    # read equal, field by field, those of the reference simulator
+    choose, reads = engine.choose_destination, []
+
+    def reading_choose(node, *args):
+        seen = node.seen
+        pairs = [list(zip(seen.cells[s], seen.counts[s])) for s in (0, 1)]
+        reads.append((*pairs, list(seen.totals), seen.total))
+        return choose(node, *args)
+
+    with patch.object(engine, "choose_destination", reading_choose):
+        report = simulate(params)
+    expected = simulate_reference(params)
+    assert report.waypoints.tolist() == expected["waypoints"]
+    assert report.selections.tolist() == expected["selections"]
+    assert reads == expected["reads"]
+    assert report.pauses.tolist() == expected["pauses"]
+    assert report.contacts.tolist() == expected["contacts"]
+    assert report.seen.tolist() == expected["seen"]

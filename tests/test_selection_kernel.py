@@ -1,13 +1,9 @@
-"""The profiled selection kernel against the dense one it replaced.
+"""The profiled selection kernel against dense references.
 
-`dense_select` below is the kernel as it was before home profiles: it
-classifies the grid, builds the decay vector and the full weight vector of
-the chosen set, and cumsums it on every call. Where w(C) has one component
-only (a node that has met nobody, alpha = 0 or alpha = 1) the profiled
-kernel must make the same draw, bit for bit, from the same random stream.
-Where both mix it draws each component on its own, so it must instead
-give each cell the probability of the dense weights: a stratified sweep of
-the step-2 uniform over each step-1 set is compared with them exactly.
+Where w(C) mixes its static and its seen term, the kernel draws each term
+on its own, so a stratified sweep of the step-2 uniform over each step-1
+set must give each cell its probability under the reference simulator's
+dense w(C) (reference.py), which test_properties runs draw for draw.
 
 The kernel reads its static draw from the run's offset table. A property
 test checks that draw on generated grids of up to 12 x 12 cells against a
@@ -24,16 +20,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from reference import Model
+from test_grid import centers
 
 from swimsim.engine import initialize, run
-from swimsim.grid import (
-    AreaBounds,
-    LocationClass,
-    LocationMap,
-    Point2D,
-    build_grid,
-    classify_locations,
-)
+from swimsim.grid import AreaBounds, LocationMap, Point2D, build_grid
 from swimsim.mobility import (
     ModelParams,
     SeenCounters,
@@ -72,56 +63,6 @@ def make_params(**overrides):
     )
     base.update(overrides)
     return ModelParams(**base)
-
-
-def centers(location_map):
-    """Every cell's center, in id order, from the grid's edges."""
-    xs, ys = location_map.x_edges, location_map.y_edges
-    return [
-        ((xs[c] + xs[c + 1]) / 2, (ys[r] + ys[r + 1]) / 2)
-        for r in range(location_map.rows)
-        for c in range(location_map.cols)
-    ]
-
-
-def dense_weights(home, seen, location_map, params, u):
-    """The dense kernel's step-2 candidates and probabilities for step-1 uniform u."""
-    classes = classify_locations(location_map, home, params.neighbour_limit)
-    near = np.array(
-        [i for i, c in enumerate(classes) if c is not LocationClass.VISITING], dtype=np.int64
-    )
-    visiting = np.array(
-        [i for i, c in enumerate(classes) if c is LocationClass.VISITING], dtype=np.int64
-    )
-    all_centers = np.array(centers(location_map))
-    d = np.hypot(*(all_centers - all_centers[home]).T)
-    decay = 1.0 / (1.0 + params.k * d) ** 2
-
-    candidates = near if u < params.alpha else visiting
-    fallback = candidates.size == 0
-    if fallback:
-        candidates = visiting if u < params.alpha else near
-    weights = params.alpha * decay[candidates] + (1.0 - params.alpha) * seen[candidates] / (
-        1.0 + float(seen.sum())
-    )
-    total = weights.sum()
-    probs = np.full(len(weights), 1.0 / len(weights)) if total <= 0.0 else weights / total
-    return candidates, probs, fallback, classes
-
-
-def dense_select(home, seen, location_map, params, rng):
-    u = rng.random()
-    candidates, probs, fallback, classes = dense_weights(home, seen, location_map, params, u)
-    r = rng.random()
-    idx = int(np.searchsorted(np.cumsum(probs), r, side="right"))
-    idx = min(idx, len(candidates) - 1)
-    cell = int(candidates[idx])
-    # numpy's uniform arithmetic on the cell's bounds
-    row, col = divmod(cell, location_map.cols)
-    xs, ys = location_map.x_edges, location_map.y_edges
-    fx, fy = rng.random(2).tolist()
-    point = Point2D(xs[col] + (xs[col + 1] - xs[col]) * fx, ys[row] + (ys[row + 1] - ys[row]) * fy)
-    return cell, point, classes[cell] is LocationClass.VISITING, fallback
 
 
 def grid_of(rows, cols, area):
@@ -213,106 +154,26 @@ def test_offset_table_draw_matches_dense_reference(case):
                 assert choose_destination(node, location_map, params, u, r, 0.5, 0.5)[0] in chosen
 
 
-class StratifiedDraws:
-    """Stand-in for a node's rng: step-1 uniform `u`, then r = (i + 1/2) / n for i < n."""
-
-    def __init__(self, u, n):
-        r = (np.arange(n) + 0.5) / n
-        self.draws = iter(np.column_stack([np.full(n, u), r, np.full(n, 0.5), np.full(n, 0.5)]))
-
-    def random(self, size):
-        return next(self.draws)
-
-
-def assert_stratified_matches_dense(node, params, u):
-    """Sweep r over the step-1 set u picks; cell shares must match the dense weights."""
-    rng = StratifiedDraws(u, STRATA)
-    choices = [select_destination(node, GRID, params, rng) for _ in range(STRATA)]
-    candidates, probs, fallback, classes = dense_weights(node.home, node.seen, GRID, params, u)
-    visiting = classes[candidates[0]] is LocationClass.VISITING
-    assert {(c.visiting, c.fallback) for c in choices} == {(visiting, fallback)}
-    shares = np.bincount([c.cell for c in choices], minlength=len(GRID)) / STRATA
-    expected = np.zeros(len(GRID))
-    expected[candidates] = probs
-    assert 0.5 * np.abs(shares - expected).sum() < 1e-3
-
-
-def seen_pattern(kind):
-    if kind == "zero":
-        return np.zeros(21, dtype=np.int64)
-    if kind == "sparse":
-        seen = np.zeros(21, dtype=np.int64)
-        seen[[3, 17]] = (2, 5)
-        return seen
-    return np.random.default_rng(7).integers(0, 40, size=21)
-
-
-def assert_same_draws(node, params, seen, draws=300, warm_up_at=None):
-    """Draw with both kernels from twin streams; optionally meet someone midway."""
-    node.seen[:] = seen
-    seen = seen.copy()
-    ours, theirs = node_stream(99, node.id), node_stream(99, node.id)
-    for i in range(draws):
-        if i == warm_up_at:
-            node.seen[4] += 1
-            seen[4] += 1
-        choice = select_destination(node, GRID, params, ours)
-        cell, point, visiting, fallback = dense_select(node.home, seen, GRID, params, theirs)
-        assert choice.cell == cell
-        assert choice.point == point
-        assert choice.visiting == visiting
-        assert choice.fallback == fallback
-
-
-def mixed(alpha, kind):
-    """Whether w(C) has both components, so that only the distribution is kept.
-
-    Such cases sweep one step-1 set per home, the near and the visiting set
-    in turn, so that each test covers both sets over its four homes.
-    """
-    return 0.0 < alpha < 1.0 and kind != "zero"
-
-
-@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
-@pytest.mark.parametrize("kind", ["zero", "sparse", "dense"])
-def test_profiled_kernel_matches_dense(alpha, kind):
-    params = make_params(alpha=alpha)
+def test_mixed_draw_shares_match_the_reference_weights():
+    # a node that has met someone at 0 < alpha < 1: sweep r over the step-1
+    # set u picks, the near and the visiting set in turn over the four homes
+    params = make_params(alpha=0.3)
+    model = Model(params)
+    seen = np.random.default_rng(7).integers(0, 40, size=21)
+    counts = {c: n for c, n in enumerate(seen.tolist()) if n}
     for position, u in zip(HOMES, STEP1_UNIFORMS * 2):
         node = make_node_state(0, position, GRID, params)
-        if mixed(alpha, kind):
-            node.seen[:] = seen_pattern(kind)
-            assert_stratified_matches_dense(node, params, u)
-        else:
-            assert_same_draws(node, params, seen_pattern(kind))
-
-
-@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
-def test_profiled_kernel_matches_dense_across_first_encounter(alpha):
-    params = make_params(alpha=alpha)
-    for position, u in zip(HOMES, STEP1_UNIFORMS * 2):
-        node = make_node_state(0, position, GRID, params)
-        if mixed(alpha, "sparse"):
-            # draw for draw while the node has met nobody, then by distribution
-            assert_same_draws(node, params, seen_pattern("zero"), draws=150)
-            node.seen[4] += 1
-            assert_stratified_matches_dense(node, params, u)
-        else:
-            assert_same_draws(node, params, seen_pattern("zero"), warm_up_at=150)
-
-
-@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
-@pytest.mark.parametrize("kind", ["zero", "sparse", "dense"])
-def test_profiled_kernel_matches_dense_without_visiting_cells(alpha, kind):
-    params = make_params(alpha=alpha, neighbour_limit=AREA.diagonal)
-    # the visiting uniform falls back to the near set
-    for position, u in zip(HOMES, STEP1_UNIFORMS * 2):
-        node = make_node_state(0, position, GRID, params)
-        assert node.profile.cells(visiting=True).size == 0
-        if mixed(alpha, kind):
-            node.seen[:] = seen_pattern(kind)
-            assert_stratified_matches_dense(node, params, u)
-        else:
-            assert_same_draws(node, params, seen_pattern(kind))
+        node.seen[:] = seen
+        visiting, fallback, cells = model.pick_set(node.home, u)
+        decay, seen_term = model.terms(node.home, counts, cells)
+        weights = params.alpha * np.array(decay) + seen_term
+        expected = np.zeros(len(GRID))
+        expected[cells] = weights / weights.sum()
+        draws = [choose_destination(node, GRID, params, u, (i + 0.5) / STRATA, 0.5, 0.5)
+                 for i in range(STRATA)]
+        assert {draw[3:] for draw in draws} == {(visiting, fallback)}
+        shares = np.bincount([draw[0] for draw in draws], minlength=len(GRID)) / STRATA
+        assert 0.5 * np.abs(shares - expected).sum() < 1e-3
 
 
 def test_initialize_builds_one_profile_per_home():
