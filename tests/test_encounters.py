@@ -178,6 +178,16 @@ def test_departure_of_a_node_not_paused_there_is_ignored():
         tracker.on_arrival_signal(1, 3, 3.0, 9.0)
 
 
+def test_seen_sum_identity_on_run():
+    report = simulate(make_params())
+    assert int(report.seen.sum()) == 2 * len(report.contacts)
+
+
+def test_seen_sum_identity_bystanders_only():
+    report = simulate(make_params(seen_update="bystanders_only"))
+    assert int(report.seen.sum()) == len(report.contacts)
+
+
 def test_seen_counters_monotone():
     # run with the tracker's two signals, the counters' only writes, wrapped,
     # and check after every event that the counters never decrease
