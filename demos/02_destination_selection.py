@@ -14,7 +14,7 @@ import numpy as np
 
 from swimsim import AreaBounds, ModelParams, UniformWait
 from swimsim.grid import Point2D, build_grid
-from swimsim.mobility import make_node_state, node_stream, select_destination
+from swimsim.mobility import choose_destination, make_node_state, node_stream
 
 area = AreaBounds(400.0, 400.0)
 grid = build_grid(area, 21)
@@ -31,7 +31,10 @@ def selection_histogram(alpha, seen=None, draws=20000):
     rng = node_stream(0, 0)
     counts = np.zeros(21, dtype=int)
     for _ in range(draws):
-        counts[select_destination(node, grid, params, rng).cell] += 1
+        cell, _x, _y, _visiting, _fallback = choose_destination(
+            node, grid, params, *rng.random(4).tolist()
+        )
+        counts[cell] += 1
     return counts, node
 
 

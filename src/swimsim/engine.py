@@ -13,16 +13,17 @@ An event allocates nothing but its heap entry. Both kinds of event are
 handled in `run`'s one loop, which holds the queue, the nodes, their
 streams and the log columns' appenders in locals. It reads and writes each
 node's phase as plain values in place (mobility.NodeState), and appends
-each event's waypoint, each departure's selection and each pause to flat
-array columns; `run` turns the columns into numpy record arrays once, at
-the end. Each node's seen counters are its own sparse SeenCounters,
-written by the contact tracker; the report builds the dense N x L matrix
-from them only when it is read. An arrival draws the pause's end before
-it signals, and the signal carries that end to the tracker, which logs
-each contact with its end as it opens. A departure signals before the
-kernel draws, so the tracker settles the departing node's counters first.
-Each node's random stream is read in blocks (UniformStream): a departure
-takes four uniforms and a pause one (none for a fixed wait).
+each event's waypoint and each departure's chosen cell to flat array
+columns; `run` fills the record arrays from them once, at the end. The
+report derives the pause log from the logs only when it is read. Each
+node's seen counters are its own sparse SeenCounters, written by the
+contact tracker; the report builds the dense N x L matrix from them only
+when it is read. An arrival draws the pause's end before it signals, and
+the signal carries that end to the tracker, which logs each contact with
+its end as it opens. A departure signals before the kernel draws, so the
+tracker settles the departing node's counters first. Each node's random
+stream is read in blocks (UniformStream): a departure takes four uniforms
+and a pause one (none for a fixed wait).
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ from .mobility import (
 )
 
 
-EVENTS = np.array(["depart", "arrive"])  # a waypoint's event, by its arrive flag
+# arrive is False for a departure and True for an arrival
 WAYPOINT_DTYPE = np.dtype(
-    [("time", "f8"), ("node", "i8"), ("x", "f8"), ("y", "f8"), ("event", "U6")]
+    [("time", "f8"), ("node", "i8"), ("x", "f8"), ("y", "f8"), ("arrive", "?")]
 )
 # visiting is the chosen cell's class for the node; False means home or neighbouring
 SELECTION_DTYPE = np.dtype([("node", "i8"), ("cell", "i8"), ("visiting", "?"), ("fallback", "?")])
@@ -65,19 +66,21 @@ PAUSE_DTYPE = np.dtype(
 
 @dataclass
 class SimulationReport:
-    """Immutable result of one run: traces plus raw logs for the metrics.
+    """The result of one run: traces plus raw logs for the metrics.
 
     The waypoint, selection, pause and contact logs are numpy record
-    arrays, read by field name by row or by column.
+    arrays, read by field name by row or by column. `pauses` and `seen`
+    are built on first read and then kept.
     """
 
     params: ModelParams
     location_map: LocationMap
-    waypoints: np.recarray  # time, node, x, y, event: one row per event
+    waypoints: np.recarray  # time, node, x, y, arrive: one row per event
     contacts: np.recarray  # a, b, cell, start, end, censored: one row per contact
-    pauses: np.recarray  # node, cell, start, end, censored: one row per pause, in start order
     selections: np.recarray  # node, cell, visiting, fallback: one row per departure
     counters: list[SeenCounters] = field(repr=False)  # each node's final seen counters
+    homes: np.ndarray = field(repr=False)  # each node's home cell
+    until: float  # the horizon the run stopped at
 
     @property
     def events_processed(self) -> int:
@@ -92,9 +95,42 @@ class SimulationReport:
             row[:] = counters
         return seen
 
+    @cached_property
+    def pauses(self) -> np.recarray:
+        """Each node's pause at home, in node order, then one per arrival. A node's
+        waypoints alternate departure and arrival, so a stable sort by node puts
+        each pause just before the departure that ends it (or last, censored at
+        the horizon) and each arrival just after the departure that chose its cell."""
+        n, waypoints = len(self.homes), self.waypoints
+        # the rows: each node's pause at home, then the waypoints
+        nodes = np.concatenate([np.arange(n), waypoints.node])
+        times = np.concatenate([np.zeros(n), waypoints.time])
+        pause = np.concatenate([np.ones(n, bool), waypoints.arrive])
+        cells = np.concatenate([self.homes, np.zeros(len(waypoints), np.int64)])
+        cells[n:][~waypoints.arrive] = self.selections.cell  # where each departure went
+        order = np.argsort(nodes, kind="stable")
+        after, before = order[1:], order[:-1]
+        same = nodes[after] == nodes[before]  # `after` is the next row of `before`'s node
+        arrivals = same & pause[after]
+        cells[after[arrivals]] = cells[before[arrivals]]
+        ends = np.full_like(times, self.until)
+        ends[before[same]] = times[after[same]]
+        censored = np.ones_like(pause)
+        censored[before[same]] = False
+        return _records(PAUSE_DTYPE, [c[pause] for c in (nodes, cells, times, ends, censored)])
+
+
+def _records(dtype: np.dtype, columns) -> np.recarray:
+    """A record array filled in place, field by field, from columns of the fields' types."""
+    records = np.empty(len(columns[0]), dtype).view(np.recarray)
+    for name, column in zip(dtype.names, columns):
+        records[name] = np.frombuffer(column, dtype[name])
+    return records
+
 
 @dataclass
 class SimulationState:
+    """What a run reads and advances; the logs are `run`'s own, not the state's."""
     params: ModelParams
     location_map: LocationMap
     nodes: list[NodeState]
@@ -103,12 +139,6 @@ class SimulationState:
     now: float = 0.0
     queue: list[tuple[float, int, int]] = field(default_factory=list)  # (time, seq, node)
     seq: int = 0
-    # the columns of the waypoint log (time, node, x, y, arrive flag), the
-    # selection log (node, cell, visiting, fallback) and the pause log
-    # (node, cell, start, end; censored is set when the run ends)
-    waypoints: tuple[array, ...] = field(default_factory=lambda: tuple(map(array, "dqddb")))
-    selections: tuple[array, ...] = field(default_factory=lambda: tuple(map(array, "qqbb")))
-    pauses: tuple[array, ...] = field(default_factory=lambda: tuple(map(array, "qqdd")))
     finished: bool = False
 
     def schedule(self, time: float, node: int) -> None:
@@ -151,14 +181,9 @@ def initialize(params: ModelParams) -> SimulationState:
         uniforms=uniforms,
         tracker=ContactTracker([node.seen for node in nodes], params.seen_update),
     )
-    pause_nodes, pause_cells, starts, ends = state.pauses
     for node, stream in zip(nodes, uniforms):
         node.end = draw_wait_time(params.wait, stream)  # the pause at home began at 0
         state.tracker.on_arrival_signal(node.id, node.home, 0.0, node.end)
-        pause_nodes.append(node.id)
-        pause_cells.append(node.home)
-        starts.append(0.0)
-        ends.append(node.end)
         state.schedule(node.end, node.id)
     return state
 
@@ -195,11 +220,10 @@ def run(state: SimulationState, until: float) -> SimulationReport:
     # or on the tracker's class (by a test or a tracer) sees every call
     choose, wait_time = choose_destination, draw_wait_time
     on_arrival, on_departure = state.tracker.on_arrival_signal, state.tracker.on_departure_signal
-    log_time, log_node, log_x, log_y, log_arrive = (column.append for column in state.waypoints)
-    pick_node, pick_cell, pick_visiting, pick_fallback = (
-        column.append for column in state.selections
-    )
-    pause_node, pause_cell, pause_start, pause_end = (column.append for column in state.pauses)
+    # the waypoint log's columns, and the selection log's but its node
+    waypoints, selections = list(map(array, "dqddb")), list(map(array, "qbb"))
+    log_time, log_node, log_x, log_y, log_arrive = (column.append for column in waypoints)
+    pick_cell, pick_visiting, pick_fallback = (column.append for column in selections)
     heappop, heappush, hypot = heapq.heappop, heapq.heappush, math.hypot
     seq = state.seq
     while queue and queue[0][0] <= until:
@@ -215,7 +239,6 @@ def run(state: SimulationState, until: float) -> SimulationReport:
             end = now + hypot(tx - x, ty - y) / speed
             node.paused = False
             node.cell, node.tx, node.ty = cell, tx, ty
-            pick_node(node_id)
             pick_cell(cell)
             pick_visiting(visiting)
             pick_fallback(fallback)
@@ -227,10 +250,6 @@ def run(state: SimulationState, until: float) -> SimulationReport:
             end = now + wait_time(wait, uniforms[node_id])
             on_arrival(node_id, cell, now, end)
             node.paused = True
-            pause_node(node_id)
-            pause_cell(cell)
-            pause_start(now)
-            pause_end(end)
         node.start, node.end = now, end
         log_time(now)
         log_node(node_id)
@@ -246,21 +265,18 @@ def run(state: SimulationState, until: float) -> SimulationReport:
         if node.paused:
             node.end = until
     state.finished = True
-    # a pause's end is its departure's event time, so the pauses whose
-    # departure is still pending are exactly those that end past the horizon
-    *pause_columns, ends = state.pauses
-    ends = np.array(ends)
-    censored = ends > until
-    ends[censored] = until
-    *waypoints, arrives = state.waypoints
+    waypoints = _records(WAYPOINT_DTYPE, waypoints)
+    # a selection's node is its departure waypoint's
+    selections = _records(SELECTION_DTYPE, [waypoints.node[~waypoints.arrive], *selections])
     return SimulationReport(
         params=state.params,
         location_map=state.location_map,
-        waypoints=np.rec.fromarrays([*waypoints, EVENTS[arrives]], dtype=WAYPOINT_DTYPE),
+        waypoints=waypoints,
         contacts=state.tracker.records,
-        pauses=np.rec.fromarrays([*pause_columns, ends, censored], dtype=PAUSE_DTYPE),
-        selections=np.rec.fromarrays(state.selections, dtype=SELECTION_DTYPE),
+        selections=selections,
         counters=[node.seen for node in nodes],
+        homes=np.array([node.home for node in nodes], dtype=np.int64),
+        until=until,
     )
 
 

@@ -537,14 +537,6 @@ def decay_of(distances: np.ndarray, k: float) -> np.ndarray:
         return 1.0 / (1.0 + k * distances) ** 2
 
 
-@dataclass(frozen=True)
-class DestinationChoice:
-    cell: int
-    point: Point2D
-    visiting: bool  # drawn from the visiting set; False means home/neighbouring
-    fallback: bool  # step-1 set was empty and the other set was used
-
-
 def choose_destination(
     node: NodeState,
     location_map: LocationMap,
@@ -557,8 +549,8 @@ def choose_destination(
     """Two-step SWIM destination draw from four uniforms u, r, fx, fy.
 
     Returns the cell, the point's x and y, whether the cell was drawn from
-    the visiting set and whether the step-1 set was empty, all plain values
-    (a DestinationChoice holds them with the point as a Point2D).
+    the visiting set (False means home or neighbouring) and whether the
+    step-1 set was empty, so that the other set was used, all plain values.
 
     Step 1: the near set (home + neighbouring) when u < alpha, otherwise
     the visiting set; an empty set falls back to the other one. Step 2: one
@@ -635,14 +627,3 @@ def choose_destination(
     y = ys[row] + (ys[row + 1] - ys[row]) * fy
     return cell_id, x, y, visiting, fallback
 
-
-def select_destination(
-    node: NodeState,
-    location_map: LocationMap,
-    params: ModelParams,
-    rng: np.random.Generator,
-) -> DestinationChoice:
-    """choose_destination with four uniforms from `rng.random(4)`, as a DestinationChoice."""
-    u, r, fx, fy = rng.random(4).tolist()
-    cell, x, y, visiting, fallback = choose_destination(node, location_map, params, u, r, fx, fy)
-    return DestinationChoice(cell, Point2D(x, y), visiting, fallback)

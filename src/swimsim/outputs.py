@@ -97,8 +97,8 @@ def read_locations_file(path) -> LocationMap:
 
 def write_waypoints(waypoints, path) -> None:
     """Waypoint trace export: one `time,node,x,y,event` row per row of the
-    waypoint log, a record array with those fields, in the order given (a
-    run report's `waypoints` are in event order)."""
+    waypoint log, a record array with fields time, node, x, y and arrive,
+    in the order given (a run report's `waypoints` are in event order)."""
     events = ("depart", "arrive")
     with open(path, "w", newline="") as f:
         f.write("time,node,x,y,event\n")
@@ -106,7 +106,7 @@ def write_waypoints(waypoints, path) -> None:
             chunk = waypoints[lo:lo + ROWS_PER_WRITE]
             # the event text is looked up by the arrive flag, not made anew
             # per row; %-formatting gives the same text as an f-string, in less time
-            columns = (chunk.time, chunk.node, chunk.x, chunk.y, chunk.event == "arrive")
+            columns = (chunk.time, chunk.node, chunk.x, chunk.y, chunk.arrive)
             f.write("".join([
                 "%.6f,%d,%.6f,%.6f,%s\n" % (t, node, x, y, events[arrive])
                 for t, node, x, y, arrive in zip(*(c.tolist() for c in columns))

@@ -125,7 +125,7 @@ def simulate_reference(params):
     while queue and queue[0][0] <= until:
         now, _, i = heapq.heappop(queue)
         if pause_row[i] is None:
-            waypoints.append((now, i, xs[i], ys[i], "arrive"))
+            waypoints.append((now, i, xs[i], ys[i], True))
             pause(i, now)
             continue
         pause_row[i] = None
@@ -136,7 +136,7 @@ def simulate_reference(params):
         u, r, fx, fy = (rngs[i].random() for _ in range(4))
         cell, visiting, fallback = model.choose(homes[i], seen[i], u, r)
         selections.append((i, cell, visiting, fallback))
-        waypoints.append((now, i, xs[i], ys[i], "depart"))
+        waypoints.append((now, i, xs[i], ys[i], False))
         (row, col), x_edges, y_edges = divmod(cell, model.cols), model.x_edges, model.y_edges
         tx = x_edges[col] + (x_edges[col + 1] - x_edges[col]) * fx
         ty = y_edges[row] + (y_edges[row + 1] - y_edges[row]) * fy

@@ -34,10 +34,10 @@ from swimsim.mobility import (
     Moving,
     PowerLawWait,
     UniformWait,
+    choose_destination,
     draw_wait_time,
     make_node_state,
     node_stream,
-    select_destination,
 )
 
 AREA = AreaBounds(400.0, 400.0)
@@ -250,9 +250,11 @@ def test_criterion_3_step2_weight_fidelity():
         n = 100_000
         counts = np.zeros(21)
         for _ in range(n):
-            choice = select_destination(node, grid, params, rng)
-            assert not choice.fallback
-            counts[choice.cell] += 1
+            cell, _x, _y, _visiting, fallback = choose_destination(
+                node, grid, params, *rng.random(4).tolist()
+            )
+            assert not fallback
+            counts[cell] += 1
         for ids in (near_ids, visiting_ids):
             expected = weights[ids] / weights[ids].sum()
             branch_total = counts[ids].sum()
@@ -292,7 +294,7 @@ def test_criterion_5_kinematics(reference_reports):
         trips = []
         for records in by_node.values():
             for dep, arr in zip(records[::2], records[1::2]):
-                assert (dep.event, arr.event) == ("depart", "arrive")
+                assert (dep.arrive, arr.arrive) == (False, True)
                 trips.append((dep, arr))
         assert trips
         for dep, arr in trips:

@@ -1,11 +1,12 @@
 import gc
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from swimsim import metrics_report, outputs, selection_stats
+from swimsim import cli, metrics_report, outputs, selection_stats
 from swimsim.encounters import ContactTracker
 from swimsim.engine import (
     PAUSE_DTYPE,
@@ -23,10 +24,10 @@ from swimsim.mobility import (
     Paused,
     UniformStream,
     UniformWait,
+    choose_destination,
     draw_wait_time,
     make_node_state,
     node_stream,
-    select_destination,
 )
 
 AREA = AreaBounds(400.0, 400.0)
@@ -147,7 +148,7 @@ def test_zero_length_trip():
     depart_seq = state.queue[0][1]
     report = run(state, until=0.0)
     assert report.events_processed == 2
-    assert [w.event for w in report.waypoints] == ["depart", "arrive"]
+    assert [w.arrive for w in report.waypoints] == [False, True]
     depart, arrive = report.waypoints
     assert depart.time == arrive.time == 0.0
     assert (depart.x, depart.y) == (arrive.x, arrive.y) == (10.0, 10.0)
@@ -181,9 +182,9 @@ def trips_from_waypoints(waypoints):
         by_node.setdefault(w.node, []).append(w)
     trips = []
     for records in by_node.values():
-        events = [w.event for w in records]
-        assert events == ["depart", "arrive"] * (len(records) // 2) + (
-            ["depart"] if len(records) % 2 else []
+        arrives = [w.arrive for w in records]
+        assert arrives == [False, True] * (len(records) // 2) + (
+            [False] if len(records) % 2 else []
         )
         times = [w.time for w in records]
         assert times == sorted(times)
@@ -215,7 +216,7 @@ def test_run_finite_difference_speed():
     # each of the engine's trips, from a depart waypoint to the node's next
     # arrive waypoint, set into the node's phase
     for w in report.waypoints:
-        if w.event == "depart":
+        if not w.arrive:
             departures[w.node] = w
             continue
         depart = departures.pop(w.node)
@@ -242,6 +243,16 @@ def test_run_censors_pauses_open_at_the_horizon():
     assert [(p.node, p.cell, p.start, p.end, p.censored) for p in report.pauses] == [
         (node.id, node.home, 0.0, 1.0, True) for node in state.nodes
     ]
+    # at t = 3.5 some nodes have left home and the others' first pause
+    # outlasts the horizon: those have no waypoint at all
+    state = initialize(make_params())
+    departures = [node.end for node in state.nodes]
+    report = run(state, until=3.5)
+    assert min(departures) < 3.5 < max(departures)
+    assert [(p.node, p.cell, p.start, p.end, p.censored) for p in report.pauses] == [
+        (node.id, node.home, 0.0, min(end, 3.5), end > 3.5)
+        for node, end in zip(state.nodes, departures)
+    ]
     # pauses about as long as trips, so some nodes are paused at the horizon
     params = make_params(wait=UniformWait(20.0, 200.0))
     state = initialize(params)
@@ -263,15 +274,15 @@ def test_pauses_rebuilt_from_waypoints_and_selections():
     params = make_params(wait=UniformWait(20.0, 200.0))
     state = initialize(params)
     report = run(state, until=params.sim_duration)
-    last_events = {w.node: w.event for w in report.waypoints}
-    assert sorted(set(last_events.values())) == ["arrive", "depart"]
+    last_arrives = {w.node: w.arrive for w in report.waypoints}
+    assert sorted(set(last_arrives.values())) == [False, True]
     expected = {node.id: [[node.home, 0.0, params.sim_duration, True]] for node in state.nodes}
     selections = {
         node.id: iter([s for s in report.selections if s.node == node.id]) for node in state.nodes
     }
     for w in report.waypoints:
         pauses = expected[w.node]
-        if w.event == "depart":
+        if not w.arrive:
             pauses[-1][2:] = [w.time, False]
         else:
             cell = next(selections[w.node]).cell
@@ -295,11 +306,13 @@ def test_run_determinism():
 
 
 def test_run_zero_horizon(tmp_path):
-    state = initialize(make_params(node_count=1))
+    state = initialize(make_params(node_count=3))
     report = run(state, until=0.0)
     assert report.events_processed == 0
     assert len(report.contacts) == 0
     assert report.waypoints.tolist() == []
+    # with no waypoint, the pause log is each node's pause at home, censored at 0
+    assert report.pauses.tolist() == [(node.id, node.home, 0.0, 0.0, True) for node in state.nodes]
     # a zero-event report goes through the summaries and the trace writer
     stats = selection_stats(report.selections)
     assert (stats.total, stats.near_fraction, stats.visiting_fraction) == (0, 0.0, 0.0)
@@ -318,14 +331,14 @@ def test_logs_are_record_arrays_with_pinned_fields():
     tracker = ContactTracker([node.seen])
     logs = (report.waypoints, report.selections, report.contacts, tracker.records)
     assert [log.dtype.names for log in logs] == [
-        ("time", "node", "x", "y", "event"),
+        ("time", "node", "x", "y", "arrive"),
         ("node", "cell", "visiting", "fallback"),
         ("a", "b", "cell", "start", "end", "censored"),
         ("a", "b", "cell", "start", "end", "censored"),
     ]
     assert all(isinstance(log, np.recarray) for log in logs)
     # the bytes per row that README quotes
-    assert [log.itemsize for log in logs] == [56, 18, 41, 41]
+    assert [log.itemsize for log in logs] == [33, 18, 41, 41]
     assert len(report.waypoints) and len(report.selections) and len(report.contacts)
 
 
@@ -360,6 +373,52 @@ def test_run_keeps_no_object_per_event():
     long, long_events = objects_held(20000.0)
     assert long_events > 3 * short_events
     assert abs(long - short) <= 50
+
+
+def test_run_peak_and_kept_per_event(tmp_path, monkeypatch):
+    # a run shaped like the wide-grid benchmark (40 m cells, few contacts)
+    # of about 14 000 events. Above what is live before it, per event, the
+    # report keeps a 33-byte waypoint row and, per departure (every other
+    # event), an 18-byte selection row; at its peak, `run` also holds the
+    # loop's columns of those rows. A text event column, a pause log built
+    # eagerly or the loop's columns kept after `run` returns would not fit
+    params = make_params(
+        area=AreaBounds(1000.0, 1000.0), n_locations=625, node_count=250, sim_duration=10_000.0
+    )
+    state = initialize(params)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        report = run(state, params.sim_duration)
+        kept, peak = (size - live for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    events = report.events_processed
+    assert events >= 10_000
+    assert peak / events <= 110
+    assert kept / events <= 65
+    # the pause log is built only when read: not by a run, its metrics or
+    # the writers of `swimsim run`
+    metrics_report(report.contacts, report.selections)
+    assert "pauses" not in vars(report)
+    reports = []
+
+    def simulate_kept(params):
+        reports.append(simulate(params))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "simulate", simulate_kept)
+    config = tmp_path / "scenario.conf"
+    config.write_text(
+        "neighbourLocationLimit = 300\nspeed = 1.4\nmaxAreaX = 400\nmaxAreaY = 400\n"
+        "waitTime = uniform(2,5)\nalpha = 0.3\nnoOfLocations = 21\nnodeCount = 5\n"
+        "simDuration = 2000\nseed = 11\n"
+    )
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    (report,) = reports
+    assert report.events_processed and "pauses" not in vars(report)
+    assert len(report.pauses) and "pauses" in vars(report)
 
 
 def test_run_monotone_horizon():
@@ -439,15 +498,17 @@ def test_engine_draws_follow_the_node_stream(wait):
     rng = node_stream(params.seed, 0)
     position = Point2D(float(rng.uniform(0.0, AREA.width)), float(rng.uniform(0.0, AREA.height)))
     node = make_node_state(0, position, state.location_map, params)
-    arrivals = report.waypoints[report.waypoints.event == "arrive"]
+    arrivals = report.waypoints[report.waypoints.arrive]
     for k, pause in enumerate(report.pauses):
         end = pause.start + draw_wait_time(wait, rng)
         assert pause.end == (params.sim_duration if pause.censored else end)
         if k < len(report.selections):
-            choice = select_destination(node, state.location_map, params, rng)
-            assert report.selections[k].item() == (0, choice.cell, choice.visiting, choice.fallback)
+            cell, x, y, visiting, fallback = choose_destination(
+                node, state.location_map, params, *rng.random(4).tolist()
+            )
+            assert report.selections[k].item() == (0, cell, visiting, fallback)
             if k < len(arrivals):  # the last trip may end past the horizon
-                assert (arrivals[k].x, arrivals[k].y) == (choice.point.x, choice.point.y)
+                assert (arrivals[k].x, arrivals[k].y) == (x, y)
 
 
 def test_waypoints_csv_matches_row_formatting(tmp_path, monkeypatch):
@@ -458,5 +519,6 @@ def test_waypoints_csv_matches_row_formatting(tmp_path, monkeypatch):
     path = tmp_path / "waypoints.csv"
     outputs.write_waypoints(report.waypoints, path)
     assert path.read_text() == "time,node,x,y,event\n" + "".join(
-        f"{w.time:.6f},{w.node},{w.x:.6f},{w.y:.6f},{w.event}\n" for w in report.waypoints
+        f"{w.time:.6f},{w.node},{w.x:.6f},{w.y:.6f},{'arrive' if w.arrive else 'depart'}\n"
+        for w in report.waypoints
     )

@@ -16,7 +16,7 @@ from swimsim.grid import (
     classify_locations,
     grid_shape,
 )
-from swimsim.mobility import ModelParams, UniformWait, make_node_state, select_destination
+from swimsim.mobility import ModelParams, UniformWait, choose_destination, make_node_state
 from swimsim.outputs import read_locations_file, write_locations_file
 
 
@@ -171,7 +171,7 @@ def test_random_point_in_cell_containment_and_moments():
     min_x, min_y, max_x, max_y = m.x_edges[3], m.y_edges[1], m.x_edges[4], m.y_edges[2]
     center = Point2D((min_x + max_x) / 2, (min_y + max_y) / 2)
     # alpha = 1 and limit 0 leave the home alone to draw: every trip goes to
-    # cell 10, at the point select_destination draws in it
+    # cell 10, at the point choose_destination draws in it
     params = ModelParams(
         alpha=1.0, speed=1.4, neighbour_limit=0.0, n_locations=21, area=AREA,
         wait=UniformWait(2.0, 5.0), node_count=1, sim_duration=1000.0,
@@ -182,11 +182,12 @@ def test_random_point_in_cell_containment_and_moments():
     xs = np.empty(n)
     ys = np.empty(n)
     for i in range(n):
-        choice = select_destination(node, m, params, rng)
-        p = choice.point
-        assert choice.cell == 10
-        assert min_x <= p.x <= max_x and min_y <= p.y <= max_y
-        xs[i], ys[i] = p.x, p.y
+        cell, x, y, _visiting, _fallback = choose_destination(
+            node, m, params, *rng.random(4).tolist()
+        )
+        assert cell == 10
+        assert min_x <= x <= max_x and min_y <= y <= max_y
+        xs[i], ys[i] = x, y
     for values, low, high, mid in (
         (xs, min_x, max_x, center.x),
         (ys, min_y, max_y, center.y),

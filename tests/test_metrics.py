@@ -21,9 +21,9 @@ from swimsim.metrics import (
 from swimsim.mobility import (
     ModelParams,
     UniformWait,
+    choose_destination,
     make_node_state,
     node_stream,
-    select_destination,
 )
 from swimsim.outputs import write_ccdf_csv
 
@@ -287,10 +287,10 @@ def test_selection_stats_step1_binomial():
     n = 100_000
     records = []
     for _ in range(n):
-        choice = select_destination(node, location_map, params, rng)
-        records.append(
-            (0, choice.cell, classes[choice.cell] is LocationClass.VISITING, choice.fallback)
+        cell, _x, _y, _visiting, fallback = choose_destination(
+            node, location_map, params, *rng.random(4).tolist()
         )
+        records.append((0, cell, classes[cell] is LocationClass.VISITING, fallback))
     stats = selection_stats(selection_log(records))
     assert stats.fallbacks == 0
     sigma = math.sqrt(0.3 * 0.7 / n)

@@ -10,11 +10,11 @@ from swimsim.mobility import (
     ModelParams,
     PowerLawWait,
     UniformWait,
+    choose_destination,
     decay_of,
     draw_wait_time,
     make_node_state,
     node_stream,
-    select_destination,
 )
 
 AREA = AreaBounds(400.0, 400.0)
@@ -212,11 +212,13 @@ def test_select_destination_support():
         params = make_params(alpha=alpha)
         node = node_at(Point2D(10.0, 10.0), params, m)
         for _ in range(200):
-            choice = select_destination(node, m, params, rng)
-            assert 0 <= choice.cell < 21
-            row, col = divmod(choice.cell, m.cols)
-            assert m.x_edges[col] <= choice.point.x <= m.x_edges[col + 1]
-            assert m.y_edges[row] <= choice.point.y <= m.y_edges[row + 1]
+            cell, x, y, _visiting, _fallback = choose_destination(
+                node, m, params, *rng.random(4).tolist()
+            )
+            assert 0 <= cell < 21
+            row, col = divmod(cell, m.cols)
+            assert m.x_edges[col] <= x <= m.x_edges[col + 1]
+            assert m.y_edges[row] <= y <= m.y_edges[row + 1]
 
 
 def test_select_destination_cold_start_step1_fraction():
@@ -232,11 +234,13 @@ def test_select_destination_cold_start_step1_fraction():
     hits = {c: 0 for c in visiting_ids}
     n_visiting = 0
     for _ in range(n):
-        choice = select_destination(node, m, params, rng)
-        assert not choice.fallback
-        if choice.cell in visiting_ids:
+        cell, _x, _y, _visiting, fallback = choose_destination(
+            node, m, params, *rng.random(4).tolist()
+        )
+        assert not fallback
+        if cell in visiting_ids:
             n_visiting += 1
-            hits[choice.cell] += 1
+            hits[cell] += 1
     sigma = math.sqrt(0.3 * 0.7 / n)
     assert abs(n_visiting / n - 0.7) < 3 * sigma
     # within the visiting set, frequencies follow the normalized decay weights
@@ -257,10 +261,9 @@ def test_select_destination_alpha_one_ignores_seen():
     rng_a = node_stream(99, 0)
     rng_b = node_stream(99, 0)
     for _ in range(500):
-        a = select_destination(cold, m, params, rng_a)
-        b = select_destination(warm, m, params, rng_b)
-        assert a.cell == b.cell
-        assert (a.point.x, a.point.y) == (b.point.x, b.point.y)
+        a = choose_destination(cold, m, params, *rng_a.random(4).tolist())
+        b = choose_destination(warm, m, params, *rng_b.random(4).tolist())
+        assert a[:3] == b[:3]  # the cell and the point
 
 
 def test_select_destination_empty_visiting_falls_back():
@@ -271,9 +274,11 @@ def test_select_destination_empty_visiting_falls_back():
     classes = classify_locations(m, node.home, params.neighbour_limit)
     rng = np.random.default_rng(41)
     for _ in range(50):
-        choice = select_destination(node, m, params, rng)
-        assert choice.fallback
-        assert classes[choice.cell] is not LocationClass.VISITING
+        cell, _x, _y, _visiting, fallback = choose_destination(
+            node, m, params, *rng.random(4).tolist()
+        )
+        assert fallback
+        assert classes[cell] is not LocationClass.VISITING
 
 
 def test_select_destination_zero_weights_uniform():
@@ -285,8 +290,7 @@ def test_select_destination_zero_weights_uniform():
     n = 50_000
     counts = np.zeros(21)
     for _ in range(n):
-        choice = select_destination(node, m, params, rng)
-        counts[choice.cell] += 1
+        counts[choose_destination(node, m, params, *rng.random(4).tolist())[0]] += 1
     visiting = node.profile.cells(visiting=True)
     assert counts.sum() == n
     assert counts[node.profile.cells(visiting=False)].sum() == 0  # alpha=0 never picks the near set

@@ -32,7 +32,6 @@ from swimsim.mobility import (
     choose_destination,
     make_node_state,
     node_stream,
-    select_destination,
 )
 
 AREA = AreaBounds(400.0, 400.0)
@@ -259,4 +258,4 @@ def test_cold_selection_reads_no_counters(alpha):
         node.seen = NoCounters()
         rng = node_stream(5, 0)
         for _ in range(200):
-            select_destination(node, GRID, params, rng)
+            choose_destination(node, GRID, params, *rng.random(4).tolist())
