@@ -101,10 +101,13 @@ def grid_from_edges(x_edges: list[float], y_edges: list[float]) -> LocationMap:
     return LocationMap(len(y_edges) - 1, len(x_edges) - 1, area, tuple(x_edges), tuple(y_edges))
 
 
-def cell_bounds(location_map: LocationMap, cell: int) -> tuple[float, float, float, float]:
-    """(min_x, min_y, max_x, max_y) of a cell."""
+def cell_bounds(location_map: LocationMap, cell):
+    """(min_x, min_y, max_x, max_y) of a cell, or of each cell of an integer
+    array of cells, as four arrays."""
     row, col = divmod(cell, location_map.cols)
     xs, ys = location_map.x_edges, location_map.y_edges
+    if isinstance(cell, np.ndarray):
+        xs, ys = np.array(xs), np.array(ys)
     return xs[col], ys[row], xs[col + 1], ys[row + 1]
 
 

@@ -15,6 +15,7 @@ are counted from the columns of a run's selection log.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from functools import reduce
@@ -71,12 +72,33 @@ def _thresholds(low: float, high: float) -> list[float]:
     """CCDF_POINTS log-spaced thresholds from low to high, by IEEE products only,
     which round alike on every CPU (np.geomspace's vector log and power do not).
 
-    Each is the one before times q, the largest double, found by bisection,
-    for which the last so built is at most high; the last is then high.
+    Each is the one before times q, the largest double below high / low
+    (1 if that is 1) for which the last so built is at most high; the last
+    is then high. The last so built grows with q, so q is found by
+    bisection over a bracket confirmed by products: from an estimate of q,
+    steps that double until one crosses the bound. The estimate only
+    places the bracket, so its rounding moves no bit of q.
     """
-    lo, hi = 1.0, min(high / low, sys.float_info.max)
+    steps = CCDF_POINTS - 1
+    top = min(high / low, sys.float_info.max)
+
+    def fits(q: float) -> bool:
+        return reduce(mul, [q] * steps, low) <= high
+
+    guess = min(max(math.exp((math.log(high) - math.log(low)) / steps), 1.0), top)
+    step = math.ulp(guess)
+    if guess < top and fits(guess):
+        lo = guess
+        while (q := lo + step) < top and fits(q):
+            lo, step = q, 2 * step
+        hi = min(q, top)
+    else:
+        hi = guess
+        while (q := hi - step) > 1.0 and not fits(q):
+            hi, step = q, 2 * step
+        lo = max(q, 1.0)
     while lo < (q := lo + (hi - lo) / 2) < hi:
-        if reduce(mul, [q] * (CCDF_POINTS - 1), low) <= high:
+        if fits(q):
             lo = q
         else:
             hi = q

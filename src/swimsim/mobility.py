@@ -223,6 +223,10 @@ class UniformStream:
         return head + self._values[: self._pos].tolist()
 
 
+_NO_CELLS: tuple[list[int], list[int]] = ([], [])  # never written: `add` replaces it first
+_NO_TOTALS = (0, 0)
+
+
 class SeenCounters:
     """One node's encounter counts over the L cells, kept for the cells it met someone in.
 
@@ -247,14 +251,18 @@ class SeenCounters:
     __slots__ = ("profile", "cells", "counts", "totals", "total")
 
     def __init__(self, profile: HomeProfile):
+        # a node that meets no one shares these empty sets; its own are built
+        # by its first `add`
         self.profile = profile
-        self.cells: tuple[list[int], list[int]] = ([], [])
-        self.counts: tuple[list[int], list[int]] = ([], [])
-        self.totals = [0, 0]
+        self.cells: tuple[list[int], list[int]] = _NO_CELLS
+        self.counts: tuple[list[int], list[int]] = _NO_CELLS
+        self.totals = _NO_TOTALS
         self.total = 0
 
     def add(self, cell: int, n: int) -> None:
         """Count n more encounters at `cell`."""
+        if self.cells is _NO_CELLS:
+            self.cells, self.counts, self.totals = ([], []), ([], []), [0, 0]
         in_set = self.profile.set_of(cell)
         cells = self.cells[in_set]
         i = bisect_left(cells, cell)

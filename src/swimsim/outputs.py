@@ -5,7 +5,10 @@ byte-identical files. Each writer takes the data it writes (a location
 map, the waypoint log, a contact log, CCDF pairs, a metrics dict or sweep
 rows), not a whole run report, and `swimsim run` calls them all from one
 loop. The waypoint and contact logs are numpy record arrays, written a
-chunk of rows at a time. At run time this module imports no other swimsim
+chunk of rows at a time. Every CSV but the sweep's is formatted by one
+column-wise kernel, _csv_rows, which gives the bytes of `%`-formatting
+row by row without formatting any row in Python but the rare ones it
+cannot round exactly. At run time this module imports no other swimsim
 module apart from the grid, whose cell bounds the locations files hold,
 and the contact log's conversion.
 """
@@ -27,17 +30,20 @@ if TYPE_CHECKING:
 
 LOCATIONS_HEADER_RE = re.compile(r"^# swim-locations v1 rows=(\d+) cols=(\d+)$")
 ROWS_PER_WRITE = 4096  # rows joined into one write; bounds the text held in memory
+FLOAT, INT = "%.6f", "%d"  # the numeric forms of a CSV field
+# v * 1e6 below 2**53 rounds to an integer exactly held by a double
+_EXACT_BELOW = 2.0**53 / 1e6
 
 
 def write_locations_file(location_map: LocationMap, path) -> None:
     """Write the shared locations file: one `id,min_x,min_y,max_x,max_y` line
     per cell at 6-decimal fixed point, preceded by a versioned header."""
-    lines = [f"# swim-locations v1 rows={location_map.rows} cols={location_map.cols}\n"]
-    for cell in range(len(location_map)):
-        min_x, min_y, max_x, max_y = cell_bounds(location_map, cell)
-        lines.append(f"{cell},{min_x:.6f},{min_y:.6f},{max_x:.6f},{max_y:.6f}\n")
-    with open(path, "w", newline="") as f:
-        f.writelines(lines)
+    cells = np.arange(len(location_map))
+    _write_csv(
+        path, f"# swim-locations v1 rows={location_map.rows} cols={location_map.cols}\n",
+        (cells, *cell_bounds(location_map, cells)),
+        (INT, FLOAT, FLOAT, FLOAT, FLOAT),
+    )
 
 
 def read_locations_file(path) -> LocationMap:
@@ -99,74 +105,34 @@ def write_waypoints(waypoints, path) -> None:
     """Waypoint trace export: one `time,node,x,y,event` row per row of the
     waypoint log, a record array with fields time, node, x, y and arrive,
     in the order given (a run report's `waypoints` are in event order)."""
-    events = ("depart", "arrive")
-    with open(path, "w", newline="") as f:
-        f.write("time,node,x,y,event\n")
-        for lo in range(0, len(waypoints), ROWS_PER_WRITE):
-            chunk = waypoints[lo:lo + ROWS_PER_WRITE]
-            # the event text is looked up by the arrive flag, not made anew
-            # per row; %-formatting gives the same text as an f-string, in less time
-            columns = (chunk.time, chunk.node, chunk.x, chunk.y, chunk.arrive)
-            f.write("".join([
-                "%.6f,%d,%.6f,%.6f,%s\n" % (t, node, x, y, events[arrive])
-                for t, node, x, y, arrive in zip(*(c.tolist() for c in columns))
-            ]))
-
-
-class _IdText(dict):
-    """The text of an id and its comma, formatted the first time it is looked up,
-    so the writer holds text only for the ids the log holds."""
-
-    def __missing__(self, i: int) -> str:
-        text = self[i] = f"{i},"
-        return text
+    _write_csv(
+        path, "time,node,x,y,event\n",
+        (waypoints.time, waypoints.node, waypoints.x, waypoints.y, waypoints.arrive),
+        (FLOAT, INT, FLOAT, FLOAT, ("depart", "arrive")),
+    )
 
 
 def write_contacts_csv(records, path) -> None:
     """Contact log export, one `a,b,cell,start,end,censored` row per record.
 
     `records` is a contact log's record array or a list of ContactRecord.
-    Every start and end is an event time, and contacts opened or closed by
-    one event share it, so each distinct time of a chunk of ROWS_PER_WRITE
-    rows is formatted once per chunk and the chunk's rows look it up, as
-    they do the text of node and cell ids, formatted once per run. What
-    the writer holds beyond the log is bounded by the chunk and the log's
-    length, not by its largest id.
+    Beyond the log, the writer holds one chunk's text and parts at a time,
+    nothing by the log's largest id.
     """
     log = finished_log(records)
-    top = max(int(column.max(initial=0)) for column in (log.a, log.b, log.cell))
-    # each field's text together with the separator that follows it; a list
-    # by id is the fastest lookup, and is built when no longer than the log
-    id_text = [f"{i}," for i in range(top + 1)] if top < len(log) else _IdText()
-    flag_text = ("0\n", "1\n")
-    with open(path, "w", newline="") as f:
-        f.write("a,b,cell,start,end,censored\n")
-        for lo in range(0, len(log), ROWS_PER_WRITE):
-            chunk = log[lo:lo + ROWS_PER_WRITE]
-            times, which = np.unique(np.concatenate([chunk.start, chunk.end]), return_inverse=True)
-            time_text = [f"{t:.6f}," for t in times.tolist()]
-            rows = len(chunk)
-            f.write("".join([
-                f"{id_text[a]}{id_text[b]}{id_text[cell]}{time_text[s]}{time_text[e]}{flag_text[c]}"
-                for a, b, cell, s, e, c in zip(
-                    chunk.a.tolist(),
-                    chunk.b.tolist(),
-                    chunk.cell.tolist(),
-                    which[:rows].tolist(),
-                    which[rows:].tolist(),
-                    chunk.censored.tolist(),
-                )
-            ]))
+    _write_csv(
+        path, "a,b,cell,start,end,censored\n",
+        (log.a, log.b, log.cell, log.start, log.end, log.censored),
+        (INT, INT, INT, FLOAT, FLOAT, ("0", "1")),
+    )
 
 
 def write_ccdf_csv(ccdf, path) -> None:
     """CCDF export, one `value,fraction` row per (value, fraction) pair of
     `ccdf`: a DistributionSummary's `ccdf`, or the `ccdf` list of a summary
     in the `metrics_report` dict."""
-    with open(path, "w", newline="") as f:
-        f.write("value,fraction\n")
-        for value, fraction in ccdf:
-            f.write(f"{value:.6f},{fraction:.6f}\n")
+    values, fractions = np.array(ccdf, dtype=np.float64).reshape(-1, 2).T
+    _write_csv(path, "value,fraction\n", (values, fractions), (FLOAT, FLOAT))
 
 
 def write_metrics_json(report: dict, path) -> None:
@@ -189,3 +155,127 @@ def write_sweep_csv(rows: list[tuple[float, SelectionStats]], path) -> None:
                 f"{stats.fallbacks},{stats.near_fraction:.6f},"
                 f"{stats.visiting_fraction:.6f}\n"
             )
+
+
+def _write_csv(path, header: str, columns, forms) -> None:
+    """Write `header`, then one CSV row per index of the equal-length
+    `columns`, ROWS_PER_WRITE rows per write; see _csv_rows for `forms`."""
+    with open(path, "wb") as f:
+        f.write(header.encode())
+        for lo in range(0, len(columns[0]), ROWS_PER_WRITE):
+            f.write(_csv_rows([column[lo:lo + ROWS_PER_WRITE] for column in columns], forms))
+
+
+def _csv_rows(columns, forms) -> bytearray:
+    """The CSV text of a chunk of rows: field i of row j is `columns[i][j]` in
+    `forms[i]`, the fields joined by commas and each row ended by a newline.
+
+    A form is FLOAT (the text of `"%.6f" % v`), INT (of `"%d" % v`) or a
+    tuple of texts, one of which the column's value (a flag) picks. numpy
+    builds the text a column at a time, with no Python work per row. Each
+    part of a field (a number's digits, a flag's text, a separator) fills
+    its rows of a byte plane that has one column per row of the chunk. A
+    number's digits are cut with one scalar divisor per digit row, and its
+    leading zeros are pad bytes (0). The plane is transposed once into
+    the text, whose pad bytes are then dropped. A float is rounded once to
+    integer microunits, rint(v * 1e6), split into its integer part and six
+    fraction digits. That gives the digits of `%.6f` unless v * 1e6 lies
+    within one ulp of a half, where the exact product may round the other
+    way. A row with such a float is formatted by `%` on its own and
+    spliced back in its place, and so is a row with a negative int, a
+    float whose sign bit is set (-0.0 prints as -0.000000), or a float
+    that is not finite or not below 2**53 / 1e6.
+    """
+    n = len(columns[0])
+    if not n:
+        return bytearray()
+    unsafe = np.zeros(n, dtype=bool)
+    # the plane's parts in order: fixed bytes, a flag's text by row, or an
+    # unsigned column with its digit count and whether its leading zeros pad
+    parts: list = []
+    for column, form in zip(columns, forms):
+        if form == FLOAT:
+            v = np.ascontiguousarray(column, dtype=np.float64)
+            bad = np.signbit(v) | ~(v < _EXACT_BELOW)  # NaN is not below it either
+            if bad.any():
+                v = np.where(bad, 0.0, v)
+            m = v * 1e6
+            bad |= np.abs(m - np.floor(m) - 0.5) <= np.spacing(m)
+            micros = np.rint(m).astype(np.uint64)
+            whole = micros // 1_000_000
+            parts += [_number(whole), b".", _number(micros - whole * 1_000_000, 6)]
+            unsafe |= bad
+        elif form == INT:
+            x = np.ascontiguousarray(column, dtype=np.int64)
+            bad = x < 0
+            if bad.any():
+                x = np.where(bad, 0, x)
+            parts.append(_number(x.view(np.uint64)))
+            unsafe |= bad
+        else:
+            texts = [text.encode() for text in form]
+            table = np.zeros((max(map(len, texts)), len(texts)), dtype=np.uint8)
+            for k, text in enumerate(texts):
+                table[:len(text), k] = np.frombuffer(text, dtype=np.uint8)
+            parts.append(table[:, np.asarray(column, dtype=np.intp)])
+        parts.append(b",")
+    parts[-1] = b"\n"
+
+    sizes = [part[1] if isinstance(part, tuple) else len(part) for part in parts]
+    plane = np.empty((sum(sizes), n), dtype=np.uint8)
+    top = 0
+    for part, size in zip(parts, sizes):
+        block = plane[top:top + size]
+        top += size
+        if isinstance(part, bytes):
+            block[:] = np.frombuffer(part, dtype=np.uint8)[:, None]
+        elif isinstance(part, np.ndarray):
+            block[:] = part
+        else:
+            _put_digits(block, part[0], part[2])
+    del parts, part  # all in the plane now; freed before the text is built
+    at = np.flatnonzero(unsafe)
+    if at.size:  # an unsafe row keeps no byte of the plane, so it ends where it starts
+        plane[:, at] = 0
+        ends = np.cumsum(np.count_nonzero(plane, axis=0)).tolist()
+    # transposed straight into the buffer of the text, which drops its pad bytes
+    text = bytearray(plane.size)
+    np.copyto(np.frombuffer(text, dtype=np.uint8).reshape(n, -1), plane.T)
+    del plane, block
+    text = text.translate(None, b"\0")
+    if not at.size:
+        return text
+    row_format = ",".join("%s" if isinstance(form, tuple) else form for form in forms) + "\n"
+    pieces, start = [], 0
+    for i, values in zip(at.tolist(), zip(*(column[at].tolist() for column in columns))):
+        pieces += [text[start:ends[i]], (row_format % tuple(
+            form[value] if isinstance(form, tuple) else value for value, form in zip(values, forms)
+        )).encode()]
+        start = ends[i]
+    pieces.append(text[start:])
+    return bytearray().join(pieces)
+
+
+def _put_digits(block: np.ndarray, x: np.ndarray, pad: bool) -> None:
+    """Write the digits of the unsigned column x into the rows of `block`,
+    the last digit in its last row, as text; with `pad`, a leading zero
+    (no other digit before it) is a pad byte (0)."""
+    # each row's value: x without its digits after that row's, by a scalar
+    # divisor per row; its digit is that value's last
+    tens = x // 10 ** np.arange(len(block) - 1, -1, -1, dtype=x.dtype)[:, None]
+    np.subtract(tens, tens // 10 * 10, out=block, casting="unsafe")
+    block += ord("0")
+    if pad:
+        block[:-1] *= tens[:-1] != 0
+
+
+def _number(x: np.ndarray, width: int = 0) -> tuple[np.ndarray, int, bool]:
+    """An unsigned column as a part of _csv_rows: (column, digit count,
+    whether leading zeros pad). With `width`, each value has that many
+    digits, leading zeros included; without, as many as the largest value
+    has, and a shorter value's leading zeros pad. A column whose values fit
+    32 bits is narrowed to them, since a narrower divide is faster."""
+    top = int(x.max())
+    if top < 2**32:
+        x = x.astype(np.uint32)
+    return x, width or len(str(top)), not width

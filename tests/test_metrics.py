@@ -1,8 +1,14 @@
 import math
+import sys
 from collections import Counter, defaultdict
+from functools import reduce
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from swimsim.encounters import ContactRecord, ContactTracker, contact_log
 from swimsim.engine import SELECTION_DTYPE, simulate
@@ -14,6 +20,8 @@ from swimsim.metrics import (
     duration_samples,
     ict_samples,
     inter_contact_times,
+    CCDF_POINTS,
+    _thresholds,
     metrics_report,
     selection_stats,
     summarize,
@@ -347,3 +355,41 @@ def test_summarize_single_valued_ccdf(value):
     assert summary.ccdf == [(value, 1.0)] * 50
     summary = summarize([0.0, value, value, 0.0])
     assert summary.ccdf == [(value, 0.5)] * 50
+
+
+def bisected_thresholds(low, high):
+    """The thresholds by bisection of q over all of [1, high / low], as
+    `_thresholds` found them before it bracketed q first."""
+    lo, hi = 1.0, min(high / low, sys.float_info.max)
+    while lo < (q := lo + (hi - lo) / 2) < hi:
+        if reduce(mul, [q] * (CCDF_POINTS - 1), low) <= high:
+            lo = q
+        else:
+            hi = q
+    return [*accumulate([lo] * (CCDF_POINTS - 2), mul, initial=low), high]
+
+
+POSITIVE = st.floats(min_value=5e-324, max_value=sys.float_info.max)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+# any range, and ranges a few ulps wide
+@given(st.tuples(POSITIVE, POSITIVE).map(sorted) | st.tuples(POSITIVE, st.integers(0, 64)).map(
+    lambda c: (c[0], c[0] * (1 + c[1] * sys.float_info.epsilon))).filter(lambda b: b[1] < math.inf))
+@example((1.0, 1e4))
+@example((1e-300, 1e300))
+@example((5e-324, 1.7e308))
+@example((5e-324, sys.float_info.max))
+@example((5e-324, 5e-324))
+@example((5e-324, 1e-323))
+@example((1.0, math.nextafter(1.0, 2.0)))
+@example((3.7, 3.7))
+def test_thresholds_equal_the_full_bisection(bounds):
+    # q is bracketed around its estimate before the bisection, which must
+    # leave every threshold's bits as the bisection over all of [1, high / low]
+    low, high = bounds
+    assert low <= high
+    thresholds = _thresholds(low, high)
+    assert len(thresholds) == CCDF_POINTS and thresholds[-1] == high
+    assert [t.hex() for t in thresholds] == [t.hex() for t in bisected_thresholds(low, high)]
