@@ -18,12 +18,14 @@ columns; `run` fills the record arrays from them once, at the end. The
 report derives the pause log from the logs only when it is read. Each
 node's seen counters are its own sparse SeenCounters, written by the
 contact tracker; the report builds the dense N x L matrix from them only
-when it is read. An arrival draws the pause's end before it signals, and
+when it is read. An arrival sets the pause's end before it signals, and
 the signal carries that end to the tracker, which logs each contact with
 its end as it opens. A departure signals before the kernel draws, so the
 tracker settles the departing node's counters first. Each node's random
-stream is read in blocks (UniformStream): a departure takes four uniforms
-and a pause one (none for a fixed wait).
+stream is read in blocks (UniformStream); a departure reads its trip's row
+in one `take`: four uniforms for the kernel, then the next pause's (none
+for a fixed wait), which the arrival turns into the pause's length with
+the wait law's inverse CDF. An event is one heapreplace of its node's entry.
 """
 
 from __future__ import annotations
@@ -216,25 +218,31 @@ def run(state: SimulationState, until: float) -> SimulationReport:
     queue, nodes, uniforms = state.queue, state.nodes, state.uniforms
     location_map, params = state.location_map, state.params
     speed, wait = params.speed, params.wait
-    # looked up per run, not at import, so a function replaced on the module
-    # or on the tracker's class (by a test or a tracer) sees every call
-    choose, wait_time = choose_destination, draw_wait_time
+    # looked up per run, not at import, so a kernel or a signal replaced on the
+    # module or on the tracker's class (by a test or a tracer) sees every call
+    choose = choose_destination
     on_arrival, on_departure = state.tracker.on_arrival_signal, state.tracker.on_departure_signal
+    # a trip's row: u, r, fx, fy for the kernel, then the pause's uniform, kept
+    # to the arrival; a fixed wait draws none and keeps fy, its inverse CDF is low for any u
+    row_size, pause_of = (4 if wait.high == wait.low else 5), wait.inverse_cdf
+    pause_uniform = [0.0] * len(nodes)
     # the waypoint log's columns, and the selection log's but its node
     waypoints, selections = list(map(array, "dqddb")), list(map(array, "qbb"))
     log_time, log_node, log_x, log_y, log_arrive = (column.append for column in waypoints)
     pick_cell, pick_visiting, pick_fallback = (column.append for column in selections)
-    heappop, heappush, hypot = heapq.heappop, heapq.heappush, math.hypot
+    heapreplace, hypot = heapq.heapreplace, math.hypot
     seq = state.seq
     while queue and queue[0][0] <= until:
-        now, _seq, node_id = heappop(queue)
+        now, _seq, node_id = queue[0]
         node = nodes[node_id]
         if node.paused:
             # pause over: leave the cell, pick the next destination, start moving
             on_departure(node_id, node.cell, now)
+            row = uniforms[node_id].take(row_size)
             cell, tx, ty, visiting, fallback = choose(
-                node, location_map, params, *uniforms[node_id].take(4)
+                node, location_map, params, row[0], row[1], row[2], row[3]
             )
+            pause_uniform[node_id] = row[-1]
             x, y = node.x, node.y
             end = now + hypot(tx - x, ty - y) / speed
             node.paused = False
@@ -247,7 +255,7 @@ def run(state: SimulationState, until: float) -> SimulationReport:
             cell = node.cell
             node.x = x = node.tx
             node.y = y = node.ty
-            end = now + wait_time(wait, uniforms[node_id])
+            end = now + pause_of(pause_uniform[node_id])
             on_arrival(node_id, cell, now, end)
             node.paused = True
         node.start, node.end = now, end
@@ -256,7 +264,7 @@ def run(state: SimulationState, until: float) -> SimulationReport:
         log_x(x)
         log_y(y)
         log_arrive(node.paused)
-        heappush(queue, (end, seq, node_id))
+        heapreplace(queue, (end, seq, node_id))
         seq += 1
     state.seq = seq
     state.now = until

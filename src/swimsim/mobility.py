@@ -22,7 +22,9 @@ in id order, with their counts and the set's count total, so no N x L
 matrix exists during a run and a selection reads its set's seen mass
 without classifying cells. A node's random stream is read in blocks of
 BLOCK uniforms (UniformStream), which give the same doubles, in the same
-order, as one `random()` call per value.
+order, as one `random()` call per value. The engine reads a trip's four
+uniforms and its pause's uniform as one row at the departure, and the
+wait law's `inverse_cdf` turns the latter into a length at the arrival.
 """
 
 from __future__ import annotations
@@ -59,6 +61,11 @@ class UniformWait:
         _require_finite("waitTime", self.low, self.high)
         if not (0 < self.low <= self.high):
             raise ValueError(f"waitTime needs 0 < min <= max, got [{self.low}, {self.high}]")
+
+    def inverse_cdf(self, u: float) -> float:
+        """The pause length at uniform u, clamped to [low, high]; low for any u if low == high."""
+        t = self.low + u * (self.high - self.low)
+        return self.low if t < self.low else self.high if t > self.high else t
 
 
 @dataclass(frozen=True)
@@ -98,6 +105,13 @@ class PowerLawWait:
         object.__setattr__(self, "high_g", self.high**g)
         object.__setattr__(self, "inv_g", 1.0 / g)
 
+    def inverse_cdf(self, u: float) -> float:
+        """The pause length at uniform u, clamped to [low, high]; low for any u if low == high."""
+        t = self.low_g + u * (self.high_g - self.low_g)
+        # high_g < low_g; rounding can push the sum below high_g or to 0
+        t = (self.high_g if t < self.high_g else t) ** self.inv_g
+        return self.low if t < self.low else self.high if t > self.high else t
+
 
 WaitTimeDist = UniformWait | PowerLawWait
 
@@ -109,14 +123,7 @@ def draw_wait_time(dist: WaitTimeDist, rng: np.random.Generator | UniformStream)
     """
     if dist.high == dist.low:
         return dist.low
-    u = rng.random()
-    if isinstance(dist, UniformWait):
-        t = dist.low + u * (dist.high - dist.low)
-    else:
-        low_g, high_g = dist.low_g, dist.high_g
-        # high_g < low_g; rounding can push the sum below high_g or to 0
-        t = max(low_g + u * (high_g - low_g), high_g) ** dist.inv_g
-    return min(max(t, dist.low), dist.high)  # rounding can leave the range
+    return dist.inverse_cdf(rng.random())
 
 
 @dataclass(frozen=True)

@@ -138,8 +138,7 @@ def write_ccdf_csv(ccdf, path) -> None:
 def write_metrics_json(report: dict, path) -> None:
     """The `metrics_report` dict as indented JSON with sorted keys."""
     with open(path, "w", newline="") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def write_sweep_csv(rows: list[tuple[float, SelectionStats]], path) -> None:

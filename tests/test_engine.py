@@ -53,10 +53,11 @@ class FakeUniforms:
     """Stands in for a node's UniformStream and plays back scripted draws, so
     a trip can be forced exactly.
 
-    `randoms` are played one per `random()` call, a wait's uniform. A
-    selection's `take(4)` takes its step-1 and step-2 uniforms from
-    `randoms` and its target from `uniforms`, an x and a y turned into
-    fractions of the cell that holds them.
+    A trip's row, `take(5)`, takes its step-1 and step-2 uniforms from
+    `randoms`, its target from `uniforms`, an x and a y turned into
+    fractions of the cell that holds them, and then its pause's uniform
+    from `randoms`. A script whose last trip ends past the horizon leaves
+    that pause out, and NaN stands in for its uniform.
     """
 
     def __init__(self, randoms, uniforms, location_map):
@@ -64,17 +65,15 @@ class FakeUniforms:
         self.uniforms = list(uniforms)
         self.location_map = location_map
 
-    def random(self):
-        return self.randoms.pop(0)
-
     def take(self, k):
-        assert k == 4
+        assert k == 5
         x, y = self.uniforms.pop(0), self.uniforms.pop(0)
         row, col = divmod(cell_of(self.location_map, Point2D(x, y)), self.location_map.cols)
         xs, ys = self.location_map.x_edges, self.location_map.y_edges
         fx = (x - xs[col]) / (xs[col + 1] - xs[col])
         fy = (y - ys[row]) / (ys[row + 1] - ys[row])
-        return [self.randoms.pop(0), self.randoms.pop(0), fx, fy]
+        u, r = self.randoms.pop(0), self.randoms.pop(0)
+        return [u, r, fx, fy, self.randoms.pop(0) if self.randoms else math.nan]
 
 
 def scripted_state(position, randoms, uniforms, **param_overrides):
@@ -477,13 +476,13 @@ def test_alpha_one_traces_invariant_to_injected_seen():
 
 
 def test_uniform_stream_reads_the_generator_in_order():
-    # four values per selection and one per wait, so takes straddle block ends
+    # the home pause's one value, then one row per trip: five values with a
+    # drawn wait, four with a fixed one, so rows straddle block ends
     stream, fresh = UniformStream(node_stream(5, 3)), node_stream(5, 3)
+    assert stream.random() == fresh.random()
     for i in range(3 * BLOCK):
-        if i % 3 == 2:
-            assert stream.random() == fresh.random()
-        else:
-            assert stream.take(4) == fresh.random(4).tolist()
+        k = 4 if i % 3 == 2 else 5
+        assert stream.take(k) == fresh.random(k).tolist()
 
 
 @pytest.mark.parametrize("wait", [UniformWait(3.0, 3.0), UniformWait(2.0, 5.0)])

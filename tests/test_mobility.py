@@ -167,6 +167,10 @@ def test_wait_degenerate_interval():
     rng = np.random.default_rng(0)
     assert draw_wait_time(UniformWait(7.0, 7.0), rng) == 7.0
     assert draw_wait_time(PowerLawWait(2.0, 7.0, 7.0), rng) == 7.0
+    # the engine hands a fixed wait's inverse CDF the trip's last uniform
+    for u in (0.0, 0.3, math.nextafter(1.0, 0.0)):
+        assert UniformWait(7.0, 7.0).inverse_cdf(u) == 7.0
+        assert PowerLawWait(2.0, 7.0, 7.0).inverse_cdf(u) == 7.0
 
 
 def test_wait_power_law_ks_distance():
