@@ -16,10 +16,14 @@ from .engine import simulate
 from .grid import build_grid, cell_bounds, classify_locations, LocationClass
 from .metrics import metrics_report, selection_stats, SelectionStats
 from .mobility import ModelParams
-# bound here under these names because perfbench/worker.py traces them here
-from .outputs import write_ccdf_csv, write_contacts_csv, write_metrics_json, write_sweep_csv
-from .outputs import write_locations_file
-from .outputs import write_waypoints as _write_waypoints
+from .outputs import (
+    waypoint_writer,
+    write_ccdf_csv,
+    write_contacts_csv,
+    write_locations_file,
+    write_metrics_json,
+    write_sweep_csv,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -80,12 +84,13 @@ def _cmd_run(args) -> int:
 
     out = _out_dir(args, config)
     with _staged(out) as stage:
-        report = simulate(params)
+        # the trace goes into its staged file a chunk at a time, as the run makes it
+        with open(stage / "waypoints.csv", "wb") as f:
+            report = simulate(params, trace=waypoint_writer(f))
         metrics = metrics_report(report.contacts, report.selections)
 
         for name, writer in (
             ("locations.csv", lambda p: write_locations_file(report.location_map, p)),
-            ("waypoints.csv", lambda p: _write_waypoints(report.waypoints, p)),
             ("contacts.csv", lambda p: write_contacts_csv(report.contacts, p)),
             ("metrics.json", lambda p: write_metrics_json(metrics, p)),
             # each distribution summary in metrics.json also goes to its CCDF file
@@ -105,8 +110,8 @@ def _cmd_run(args) -> int:
 
 
 def _sweep_job(params: ModelParams) -> SelectionStats:
-    """One sweep run; only its selection counts go back to the caller."""
-    return selection_stats(simulate(params).selections)
+    """One sweep run, with no waypoint trace; only its selection counts go back to the caller."""
+    return selection_stats(simulate(params, trace=False).selections)
 
 
 def _sweep_stats(runs: list[ModelParams]) -> list[SelectionStats]:

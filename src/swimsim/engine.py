@@ -13,9 +13,14 @@ An event allocates nothing but its heap entry. Both kinds of event are
 handled in `run`'s one loop, which holds the queue, the nodes, their
 streams and the log columns' appenders in locals. It reads and writes each
 node's phase as plain values in place (mobility.NodeState), and appends
-each event's waypoint and each departure's chosen cell to flat array
-columns; `run` fills the record arrays from them once, at the end. The
-report derives the pause log from the logs only when it is read. Each
+each departure's trip (node, chosen cell, flags, departure and scheduled
+arrival) to flat array columns, from which `run` fills the selection log
+once, at the end. Each event's waypoint is written in place into the
+columns of one chunk of TRACE_ROWS rows, allocated once, which is handed
+out as a record array each time it fills, to the report or to a caller's
+sink; a run asked for no trace writes none. The report
+derives the pause log and the event count from the selection log, so they
+do not need the trace. Each
 node's seen counters are its own sparse SeenCounters, written by the
 contact tracker; the report builds the dense N x L matrix from them only
 when it is read. An arrival sets the pause's end before it signals, and
@@ -58,12 +63,20 @@ from .mobility import (
 WAYPOINT_DTYPE = np.dtype(
     [("time", "f8"), ("node", "i8"), ("x", "f8"), ("y", "f8"), ("arrive", "?")]
 )
-# visiting is the chosen cell's class for the node; False means home or neighbouring
-SELECTION_DTYPE = np.dtype([("node", "i8"), ("cell", "i8"), ("visiting", "?"), ("fallback", "?")])
+# visiting is the chosen cell's class for the node; False means home or neighbouring.
+# start is the departure and end the scheduled arrival, past the horizon for a trip
+# still under way there
+SELECTION_DTYPE = np.dtype([
+    ("node", "i8"), ("cell", "i8"), ("visiting", "?"), ("fallback", "?"),
+    ("start", "f8"), ("end", "f8"),
+])
 # end is the departure; a pause still running at the horizon ends there, censored
 PAUSE_DTYPE = np.dtype(
     [("node", "i8"), ("cell", "i8"), ("start", "f8"), ("end", "f8"), ("censored", "?")]
 )
+# waypoint rows per chunk of the trace: each of a chunk's buffers stays under
+# 128 KiB, glibc's initial mmap threshold, which a larger freed buffer would raise
+TRACE_ROWS = 2048
 
 
 @dataclass
@@ -71,23 +84,34 @@ class SimulationReport:
     """The result of one run: traces plus raw logs for the metrics.
 
     The waypoint, selection, pause and contact logs are numpy record
-    arrays, read by field name by row or by column. `pauses` and `seen`
-    are built on first read and then kept.
+    arrays, read by field name by row or by column. `waypoints`, `pauses`
+    and `seen` are built on first read and then kept.
     """
 
     params: ModelParams
     location_map: LocationMap
-    waypoints: np.recarray  # time, node, x, y, arrive: one row per event
     contacts: np.recarray  # a, b, cell, start, end, censored: one row per contact
-    selections: np.recarray  # node, cell, visiting, fallback: one row per departure
+    selections: np.recarray  # node, cell, visiting, fallback, start, end: one row per departure
     counters: list[SeenCounters] = field(repr=False)  # each node's final seen counters
     homes: np.ndarray = field(repr=False)  # each node's home cell
     until: float  # the horizon the run stopped at
+    # the waypoint trace's chunks, in event order, when the run kept them
+    trace: list[np.recarray] = field(default_factory=list, repr=False)
 
     @property
     def events_processed(self) -> int:
-        """Every event appends one waypoint, so the waypoints count the events."""
-        return len(self.waypoints)
+        """Every trip departed, and those that arrived by the horizon arrived."""
+        return len(self.selections) + int(np.count_nonzero(self.selections.end <= self.until))
+
+    @cached_property
+    def waypoints(self) -> np.recarray:
+        """time, node, x, y, arrive: one row per event, in event order, joined from
+        the kept chunks on first read; empty when the run streamed or skipped them."""
+        if not self.trace:
+            return np.empty(0, WAYPOINT_DTYPE).view(np.recarray)
+        waypoints = np.concatenate(self.trace).view(np.recarray)
+        self.trace.clear()  # the joined log is kept instead
+        return waypoints
 
     @cached_property
     def seen(self) -> np.ndarray:
@@ -99,27 +123,27 @@ class SimulationReport:
 
     @cached_property
     def pauses(self) -> np.recarray:
-        """Each node's pause at home, in node order, then one per arrival. A node's
-        waypoints alternate departure and arrival, so a stable sort by node puts
-        each pause just before the departure that ends it (or last, censored at
-        the horizon) and each arrival just after the departure that chose its cell."""
-        n, waypoints = len(self.homes), self.waypoints
-        # the rows: each node's pause at home, then the waypoints
-        nodes = np.concatenate([np.arange(n), waypoints.node])
-        times = np.concatenate([np.zeros(n), waypoints.time])
-        pause = np.concatenate([np.ones(n, bool), waypoints.arrive])
-        cells = np.concatenate([self.homes, np.zeros(len(waypoints), np.int64)])
-        cells[n:][~waypoints.arrive] = self.selections.cell  # where each departure went
+        """Each node's pause at home, in node order, then one per arrival by the
+        horizon, in event order: by arrival time, ties in departure order, which is
+        the heap's seq order. A pause ends at its node's next departure, or at the
+        horizon, censored, when there is none; one that follows a trip is in the
+        trip's cell."""
+        n, trips, until = len(self.homes), self.selections, self.until
+        # the rows: each node's pause at home as a trip that arrived at t = 0, then the trips
+        nodes = np.concatenate([np.arange(n), trips.node])
+        cells = np.concatenate([self.homes, trips.cell])
+        arrived = np.concatenate([np.zeros(n), trips.end])
+        departed = np.concatenate([np.zeros(n), trips.start])
         order = np.argsort(nodes, kind="stable")
-        after, before = order[1:], order[:-1]
-        same = nodes[after] == nodes[before]  # `after` is the next row of `before`'s node
-        arrivals = same & pause[after]
-        cells[after[arrivals]] = cells[before[arrivals]]
-        ends = np.full_like(times, self.until)
-        ends[before[same]] = times[after[same]]
-        censored = np.ones_like(pause)
+        before, after = order[:-1], order[1:]
+        same = nodes[after] == nodes[before]  # `after` is the next trip of `before`'s node
+        ends = np.full(len(nodes), until)
+        ends[before[same]] = departed[after[same]]
+        censored = np.ones(len(nodes), bool)
         censored[before[same]] = False
-        return _records(PAUSE_DTYPE, [c[pause] for c in (nodes, cells, times, ends, censored)])
+        rows = np.concatenate([np.arange(n), n + np.argsort(trips.end, kind="stable")])
+        rows = rows[arrived[rows] <= until]
+        return _records(PAUSE_DTYPE, [c[rows] for c in (nodes, cells, arrived, ends, censored)])
 
 
 def _records(dtype: np.dtype, columns) -> np.recarray:
@@ -203,11 +227,17 @@ def position_at(node: NodeState, t: float) -> Point2D:
     return Point2D(node.x + frac * (node.tx - node.x), node.y + frac * (node.ty - node.y))
 
 
-def run(state: SimulationState, until: float) -> SimulationReport:
+def run(state: SimulationState, until: float, trace=True) -> SimulationReport:
     """Process events in (time, seq) order up to `until` and build the report.
 
     Contacts and pauses still open at the horizon are closed there and
     flagged censored, so a state can only be run once.
+
+    `trace` says where the waypoint trace goes. With True the report keeps
+    it, as `report.waypoints`. A callable is passed it as the run goes, in
+    event order, as WAYPOINT_DTYPE record arrays of TRACE_ROWS rows, the
+    last one shorter; the report's `waypoints` is then empty. With False
+    no trace is recorded.
     """
     if state.finished:
         raise RuntimeError("simulation state has already been run")
@@ -226,10 +256,18 @@ def run(state: SimulationState, until: float) -> SimulationReport:
     # to the arrival; a fixed wait draws none and keeps fy, its inverse CDF is low for any u
     row_size, pause_of = (4 if wait.high == wait.low else 5), wait.inverse_cdf
     pause_uniform = [0.0] * len(nodes)
-    # the waypoint log's columns, and the selection log's but its node
-    waypoints, selections = list(map(array, "dqddb")), list(map(array, "qbb"))
-    log_time, log_node, log_x, log_y, log_arrive = (column.append for column in waypoints)
-    pick_cell, pick_visiting, pick_fallback = (column.append for column in selections)
+    # the selection log's columns
+    selections = list(map(array, "qqbbdd"))
+    pick_node, pick_cell, pick_visiting, pick_fallback, pick_start, pick_end = (
+        column.append for column in selections
+    )
+    # the trace's chunk, allocated once and written by index: no column grows
+    waypoints = [array(code, bytes(TRACE_ROWS * array(code).itemsize)) for code in "dqddb"]
+    times, ids, xs, ys, arrives = waypoints
+    logged = 0  # rows of the chunk filled so far
+    chunks: list[np.recarray] = []
+    sink = chunks.append if trace is True else trace
+    tracing = bool(sink)
     heapreplace, hypot = heapq.heapreplace, math.hypot
     seq = state.seq
     while queue and queue[0][0] <= until:
@@ -247,9 +285,12 @@ def run(state: SimulationState, until: float) -> SimulationReport:
             end = now + hypot(tx - x, ty - y) / speed
             node.paused = False
             node.cell, node.tx, node.ty = cell, tx, ty
+            pick_node(node_id)
             pick_cell(cell)
             pick_visiting(visiting)
             pick_fallback(fallback)
+            pick_start(now)
+            pick_end(end)
         else:
             # destination reached: signal the arrival, then pause
             cell = node.cell
@@ -259,13 +300,20 @@ def run(state: SimulationState, until: float) -> SimulationReport:
             on_arrival(node_id, cell, now, end)
             node.paused = True
         node.start, node.end = now, end
-        log_time(now)
-        log_node(node_id)
-        log_x(x)
-        log_y(y)
-        log_arrive(node.paused)
+        if tracing:
+            times[logged] = now
+            ids[logged] = node_id
+            xs[logged] = x
+            ys[logged] = y
+            arrives[logged] = node.paused
+            logged += 1
+            if logged == TRACE_ROWS:
+                sink(_records(WAYPOINT_DTYPE, waypoints))
+                logged = 0
         heapreplace(queue, (end, seq, node_id))
         seq += 1
+    if logged:
+        sink(_records(WAYPOINT_DTYPE, [column[:logged] for column in waypoints]))
     state.seq = seq
     state.now = until
     state.tracker.finish(until)
@@ -273,22 +321,19 @@ def run(state: SimulationState, until: float) -> SimulationReport:
         if node.paused:
             node.end = until
     state.finished = True
-    waypoints = _records(WAYPOINT_DTYPE, waypoints)
-    # a selection's node is its departure waypoint's
-    selections = _records(SELECTION_DTYPE, [waypoints.node[~waypoints.arrive], *selections])
     return SimulationReport(
         params=state.params,
         location_map=state.location_map,
-        waypoints=waypoints,
         contacts=state.tracker.records,
-        selections=selections,
+        selections=_records(SELECTION_DTYPE, selections),
         counters=[node.seen for node in nodes],
         homes=np.array([node.home for node in nodes], dtype=np.int64),
         until=until,
+        trace=chunks,
     )
 
 
-def simulate(params: ModelParams) -> SimulationReport:
-    """Initialize and run a full scenario in one call."""
+def simulate(params: ModelParams, trace=True) -> SimulationReport:
+    """Initialize and run a full scenario in one call; `trace` as for `run`."""
     state = initialize(params)
-    return run(state, until=params.sim_duration)
+    return run(state, until=params.sim_duration, trace=trace)

@@ -105,11 +105,24 @@ def write_waypoints(waypoints, path) -> None:
     """Waypoint trace export: one `time,node,x,y,event` row per row of the
     waypoint log, a record array with fields time, node, x, y and arrive,
     in the order given (a run report's `waypoints` are in event order)."""
-    _write_csv(
-        path, "time,node,x,y,event\n",
-        (waypoints.time, waypoints.node, waypoints.x, waypoints.y, waypoints.arrive),
-        (FLOAT, INT, FLOAT, FLOAT, ("depart", "arrive")),
-    )
+    with open(path, "wb") as f:
+        waypoint_writer(f)(waypoints)
+
+
+def waypoint_writer(file):
+    """Write the waypoint trace's header to the open binary `file` and return
+    a function that appends the rows of a waypoint log to it, as
+    `write_waypoints` formats them. Passed as `simulate`'s trace, it writes
+    each chunk of the trace as the run makes it."""
+    file.write(b"time,node,x,y,event\n")
+
+    def write(waypoints) -> None:
+        _write_rows(
+            file, (waypoints.time, waypoints.node, waypoints.x, waypoints.y, waypoints.arrive),
+            (FLOAT, INT, FLOAT, FLOAT, ("depart", "arrive")),
+        )
+
+    return write
 
 
 def write_contacts_csv(records, path) -> None:
@@ -158,11 +171,17 @@ def write_sweep_csv(rows: list[tuple[float, SelectionStats]], path) -> None:
 
 def _write_csv(path, header: str, columns, forms) -> None:
     """Write `header`, then one CSV row per index of the equal-length
-    `columns`, ROWS_PER_WRITE rows per write; see _csv_rows for `forms`."""
+    `columns`; see _write_rows."""
     with open(path, "wb") as f:
         f.write(header.encode())
-        for lo in range(0, len(columns[0]), ROWS_PER_WRITE):
-            f.write(_csv_rows([column[lo:lo + ROWS_PER_WRITE] for column in columns], forms))
+        _write_rows(f, columns, forms)
+
+
+def _write_rows(file, columns, forms) -> None:
+    """Write one CSV row per index of the equal-length `columns` to `file`,
+    ROWS_PER_WRITE rows per write; see _csv_rows for `forms`."""
+    for lo in range(0, len(columns[0]), ROWS_PER_WRITE):
+        file.write(_csv_rows([column[lo:lo + ROWS_PER_WRITE] for column in columns], forms))
 
 
 def _csv_rows(columns, forms) -> bytearray:

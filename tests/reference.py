@@ -93,7 +93,9 @@ class Model:
 
 
 def simulate_reference(params):
-    """The run of `params` as plain lists, in the engine's order and fields; `reads`
+    """The run of `params` as plain lists, in the engine's order and fields (a
+    selection's trip departs at `start` and arrives at `end`, past the horizon
+    for a trip still under way there); `reads`
     holds, per selection, the node's seen (cell, count) pairs in its near and in its
     visiting set, the two sets' totals and the node's total."""
     model = Model(params)
@@ -135,13 +137,13 @@ def simulate_reference(params):
         reads.append((*split, totals, sum(totals)))
         u, r, fx, fy = (rngs[i].random() for _ in range(4))
         cell, visiting, fallback = model.choose(homes[i], seen[i], u, r)
-        selections.append((i, cell, visiting, fallback))
         waypoints.append((now, i, xs[i], ys[i], False))
         (row, col), x_edges, y_edges = divmod(cell, model.cols), model.x_edges, model.y_edges
         tx = x_edges[col] + (x_edges[col + 1] - x_edges[col]) * fx
         ty = y_edges[row] + (y_edges[row + 1] - y_edges[row]) * fy
-        heapq.heappush(queue, (now + math.hypot(tx - xs[i], ty - ys[i]) / params.speed,
-                               next(seq), i))
+        arrive = now + math.hypot(tx - xs[i], ty - ys[i]) / params.speed
+        selections.append((i, cell, visiting, fallback, now, arrive))
+        heapq.heappush(queue, (arrive, next(seq), i))
         xs[i], ys[i], cell_at[i] = tx, ty, cell
     for record in pauses + contacts:  # what ends past the horizon ends there, censored
         record += [record[-1] > until]

@@ -146,7 +146,7 @@ def test_sweep_bad_alpha_list(config_path, tmp_path, capsys):
 
 
 def test_sweep_checks_every_alpha_before_running(config_path, tmp_path, monkeypatch, capsys):
-    def must_not_run(params):
+    def must_not_run(params, trace):
         raise AssertionError(f"alpha {params.alpha} simulated before every alpha was checked")
 
     monkeypatch.setattr(cli, "simulate", must_not_run)
@@ -189,10 +189,10 @@ def test_sweep_output_independent_of_worker_count(config_path, tmp_path, monkeyp
 def test_sweep_worker_failure_leaves_no_outputs(config_path, tmp_path, monkeypatch, capsys):
     simulate = cli.simulate
 
-    def fails_at_half(params):
+    def fails_at_half(params, trace):
         if params.alpha == 0.5:
             raise ValueError("simulation failed at alpha 0.5")
-        return simulate(params)
+        return simulate(params, trace)
 
     monkeypatch.setattr(cli, "simulate", fails_at_half)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
@@ -205,9 +205,9 @@ def test_sweep_worker_failure_leaves_no_outputs(config_path, tmp_path, monkeypat
 
 
 def test_run_interrupted_leaves_no_outputs(config_path, tmp_path, monkeypatch):
-    # locations.csv is written before the event loop starts, so Ctrl-C there
+    # waypoints.csv is staged with its header before the event loop starts, so Ctrl-C there
     # must still remove it
-    def interrupted(state, until):
+    def interrupted(state, until, trace):
         raise KeyboardInterrupt
 
     monkeypatch.setattr("swimsim.engine.run", interrupted)
@@ -261,7 +261,8 @@ def test_no_output_directory_names_both(config_path, tmp_path, monkeypatch, caps
 
 
 def test_run_killed_leaves_no_outputs(config_path, tmp_path):
-    # long enough to be killed mid-way: after the staging directory is made, before the end
+    # long enough to be killed mid-way: after the run has streamed part of its
+    # trace into the staged waypoints.csv, before the end
     config_path.write_text(
         config_path.read_text().replace("nodeCount = 5", "nodeCount = 200")
         .replace("simDuration = 2000", "simDuration = 1000000")
@@ -276,9 +277,10 @@ def test_run_killed_leaves_no_outputs(config_path, tmp_path):
     )
     try:
         deadline = time.monotonic() + 30.0
-        while not list(out.glob(".swimsim-*")):
+        header = len("time,node,x,y,event\n")
+        while not any(p.stat().st_size > header for p in out.glob(".swimsim-*/waypoints.csv")):
             assert proc.poll() is None, "run ended before it could be killed"
-            assert time.monotonic() < deadline, "the staging directory was never made"
+            assert time.monotonic() < deadline, "no waypoint row was ever staged"
             time.sleep(0.01)
         proc.send_signal(signal.SIGKILL)
     finally:

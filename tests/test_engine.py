@@ -10,6 +10,8 @@ from swimsim import cli, metrics_report, outputs, selection_stats
 from swimsim.encounters import ContactTracker
 from swimsim.engine import (
     PAUSE_DTYPE,
+    TRACE_ROWS,
+    WAYPOINT_DTYPE,
     SimulationState,
     initialize,
     position_at,
@@ -331,13 +333,13 @@ def test_logs_are_record_arrays_with_pinned_fields():
     logs = (report.waypoints, report.selections, report.contacts, tracker.records)
     assert [log.dtype.names for log in logs] == [
         ("time", "node", "x", "y", "arrive"),
-        ("node", "cell", "visiting", "fallback"),
+        ("node", "cell", "visiting", "fallback", "start", "end"),
         ("a", "b", "cell", "start", "end", "censored"),
         ("a", "b", "cell", "start", "end", "censored"),
     ]
     assert all(isinstance(log, np.recarray) for log in logs)
     # the bytes per row that README quotes
-    assert [log.itemsize for log in logs] == [33, 18, 41, 41]
+    assert [log.itemsize for log in logs] == [33, 34, 41, 41]
     assert len(report.waypoints) and len(report.selections) and len(report.contacts)
 
 
@@ -378,33 +380,45 @@ def test_run_peak_and_kept_per_event(tmp_path, monkeypatch):
     # a run shaped like the wide-grid benchmark (40 m cells, few contacts)
     # of about 14 000 events. Above what is live before it, per event, the
     # report keeps a 33-byte waypoint row and, per departure (every other
-    # event), an 18-byte selection row; at its peak, `run` also holds the
-    # loop's columns of those rows. A text event column, a pause log built
-    # eagerly or the loop's columns kept after `run` returns would not fit
+    # event), a 34-byte selection row; at its peak, `run` also holds the
+    # loop's selection columns and one chunk of the trace's. A text event
+    # column, a pause log built eagerly or the loop's columns kept after
+    # `run` returns would not fit
     params = make_params(
         area=AreaBounds(1000.0, 1000.0), n_locations=625, node_count=250, sim_duration=10_000.0
     )
-    state = initialize(params)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        live = tracemalloc.get_traced_memory()[0]
-        report = run(state, params.sim_duration)
-        kept, peak = (size - live for size in tracemalloc.get_traced_memory())
-    finally:
-        tracemalloc.stop()
+
+    def measure(trace):
+        state = initialize(params)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            report = run(state, params.sim_duration, trace)
+            kept, peak = (size - live for size in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        return report, kept, peak
+
+    report, kept, peak = measure(True)
     events = report.events_processed
     assert events >= 10_000
     assert peak / events <= 110
     assert kept / events <= 65
+    # a trace handed to a sink is not kept: the report keeps the selection
+    # rows, and the run holds one chunk of the trace at a time
+    streamed, kept, peak = measure(lambda chunk: None)
+    assert streamed.events_processed == events
+    assert peak / events <= 65
+    assert kept / events <= 35
     # the pause log is built only when read: not by a run, its metrics or
     # the writers of `swimsim run`
     metrics_report(report.contacts, report.selections)
     assert "pauses" not in vars(report)
     reports = []
 
-    def simulate_kept(params):
-        reports.append(simulate(params))
+    def simulate_kept(params, trace):
+        reports.append(simulate(params, trace))
         return reports[-1]
 
     monkeypatch.setattr(cli, "simulate", simulate_kept)
@@ -418,6 +432,28 @@ def test_run_peak_and_kept_per_event(tmp_path, monkeypatch):
     (report,) = reports
     assert report.events_processed and "pauses" not in vars(report)
     assert len(report.pauses) and "pauses" in vars(report)
+
+
+def test_trace_is_kept_streamed_in_chunks_or_skipped():
+    # more events than a chunk holds, and not a whole number of chunks
+    params = make_params(sim_duration=20_000.0)
+    kept = simulate(params)
+    assert len(kept.waypoints) > TRACE_ROWS and len(kept.waypoints) % TRACE_ROWS
+    chunks = []
+    streamed = simulate(params, trace=chunks.append)
+    assert [len(chunk) for chunk in chunks[:-1]] == [TRACE_ROWS] * (len(chunks) - 1)
+    assert 0 < len(chunks[-1]) < TRACE_ROWS
+    assert all(isinstance(chunk, np.recarray) and chunk.dtype == WAYPOINT_DTYPE for chunk in chunks)
+    assert np.concatenate(chunks).tolist() == kept.waypoints.tolist()
+    skipped = simulate(params, trace=False)
+    # the logs the metrics read, and the counts and pauses derived from them, do not need the trace
+    for report in (streamed, skipped):
+        assert report.waypoints.tolist() == []
+        assert report.selections.tolist() == kept.selections.tolist()
+        assert report.pauses.tolist() == kept.pauses.tolist()
+        assert report.contacts.tolist() == kept.contacts.tolist()
+        assert np.array_equal(report.seen, kept.seen)
+        assert report.events_processed == kept.events_processed == len(kept.waypoints)
 
 
 def test_run_monotone_horizon():
@@ -505,7 +541,7 @@ def test_engine_draws_follow_the_node_stream(wait):
             cell, x, y, visiting, fallback = choose_destination(
                 node, state.location_map, params, *rng.random(4).tolist()
             )
-            assert report.selections[k].item() == (0, cell, visiting, fallback)
+            assert report.selections[k].item()[:4] == (0, cell, visiting, fallback)
             if k < len(arrivals):  # the last trip may end past the horizon
                 assert (arrivals[k].x, arrivals[k].y) == (x, y)
 

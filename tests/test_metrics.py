@@ -252,8 +252,8 @@ def test_walk_order_with_ids_near_2_31():
 
 
 def sel(node, visiting, fallback=False):
-    """One selection log row, in cell 0."""
-    return (node, 0, visiting, fallback)
+    """One selection log row, in cell 0, for a trip from t = 0 to t = 1."""
+    return (node, 0, visiting, fallback, 0.0, 1.0)
 
 
 def selection_log(rows):
@@ -298,7 +298,7 @@ def test_selection_stats_step1_binomial():
         cell, _x, _y, _visiting, fallback = choose_destination(
             node, location_map, params, *rng.random(4).tolist()
         )
-        records.append((0, cell, classes[cell] is LocationClass.VISITING, fallback))
+        records.append((0, cell, classes[cell] is LocationClass.VISITING, fallback, 0.0, 1.0))
     stats = selection_stats(selection_log(records))
     assert stats.fallbacks == 0
     sigma = math.sqrt(0.3 * 0.7 / n)
