@@ -13,21 +13,24 @@ node goes somewhere near home, otherwise to a visiting (remote) cell.
 import numpy as np
 
 from swimsim import AreaBounds, ModelParams, UniformWait
-from swimsim.grid import Point2D, build_grid
-from swimsim.mobility import choose_destination, make_node_state, node_stream
+from swimsim.grid import Point2D, build_grid, cell_of
+from swimsim.mobility import OffsetTable, choose_destination, make_node_state, node_stream
 
 area = AreaBounds(400.0, 400.0)
 grid = build_grid(area, 21)
 
 
-def selection_histogram(alpha, seen=None, draws=20000):
+def selection_histogram(alpha, experienced=False, draws=20000):
     params = ModelParams(
         alpha=alpha, speed=1.4, neighbour_limit=300.0, n_locations=21,
         area=area, wait=UniformWait(2.0, 5.0), node_count=1, sim_duration=1.0,
     )
-    node = make_node_state(0, Point2D(10.0, 10.0), grid, params)
-    if seen is not None:
-        node.seen[:] = seen
+    position = Point2D(10.0, 10.0)
+    # what selection reads of the home cell, built once per home in a run
+    profile = OffsetTable(grid, params).profile(cell_of(grid, position))
+    node = make_node_state(0, position, grid, profile)
+    if experienced:
+        node.seen.add(20, 30)  # met 30 nodes at the far corner
     rng = node_stream(0, 0)
     counts = np.zeros(21, dtype=int)
     for _ in range(draws):
@@ -54,10 +57,8 @@ for alpha in (0.3, 0.8):
     print("  (* = visiting cell)\n")
 
 # popularity pulls selections: load one remote cell with encounters
-seen = np.zeros(21, dtype=int)
-seen[20] = 30  # met 30 nodes at the far corner
 counts_cold, _ = selection_histogram(0.3)
-counts_warm, _ = selection_histogram(0.3, seen=seen)
+counts_warm, _ = selection_histogram(0.3, experienced=True)
 print("effect of 30 encounters at cell 20 (alpha = 0.3):")
 print(f"  cold start : cell 20 share {counts_cold[20] / counts_cold.sum():.4f}")
 print(f"  experienced: cell 20 share {counts_warm[20] / counts_warm.sum():.4f}")

@@ -19,9 +19,7 @@ The contact log is a numpy record array with fields a, b, cell, start,
 end and censored, one row per contact in the order the contacts opened; an
 open contact's end is NaN. The tracker builds it on request as one array,
 filling each field in place from zero-copy views of its own columns, so
-the log is the only thing as long as the log that it keeps. ContactRecord
-is a contact as a plain object, for logs built by hand; contact_log turns
-a list of them into the record array.
+the log is the only thing as long as the log that it keeps.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -38,40 +35,14 @@ if TYPE_CHECKING:
     from .mobility import SeenCounters
 
 
-@dataclass
-class ContactRecord:
-    a: int  # a < b
-    b: int
-    cell: int
-    start: float
-    end: float | None = None
-    censored: bool = False
-
-
 # a < b, and `end` is NaN while the contact is open
 CONTACT_DTYPE = np.dtype(
     [("a", "i8"), ("b", "i8"), ("cell", "i8"), ("start", "f8"), ("end", "f8"), ("censored", "?")]
 )
 
 
-def contact_log(records) -> np.recarray:
-    """The contact log of `records` as a record array; a record array is returned as it is.
-
-    `records` is a record array or a sequence of ContactRecord, whose `end`
-    of None (an open contact) becomes NaN.
-    """
-    if isinstance(records, np.recarray):
-        return records
-    rows = [
-        (r.a, r.b, r.cell, r.start, math.nan if r.end is None else r.end, r.censored)
-        for r in records
-    ]
-    return np.array(rows, dtype=CONTACT_DTYPE).view(np.recarray)
-
-
-def finished_log(records) -> np.recarray:
-    """The contact log of `records`, as contact_log gives it, with no contact open."""
-    log = contact_log(records)
+def finished_log(log: np.recarray) -> np.recarray:
+    """The contact log `log`, checked to have no contact open."""
     if np.isnan(log.end).any():
         raise ValueError("contact log has open contacts: finish the run first")
     return log

@@ -18,19 +18,19 @@ arrival) to flat array columns, from which `run` fills the selection log
 once, at the end. Each event's waypoint is written in place into the
 columns of one chunk of TRACE_ROWS rows, allocated once, which is handed
 out as a record array each time it fills, to the report or to a caller's
-sink; a run asked for no trace writes none. The report
-derives the pause log and the event count from the selection log, so they
-do not need the trace. Each
-node's seen counters are its own sparse SeenCounters, written by the
-contact tracker; the report builds the dense N x L matrix from them only
-when it is read. An arrival sets the pause's end before it signals, and
-the signal carries that end to the tracker, which logs each contact with
-its end as it opens. A departure signals before the kernel draws, so the
-tracker settles the departing node's counters first. Each node's random
-stream is read in blocks (UniformStream); a departure reads its trip's row
-in one `take`: four uniforms for the kernel, then the next pause's (none
-for a fixed wait), which the arrival turns into the pause's length with
-the wait law's inverse CDF. An event is one heapreplace of its node's entry.
+sink; a run asked for no trace writes none. The report derives the pause
+log and the event count from the selection log, so they do not need the
+trace. Each node's seen counters are its own sparse SeenCounters, written
+by the contact tracker; the report builds the dense N x L matrix from
+their cells and counts only when it is read. An arrival sets the pause's
+end before it signals, and the signal carries that end to the tracker,
+which logs each contact with its end as it opens. A departure signals
+before the kernel draws, so the tracker settles the departing node's
+counters first. Each node's random stream is read in blocks
+(UniformStream); a departure reads its trip's row in one `take`: four
+uniforms for the kernel, then the next pause's (none for a fixed wait),
+which the arrival turns into the pause's length with the wait law's
+inverse CDF. An event is one heapreplace of its node's entry.
 """
 
 from __future__ import annotations
@@ -118,7 +118,8 @@ class SimulationReport:
         """Final N x L encounter counters, one row per node, built from `counters` on first read."""
         seen = np.zeros((len(self.counters), len(self.location_map)), dtype=np.int64)
         for row, counters in zip(seen, self.counters):
-            row[:] = counters
+            for cells, counts in zip(counters.cells, counters.counts):
+                row[cells] = counts
         return seen
 
     @cached_property
@@ -197,7 +198,7 @@ def initialize(params: ModelParams) -> SimulationState:
         home = cell_of(location_map, position)
         if home not in profiles:
             profiles[home] = table.profile(home)
-        nodes.append(make_node_state(i, position, location_map, params, profiles[home]))
+        nodes.append(make_node_state(i, position, location_map, profiles[home]))
     # each node's blocks follow the two position values drawn above
     uniforms = [UniformStream(rng) for rng in rngs]
     state = SimulationState(

@@ -5,12 +5,12 @@ common distribution summary. Censored records (still open at the end of a
 run) never contribute a duration, and gaps touching a censored record are
 dropped because the true gap is unknown. CCDFs are evaluated at 50
 log-spaced thresholds for heavy-tail inspection. The pipelines work on the
-columns of the contact log's record array; a list of ContactRecord is
-converted once, where it enters. A log with a contact still open, one
-whose end is NaN, is rejected there (finished_log). The inter-contact
-times and the contacts per pair come from one grouping of the rows by pair
-(_pairs), which metrics_report makes once per run. Selection statistics
-are counted from the columns of a run's selection log.
+columns of the contact log's record array. A log with a contact still
+open, one whose end is NaN, is rejected where it enters (finished_log).
+The inter-contact times and the contacts per pair come from one grouping
+of the rows by pair (_pairs), which metrics_report makes once per run.
+Selection statistics are counted from the columns of a run's selection
+log.
 """
 
 from __future__ import annotations
@@ -145,32 +145,18 @@ def _pairs(log: np.recarray) -> tuple[np.ndarray, np.ndarray]:
     return gaps, counts
 
 
-def ict_samples(log) -> list[float]:
-    """Gaps between consecutive contacts, pooled across pairs."""
-    return _pairs(finished_log(log))[0].tolist()
-
-
 def inter_contact_times(log) -> DistributionSummary:
     return summarize(_pairs(finished_log(log))[0])
 
 
 def _durations(log: np.recarray) -> np.ndarray:
+    """Durations of finished contacts; zero-length ones carry no information."""
     lengths = log.end - log.start
     return lengths[~log.censored & (log.end > log.start)]
 
 
-def duration_samples(log) -> list[float]:
-    """Durations of finished contacts; zero-length ones carry no information."""
-    return _durations(finished_log(log)).tolist()
-
-
 def contact_durations(log) -> DistributionSummary:
     return summarize(_durations(finished_log(log)))
-
-
-def contacts_per_pair_samples(log) -> list[int]:
-    """Record count of every pair that ever met, in pair order."""
-    return _pairs(finished_log(log))[1].tolist()
 
 
 def contacts_per_pair(log) -> DistributionSummary:
@@ -232,11 +218,11 @@ def selection_stats(selections) -> SelectionStats:
 def metrics_report(contacts, selections) -> dict:
     """Structured metrics for JSON export.
 
-    `contacts` is a contact log's record array or a list of ContactRecord,
-    `selections` a run's selection log. The three distribution summaries
-    are built here, once per run; `swimsim run` writes their CCDF files
-    from the `ccdf` lists of this dict. The log's rows are grouped by pair
-    once, for the gaps and the counts per pair both.
+    `contacts` is a run's contact log (`report.contacts`), `selections` its
+    selection log. The three distribution summaries are built here, once
+    per run; `swimsim run` writes their CCDF files from the `ccdf` lists of
+    this dict. The log's rows are grouped by pair once, for the gaps and
+    the counts per pair both.
     """
     contacts = finished_log(contacts)
     gaps, counts = _pairs(contacts)

@@ -248,11 +248,6 @@ class SeenCounters:
     node still paused then, so mid-run they are up to date only from the
     node's departure signal to its next arrival, which is where the
     selection kernel reads them.
-
-    They also read and write like a length-L int64 vector, through a dense
-    copy: `seen[c]`, `seen[cells]`, `seen[:] = row`, `seen[c] += 1`,
-    `seen.sum()` and `np.asarray(seen)`; a read returns a new array, never
-    a view, and a write recounts the store from the written row.
     """
 
     __slots__ = ("profile", "cells", "counts", "totals", "total")
@@ -281,50 +276,8 @@ class SeenCounters:
         self.totals[in_set] += n
         self.total += n
 
-    def sum(self) -> int:
-        return self.total
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        if copy is False:
-            raise ValueError("seen counters are sparse: a dense array is always a copy")
-        table = self.profile.table
-        row = np.zeros(table.rows * table.cols, dtype=np.int64)
-        for cells, counts in zip(self.cells, self.counts):
-            row[cells] = counts
-        return row if dtype is None else row.astype(dtype, copy=False)
-
-    def __getitem__(self, key):
-        return np.asarray(self)[key]
-
-    def __setitem__(self, key, value) -> None:
-        row = np.asarray(self)
-        row[key] = value
-        self.__init__(self.profile)
-        cells = row.nonzero()[0]
-        for cell, count in zip(cells.tolist(), row[cells].tolist()):
-            self.add(cell, count)
-
     def __repr__(self) -> str:
         return f"SeenCounters(cells={self.cells}, counts={self.counts})"
-
-
-@dataclass(frozen=True)
-class Paused:
-    """A node's pause in `cell` over [start, end]; `end` is the scheduled departure."""
-
-    node: int
-    cell: int
-    start: float
-    end: float
-
-
-@dataclass(frozen=True)
-class Moving:
-    origin: Point2D
-    target: Point2D
-    target_cell: int
-    depart_at: float
-    arrive_at: float
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -478,9 +431,6 @@ class NodeState:
     * `tx`, `ty`: the trip's target;
     * `start`, `end`: the pause's start and scheduled departure, or the
       trip's departure and arrival.
-
-    `position` and `phase` are views: reading one builds a Point2D, or a
-    Paused or Moving, from these values, and assigning one sets them.
     """
 
     __slots__ = ("id", "home", "seen", "profile", "paused", "cell", "x", "y", "tx", "ty",
@@ -493,52 +443,25 @@ class NodeState:
         self.y = self.ty = position.y
         self.paused, self.cell, self.start, self.end = True, home, 0.0, 0.0
 
-    @property
-    def position(self) -> Point2D:
-        return Point2D(self.x, self.y)
-
-    @position.setter
-    def position(self, point: Point2D) -> None:
-        self.x, self.y = point.x, point.y
-
-    @property
-    def phase(self) -> Paused | Moving:
-        if self.paused:
-            return Paused(self.id, self.cell, self.start, self.end)
-        return Moving(Point2D(self.x, self.y), Point2D(self.tx, self.ty), self.cell,
-                      self.start, self.end)
-
-    @phase.setter
-    def phase(self, phase: Paused | Moving) -> None:
-        if isinstance(phase, Paused):
-            self.paused, self.cell, self.start, self.end = True, phase.cell, phase.start, phase.end
-            return
-        self.paused, self.cell = False, phase.target_cell
-        self.start, self.end = phase.depart_at, phase.arrive_at
-        self.position = phase.origin
-        self.tx, self.ty = phase.target.x, phase.target.y
-
     def __repr__(self) -> str:
-        return (f"NodeState(id={self.id}, home={self.home}, position={self.position}, "
-                f"phase={self.phase})")
+        return (f"NodeState(id={self.id}, home={self.home}, paused={self.paused}, "
+                f"cell={self.cell}, x={self.x}, y={self.y}, tx={self.tx}, ty={self.ty}, "
+                f"start={self.start}, end={self.end})")
 
 
 def make_node_state(
     node_id: int,
     position: Point2D,
     location_map: LocationMap,
-    params: ModelParams,
-    profile: HomeProfile | None = None,
+    profile: HomeProfile,
 ) -> NodeState:
     """Node at `position`, homed in the cell containing it, with no encounters.
 
     The node starts paused at home over [0, 0]. `profile` is the one built
-    for that home under `params`, shared with the other nodes of the home;
-    one is built, with an OffsetTable of its own, when none is given.
+    for that home under the run's params, shared with the other nodes of
+    the home.
     """
     home = cell_of(location_map, position)
-    if profile is None:
-        profile = OffsetTable(location_map, params).profile(home)
     return NodeState(node_id, home, position, SeenCounters(profile), profile)
 
 

@@ -10,7 +10,7 @@ column-wise kernel, _csv_rows, which gives the bytes of `%`-formatting
 row by row without formatting any row in Python but the rare ones it
 cannot round exactly. At run time this module imports no other swimsim
 module apart from the grid, whose cell bounds the locations files hold,
-and the contact log's conversion.
+and the contact log's check for open contacts.
 """
 
 from __future__ import annotations
@@ -128,9 +128,9 @@ def waypoint_writer(file):
 def write_contacts_csv(records, path) -> None:
     """Contact log export, one `a,b,cell,start,end,censored` row per record.
 
-    `records` is a contact log's record array or a list of ContactRecord.
-    Beyond the log, the writer holds one chunk's text and parts at a time,
-    nothing by the log's largest id.
+    `records` is a run's contact log (`report.contacts`), with no contact
+    open. Beyond the log, the writer holds one chunk's text and parts at a
+    time, nothing by the log's largest id.
     """
     log = finished_log(records)
     _write_csv(

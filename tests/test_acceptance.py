@@ -7,7 +7,6 @@ shape and classification, closed-form CDFs for samplers, interval
 intersection for contacts, and direct recomputation for the metrics.
 """
 
-import heapq
 import json
 import math
 import time
@@ -18,25 +17,19 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from support import add_row, contact_rows, lone_node
+
 from swimsim.cli import main
 from swimsim.config import loads_config
 from swimsim.engine import simulate
 from swimsim.grid import AreaBounds, LocationClass, Point2D, build_grid, classify_locations
-from swimsim.metrics import (
-    contacts_per_pair_samples,
-    duration_samples,
-    ict_samples,
-    selection_stats,
-    summarize,
-)
+from swimsim.metrics import _durations, _pairs, selection_stats, summarize
 from swimsim.mobility import (
     ModelParams,
-    Moving,
     PowerLawWait,
     UniformWait,
     choose_destination,
     draw_wait_time,
-    make_node_state,
     node_stream,
 )
 
@@ -228,10 +221,10 @@ def test_criterion_3_step2_weight_fidelity():
         alpha = 0.5
         params = reference_params(alpha)
         grid = build_grid(AREA, 21)
-        node = make_node_state(0, Point2D(10.0, 10.0), grid, params)
+        node = lone_node(0, Point2D(10.0, 10.0), grid, params)
         assert node.home == 0
         seen = np.array([(7 * c) % 11 for c in range(21)], dtype=np.int64)
-        node.seen[:] = seen
+        add_row(node.seen, seen)
 
         # oracle: recompute weights from scratch
         centers = oracle_centers(3, 7, 400.0, 400.0)
@@ -306,20 +299,17 @@ def test_criterion_5_kinematics(reference_reports):
 
         rng = np.random.default_rng(77)
         grid = report.location_map
-        probe = make_node_state(0, Point2D(1.0, 1.0), grid, report.params)
+        probe = lone_node(0, Point2D(1.0, 1.0), grid, report.params)
         long_trips = [t for t in trips if t[1].time - t[0].time > 1.0]
         picks = rng.choice(len(long_trips), size=100, replace=False)
         from swimsim.engine import position_at
 
         for idx in picks:
             dep, arr = long_trips[int(idx)]
-            probe.phase = Moving(
-                origin=Point2D(dep.x, dep.y),
-                target=Point2D(arr.x, arr.y),
-                target_cell=0,
-                depart_at=dep.time,
-                arrive_at=arr.time,
-            )
+            # the probe on the trip: from dep's point at its time to arr's
+            probe.paused = False
+            probe.x, probe.y, probe.tx, probe.ty = dep.x, dep.y, arr.x, arr.y
+            probe.start, probe.end = dep.time, arr.time
             dt = 1e-3
             t = float(rng.uniform(dep.time, arr.time - dt))
             p0 = position_at(probe, t)
@@ -374,8 +364,6 @@ def test_criterion_7_wait_time_sampler():
 
 def test_criterion_8_metrics_match_brute_force_on_fuzzed_logs():
     with criterion(8, "metrics equal brute-force recomputation on 1000 fuzz logs"):
-        from swimsim.encounters import ContactRecord
-
         rng = np.random.default_rng(88)
         for _ in range(1000):
             log = []
@@ -387,27 +375,21 @@ def test_criterion_8_metrics_match_brute_force_on_fuzzed_logs():
                     end = start + (
                         0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 8.0))
                     )
-                    log.append(
-                        ContactRecord(
-                            a=int(a),
-                            b=int(b),
-                            cell=int(rng.integers(0, 4)),
-                            start=start,
-                            end=end,
-                            censored=bool(rng.random() < 0.15),
-                        )
-                    )
+                    log.append((int(a), int(b), int(rng.integers(0, 4)), start, end,
+                                bool(rng.random() < 0.15)))
                     t = end
-            assert sorted(ict_samples(log)) == oracle_ict(log)
-            assert sorted(duration_samples(log)) == oracle_durations(log)
-            assert sorted(contacts_per_pair_samples(log)) == oracle_pair_counts(log)
+            log = contact_rows(log)
+            gaps, counts = _pairs(log)
+            assert sorted(gaps.tolist()) == oracle_ict(log)
+            assert sorted(_durations(log).tolist()) == oracle_durations(log)
+            assert sorted(counts.tolist()) == oracle_pair_counts(log)
 
 
 def test_criterion_9_ict_ccdf_shape(reference_reports):
     with criterion(9, "pooled ICT CCDF monotone and spanning >= 2 decades"):
         pooled = []
         for report in reference_reports.values():
-            pooled.extend(ict_samples(report.contacts))
+            pooled.extend(_pairs(report.contacts)[0].tolist())
         positive = [s for s in pooled if s > 0]
         assert positive
         decades = math.log10(max(positive) / min(positive))

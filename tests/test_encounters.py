@@ -4,8 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from support import contact_rows, lone_node, seen_dict
+
 from swimsim import outputs
-from swimsim.encounters import ContactRecord, ContactTracker, contact_log
+from swimsim.encounters import ContactTracker
 from swimsim.engine import initialize, run, simulate
 from swimsim.grid import AreaBounds, Point2D, build_grid
 from swimsim.metrics import metrics_report
@@ -13,7 +15,6 @@ from swimsim.mobility import (
     ModelParams,
     PowerLawWait,
     UniformWait,
-    make_node_state,
 )
 from swimsim.outputs import write_contacts_csv
 
@@ -40,13 +41,7 @@ def make_nodes(count, params=None):
     """`count` nodes, each with its own seen counters, as in a run."""
     params = params or make_params(node_count=count)
     location_map = build_grid(params.area, params.n_locations)
-    return [make_node_state(i, Point2D(10.0, 10.0), location_map, params) for i in range(count)]
-
-
-def seen_dict(seen):
-    """A node's seen counts as {cell: count}, read from both sets of its store."""
-    return {cell: count for cells, counts in zip(seen.cells, seen.counts)
-            for cell, count in zip(cells, counts)}
+    return [lone_node(i, Point2D(10.0, 10.0), location_map, params) for i in range(count)]
 
 
 def tracker_for(nodes, **kwargs):
@@ -58,8 +53,8 @@ def test_lone_arrival_is_a_noop():
     nodes = make_nodes(2)
     tracker = tracker_for(nodes)
     tracker.on_arrival_signal(0, 3, 1.0, 4.0)
-    assert nodes[0].seen.sum() == 0
-    assert nodes[1].seen.sum() == 0
+    assert nodes[0].seen.total == 0
+    assert nodes[1].seen.total == 0
     assert len(tracker.records) == 0
 
 
@@ -72,9 +67,9 @@ def test_pair_arrival_opens_contact():
     record = tracker.records[0]
     assert (record.a, record.b, record.cell, record.start) == (0, 1, 3, 2.5)
     assert math.isnan(record.end)  # ends at 6.0, after the latest signal
-    assert nodes[1].seen[3] == 1
+    assert seen_dict(nodes[1].seen) == {3: 1}
     tracker.on_departure_signal(0, 3, 6.0)  # settles the bystander's counts
-    assert nodes[0].seen[3] == 1
+    assert seen_dict(nodes[0].seen) == {3: 1}
 
 
 def test_arrival_with_two_paused_counts_both():
@@ -83,10 +78,10 @@ def test_arrival_with_two_paused_counts_both():
     for node_id in (0, 1):
         tracker.on_arrival_signal(node_id, 5, 1.0, 20.0)
     tracker.on_arrival_signal(2, 5, 4.0, 20.0)
-    assert nodes[2].seen[5] == 2
+    assert seen_dict(nodes[2].seen) == {5: 2}
     tracker.finish(10.0)  # settles the bystanders' counts
-    assert nodes[0].seen[5] == 2  # one from node 1 arriving, one from node 2
-    assert nodes[1].seen[5] == 2
+    assert seen_dict(nodes[0].seen) == {5: 2}  # one from node 1 arriving, one from node 2
+    assert seen_dict(nodes[1].seen) == {5: 2}
     assert len(tracker.records) == 3
 
 
@@ -96,8 +91,8 @@ def test_nodes_elsewhere_ignore_signal():
     tracker.on_arrival_signal(0, 2, 1.0, 6.0)
     tracker.on_arrival_signal(1, 9, 2.0, 6.0)
     tracker.finish(10.0)
-    assert nodes[0].seen.sum() == 0
-    assert nodes[1].seen.sum() == 0
+    assert nodes[0].seen.total == 0
+    assert nodes[1].seen.total == 0
     assert len(tracker.records) == 0
 
 
@@ -107,8 +102,8 @@ def test_bystanders_only_mode():
     tracker.on_arrival_signal(0, 3, 1.0, 12.0)
     tracker.on_arrival_signal(1, 3, 2.0, 15.0)
     tracker.finish(10.0)  # settles the bystander's counts
-    assert nodes[0].seen[3] == 1  # bystander still updates
-    assert nodes[1].seen[3] == 0  # arriving node does not
+    assert seen_dict(nodes[0].seen) == {3: 1}  # bystander still updates
+    assert seen_dict(nodes[1].seen) == {}  # arriving node does not
     assert len(tracker.records) == 1
 
 
@@ -188,34 +183,6 @@ def test_seen_sum_identity_bystanders_only():
     assert int(report.seen.sum()) == len(report.contacts)
 
 
-def test_seen_counters_monotone():
-    # run with the tracker's two signals, the counters' only writes, wrapped,
-    # and check after every event that the counters never decrease
-    params = make_params(sim_duration=1000.0)
-    state = initialize(params)
-    tracker = state.tracker
-    # np.stack reads each node's sparse counters as a dense copy
-    previous = np.stack([n.seen for n in state.nodes])
-    signals = []
-
-    def checked(signal):
-        def checked_signal(*args):
-            nonlocal previous
-            signal(*args)
-            current = np.stack([n.seen for n in state.nodes])
-            assert (current >= previous).all()
-            assert [n.seen.total for n in state.nodes] == current.sum(axis=1).tolist()
-            previous = current
-            signals.append(args[0])
-
-        return checked_signal
-
-    tracker.on_arrival_signal = checked(tracker.on_arrival_signal)
-    tracker.on_departure_signal = checked(tracker.on_departure_signal)
-    report = run(state, params.sim_duration)
-    assert signals == report.waypoints.node.tolist()  # one signal per event
-
-
 def test_contacts_csv_format(tmp_path):
     report = simulate(make_params(sim_duration=2000.0))
     path = tmp_path / "contacts.csv"
@@ -230,55 +197,39 @@ def test_contacts_csv_format(tmp_path):
         assert censored in ("0", "1")
 
 
-def test_contact_log_rows_round_trip():
-    records = [
-        ContactRecord(0, 1, 3, 2.0, 6.0, False),
-        ContactRecord(1, 4, 0, 2.0, None, False),
-        ContactRecord(2, 3, 7, 5.5, 9.0, True),
-    ]
-    rows = [(0, 1, 3, 2.0, 6.0, False), (1, 4, 0, 2.0, math.nan, False), (2, 3, 7, 5.5, 9.0, True)]
-    log = contact_log(records)
-    assert len(log) == 3
-    # NaN, an open contact's end, is not equal to itself, so rows compare by their text
-    assert repr(log.tolist()) == repr([log[i].item() for i in range(3)]) == repr(rows)
-    assert log[-1].item() == rows[-1]
-    assert contact_log(log) is log
-    assert len(contact_log([])) == 0
-
-
 def test_contacts_csv_matches_row_formatting(tmp_path, monkeypatch):
     # shared event times, ids past 9, both flags and a part-filled last
     # chunk, against per-row formatting
     monkeypatch.setattr(outputs, "ROWS_PER_WRITE", 7)
     rng = np.random.default_rng(7)
     times = rng.uniform(0.0, 1e4, size=12)
-    records = []
+    rows = []
     for _ in range(300):
         a, b = sorted(rng.choice(40, size=2, replace=False).tolist())
         start, end = sorted(rng.choice(times, size=2).tolist())
-        records.append(ContactRecord(a, b, int(rng.integers(0, 30)), start, end,
-                                     bool(rng.random() < 0.3)))
+        rows.append((a, b, int(rng.integers(0, 30)), start, end, bool(rng.random() < 0.3)))
     expected = "a,b,cell,start,end,censored\n" + "".join(
-        f"{r.a},{r.b},{r.cell},{r.start:.6f},{r.end:.6f},{int(r.censored)}\n"
-        for r in records
+        f"{a},{b},{cell},{start:.6f},{end:.6f},{int(censored)}\n"
+        for a, b, cell, start, end, censored in rows
     )
-    for form in (records, contact_log(records)):
-        path = tmp_path / "contacts.csv"
-        write_contacts_csv(form, path)
-        assert path.read_text() == expected
+    path = tmp_path / "contacts.csv"
+    write_contacts_csv(contact_rows(rows), path)
+    assert path.read_text() == expected
 
 
 def test_contacts_csv_rejects_open_contacts(tmp_path):
     with pytest.raises(ValueError, match="open contacts"):
-        write_contacts_csv([ContactRecord(0, 1, 3, 2.0)], tmp_path / "contacts.csv")
+        write_contacts_csv(contact_rows([(0, 1, 3, 2.0, math.nan, False)]),
+                           tmp_path / "contacts.csv")
 
 
 def test_contacts_csv_memory_follows_the_ids_held(tmp_path):
     # the text of every id up to 10**6 would take about 64 MB
     path = tmp_path / "contacts.csv"
+    log = contact_rows([(0, 10**6, 10**6, 1.0, 2.0, False)])
     tracemalloc.start()
     try:
-        write_contacts_csv([ContactRecord(0, 10**6, 10**6, 1.0, 2.0, False)], path)
+        write_contacts_csv(log, path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

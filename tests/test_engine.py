@@ -6,6 +6,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from support import add_row, lone_node
+
 from swimsim import cli, metrics_report, outputs, selection_stats
 from swimsim.encounters import ContactTracker
 from swimsim.engine import (
@@ -22,13 +24,8 @@ from swimsim.grid import AreaBounds, LocationClass, Point2D, build_grid, cell_of
 from swimsim.mobility import (
     BLOCK,
     ModelParams,
-    Moving,
-    Paused,
     UniformStream,
     UniformWait,
-    choose_destination,
-    draw_wait_time,
-    make_node_state,
     node_stream,
 )
 
@@ -84,7 +81,7 @@ def scripted_state(position, randoms, uniforms, **param_overrides):
         node_count=1, **param_overrides,
     )
     location_map = build_grid(params.area, params.n_locations)
-    node = make_node_state(0, position, location_map, params)
+    node = lone_node(0, position, location_map, params)  # paused at home over [0, 0]
     state = SimulationState(
         params=params,
         location_map=location_map,
@@ -92,7 +89,6 @@ def scripted_state(position, randoms, uniforms, **param_overrides):
         uniforms=[FakeUniforms(randoms, uniforms, location_map)],
         tracker=ContactTracker([node.seen], params.seen_update),
     )
-    node.phase = Paused(node=0, cell=node.home, start=0.0, end=0.0)
     state.schedule(0.0, 0)
     return state
 
@@ -105,8 +101,7 @@ def test_initialize_single_node():
     assert node_id == 0
     assert 2.0 <= time <= 5.0
     node = state.nodes[0]
-    assert isinstance(node.phase, Paused)
-    assert node.phase.cell == node.home
+    assert node.paused and node.cell == node.home
 
 
 def test_initialize_home_classes():
@@ -116,14 +111,14 @@ def test_initialize_home_classes():
         classes = classify_locations(state.location_map, node.home, params.neighbour_limit)
         assert classes[node.home] is LocationClass.HOME
         assert classes.count(LocationClass.HOME) == 1
-        assert AREA.contains(node.position)
+        assert AREA.contains(Point2D(node.x, node.y))
 
 
 def test_initialize_uniform_positions():
     n = 1000
     state = initialize(make_params(node_count=n))
-    xs = np.array([node.position.x for node in state.nodes])
-    ys = np.array([node.position.y for node in state.nodes])
+    xs = np.array([node.x for node in state.nodes])
+    ys = np.array([node.y for node in state.nodes])
     sigma = 400.0 / math.sqrt(12 * n)
     assert abs(xs.mean() - 200.0) < 3 * sigma
     assert abs(ys.mean() - 200.0) < 3 * sigma
@@ -134,9 +129,9 @@ def test_forced_trip_travel_time():
     state = scripted_state(Point2D(10.0, 10.0), randoms=[0.0, 0.0], uniforms=[150.0, 10.0])
     run(state, until=50.0)
     node = state.nodes[0]
-    assert isinstance(node.phase, Moving)
-    assert node.phase.target_cell == 0
-    assert node.phase.arrive_at == pytest.approx(100.0)
+    assert not node.paused
+    assert node.cell == 0
+    assert node.end == pytest.approx(100.0)
     assert state.queue == [(pytest.approx(100.0), 1, 0)]  # the node's arrival, its one event
 
 
@@ -157,11 +152,10 @@ def test_zero_length_trip():
 
 
 def test_position_at_interpolation():
-    node = make_node_state(0, Point2D(0.0, 0.0), build_grid(AREA, 4), make_params())
-    node.phase = Moving(
-        origin=Point2D(0.0, 0.0), target=Point2D(140.0, 0.0),
-        target_cell=0, depart_at=10.0, arrive_at=110.0,
-    )
+    node = lone_node(0, Point2D(0.0, 0.0), build_grid(AREA, 4), make_params())
+    # a trip from (0, 0) over [10, 110] to (140, 0)
+    node.paused, node.cell, node.start, node.end = False, 0, 10.0, 110.0
+    node.tx, node.ty = 140.0, 0.0
     assert position_at(node, 10.0) == Point2D(0.0, 0.0)
     assert position_at(node, 110.0) == Point2D(140.0, 0.0)
     mid = position_at(node, 60.0)
@@ -170,8 +164,8 @@ def test_position_at_interpolation():
         position_at(node, 9.9)
     with pytest.raises(ValueError):
         position_at(node, 110.1)
-    node.phase = Paused(node=0, cell=0, start=5.0, end=20.0)
-    node.position = Point2D(3.0, 4.0)
+    node.paused, node.cell, node.start, node.end = True, 0, 5.0, 20.0
+    node.x, node.y = 3.0, 4.0
     assert position_at(node, 12.0) == Point2D(3.0, 4.0)
     with pytest.raises(ValueError):
         position_at(node, 4.0)
@@ -207,36 +201,6 @@ def test_run_kinematics_identity():
             assert travel == 0.0
 
 
-def test_run_finite_difference_speed():
-    params = make_params(node_count=3)
-    state = initialize(params)
-    report = run(state, until=20 * params.sim_duration)
-    rng = np.random.default_rng(13)
-    checked = 0
-    departures = {}
-    # each of the engine's trips, from a depart waypoint to the node's next
-    # arrive waypoint, set into the node's phase
-    for w in report.waypoints:
-        if not w.arrive:
-            departures[w.node] = w
-            continue
-        depart = departures.pop(w.node)
-        node = state.nodes[w.node]
-        node.phase = Moving(Point2D(depart.x, depart.y), Point2D(w.x, w.y), 0, depart.time, w.time)
-        phase = node.phase
-        if phase.arrive_at - phase.depart_at > 1.0:
-            dt = 1e-3
-            t = float(rng.uniform(phase.depart_at, phase.arrive_at - dt))
-            p0 = position_at(node, t)
-            p1 = position_at(node, t + dt)
-            speed = math.hypot(p1.x - p0.x, p1.y - p0.y) / dt
-            assert abs(speed - params.speed) < 1e-6
-            checked += 1
-            if checked == 100:
-                break
-    assert checked == 100
-
-
 def test_run_censors_pauses_open_at_the_horizon():
     # waits are at least 2 s, so at t = 1 every node is still in its first pause
     state = initialize(make_params())
@@ -258,11 +222,11 @@ def test_run_censors_pauses_open_at_the_horizon():
     params = make_params(wait=UniformWait(20.0, 200.0))
     state = initialize(params)
     report = run(state, until=params.sim_duration)
-    still_paused = [node.phase for node in state.nodes if isinstance(node.phase, Paused)]
+    still_paused = [node for node in state.nodes if node.paused]
     censored = [p for p in report.pauses if p.censored]
     assert still_paused
     assert sorted(p.item() for p in censored) == sorted(
-        (p.node, p.cell, p.start, p.end, True) for p in still_paused
+        (node.id, node.cell, node.start, node.end, True) for node in still_paused
     )
     assert all(p.end == params.sim_duration for p in censored)
     assert all(p.end <= params.sim_duration for p in report.pauses)
@@ -328,7 +292,7 @@ def test_run_zero_horizon(tmp_path):
 
 def test_logs_are_record_arrays_with_pinned_fields():
     report = simulate(make_params(sim_duration=200.0))
-    node = make_node_state(0, Point2D(10.0, 10.0), report.location_map, report.params)
+    node = lone_node(0, Point2D(10.0, 10.0), report.location_map, report.params)
     tracker = ContactTracker([node.seen])
     logs = (report.waypoints, report.selections, report.contacts, tracker.records)
     assert [log.dtype.names for log in logs] == [
@@ -503,7 +467,7 @@ def test_alpha_one_traces_invariant_to_injected_seen():
     clean = simulate(params)
     state = initialize(params)
     for node in state.nodes:
-        node.seen[:] = np.arange(21) * 3  # pre-loaded popularity must not matter
+        add_row(node.seen, np.arange(21) * 3)  # pre-loaded popularity must not matter
     poked = run(state, until=params.sim_duration)
     assert [(w.time, w.node, w.x, w.y) for w in clean.waypoints] == [
         (w.time, w.node, w.x, w.y) for w in poked.waypoints
@@ -519,31 +483,6 @@ def test_uniform_stream_reads_the_generator_in_order():
     for i in range(3 * BLOCK):
         k = 4 if i % 3 == 2 else 5
         assert stream.take(k) == fresh.random(k).tolist()
-
-
-@pytest.mark.parametrize("wait", [UniformWait(3.0, 3.0), UniformWait(2.0, 5.0)])
-def test_engine_draws_follow_the_node_stream(wait):
-    # alpha = 1 makes every draw independent of the seen counters, so a
-    # node's run replays from a fresh node_stream read by one random() per
-    # wait (none when low == high) and one random(4) per selection
-    params = make_params(alpha=1.0, node_count=1, wait=wait, sim_duration=20000.0)
-    state = initialize(params)
-    report = run(state, until=params.sim_duration)
-    assert 4 * len(report.selections) > 3 * BLOCK  # several blocks of the stream
-    rng = node_stream(params.seed, 0)
-    position = Point2D(float(rng.uniform(0.0, AREA.width)), float(rng.uniform(0.0, AREA.height)))
-    node = make_node_state(0, position, state.location_map, params)
-    arrivals = report.waypoints[report.waypoints.arrive]
-    for k, pause in enumerate(report.pauses):
-        end = pause.start + draw_wait_time(wait, rng)
-        assert pause.end == (params.sim_duration if pause.censored else end)
-        if k < len(report.selections):
-            cell, x, y, visiting, fallback = choose_destination(
-                node, state.location_map, params, *rng.random(4).tolist()
-            )
-            assert report.selections[k].item()[:4] == (0, cell, visiting, fallback)
-            if k < len(arrivals):  # the last trip may end past the horizon
-                assert (arrivals[k].x, arrivals[k].y) == (x, y)
 
 
 def test_waypoints_csv_matches_row_formatting(tmp_path, monkeypatch):

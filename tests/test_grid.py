@@ -6,6 +6,8 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from support import lone_node
+
 from swimsim.grid import (
     AreaBounds,
     LocationClass,
@@ -16,7 +18,7 @@ from swimsim.grid import (
     classify_locations,
     grid_shape,
 )
-from swimsim.mobility import ModelParams, UniformWait, choose_destination, make_node_state
+from swimsim.mobility import ModelParams, UniformWait, choose_destination
 from swimsim.outputs import read_locations_file, write_locations_file
 
 
@@ -176,7 +178,7 @@ def test_random_point_in_cell_containment_and_moments():
         alpha=1.0, speed=1.4, neighbour_limit=0.0, n_locations=21, area=AREA,
         wait=UniformWait(2.0, 5.0), node_count=1, sim_duration=1000.0,
     )
-    node = make_node_state(0, center, m, params)
+    node = lone_node(0, center, m, params)
     rng = np.random.default_rng(7)
     n = 100_000
     xs = np.empty(n)

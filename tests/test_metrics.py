@@ -10,17 +10,18 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from swimsim.encounters import ContactRecord, ContactTracker, contact_log
+from support import contact_rows, lone_node
+
+from swimsim.encounters import ContactTracker
 from swimsim.engine import SELECTION_DTYPE, simulate
 from swimsim.grid import AreaBounds, LocationClass, Point2D, build_grid, classify_locations
 from swimsim.metrics import (
     contact_durations,
     contacts_per_pair,
-    contacts_per_pair_samples,
-    duration_samples,
-    ict_samples,
     inter_contact_times,
     CCDF_POINTS,
+    _durations,
+    _pairs,
     _thresholds,
     metrics_report,
     selection_stats,
@@ -30,7 +31,6 @@ from swimsim.mobility import (
     ModelParams,
     UniformWait,
     choose_destination,
-    make_node_state,
     node_stream,
 )
 from swimsim.outputs import write_ccdf_csv
@@ -39,7 +39,8 @@ AREA = AreaBounds(400.0, 400.0)
 
 
 def rec(a, b, start, end, cell=0, censored=False):
-    return ContactRecord(a=a, b=b, cell=cell, start=start, end=end, censored=censored)
+    """One contact log row; an open contact's end is NaN."""
+    return (a, b, cell, start, end, censored)
 
 
 def record_walk_ict(log):
@@ -72,42 +73,40 @@ def brute_force_counts(log):
 
 
 def test_ict_single_contact_contributes_nothing():
-    assert ict_samples([rec(0, 1, 0.0, 5.0)]) == []
+    assert _pairs(contact_rows([rec(0, 1, 0.0, 5.0)]))[0].tolist() == []
 
 
 def test_ict_direct_gap():
-    assert ict_samples([rec(0, 1, 0.0, 5.0), rec(0, 1, 12.0, 20.0)]) == [7.0]
+    log = contact_rows([rec(0, 1, 0.0, 5.0), rec(0, 1, 12.0, 20.0)])
+    assert _pairs(log)[0].tolist() == [7.0]
 
 
 def test_ict_synthetic_three_pairs():
-    log = [
+    log = contact_rows([
         rec(0, 1, 0.0, 5.0),
         rec(0, 1, 12.0, 20.0),
         rec(0, 1, 21.0, 30.0),
         rec(0, 2, 3.0, 4.0),
         rec(0, 2, 50.0, 60.0),
         rec(1, 2, 7.0, 7.0),
-    ]
-    assert sorted(ict_samples(log)) == brute_force_ict(log) == [1.0, 7.0, 46.0]
+    ])
+    assert sorted(_pairs(log)[0].tolist()) == brute_force_ict(log) == [1.0, 7.0, 46.0]
 
 
 def test_ict_censored_adjacent_gaps_dropped():
-    log = [
+    log = contact_rows([
         rec(0, 1, 0.0, 5.0),
         rec(0, 1, 12.0, 20.0, censored=True),
         rec(0, 1, 25.0, 30.0),
-    ]
-    assert ict_samples(log) == []
+    ])
+    assert _pairs(log)[0].tolist() == []
 
 
 @pytest.mark.parametrize(
     "measure",
     [
-        ict_samples,
         inter_contact_times,
-        duration_samples,
         contact_durations,
-        contacts_per_pair_samples,
         contacts_per_pair,
         lambda log: metrics_report(log, []),
     ],
@@ -118,27 +117,27 @@ def test_metrics_reject_open_contacts(measure):
         wait=UniformWait(2.0, 5.0), node_count=2, sim_duration=20.0, seed=5,
     )
     location_map = build_grid(AREA, 2)
-    nodes = [make_node_state(i, Point2D(10.0, 10.0), location_map, params) for i in range(2)]
+    nodes = [lone_node(i, Point2D(10.0, 10.0), location_map, params) for i in range(2)]
     tracker = ContactTracker([node.seen for node in nodes])
     tracker.on_arrival_signal(0, 0, 0.0, 10.0)
     # opens a contact that ends after the latest signal; finish() never closes it
     tracker.on_arrival_signal(1, 0, 2.0, 12.0)
-    open_logs = ([rec(0, 1, 0.0, 5.0), rec(0, 1, 12.0, None)], tracker.records)
+    open_logs = (contact_rows([rec(0, 1, 0.0, 5.0), rec(0, 1, 12.0, math.nan)]), tracker.records)
     for log in open_logs:
         with pytest.raises(ValueError, match="open contacts"):
             measure(log)
 
 
 def test_durations():
-    assert duration_samples([rec(0, 1, 0.0, 5.0)]) == [5.0]
-    assert duration_samples([rec(0, 1, 3.0, 3.0)]) == []  # zero length excluded
-    assert duration_samples([rec(0, 1, 0.0, 9.0, censored=True)]) == []
+    assert _durations(contact_rows([rec(0, 1, 0.0, 5.0)])).tolist() == [5.0]
+    assert _durations(contact_rows([rec(0, 1, 3.0, 3.0)])).tolist() == []  # zero length excluded
+    assert _durations(contact_rows([rec(0, 1, 0.0, 9.0, censored=True)])).tolist() == []
 
 
 def test_contacts_per_pair():
-    assert contacts_per_pair([]).samples == 0
-    log = [rec(0, 1, float(i), float(i) + 0.5) for i in range(4)]
-    assert contacts_per_pair_samples(log) == [4]
+    assert contacts_per_pair(contact_rows([])).samples == 0
+    log = contact_rows([rec(0, 1, float(i), float(i) + 0.5) for i in range(4)])
+    assert _pairs(log)[1].tolist() == [4]
     summary = contacts_per_pair(log)
     assert (summary.samples, summary.mean, summary.min, summary.max) == (1, 4.0, 4.0, 4.0)
 
@@ -176,7 +175,7 @@ def test_pooled_ict_count_identity():
             end = start + float(rng.uniform(0.1, 5.0))
             log.append(rec(a, b, start, end))
             t = end
-    assert len(ict_samples(log)) == sum(max(0, k - 1) for k in per_pair.values())
+    assert len(_pairs(contact_rows(log))[0]) == sum(max(0, k - 1) for k in per_pair.values())
 
 
 def random_log(rng):
@@ -192,16 +191,17 @@ def random_log(rng):
             log.append(rec(int(a), int(b), start, end, cell=int(rng.integers(0, 4)),
                            censored=bool(rng.random() < 0.15)))
             t = end
-    return log
+    return contact_rows(log)
 
 
 def test_fuzz_metrics_match_brute_force():
     rng = np.random.default_rng(31)
     for _ in range(1000):
         log = random_log(rng)
-        assert sorted(ict_samples(log)) == brute_force_ict(log)
-        assert sorted(duration_samples(log)) == brute_force_durations(log)
-        assert sorted(contacts_per_pair_samples(log)) == brute_force_counts(log)
+        gaps, counts = _pairs(log)
+        assert sorted(gaps.tolist()) == brute_force_ict(log)
+        assert sorted(_durations(log).tolist()) == brute_force_durations(log)
+        assert sorted(counts.tolist()) == brute_force_counts(log)
 
 
 def interleaved_log(rng):
@@ -214,7 +214,7 @@ def interleaved_log(rng):
         end = start + (0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 8.0)))
         log.append(rec(a, b, start, end, cell=int(rng.integers(0, 4)),
                        censored=bool(rng.random() < 0.15)))
-    return log
+    return contact_rows(log)
 
 
 def test_samples_keep_record_walk_order():
@@ -222,13 +222,11 @@ def test_samples_keep_record_walk_order():
     rng = np.random.default_rng(41)
     for _ in range(300):
         log = interleaved_log(rng)
-        columns = contact_log(log)
         walk_durations = [r.end - r.start for r in log if not r.censored and r.end > r.start]
-        for form in (log, columns):
-            assert ict_samples(form) == record_walk_ict(log)
-            assert duration_samples(form) == walk_durations
-        assert inter_contact_times(columns) == summarize(record_walk_ict(log))
-        assert contact_durations(columns) == summarize(walk_durations)
+        assert _pairs(log)[0].tolist() == record_walk_ict(log)
+        assert _durations(log).tolist() == walk_durations
+        assert inter_contact_times(log) == summarize(record_walk_ict(log))
+        assert contact_durations(log) == summarize(walk_durations)
 
 
 def test_walk_order_with_ids_near_2_31():
@@ -243,12 +241,13 @@ def test_walk_order_with_ids_near_2_31():
             start = float(rng.uniform(0.0, 100.0))
             log.append(rec(a, b, start, start + float(rng.uniform(0.0, 8.0)),
                            censored=bool(rng.random() < 0.15)))
-        assert min(r.a for r in log) * (max(r.b for r in log) + 1) * len(log) >= 2**63
-        pairs = Counter((r.a, r.b) for r in log)
-        for form in (log, contact_log(log)):
-            assert ict_samples(form) == record_walk_ict(log)
-            assert inter_contact_times(form) == summarize(record_walk_ict(log))
-            assert contacts_per_pair_samples(form) == [pairs[pair] for pair in sorted(pairs)]
+        assert min(r[0] for r in log) * (max(r[1] for r in log) + 1) * len(log) >= 2**63
+        pairs = Counter((r[0], r[1]) for r in log)
+        log = contact_rows(log)
+        gaps, counts = _pairs(log)
+        assert gaps.tolist() == record_walk_ict(log)
+        assert inter_contact_times(log) == summarize(record_walk_ict(log))
+        assert counts.tolist() == [pairs[pair] for pair in sorted(pairs)]
 
 
 def sel(node, visiting, fallback=False):
@@ -289,7 +288,7 @@ def test_selection_stats_step1_binomial():
         wait=UniformWait(2.0, 5.0), node_count=1, sim_duration=1.0, seed=5,
     )
     location_map = build_grid(AREA, 21)
-    node = make_node_state(0, Point2D(10.0, 10.0), location_map, params)
+    node = lone_node(0, Point2D(10.0, 10.0), location_map, params)
     classes = classify_locations(location_map, node.home, params.neighbour_limit)
     rng = node_stream(5, 0)
     n = 100_000
@@ -316,7 +315,7 @@ def test_selection_ordering_between_alphas():
 
 
 def test_ccdf_csv_and_metrics_json(tmp_path):
-    log = [rec(0, 1, 0.0, 5.0), rec(0, 1, 12.0, 20.0), rec(0, 2, 1.0, 2.0)]
+    log = contact_rows([rec(0, 1, 0.0, 5.0), rec(0, 1, 12.0, 20.0), rec(0, 2, 1.0, 2.0)])
     summary = inter_contact_times(log)
     path = tmp_path / "ccdf.csv"
     write_ccdf_csv(summary.ccdf, path)
@@ -339,9 +338,10 @@ def test_metrics_on_real_run_match_brute_force():
     )
     log = simulate(params).contacts
     assert len(log) > 100
-    assert sorted(ict_samples(log)) == brute_force_ict(log)
-    assert sorted(duration_samples(log)) == brute_force_durations(log)
-    assert sorted(contacts_per_pair_samples(log)) == brute_force_counts(log)
+    gaps, counts = _pairs(log)
+    assert sorted(gaps.tolist()) == brute_force_ict(log)
+    assert sorted(_durations(log).tolist()) == brute_force_durations(log)
+    assert sorted(counts.tolist()) == brute_force_counts(log)
     summary = contact_durations(log)
     if summary.samples:
         assert summary.min > 0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from support import add_row, lone_node, seen_dict
 from test_grid import centers
 
 from swimsim.grid import AreaBounds, LocationClass, Point2D, build_grid, classify_locations
@@ -13,7 +14,6 @@ from swimsim.mobility import (
     choose_destination,
     decay_of,
     draw_wait_time,
-    make_node_state,
     node_stream,
 )
 
@@ -37,7 +37,7 @@ def make_params(**overrides):
 
 
 def node_at(point, params, location_map):
-    return make_node_state(0, point, location_map, params)
+    return lone_node(0, point, location_map, params)
 
 
 def center_decays(location_map, home, k):
@@ -48,16 +48,17 @@ def center_decays(location_map, home, k):
 
 def seen_normalized(node, c):
     """The seen term alone, seen(C) / (1 + total seen)."""
-    return node.seen[c] / (1.0 + node.seen.sum())
+    return seen_dict(node.seen).get(c, 0) / (1.0 + node.seen.total)
 
 
 def all_weights(node, location_map, params):
     """w(C) for every cell, gathered from both candidate sets of the node's home."""
     decay = center_decays(location_map, node.home, params.k)
+    counts = seen_dict(node.seen)
     w = np.full(len(location_map), np.nan)
     for visiting in (False, True):
         cells = node.profile.cells(visiting)
-        seen = node.seen[cells] / (1.0 + node.seen.sum())
+        seen = np.array([counts.get(c, 0) for c in cells.tolist()]) / (1.0 + node.seen.total)
         w[cells] = params.alpha * decay[cells] + (1.0 - params.alpha) * seen
     return w
 
@@ -109,8 +110,8 @@ def test_seen_normalized():
     m = build_grid(AREA, 21)
     node = node_at(Point2D(10.0, 10.0), params, m)
     assert all(seen_normalized(node, c) == 0.0 for c in range(21))
-    node.seen[0] = 3
-    node.seen[1] = 1
+    node.seen.add(0, 3)
+    node.seen.add(1, 1)
     assert seen_normalized(node, 0) == pytest.approx(0.6)
     assert seen_normalized(node, 1) == pytest.approx(0.2)
     total = sum(seen_normalized(node, c) for c in range(21))
@@ -120,7 +121,7 @@ def test_seen_normalized():
 def test_weight_alpha_extremes_and_mix():
     m = build_grid(AREA, 21)
     node = node_at(Point2D(10.0, 10.0), make_params(alpha=1.0), m)
-    node.seen[3] = 17
+    node.seen.add(3, 17)
     pure_decay = all_weights(node, m, make_params(alpha=1.0))
     pure_seen = all_weights(node, m, make_params(alpha=0.0))
     for c in range(21):
@@ -135,8 +136,8 @@ def test_weight_direct_value():
                          decay_scale=0.01, neighbour_limit=1000.0)
     node = node_at(Point2D(50.0, 50.0), params, m)
     assert node.home == 0
-    node.seen[1] = 3
-    node.seen[0] = 1  # denominator 1 + 4, seen_norm(1) = 0.6
+    node.seen.add(1, 3)
+    node.seen.add(0, 1)  # denominator 1 + 4, seen_norm(1) = 0.6
     assert seen_normalized(node, 1) == pytest.approx(0.6)
     assert all_weights(node, m, params)[1] == pytest.approx(0.425)
 
@@ -149,7 +150,7 @@ def test_weight_bounds_random():
         node = node_at(
             Point2D(float(rng.uniform(0, 400)), float(rng.uniform(0, 400))), params, m
         )
-        node.seen[:] = rng.integers(0, 50, size=21)
+        add_row(node.seen, rng.integers(0, 50, size=21))
         w = all_weights(node, m, params)
         assert ((0.0 <= w) & (w <= 1.0)).all()
 
@@ -261,7 +262,7 @@ def test_select_destination_alpha_one_ignores_seen():
     params = make_params(alpha=1.0)
     cold = node_at(Point2D(10.0, 10.0), params, m)
     warm = node_at(Point2D(10.0, 10.0), params, m)
-    warm.seen[:] = np.arange(21) * 7  # any injected counters
+    add_row(warm.seen, np.arange(21) * 7)  # any injected counters
     rng_a = node_stream(99, 0)
     rng_b = node_stream(99, 0)
     for _ in range(500):
@@ -310,55 +311,30 @@ def test_node_stream_independent_of_node_count():
     assert not np.array_equal(a, c)
 
 
-def test_seen_counters_read_and_write_like_a_dense_row():
+def test_seen_counters_add_keeps_each_set_in_id_order():
     # a node's counters keep, per set of its home, the seen cells in id
-    # order, their counts and the set's total; after every kind of write
-    # they must equal the dense row, recounted and split by the home's sets
+    # order, their counts, never 0, and the set's total; after every add
+    # they must equal a dense row of the same adds, split by the home's sets
     params = make_params(n_locations=12, neighbour_limit=150.0)
     location_map = build_grid(params.area, params.n_locations)
     node = node_at(Point2D(10.0, 10.0), params, location_map)
     seen = node.seen
     near, visiting = (node.profile.cells(v).tolist() for v in (False, True))
     assert near and visiting
+    row = np.zeros(12, dtype=np.int64)
 
     def check_recount():
-        row = np.asarray(seen)
         for in_set, cells in enumerate((near, visiting)):
             held = [c for c in cells if row[c]]
             assert seen.cells[in_set] == held
             assert seen.counts[in_set] == row[held].tolist()
             assert seen.totals[in_set] == int(row[cells].sum())
-        assert seen.total == seen.sum() == int(row.sum())
+        assert seen.total == int(row.sum())
 
-    assert seen.sum() == 0 and seen.cells == seen.counts == ([], [])
-    assert np.array_equal(np.asarray(seen), np.zeros(12, dtype=np.int64))
+    assert seen.total == 0 and seen.cells == seen.counts == ([], [])
     check_recount()
-    for write in (
-        lambda: seen.add(visiting[-1], 2),
-        lambda: seen.add(near[-1], 1),
-        lambda: seen.add(visiting[0], 3),
-        lambda: seen.add(near[0], 1),
-        lambda: seen.add(visiting[-1], 1),
-        lambda: seen.__setitem__(slice(None), np.arange(12) % 3),
-        lambda: seen.__setitem__(near[-1], 0),  # a count set to zero leaves the store
-        lambda: seen.add(near[-1], 4),
-        lambda: seen.__setitem__(visiting[1], seen[visiting[1]] + 1),  # seen[c] += 1
-        lambda: seen.__setitem__(slice(None), [0, 3, 0, 0, 5] + [0] * 7),
-    ):
-        write()
+    for cell, n in ((visiting[-1], 2), (near[-1], 1), (visiting[0], 3), (near[0], 1),
+                    (visiting[-1], 1), (near[-1], 4), (visiting[1], 1), (2, 1), (4, 1), (1, 2)):
+        seen.add(cell, n)
+        row[cell] += n
         check_recount()
-    seen[2] += 1
-    seen[4] += 1
-    seen.add(1, 2)
-    check_recount()
-    assert seen.sum() == 12
-    assert seen[4] == 6 and seen[0] == 0
-    assert seen[[4, 0, 1]].tolist() == [6, 0, 5]
-    assert seen[np.array([2, 5])].tolist() == [1, 0]
-    row = np.asarray(seen)
-    assert row.dtype == np.int64 and row.tolist() == [0, 5, 1, 0, 6] + [0] * 7
-    row[0] = 9  # a read is a copy
-    assert seen[0] == 0
-    assert np.asarray(seen, dtype=float).tolist() == [0.0, 5.0, 1.0, 0.0, 6.0] + [0.0] * 7
-    with pytest.raises(ValueError, match="copy"):
-        seen.__array__(copy=False)  # numpy 2's np.asarray(seen, copy=False)

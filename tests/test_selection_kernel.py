@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from reference import Model
+from support import add_row, lone_node
 from test_grid import centers
 
 from swimsim.engine import initialize, run
@@ -30,7 +31,6 @@ from swimsim.mobility import (
     SeenCounters,
     UniformWait,
     choose_destination,
-    make_node_state,
     node_stream,
 )
 
@@ -119,7 +119,7 @@ def test_offset_table_draw_matches_dense_reference(case):
     all_centers = centers(location_map)
     distances = [math.dist(all_centers[home], center) for center in all_centers]
     decay = [1.0 / ((1.0 + params.k * d) * (1.0 + params.k * d)) for d in distances]
-    node = make_node_state(0, Point2D(*all_centers[home]), location_map, params)
+    node = lone_node(0, Point2D(*all_centers[home]), location_map, params)
     assert node.home == home
 
     def on_edge(d):
@@ -175,8 +175,8 @@ def test_mixed_draw_shares_match_the_reference_weights():
     seen = np.random.default_rng(7).integers(0, 40, size=21)
     counts = {c: n for c, n in enumerate(seen.tolist()) if n}
     for position, u in zip(HOMES, STEP1_UNIFORMS * 2):
-        node = make_node_state(0, position, GRID, params)
-        node.seen[:] = seen
+        node = lone_node(0, position, GRID, params)
+        add_row(node.seen, seen)
         visiting, fallback, cells = model.pick_set(node.home, u)
         decay, seen_term = model.terms(node.home, counts, cells)
         weights = params.alpha * np.array(decay) + seen_term
@@ -210,14 +210,13 @@ def test_seen_counters_are_sparse_and_per_node():
     params = make_params(node_count=8)
     state = initialize(params)
     for i, node in enumerate(state.nodes):
-        assert isinstance(node.seen, SeenCounters) and np.asarray(node.seen).shape == (21,)
+        assert isinstance(node.seen, SeenCounters)
         assert state.tracker.seen[i] is node.seen
-        node.seen[i] += 100
+        node.seen.add(i, 100)
     report = run(state, until=params.sim_duration)
     assert report.seen.shape == (8, 21) and report.seen.dtype == np.int64
     assert (np.diag(report.seen[:, :8]) >= 100).all()
     for row, node in zip(report.seen, state.nodes):
-        assert np.array_equal(row, np.asarray(node.seen))
         for in_set in (0, 1):
             cells = [c for c in node.profile.cells(bool(in_set)).tolist() if row[c]]
             assert node.seen.cells[in_set] == cells
@@ -268,7 +267,7 @@ class NoCounters:
 def test_cold_selection_reads_no_counters(alpha):
     params = make_params(alpha=alpha)
     for position in HOMES:
-        node = make_node_state(0, position, GRID, params)
+        node = lone_node(0, position, GRID, params)
         node.seen = NoCounters()
         rng = node_stream(5, 0)
         for _ in range(200):
