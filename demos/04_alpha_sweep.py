@@ -26,7 +26,9 @@ base = ModelParams(
 print(f"{'alpha':>6} {'selections':>11} {'neighbouring':>13} {'visiting':>9} {'fallbacks':>10}")
 rows = []
 for alpha in (0.1, 0.3, 0.5, 0.8, 0.95):
-    stats = selection_stats(simulate(dataclasses.replace(base, alpha=alpha)).selections)
+    # as in `swimsim sweep`: no trace, and so no selection log, only its per-node counts
+    report = simulate(dataclasses.replace(base, alpha=alpha), trace=False)
+    stats = selection_stats(report.selection_counts)
     rows.append((alpha, stats))
     print(
         f"{alpha:>6.2f} {stats.total:>11} {stats.near_fraction:>13.3f} "

@@ -87,7 +87,7 @@ def _cmd_run(args) -> int:
         # the trace goes into its staged file a chunk at a time, as the run makes it
         with open(stage / "waypoints.csv", "wb") as f:
             report = simulate(params, trace=waypoint_writer(f))
-        metrics = metrics_report(report.contacts, report.selections)
+        metrics = metrics_report(report.contacts, report.selection_counts)
 
         for name, writer in (
             ("locations.csv", lambda p: write_locations_file(report.location_map, p)),
@@ -110,8 +110,8 @@ def _cmd_run(args) -> int:
 
 
 def _sweep_job(params: ModelParams) -> SelectionStats:
-    """One sweep run, with no waypoint trace; only its selection counts go back to the caller."""
-    return selection_stats(simulate(params, trace=False).selections)
+    """One sweep run, with no trace or selection log; only its selection counts go back."""
+    return selection_stats(simulate(params, trace=False).selection_counts)
 
 
 def _sweep_stats(runs: list[ModelParams]) -> list[SelectionStats]:

@@ -163,6 +163,14 @@ def loads_config(text: str, source: str = "<config>") -> ScenarioConfig:
                 f"{source}: {key} gives {side} m cells on a {rows} x {cols} grid; "
                 f"locations.csv needs cells wider than 1e-6 m"
             )
+    # each departure ends a pause of at least the wait's min; one that does
+    # not advance the clock at the horizon would keep the run from ending
+    low, horizon = params.wait.low, params.sim_duration
+    if horizon + low == horizon:
+        raise ConfigError(
+            f"{source}: waitTime's min {low!r} s does not advance the clock at "
+            f"simDuration = {horizon!r} s, so the run could never end"
+        )
     return config
 
 

@@ -11,26 +11,29 @@ are interpolated analytically. The engine writes no files.
 
 An event allocates nothing but its heap entry. Both kinds of event are
 handled in `run`'s one loop, which holds the queue, the nodes, their
-streams and the log columns' appenders in locals. It reads and writes each
-node's phase as plain values in place (mobility.NodeState), and appends
-each departure's trip (node, chosen cell, flags, departure and scheduled
-arrival) to flat array columns, from which `run` fills the selection log
-once, at the end. Each event's waypoint is written in place into the
-columns of one chunk of TRACE_ROWS rows, allocated once, which is handed
-out as a record array each time it fills, to the report or to a caller's
-sink; a run asked for no trace writes none. The report derives the pause
-log and the event count from the selection log, so they do not need the
-trace. Each node's seen counters are its own sparse SeenCounters, written
-by the contact tracker; the report builds the dense N x L matrix from
-their cells and counts only when it is read. An arrival sets the pause's
-end before it signals, and the signal carries that end to the tracker,
-which logs each contact with its end as it opens. A departure signals
-before the kernel draws, so the tracker settles the departing node's
-counters first. Each node's random stream is read in blocks
-(UniformStream); a departure reads its trip's row in one `take`: four
-uniforms for the kernel, then the next pause's (none for a fixed wait),
-which the arrival turns into the pause's length with the wait law's
-inverse CDF. An event is one heapreplace of its node's entry.
+streams and the log columns in locals. It reads and writes each node's
+phase as plain values in place (mobility.NodeState). Each event's
+waypoint, and each departure's trip (node, chosen cell, flags, departure
+and scheduled arrival), is written in place into the columns of one chunk
+of TRACE_ROWS rows per log, allocated once. A full trace chunk is handed
+out as a record array, to the report or to a caller's sink; a run asked
+for no trace writes none. A full selection chunk is folded into per-node
+counts of departures, visiting draws and fallbacks
+(mobility.selection_counts), which every report carries, and is kept as
+a record array only when the trace is kept too. The loop counts the
+events itself, so the report's event count needs no log, and the pause
+log is derived from the kept selection log on first read. Each node's
+seen counters are its own sparse SeenCounters, written by the contact
+tracker; the report builds the dense N x L matrix from their cells and
+counts only when it is read. An arrival sets the pause's end before it
+signals, and the signal carries that end to the tracker, which logs each
+contact with its end as it opens. A departure signals before the kernel
+draws, so the tracker settles the departing node's counters first. Each
+node's random stream is read in blocks (UniformStream); a departure reads
+its trip's row in one `take`: four uniforms for the kernel, then the next
+pause's (none for a fixed wait), which the arrival turns into the pause's
+length with the wait law's inverse CDF. An event is one heapreplace of
+its node's entry.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from .mobility import (
     draw_wait_time,
     make_node_state,
     node_stream,
+    selection_counts,
 )
 
 
@@ -74,8 +78,9 @@ SELECTION_DTYPE = np.dtype([
 PAUSE_DTYPE = np.dtype(
     [("node", "i8"), ("cell", "i8"), ("start", "f8"), ("end", "f8"), ("censored", "?")]
 )
-# waypoint rows per chunk of the trace: each of a chunk's buffers stays under
-# 128 KiB, glibc's initial mmap threshold, which a larger freed buffer would raise
+# rows per chunk of the trace and of the selection log: each of a chunk's
+# buffers stays under 128 KiB, glibc's initial mmap threshold, which a larger
+# freed buffer would raise
 TRACE_ROWS = 2048
 
 
@@ -84,34 +89,39 @@ class SimulationReport:
     """The result of one run: traces plus raw logs for the metrics.
 
     The waypoint, selection, pause and contact logs are numpy record
-    arrays, read by field name by row or by column. `waypoints`, `pauses`
-    and `seen` are built on first read and then kept.
+    arrays, read by field name by row or by column. `waypoints`,
+    `selections`, `pauses` and `seen` are built on first read and then
+    kept. A run that did not keep its trace and selection log (see `run`)
+    still has its contacts, seen counters, selection counts and event
+    count, and its `waypoints`, `selections` and `pauses` are empty.
     """
 
     params: ModelParams
     location_map: LocationMap
     contacts: np.recarray  # a, b, cell, start, end, censored: one row per contact
-    selections: np.recarray  # node, cell, visiting, fallback, start, end: one row per departure
+    # departures, visiting draws and fallbacks per node: a 3 x N array (mobility.selection_counts)
+    selection_counts: np.ndarray = field(repr=False)
+    events_processed: int  # every trip departed, and those that arrived by the horizon arrived
     counters: list[SeenCounters] = field(repr=False)  # each node's final seen counters
     homes: np.ndarray = field(repr=False)  # each node's home cell
     until: float  # the horizon the run stopped at
     # the waypoint trace's chunks, in event order, when the run kept them
     trace: list[np.recarray] = field(default_factory=list, repr=False)
-
-    @property
-    def events_processed(self) -> int:
-        """Every trip departed, and those that arrived by the horizon arrived."""
-        return len(self.selections) + int(np.count_nonzero(self.selections.end <= self.until))
+    # the selection log's chunks, in departure order, or None when the run did not keep them
+    selection_chunks: list[np.recarray] | None = field(default=None, repr=False)
 
     @cached_property
     def waypoints(self) -> np.recarray:
         """time, node, x, y, arrive: one row per event, in event order, joined from
         the kept chunks on first read; empty when the run streamed or skipped them."""
-        if not self.trace:
-            return np.empty(0, WAYPOINT_DTYPE).view(np.recarray)
-        waypoints = np.concatenate(self.trace).view(np.recarray)
-        self.trace.clear()  # the joined log is kept instead
-        return waypoints
+        return _joined(self.trace, WAYPOINT_DTYPE)
+
+    @cached_property
+    def selections(self) -> np.recarray:
+        """node, cell, visiting, fallback, start, end: one row per departure, in
+        event order, joined from the kept chunks on first read; empty when the
+        run did not keep them."""
+        return _joined(self.selection_chunks or [], SELECTION_DTYPE)
 
     @cached_property
     def seen(self) -> np.ndarray:
@@ -128,7 +138,10 @@ class SimulationReport:
         horizon, in event order: by arrival time, ties in departure order, which is
         the heap's seq order. A pause ends at its node's next departure, or at the
         horizon, censored, when there is none; one that follows a trip is in the
-        trip's cell."""
+        trip's cell. Built from the selection log, so empty when the run did not
+        keep it."""
+        if self.selection_chunks is None:
+            return np.empty(0, PAUSE_DTYPE).view(np.recarray)
         n, trips, until = len(self.homes), self.selections, self.until
         # the rows: each node's pause at home as a trip that arrived at t = 0, then the trips
         nodes = np.concatenate([np.arange(n), trips.node])
@@ -145,6 +158,16 @@ class SimulationReport:
         rows = np.concatenate([np.arange(n), n + np.argsort(trips.end, kind="stable")])
         rows = rows[arrived[rows] <= until]
         return _records(PAUSE_DTYPE, [c[rows] for c in (nodes, cells, arrived, ends, censored)])
+
+
+def _joined(chunks: list[np.recarray], dtype: np.dtype) -> np.recarray:
+    """The chunks of a log joined into one record array; the list is emptied, as
+    the joined log is kept instead."""
+    if not chunks:
+        return np.empty(0, dtype).view(np.recarray)
+    log = np.concatenate(chunks).view(np.recarray)
+    chunks.clear()
+    return log
 
 
 def _records(dtype: np.dtype, columns) -> np.recarray:
@@ -239,6 +262,12 @@ def run(state: SimulationState, until: float, trace=True) -> SimulationReport:
     event order, as WAYPOINT_DTYPE record arrays of TRACE_ROWS rows, the
     last one shorter; the report's `waypoints` is then empty. With False
     no trace is recorded.
+
+    The selection log is folded into the report's per-node
+    `selection_counts` a chunk of TRACE_ROWS departures at a time, and
+    its chunks are kept, as `report.selections` and the `pauses` built
+    from it, only with `trace=True`. Otherwise the run's memory does not
+    grow with the horizon, apart from the contacts and seen counters.
     """
     if state.finished:
         raise RuntimeError("simulation state has already been run")
@@ -257,18 +286,27 @@ def run(state: SimulationState, until: float, trace=True) -> SimulationReport:
     # to the arrival; a fixed wait draws none and keeps fy, its inverse CDF is low for any u
     row_size, pause_of = (4 if wait.high == wait.low else 5), wait.inverse_cdf
     pause_uniform = [0.0] * len(nodes)
-    # the selection log's columns
-    selections = list(map(array, "qqbbdd"))
-    pick_node, pick_cell, pick_visiting, pick_fallback, pick_start, pick_end = (
-        column.append for column in selections
-    )
-    # the trace's chunk, allocated once and written by index: no column grows
+    # the trace's and the selection log's chunks, each allocated once and written
+    # by index, so no column grows; a full chunk of the selection log is folded
+    # into the per-node counts, and kept only when the trace is
     waypoints = [array(code, bytes(TRACE_ROWS * array(code).itemsize)) for code in "dqddb"]
     times, ids, xs, ys, arrives = waypoints
-    logged = 0  # rows of the chunk filled so far
+    picks = [array(code, bytes(TRACE_ROWS * array(code).itemsize)) for code in "qqbbdd"]
+    pick_node, pick_cell, pick_visiting, pick_fallback, pick_start, pick_end = picks
+    logged = picked = 0  # rows of each chunk filled so far
     chunks: list[np.recarray] = []
     sink = chunks.append if trace is True else trace
     tracing = bool(sink)
+    kept: list[np.recarray] | None = [] if trace is True else None
+    n = len(nodes)
+    counts = np.zeros((3, n), dtype=np.int64)
+
+    def fold(columns) -> None:
+        chunk = _records(SELECTION_DTYPE, columns)
+        counts[...] += selection_counts(chunk.node, chunk.visiting, chunk.fallback, n)
+        if kept is not None:
+            kept.append(chunk)
+
     heapreplace, hypot = heapq.heapreplace, math.hypot
     seq = state.seq
     while queue and queue[0][0] <= until:
@@ -286,12 +324,16 @@ def run(state: SimulationState, until: float, trace=True) -> SimulationReport:
             end = now + hypot(tx - x, ty - y) / speed
             node.paused = False
             node.cell, node.tx, node.ty = cell, tx, ty
-            pick_node(node_id)
-            pick_cell(cell)
-            pick_visiting(visiting)
-            pick_fallback(fallback)
-            pick_start(now)
-            pick_end(end)
+            pick_node[picked] = node_id
+            pick_cell[picked] = cell
+            pick_visiting[picked] = visiting
+            pick_fallback[picked] = fallback
+            pick_start[picked] = now
+            pick_end[picked] = end
+            picked += 1
+            if picked == TRACE_ROWS:
+                fold(picks)
+                picked = 0
         else:
             # destination reached: signal the arrival, then pause
             cell = node.cell
@@ -315,6 +357,9 @@ def run(state: SimulationState, until: float, trace=True) -> SimulationReport:
         seq += 1
     if logged:
         sink(_records(WAYPOINT_DTYPE, [column[:logged] for column in waypoints]))
+    if picked:
+        fold([column[:picked] for column in picks])
+    events = seq - state.seq
     state.seq = seq
     state.now = until
     state.tracker.finish(until)
@@ -326,11 +371,13 @@ def run(state: SimulationState, until: float, trace=True) -> SimulationReport:
         params=state.params,
         location_map=state.location_map,
         contacts=state.tracker.records,
-        selections=_records(SELECTION_DTYPE, selections),
+        selection_counts=counts,
+        events_processed=events,
         counters=[node.seen for node in nodes],
         homes=np.array([node.home for node in nodes], dtype=np.int64),
         until=until,
         trace=chunks,
+        selection_chunks=kept,
     )
 
 

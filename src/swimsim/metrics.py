@@ -9,8 +9,9 @@ columns of the contact log's record array. A log with a contact still
 open, one whose end is NaN, is rejected where it enters (finished_log).
 The inter-contact times and the contacts per pair come from one grouping
 of the rows by pair (_pairs), which metrics_report makes once per run.
-Selection statistics are counted from the columns of a run's selection
-log.
+Selection statistics are read from a run's per-node selection counts,
+which a selection log is folded into by the engine's own fold
+(mobility.selection_counts).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from operator import mul
 import numpy as np
 
 from .encounters import finished_log
+from .mobility import selection_counts
 
 CCDF_POINTS = 50
 
@@ -194,23 +196,29 @@ class SelectionStats:
 def selection_stats(selections) -> SelectionStats:
     """Destination-type tallies per node and overall; fallbacks counted apart.
 
-    `selections` is a run's selection log (`report.selections`), a record
-    array with `node`, `visiting` and `fallback` fields.
+    `selections` is a run's per-node counts (`report.selection_counts`),
+    or a selection log (`report.selections`, a record array with `node`,
+    `visiting` and `fallback` fields), which is folded into such counts
+    first. A node with no departure has no entry in `per_node`.
     """
-    nodes, which = np.unique(selections.node, return_inverse=True)
-    totals, visiting, fallbacks = (
-        np.bincount(rows, minlength=len(nodes)).tolist()
-        for rows in (which, which[selections.visiting], which[selections.fallback])
-    )
+    if selections.dtype.names:
+        selections = selection_counts(
+            selections["node"], selections["visiting"], selections["fallback"],
+            int(selections["node"].max(initial=-1)) + 1,
+        )
+    nodes = np.flatnonzero(selections[0])
     per_node = {
         node: {"neighbouring": t - v, "visiting": v, "fallbacks": f}
-        for node, t, v, f in zip(nodes.tolist(), totals, visiting, fallbacks)
+        for node, t, v, f in zip(
+            nodes.tolist(), *(counts[nodes].tolist() for counts in selections)
+        )
     }
+    total, visiting, fallbacks = (int(counts.sum()) for counts in selections)
     return SelectionStats(
-        total=len(selections),
-        near=len(selections) - sum(visiting),
-        visiting=sum(visiting),
-        fallbacks=sum(fallbacks),
+        total=total,
+        near=total - visiting,
+        visiting=visiting,
+        fallbacks=fallbacks,
         per_node=per_node,
     )
 
@@ -219,10 +227,10 @@ def metrics_report(contacts, selections) -> dict:
     """Structured metrics for JSON export.
 
     `contacts` is a run's contact log (`report.contacts`), `selections` its
-    selection log. The three distribution summaries are built here, once
-    per run; `swimsim run` writes their CCDF files from the `ccdf` lists of
-    this dict. The log's rows are grouped by pair once, for the gaps and
-    the counts per pair both.
+    selection counts or log, as for selection_stats. The three distribution
+    summaries are built here, once per run; `swimsim run` writes their CCDF
+    files from the `ccdf` lists of this dict. The log's rows are grouped by
+    pair once, for the gaps and the counts per pair both.
     """
     contacts = finished_log(contacts)
     gaps, counts = _pairs(contacts)

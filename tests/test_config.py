@@ -205,3 +205,13 @@ def test_unrunnable_values_name_key(key, edits):
         text = text.replace(old, new)
     with pytest.raises(ConfigError, match=key):
         loads_config(text)
+
+
+def test_wait_too_short_to_advance_the_clock_names_both_keys():
+    # at 1e8 s a double's spacing is about 1.5e-8 s, so 1e-9 s pauses cannot
+    # carry the clock to the horizon: the message names the wait and the horizon
+    text = REFERENCE_CONFIG.replace("uniform(2,5)", "uniform(1e-9,1e-9)")
+    with pytest.raises(ConfigError, match="waitTime.*simDuration"):
+        loads_config(text + "simDuration = 1e8\n")
+    # a min the horizon can still add is accepted
+    loads_config(text + "simDuration = 1e6\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -27,6 +28,7 @@ from swimsim.mobility import (
     UniformStream,
     UniformWait,
     node_stream,
+    selection_counts,
 )
 
 AREA = AreaBounds(400.0, 400.0)
@@ -340,41 +342,45 @@ def test_run_keeps_no_object_per_event():
     assert abs(long - short) <= 50
 
 
+# shaped like the wide-grid benchmark (40 m cells, few contacts)
+WIDE_PARAMS = make_params(
+    area=AreaBounds(1000.0, 1000.0), n_locations=625, node_count=250, sim_duration=10_000.0
+)
+
+
+def measure_run(params, trace):
+    """A run's report, and the bytes it keeps and at most holds above what was
+    live before it, by tracemalloc."""
+    state = initialize(params)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        report = run(state, params.sim_duration, trace)
+        kept, peak = (size - live for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    return report, kept, peak
+
+
 def test_run_peak_and_kept_per_event(tmp_path, monkeypatch):
-    # a run shaped like the wide-grid benchmark (40 m cells, few contacts)
-    # of about 14 000 events. Above what is live before it, per event, the
-    # report keeps a 33-byte waypoint row and, per departure (every other
-    # event), a 34-byte selection row; at its peak, `run` also holds the
-    # loop's selection columns and one chunk of the trace's. A text event
-    # column, a pause log built eagerly or the loop's columns kept after
-    # `run` returns would not fit
-    params = make_params(
-        area=AreaBounds(1000.0, 1000.0), n_locations=625, node_count=250, sim_duration=10_000.0
-    )
-
-    def measure(trace):
-        state = initialize(params)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            live = tracemalloc.get_traced_memory()[0]
-            report = run(state, params.sim_duration, trace)
-            kept, peak = (size - live for size in tracemalloc.get_traced_memory())
-        finally:
-            tracemalloc.stop()
-        return report, kept, peak
-
-    report, kept, peak = measure(True)
+    # a run of about 14 000 events. Above what is live before it, per event,
+    # the report keeps a 33-byte waypoint row and, per departure (every
+    # other event), a 34-byte selection row; at its peak, `run` also holds
+    # one chunk of each log. A text event column, a pause log built
+    # eagerly or the loop's columns kept after `run` returns would not fit
+    report, kept, peak = measure_run(WIDE_PARAMS, True)
     events = report.events_processed
     assert events >= 10_000
     assert peak / events <= 110
     assert kept / events <= 65
-    # a trace handed to a sink is not kept: the report keeps the selection
-    # rows, and the run holds one chunk of the trace at a time
-    streamed, kept, peak = measure(lambda chunk: None)
+    # a trace handed to a sink is not kept, and neither is the selection
+    # log: the report keeps per-node counts, and the run holds one chunk of
+    # each log at a time (37 and 11 bytes per event when measured)
+    streamed, kept, peak = measure_run(WIDE_PARAMS, lambda chunk: None)
     assert streamed.events_processed == events
-    assert peak / events <= 65
-    assert kept / events <= 35
+    assert peak / events <= 45
+    assert kept / events <= 15
     # the pause log is built only when read: not by a run, its metrics or
     # the writers of `swimsim run`
     metrics_report(report.contacts, report.selections)
@@ -394,15 +400,28 @@ def test_run_peak_and_kept_per_event(tmp_path, monkeypatch):
     )
     assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     (report,) = reports
+    # `swimsim run` streams its trace, so its run keeps no selection log to build pauses from
     assert report.events_processed and "pauses" not in vars(report)
-    assert len(report.pauses) and "pauses" in vars(report)
+    assert report.pauses.tolist() == [] and report.selections.tolist() == []
+
+
+def test_streamed_run_peak_is_flat_in_the_horizon():
+    # a run that keeps no log holds one chunk of each at a time, so four
+    # times the horizon, and four times the events, barely moves its peak
+    short, _, short_peak = measure_run(WIDE_PARAMS, lambda chunk: None)
+    params = dataclasses.replace(WIDE_PARAMS, sim_duration=4 * WIDE_PARAMS.sim_duration)
+    long, _, long_peak = measure_run(params, lambda chunk: None)
+    assert long.events_processed > 3.5 * short.events_processed
+    assert long_peak <= 1.15 * short_peak
 
 
 def test_trace_is_kept_streamed_in_chunks_or_skipped():
-    # more events than a chunk holds, and not a whole number of chunks
-    params = make_params(sim_duration=20_000.0)
+    # more events, and more departures, than a chunk holds, and neither a
+    # whole number of chunks
+    params = make_params(sim_duration=40_000.0)
     kept = simulate(params)
     assert len(kept.waypoints) > TRACE_ROWS and len(kept.waypoints) % TRACE_ROWS
+    assert len(kept.selections) > TRACE_ROWS and len(kept.selections) % TRACE_ROWS
     chunks = []
     streamed = simulate(params, trace=chunks.append)
     assert [len(chunk) for chunk in chunks[:-1]] == [TRACE_ROWS] * (len(chunks) - 1)
@@ -410,14 +429,22 @@ def test_trace_is_kept_streamed_in_chunks_or_skipped():
     assert all(isinstance(chunk, np.recarray) and chunk.dtype == WAYPOINT_DTYPE for chunk in chunks)
     assert np.concatenate(chunks).tolist() == kept.waypoints.tolist()
     skipped = simulate(params, trace=False)
-    # the logs the metrics read, and the counts and pauses derived from them, do not need the trace
+    # a run that does not keep the trace keeps no selection log either, and
+    # so no pauses; the counts the metrics read are folded chunk by chunk
+    # as the run goes, and the loop counts the events itself
+    assert np.array_equal(kept.selection_counts, selection_counts(
+        kept.selections.node, kept.selections.visiting, kept.selections.fallback, params.node_count
+    ))
     for report in (streamed, skipped):
         assert report.waypoints.tolist() == []
-        assert report.selections.tolist() == kept.selections.tolist()
-        assert report.pauses.tolist() == kept.pauses.tolist()
+        assert report.selections.tolist() == [] and report.pauses.tolist() == []
+        assert np.array_equal(report.selection_counts, kept.selection_counts)
+        assert selection_stats(report.selection_counts) == selection_stats(kept.selections)
         assert report.contacts.tolist() == kept.contacts.tolist()
         assert np.array_equal(report.seen, kept.seen)
         assert report.events_processed == kept.events_processed == len(kept.waypoints)
+    arrived = np.count_nonzero(kept.selections.end <= params.sim_duration)
+    assert len(kept.pauses) == params.node_count + arrived
 
 
 def test_run_monotone_horizon():

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -199,6 +201,30 @@ def test_wait_bounds_random_dists():
         )
         for _ in range(20):
             assert low <= draw_wait_time(dist, rng) <= high
+
+
+# SHA-256 of the little-endian doubles inverse_cdf gives on WAIT_GRID, per wait law
+WAIT_GRID = [i / 2**17 for i in range(2**17 + 1)]
+WAIT_LAW_DIGESTS = {
+    UniformWait(2.0, 5.0): "2fd62ffdb4442d93882037791e3e38fd82dde30d69a75040e51ca4cae1942040",
+    PowerLawWait(1.5, 10.0, 3600.0): "b14b6d9d947e813455df2acb4831d5740387ccb86bf6af72783eb1671726a654",
+}
+
+
+@pytest.mark.parametrize("law", WAIT_LAW_DIGESTS, ids=str)
+def test_wait_law_bytes_are_pinned(law):
+    """The pause lengths of the output digests' wait laws, bit for bit.
+
+    A power law's inverse CDF is CPython's `**`, which calls the C
+    library's `pow`, so its last bits depend on the libm: on this grid
+    glibc 2.36's pow(t, -2) misses the correctly rounded value at 88 of
+    the 131 073 points. A libm that rounds them otherwise fails here by
+    name, and not only in the output digests. Pinned with numpy 2.4.6,
+    CPython 3.11.7 and glibc 2.36 on an x86-64 Intel Xeon.
+    """
+    lengths = [law.inverse_cdf(u) for u in WAIT_GRID]
+    digest = hashlib.sha256(struct.pack(f"<{len(lengths)}d", *lengths)).hexdigest()
+    assert digest == WAIT_LAW_DIGESTS[law]
 
 
 def test_wait_validation():
