@@ -87,11 +87,11 @@ def _cmd_run(args) -> int:
         # the trace goes into its staged file a chunk at a time, as the run makes it
         with open(stage / "waypoints.csv", "wb") as f:
             report = simulate(params, trace=waypoint_writer(f))
-        metrics = metrics_report(report.contacts, report.selection_counts)
+        metrics = metrics_report(report.contact_log, report.selection_counts)
 
         for name, writer in (
             ("locations.csv", lambda p: write_locations_file(report.location_map, p)),
-            ("contacts.csv", lambda p: write_contacts_csv(report.contacts, p)),
+            ("contacts.csv", lambda p: write_contacts_csv(report.contact_log, p)),
             ("metrics.json", lambda p: write_metrics_json(metrics, p)),
             # each distribution summary in metrics.json also goes to its CCDF file
             *(
@@ -103,7 +103,7 @@ def _cmd_run(args) -> int:
             writer(stage / name)
     print(
         f"run finished: {report.events_processed} events, "
-        f"{len(report.contacts)} contacts, "
+        f"{len(report.contact_log)} contacts, "
         f"neighbouring fraction {metrics['selection']['neighbouring_fraction']:.6f}"
     )
     return 0

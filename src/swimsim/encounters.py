@@ -15,18 +15,24 @@ No signal does work per bystander in Python: an arrival logs its
 contacts as one block and a departure settles only the leaving node's
 seen counters (see ContactTracker).
 
-The contact log is a numpy record array with fields a, b, cell, start,
-end and censored, one row per contact in the order the contacts opened; an
-open contact's end is NaN. The tracker builds it on request as one array,
-filling each field in place from zero-copy views of its own columns, so
-the log is the only thing as long as the log that it keeps.
+The tracker keeps the contact log compact: one block per arrival with
+bystanders (arriving node, cell, time, scheduled end, bystander count) and
+one id and scheduled end per bystander. A ContactLog reads those columns
+with no copy and expands any rows of them, through the block index (each
+row's block), into a numpy record array with fields a, b, cell, start,
+end and censored, one row per contact in the order the contacts opened;
+an open contact's end is NaN. The readers of a finished log (metrics,
+outputs) take it CHUNK_ROWS rows at a time (chunks), so a run never
+holds the log's rows all at once; a whole record array goes through the
+same readers, as its own chunks.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -39,13 +45,102 @@ if TYPE_CHECKING:
 CONTACT_DTYPE = np.dtype(
     [("a", "i8"), ("b", "i8"), ("cell", "i8"), ("start", "f8"), ("end", "f8"), ("censored", "?")]
 )
+# rows of a contact log expanded at a time, as many as the CSV writer
+# formats at once (outputs.ROWS_PER_WRITE)
+CHUNK_ROWS = 4096
 
 
-def finished_log(log: np.recarray) -> np.recarray:
-    """The contact log `log`, checked to have no contact open."""
-    if np.isnan(log.end).any():
+class ContactLog:
+    """A contact log as the tracker keeps it, read through views of its columns.
+
+    `len(log)` is its row count, and `log[rows]`, for a slice or an array
+    of row indices, expands those rows into a CONTACT_DTYPE record array,
+    as indexing the log's record array would give them; `times(rows)`
+    gives only their starts and ends. A row reads its block's columns
+    through the block index, each row's block as an int32 (4 bytes per
+    row), built on the first read. A finished log (`finished`) ends each
+    contact that ends past `horizon` there, censored; an unfinished one
+    has each contact that ends past `horizon`, the latest signal, open.
+    While a ContactLog is alive its tracker's columns cannot grow, so a run
+    takes it after `finish`.
+    """
+
+    def __init__(self, blocks, others: np.ndarray, other_ends: np.ndarray,
+                 horizon: float, finished: bool):
+        self._arriving, self._cell, self._start, self._end, self._counts = blocks
+        self._others, self._other_ends = others, other_ends
+        self.horizon, self.finished = horizon, finished
+
+    def __len__(self) -> int:
+        return len(self._others)
+
+    def __getitem__(self, index) -> np.recarray:
+        block = self._block[index]
+        log = np.empty(len(block), dtype=CONTACT_DTYPE)
+        arriving, others = self._arriving[block], self._others[index]
+        np.minimum(arriving, others, out=log["a"])
+        np.maximum(arriving, others, out=log["b"])
+        del arriving, others
+        log["cell"] = self._cell[block]
+        log["start"] = self._start[block]
+        log["end"] = self._ends(index, block, out=log["censored"])
+        return log.view(np.recarray)
+
+    def times(self, index) -> tuple[np.ndarray, np.ndarray]:
+        """The start and the end of the rows `index`, as `self[index]` has them."""
+        block = self._block[index]
+        return self._start[block], self._ends(index, block)
+
+    @property
+    def records(self) -> np.recarray:
+        """The whole log as one record array, filled a chunk at a time."""
+        log = np.empty(len(self), dtype=CONTACT_DTYPE).view(np.recarray)
+        for lo in range(0, len(self), CHUNK_ROWS):
+            log[lo:lo + CHUNK_ROWS] = self[lo:lo + CHUNK_ROWS]
+        return log
+
+    @cached_property
+    def _block(self) -> np.ndarray:
+        """The block index: each row's block."""
+        return np.repeat(np.arange(len(self._counts), dtype=np.int32), self._counts)
+
+    def _ends(self, index, block, out=None) -> np.ndarray:
+        """The end of the rows `index`, of blocks `block`, and into `out`
+        whether each is censored."""
+        end = np.minimum(self._end[block], self._other_ends[index])
+        if self.finished:
+            if out is not None:
+                np.greater(end, self.horizon, out=out)
+            np.minimum(end, self.horizon, out=end)
+        else:
+            if out is not None:
+                out[...] = False
+            end[end > self.horizon] = math.nan
+        return end
+
+
+def finished_log(log):
+    """The contact log `log`, a record array or a ContactLog, checked to have
+    no contact open."""
+    unfinished = not log.finished if isinstance(log, ContactLog) else np.isnan(log.end).any()
+    if unfinished:
         raise ValueError("contact log has open contacts: finish the run first")
     return log
+
+
+def times(log, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The start and the end of the rows `rows` (an array of row indices) of
+    the contact log `log`, a record array or a ContactLog."""
+    if isinstance(log, ContactLog):
+        return log.times(rows)
+    return log.start[rows], log.end[rows]
+
+
+def chunks(log) -> Iterator[np.recarray]:
+    """The rows of the contact log `log`, a record array or a ContactLog, in
+    order, as record arrays of CHUNK_ROWS rows, the last one shorter."""
+    for lo in range(0, len(log), CHUNK_ROWS):
+        yield log[lo:lo + CHUNK_ROWS]
 
 
 class ContactTracker:
@@ -56,17 +151,18 @@ class ContactTracker:
     counts with `seen[node].add(cell, n)`. seen_update picks how an
     encounter is counted: "symmetric" increments the arriving node once per
     bystander and each bystander once, "bystanders_only" leaves the
-    arriving node's counters untouched. The arriving node's counts are
-    added at its arrival. A bystander's are settled when it departs, or at
-    `finish` if it is still paused then: it gains one count per arrival at
-    its cell since its own. So a node's counters are up to date from its
-    departure signal until its next arrival.
+    arriving node's counters untouched. A node's counts at a cell are
+    settled in one `add` when it departs, or at `finish` if it is still
+    paused then: one count per arrival at its cell since its own, plus, in
+    symmetric mode, one per bystander it found there. So a node's counters
+    are up to date from its departure signal until its next arrival.
 
     A contact ends at the earlier of its members' scheduled departures and
     is censored iff that lies past the horizon given to `finish`. The log
     keeps one block per arrival with bystanders (arriving node, cell, time,
     scheduled end, bystander count) and one id and scheduled end per
-    bystander; `records` expands them into rows.
+    bystander; `log` reads them as a ContactLog and `records` expands them
+    into one record array.
     """
 
     def __init__(self, seen: Sequence[SeenCounters], seen_update: str = "symmetric"):
@@ -74,7 +170,8 @@ class ContactTracker:
         self.seen_update = seen_update
         self._paused_at: dict[int, dict[int, float]] = {}  # cell -> {node: scheduled end}
         self._arrivals: dict[int, int] = {}  # cell -> arrivals there so far
-        self._marks = [0] * len(seen)  # a node's cell's arrivals, as of its own
+        # a node's cell's arrivals as of its own, less the bystanders it counts there
+        self._marks = [0] * len(seen)
         self._now = -math.inf  # the latest signal's time
         self._until: float | None = None  # the horizon, once finished
         # one block per arrival with bystanders, then one entry per bystander
@@ -83,34 +180,32 @@ class ContactTracker:
         self._others, self._other_ends = array("q"), array("d")
 
     @property
+    def log(self) -> ContactLog:
+        """The contact log so far, over the tracker's columns with no copy.
+
+        After `finish` it is finished; before, a contact that ends after the
+        latest signal is open. The tracker cannot log another contact while
+        the result is alive.
+        """
+        blocks = [np.frombuffer(column, dtype=np.int64) for column in (self._arriving, self._cell)]
+        blocks += [np.frombuffer(self._start), np.frombuffer(self._end)]
+        blocks.append(np.frombuffer(self._count, dtype=np.int64))
+        finished = self._until is not None
+        return ContactLog(
+            blocks, np.frombuffer(self._others, dtype=np.int64), np.frombuffer(self._other_ends),
+            self._until if finished else self._now, finished,
+        )
+
+    @property
     def records(self) -> np.recarray:
         """A copy of the contact log so far, one row per contact in opening order.
 
         Before `finish`, a contact that ends after the latest signal is open
         (its end is NaN); after it, a contact that ends past the horizon
-        ends there, censored.
+        ends there, censored. The views the copy is read through are
+        released on return, so the tracker can grow its columns again.
         """
-        # the columns are read through views, released on return, so the
-        # tracker can grow them again; each field of the log is filled in place
-        counts = np.frombuffer(self._count, dtype=np.int64)
-        others = np.frombuffer(self._others, dtype=np.int64)
-        log = np.empty(len(others), dtype=CONTACT_DTYPE)
-        arriving = np.repeat(np.frombuffer(self._arriving, dtype=np.int64), counts)
-        np.minimum(arriving, others, out=log["a"])
-        np.maximum(arriving, others, out=log["b"])
-        del arriving
-        log["cell"] = np.repeat(np.frombuffer(self._cell, dtype=np.int64), counts)
-        log["start"] = np.repeat(np.frombuffer(self._start), counts)
-        end = np.repeat(np.frombuffer(self._end), counts)
-        np.minimum(end, np.frombuffer(self._other_ends), out=end)
-        if self._until is None:
-            log["censored"] = False
-            end[end > self._now] = math.nan
-        else:
-            censored = np.greater(end, self._until, out=log["censored"])
-            end[censored] = self._until
-        log["end"] = end
-        return log.view(np.recarray)
+        return self.log.records
 
     def on_arrival_signal(self, arriving: int, cell: int, now: float, end: float) -> None:
         """`arriving` pauses at `cell` from `now` until `end`, and meets the nodes paused there."""
@@ -131,7 +226,9 @@ class ContactTracker:
             self._others.extend(paused)
             self._other_ends.extend(paused.values())
             if self.seen_update == "symmetric":
-                self.seen[arriving].add(cell, count)
+                # the bystanders count for the arriving node too, settled
+                # with the later arrivals
+                self._marks[arriving] -= count
         paused[arriving] = end
 
     def on_departure_signal(self, leaving: int, cell: int, now: float) -> None:
@@ -151,7 +248,7 @@ class ContactTracker:
             paused.clear()
 
     def _settle(self, node: int, cell: int) -> None:
-        """Count one encounter for each arrival at `cell` since `node`'s own."""
+        """Count `node`'s encounters at `cell` since its arrival there."""
         pending = self._arrivals[cell] - self._marks[node]
         if pending:
             self.seen[node].add(cell, pending)

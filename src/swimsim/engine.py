@@ -27,13 +27,15 @@ seen counters are its own sparse SeenCounters, written by the contact
 tracker; the report builds the dense N x L matrix from their cells and
 counts only when it is read. An arrival sets the pause's end before it
 signals, and the signal carries that end to the tracker, which logs each
-contact with its end as it opens. A departure signals before the kernel
-draws, so the tracker settles the departing node's counters first. Each
-node's random stream is read in blocks (UniformStream); a departure reads
-its trip's row in one `take`: four uniforms for the kernel, then the next
-pause's (none for a fixed wait), which the arrival turns into the pause's
-length with the wait law's inverse CDF. An event is one heapreplace of
-its node's entry.
+contact with its end as it opens. The report takes the tracker's compact
+log as it is (encounters.ContactLog), and the contact log's record array
+is expanded from it only when read, never in `run`. A departure signals
+before the kernel draws, so the tracker settles the departing node's
+counters first. Each node's random stream is read in blocks
+(UniformStream); a departure reads its trip's row in one `take`: four
+uniforms for the kernel, then the next pause's (none for a fixed wait),
+which the arrival turns into the pause's length with the wait law's
+inverse CDF. An event is one heapreplace of its node's entry.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .encounters import ContactTracker
+from .encounters import ContactLog, ContactTracker
 from .grid import LocationMap, Point2D, build_grid, cell_of
 from .mobility import (
     HomeProfile,
@@ -90,15 +92,19 @@ class SimulationReport:
 
     The waypoint, selection, pause and contact logs are numpy record
     arrays, read by field name by row or by column. `waypoints`,
-    `selections`, `pauses` and `seen` are built on first read and then
-    kept. A run that did not keep its trace and selection log (see `run`)
-    still has its contacts, seen counters, selection counts and event
-    count, and its `waypoints`, `selections` and `pauses` are empty.
+    `selections`, `pauses`, `contacts` and `seen` are built on first read
+    and then kept; `contact_log` is the contact log as the tracker kept
+    it, which the metrics and the contacts writer read a chunk at a time
+    without building `contacts`. A run that did not keep its trace and
+    selection log (see `run`) still has its contacts, seen counters,
+    selection counts and event count, and its `waypoints`, `selections`
+    and `pauses` are empty.
     """
 
     params: ModelParams
     location_map: LocationMap
-    contacts: np.recarray  # a, b, cell, start, end, censored: one row per contact
+    # the contact log as the tracker kept it, one row per contact (encounters.ContactLog)
+    contact_log: ContactLog = field(repr=False)
     # departures, visiting draws and fallbacks per node: a 3 x N array (mobility.selection_counts)
     selection_counts: np.ndarray = field(repr=False)
     events_processed: int  # every trip departed, and those that arrived by the horizon arrived
@@ -122,6 +128,12 @@ class SimulationReport:
         event order, joined from the kept chunks on first read; empty when the
         run did not keep them."""
         return _joined(self.selection_chunks or [], SELECTION_DTYPE)
+
+    @cached_property
+    def contacts(self) -> np.recarray:
+        """a, b, cell, start, end, censored: one row per contact, in the order the
+        contacts opened, expanded from `contact_log` on first read."""
+        return self.contact_log.records
 
     @cached_property
     def seen(self) -> np.ndarray:
@@ -370,7 +382,7 @@ def run(state: SimulationState, until: float, trace=True) -> SimulationReport:
     return SimulationReport(
         params=state.params,
         location_map=state.location_map,
-        contacts=state.tracker.records,
+        contact_log=state.tracker.log,
         selection_counts=counts,
         events_processed=events,
         counters=[node.seen for node in nodes],

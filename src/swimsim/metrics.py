@@ -4,14 +4,17 @@ All three pipelines reduce the raw contact log to pooled sample sets and a
 common distribution summary. Censored records (still open at the end of a
 run) never contribute a duration, and gaps touching a censored record are
 dropped because the true gap is unknown. CCDFs are evaluated at 50
-log-spaced thresholds for heavy-tail inspection. The pipelines work on the
-columns of the contact log's record array. A log with a contact still
-open, one whose end is NaN, is rejected where it enters (finished_log).
-The inter-contact times and the contacts per pair come from one grouping
-of the rows by pair (_pairs), which metrics_report makes once per run.
-Selection statistics are read from a run's per-node selection counts,
-which a selection log is folded into by the engine's own fold
-(mobility.selection_counts).
+log-spaced thresholds for heavy-tail inspection. The pipelines take a
+finished contact log, a run's compact encounters.ContactLog or a whole
+record array, and read both through the same code: a chunk of rows at a
+time (encounters.chunks), or the rows they gather by index. Beyond the
+log, a pipeline holds at most two columns as long as it at a time, and
+never a record array of it. A log with a contact still open, one whose end is NaN, is rejected where
+it enters (finished_log). The inter-contact times and the contacts per
+pair come from one grouping of the rows by pair (_pairs), which
+metrics_report makes once per run. Selection statistics are read from a
+run's per-node selection counts, which a selection log is folded into by
+the engine's own fold (mobility.selection_counts).
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from operator import mul
 
 import numpy as np
 
-from .encounters import finished_log
+from . import encounters
+from .encounters import chunks, finished_log, times
 from .mobility import selection_counts
 
 CCDF_POINTS = 50
@@ -54,12 +58,13 @@ def summarize(values) -> DistributionSummary:
     arr = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=float)
     if arr.size == 0:
         return DistributionSummary(0, None, None, None, [])
-    positive = arr[arr > 0]
+    ordered = np.sort(arr)
+    first = int(np.searchsorted(ordered, 0.0, "right"))  # the least positive sample, if any
     ccdf = []
-    if positive.size:
-        thresholds = _thresholds(float(positive.min()), float(arr.max()))
+    if first < arr.size and ordered[first] > 0:
+        thresholds = _thresholds(float(ordered[first]), float(arr.max()))
         # the count of samples >= t over the count, exactly np.mean(arr >= t)
-        below = np.searchsorted(np.sort(arr), thresholds, "left")
+        below = np.searchsorted(ordered, thresholds, "left")
         ccdf = list(zip(thresholds, ((arr.size - below) / arr.size).tolist()))
     return DistributionSummary(
         samples=int(arr.size),
@@ -107,54 +112,94 @@ def _thresholds(low: float, high: float) -> list[float]:
     return [*accumulate([lo] * (CCDF_POINTS - 2), mul, initial=low), high]
 
 
-def _pairs(log: np.recarray) -> tuple[np.ndarray, np.ndarray]:
+def _pairs(log) -> tuple[np.ndarray, np.ndarray]:
     """Inter-contact gaps pooled across pairs, and each pair's contact count.
 
     The gaps are in the order of a walk over the log: pairs in order of
     first appearance, each pair's rows in log order, so the pooled order
     (and with it the last bits of the mean) is the walk's. The counts are
-    in pair order, (a, b) lexicographic. An argsort of the pair keys puts
-    each pair's rows together, in no order, which gives the counts and
-    each pair's first row; then one sort of (first row, row), packed into
-    one int64 as first row * n + row, puts the rows in walk order. Both
-    are below n, the log's length, so the packing is exact for any ids.
+    in pair order, (a, b) lexicographic. An argsort of the pair keys, a
+    and b packed into one int64, puts each pair's rows together, in no
+    order, which gives the counts and each pair's first row; then one sort
+    of (first row, row), packed into one int64 as first row * n + row,
+    puts the rows in walk order. Both are below n, the log's length, so
+    that packing is exact for any log; the pair keys take node ids below
+    2**32.
+
+    Each column as long as the log is dropped once used, so at most two
+    are held, with the 1-byte censored flags. The log's rows are read
+    twice: a chunk at a time for the keys and the flags, and then, for
+    the gaps, a chunk of the walk at a time, gathering the start and the
+    end of the rows it pairs.
     """
-    # each temporary as long as the log is dropped once used, which keeps
-    # the peak near four of them
     n = len(log)
-    keys = log.a * (int(log.b.max(initial=0)) + 1)
-    keys += log.b
+    keys = np.empty(n, dtype=np.int64)
+    censored = np.empty(n, dtype=bool)
+    lo = 0
+    for chunk in chunks(log):
+        hi = lo + len(chunk)
+        a, b = chunk.a, chunk.b
+        if min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >> 32:
+            raise ValueError("contact log: node ids must lie in 0..2**32 - 1")
+        # (a - 2**31) * 2**32 + b: in (a, b) order, and an int64, so that the
+        # keys are sorted by the walk's own sort code, not a second one
+        np.subtract(a, 2**31, out=keys[lo:hi])
+        keys[lo:hi] *= 2**32
+        keys[lo:hi] += b
+        censored[lo:hi] = chunk.censored
+        lo = hi
     by_pair = np.argsort(keys)
-    keys = keys[by_pair]
+    keys.sort()
     new_pair = np.ones(n, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=new_pair[1:])
     del keys
     starts = np.flatnonzero(new_pair)
+    del new_pair
     counts = np.diff(starts, append=n)
     walk = np.repeat(np.minimum.reduceat(by_pair, starts) * n, counts)
     walk += by_pair
     del by_pair
     walk.sort()
-    rows = walk % n
-    walk //= n  # each row's pair, as the pair's first row
-    censored = log.censored[rows]
-    known = walk[1:] == walk[:-1]
-    del walk
-    known &= ~censored[:-1]
-    known &= ~censored[1:]
-    gaps = log.start[rows[1:][known]]
-    gaps -= log.end[rows[:-1][known]]
-    return gaps, counts
+    # walk[i] and walk[i + 1] give a gap if they are one pair's and neither is censored
+    gaps = np.empty(max(n - 1, 0))
+    found = 0
+    for lo in range(0, n - 1, encounters.CHUNK_ROWS):
+        step = walk[lo:lo + encounters.CHUNK_ROWS + 1]
+        pair = step // n
+        rows = step - pair * n
+        known = pair[1:] == pair[:-1]
+        known &= ~censored[rows[:-1]]
+        known &= ~censored[rows[1:]]
+        start, end = times(log, rows)
+        gap = start[1:][known]
+        np.subtract(gap, end[:-1][known], out=gaps[found:found + len(gap)])
+        found += len(gap)
+    return gaps[:found], counts
 
 
 def inter_contact_times(log) -> DistributionSummary:
     return summarize(_pairs(finished_log(log))[0])
 
 
-def _durations(log: np.recarray) -> np.ndarray:
+def _durations_and_counts(log) -> tuple[np.ndarray, int, int]:
+    """Durations of finished contacts in log order, and the log's censored and
+    zero-length finished contacts; zero-length ones carry no information."""
+    lengths = np.empty(len(log))
+    found = censored = zero = 0
+    for chunk in chunks(log):
+        finished = ~chunk.censored
+        censored += len(chunk) - int(np.count_nonzero(finished))
+        length = chunk.end - chunk.start  # 0 exactly where end == start
+        zero += int(np.count_nonzero(finished & (length == 0)))
+        part = length[finished & (length > 0)]
+        lengths[found:found + len(part)] = part
+        found += len(part)
+    return lengths[:found], censored, zero
+
+
+def _durations(log) -> np.ndarray:
     """Durations of finished contacts; zero-length ones carry no information."""
-    lengths = log.end - log.start
-    return lengths[~log.censored & (log.end > log.start)]
+    return _durations_and_counts(log)[0]
 
 
 def contact_durations(log) -> DistributionSummary:
@@ -226,22 +271,24 @@ def selection_stats(selections) -> SelectionStats:
 def metrics_report(contacts, selections) -> dict:
     """Structured metrics for JSON export.
 
-    `contacts` is a run's contact log (`report.contacts`), `selections` its
-    selection counts or log, as for selection_stats. The three distribution
-    summaries are built here, once per run; `swimsim run` writes their CCDF
-    files from the `ccdf` lists of this dict. The log's rows are grouped by
-    pair once, for the gaps and the counts per pair both.
+    `contacts` is a run's finished contact log, its compact
+    `report.contact_log` or the record array `report.contacts`;
+    `selections` its selection counts or log, as for selection_stats. The
+    three distribution summaries are built here, once per run; `swimsim
+    run` writes their CCDF files from the `ccdf` lists of this dict. The
+    log's rows are grouped by pair once, for the gaps and the counts per
+    pair both, and the gaps are summarized and dropped before the
+    durations are taken.
     """
     contacts = finished_log(contacts)
     gaps, counts = _pairs(contacts)
+    inter_contact = summarize(gaps).as_dict()
+    del gaps
+    durations, censored, zero = _durations_and_counts(contacts)
     return {
-        "inter_contact_times": summarize(gaps).as_dict(),
-        "contact_durations": contact_durations(contacts).as_dict(),
+        "inter_contact_times": inter_contact,
+        "contact_durations": summarize(durations).as_dict(),
         "contacts_per_pair": summarize(counts).as_dict(),
         "selection": selection_stats(selections).as_dict(),
-        "contacts": {
-            "total": len(contacts),
-            "censored": int(contacts.censored.sum()),
-            "zero_duration": int((~contacts.censored & (contacts.end == contacts.start)).sum()),
-        },
+        "contacts": {"total": len(contacts), "censored": censored, "zero_duration": zero},
     }

@@ -245,11 +245,11 @@ class SeenCounters:
     `totals[s]` the set's count total; `total` is the sum over both sets.
     So the selection kernel reads a set's seen mass without classifying
     cells, and walks only the set's seen cells. The contact tracker writes
-    them with `add`. It adds an arriving node's counts at its arrival but
-    settles a bystander's at its departure, and at the end of a run for a
-    node still paused then, so mid-run they are up to date only from the
-    node's departure signal to its next arrival, which is where the
-    selection kernel reads them.
+    them with `add`. It settles a node's counts at a cell, as the arriving
+    node and as a bystander, in one `add` at its departure, and at the end
+    of a run for a node still paused then, so mid-run they are up to date
+    only from the node's departure signal to its next arrival, which is
+    where the selection kernel reads them.
     """
 
     __slots__ = ("profile", "cells", "counts", "totals", "total")

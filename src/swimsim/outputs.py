@@ -4,13 +4,14 @@ Numeric fields are 6-decimal fixed point, so a fixed config and seed give
 byte-identical files. Each writer takes the data it writes (a location
 map, the waypoint log, a contact log, CCDF pairs, a metrics dict or sweep
 rows), not a whole run report, and `swimsim run` calls them all from one
-loop. The waypoint and contact logs are numpy record arrays, written a
-chunk of rows at a time. Every CSV but the sweep's is formatted by one
+loop. The waypoint log is a numpy record array, and the contact log one
+or a run's compact encounters.ContactLog; both are written a chunk of
+rows at a time. Every CSV but the sweep's is formatted by one
 column-wise kernel, _csv_rows, which gives the bytes of `%`-formatting
 row by row without formatting any row in Python but the rare ones it
 cannot round exactly. At run time this module imports no other swimsim
 module apart from the grid, whose cell bounds the locations files hold,
-and the contact log's check for open contacts.
+and the contact log's check for open contacts and its chunks.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .encounters import finished_log
+from .encounters import chunks, finished_log
 from .grid import LocationMap, cell_bounds, grid_from_edges
 
 if TYPE_CHECKING:
@@ -128,16 +129,19 @@ def waypoint_writer(file):
 def write_contacts_csv(records, path) -> None:
     """Contact log export, one `a,b,cell,start,end,censored` row per record.
 
-    `records` is a run's contact log (`report.contacts`), with no contact
-    open. Beyond the log, the writer holds one chunk's text and parts at a
-    time, nothing by the log's largest id.
+    `records` is a run's finished contact log, its compact
+    `report.contact_log` or the record array `report.contacts`. Beyond the
+    log, the writer holds one chunk of its rows (encounters.chunks) and
+    that chunk's text and parts at a time, nothing by the log's largest id.
     """
     log = finished_log(records)
-    _write_csv(
-        path, "a,b,cell,start,end,censored\n",
-        (log.a, log.b, log.cell, log.start, log.end, log.censored),
-        (INT, INT, INT, FLOAT, FLOAT, ("0", "1")),
-    )
+    with open(path, "wb") as f:
+        f.write(b"a,b,cell,start,end,censored\n")
+        for chunk in chunks(log):
+            _write_rows(
+                f, (chunk.a, chunk.b, chunk.cell, chunk.start, chunk.end, chunk.censored),
+                (INT, INT, INT, FLOAT, FLOAT, ("0", "1")),
+            )
 
 
 def write_ccdf_csv(ccdf, path) -> None:

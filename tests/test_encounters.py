@@ -1,16 +1,19 @@
+import dataclasses
+import gc
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from support import contact_rows, lone_node, seen_dict
 
-from swimsim import outputs
-from swimsim.encounters import ContactTracker
+from swimsim import cli, encounters, outputs
+from swimsim.encounters import ContactLog, ContactTracker
 from swimsim.engine import initialize, run, simulate
 from swimsim.grid import AreaBounds, Point2D, build_grid
-from swimsim.metrics import metrics_report
+from swimsim.metrics import _pairs, metrics_report
 from swimsim.mobility import (
     ModelParams,
     PowerLawWait,
@@ -67,9 +70,11 @@ def test_pair_arrival_opens_contact():
     record = tracker.records[0]
     assert (record.a, record.b, record.cell, record.start) == (0, 1, 3, 2.5)
     assert math.isnan(record.end)  # ends at 6.0, after the latest signal
-    assert seen_dict(nodes[1].seen) == {3: 1}
     tracker.on_departure_signal(0, 3, 6.0)  # settles the bystander's counts
     assert seen_dict(nodes[0].seen) == {3: 1}
+    # the arriving node's count of its bystander is settled at its own departure
+    tracker.on_departure_signal(1, 3, 8.0)
+    assert seen_dict(nodes[1].seen) == {3: 1}
 
 
 def test_arrival_with_two_paused_counts_both():
@@ -78,10 +83,10 @@ def test_arrival_with_two_paused_counts_both():
     for node_id in (0, 1):
         tracker.on_arrival_signal(node_id, 5, 1.0, 20.0)
     tracker.on_arrival_signal(2, 5, 4.0, 20.0)
-    assert seen_dict(nodes[2].seen) == {5: 2}
-    tracker.finish(10.0)  # settles the bystanders' counts
+    tracker.finish(10.0)  # settles every paused node's counts
     assert seen_dict(nodes[0].seen) == {5: 2}  # one from node 1 arriving, one from node 2
     assert seen_dict(nodes[1].seen) == {5: 2}
+    assert seen_dict(nodes[2].seen) == {5: 2}  # one per bystander found on arrival
     assert len(tracker.records) == 3
 
 
@@ -237,24 +242,31 @@ def test_contacts_csv_memory_follows_the_ids_held(tmp_path):
     assert path.read_text() == "a,b,cell,start,end,censored\n0,1000000,1000000,1.000000,2.000000,0\n"
 
 
-def test_records_snapshot_survives_later_signals():
-    # records reads the tracker's columns through views; they must be
-    # released on return, or the next signal could not grow the columns
-    rng = np.random.default_rng(5)
+def random_signals(seed, count, node_count, cell_count):
+    """`count` arrival and departure signals of random nodes at random cells,
+    each arrival with a random scheduled end, and the last signal's time."""
+    rng = np.random.default_rng(seed)
     signals, paused, now = [], {}, 0.0
-    for _ in range(400):
+    for _ in range(count):
         now += float(rng.uniform(0.0, 2.0))
-        node = int(rng.integers(0, 8))
+        node = int(rng.integers(0, node_count))
         if node in paused:
             signals.append(("on_departure_signal", (node, paused.pop(node), now)))
         else:
-            paused[node] = cell = int(rng.integers(0, 2))
+            paused[node] = cell = int(rng.integers(0, cell_count))
             signals.append(("on_arrival_signal", (node, cell, now, now + float(rng.uniform(1.0, 30.0)))))
+    return signals, now
 
-    def replay(tracker, steps):
-        for name, args in steps:
-            getattr(tracker, name)(*args)
 
+def replay(tracker, steps):
+    for name, args in steps:
+        getattr(tracker, name)(*args)
+
+
+def test_records_snapshot_survives_later_signals():
+    # records reads the tracker's columns through views; they must be
+    # released on return, or the next signal could not grow the columns
+    signals, now = random_signals(5, 400, 8, 2)
     tracker = tracker_for(make_nodes(8))
     replay(tracker, signals[:200])
     snapshot = tracker.records
@@ -298,3 +310,148 @@ def test_contact_pipeline_peak_per_contact(tmp_path, monkeypatch):
     assert peak_per_contact(lambda: state.tracker.records) <= 41 + 16
     assert peak_per_contact(metrics_report, report.contacts, report.selections) <= 44
     assert peak_per_contact(write_contacts_csv, report.contacts, tmp_path / "contacts.csv") <= 8
+
+
+def contact_outputs(log, selections, path):
+    """What `swimsim run` makes of a contact log: contacts.csv's bytes and the metrics dict."""
+    write_contacts_csv(log, path)
+    return path.read_bytes(), metrics_report(log, selections)
+
+
+# the crowded digest scenario (tests/test_digests.py): 60 nodes in 4 cells
+# with heavy-tailed pauses meet about 2 700 times, most pairs many times
+CROWDED = dict(
+    area=AreaBounds(800.0, 800.0), n_locations=4, node_count=60,
+    wait=PowerLawWait(1.5, 10.0, 3600.0), sim_duration=3000.0, seed=1,
+)
+
+
+@pytest.mark.parametrize("rows", [1, 7, encounters.CHUNK_ROWS])
+@pytest.mark.parametrize("seen_update", ["symmetric", "bystanders_only"])
+def test_compact_log_gives_the_whole_logs_outputs(tmp_path, monkeypatch, rows, seen_update):
+    # the compact log, read a chunk at a time, against the whole record
+    # array read at the default chunk size: the chunks' edges move no byte
+    report = simulate(make_params(**CROWDED, seen_update=seen_update), trace=False)
+    whole = report.contact_log.records
+    expected = contact_outputs(whole, report.selection_counts, tmp_path / "whole.csv")
+    assert len(whole) > 2000 and whole.censored.any()
+    monkeypatch.setattr(encounters, "CHUNK_ROWS", rows)
+    assert report.contact_log.records.tobytes() == whole.tobytes()
+    got = contact_outputs(report.contact_log, report.selection_counts, tmp_path / "compact.csv")
+    assert got == expected
+
+
+@pytest.mark.parametrize("rows", [1, 7, encounters.CHUNK_ROWS])
+def test_compact_log_splits_pairs_and_censored_contacts_across_chunks(tmp_path, monkeypatch, rows):
+    # 4 nodes in 2 cells: each pair meets many times, so its contacts lie in
+    # many chunks, and the run ends with nodes still paused, whose contacts
+    # are censored at the horizon
+    signals, now = random_signals(11, 600, 4, 2)
+    tracker = tracker_for(make_nodes(4))
+    replay(tracker, signals)
+    tracker.finish(now)
+    whole = tracker.records
+    pairs = Counter(zip(whole.a.tolist(), whole.b.tolist()))
+    assert min(pairs.values()) > 7 and whole.censored.any()
+    no_selections = np.zeros((3, 4), dtype=np.int64)
+    expected = contact_outputs(whole, no_selections, tmp_path / "whole.csv")
+    # the gaps in walk order: pairs as they first appear, each pair's rows in log order
+    by_pair = {}
+    for row in whole:
+        by_pair.setdefault((row.a, row.b), []).append(row)
+    walk = [later.start - earlier.end for rows_of_pair in by_pair.values()
+            for earlier, later in zip(rows_of_pair, rows_of_pair[1:])
+            if not (earlier.censored or later.censored)]
+    monkeypatch.setattr(encounters, "CHUNK_ROWS", rows)
+    assert contact_outputs(tracker.log, no_selections, tmp_path / "compact.csv") == expected
+    assert _pairs(tracker.log)[0].tolist() == walk
+
+
+def contact_stage_peak(params, path):
+    """The contacts of a run, and the tracemalloc peak per contact of `swimsim
+    run`'s contact stage (the metrics and contacts.csv, from the compact
+    log), above what is live when the stage starts."""
+    report = run(initialize(params), params.sim_duration, trace=False)
+    n = len(report.contact_log)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        metrics_report(report.contact_log, report.selection_counts)
+        write_contacts_csv(report.contact_log, path)
+        return n, (tracemalloc.get_traced_memory()[1] - live) / n
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_contact_stage_peak_per_contact(tmp_path, monkeypatch):
+    # the scenario of test_contact_pipeline_peak_per_contact. Above the
+    # compact log the stage holds at most two 8-byte columns as long as
+    # the log, with the 1-byte censored flags, the 4-byte block index and
+    # a few columns per pair (28 bytes per contact when measured, with
+    # 13 000 pairs; a record array of the log alone is 41). Chunks of 256
+    # rows keep the stage's fixed part small against the log, so that what
+    # grows with it shows
+    monkeypatch.setattr(encounters, "CHUNK_ROWS", 256)
+    monkeypatch.setattr(outputs, "ROWS_PER_WRITE", 256)
+    params = make_params(
+        node_count=200, n_locations=4, wait=PowerLawWait(1.5, 10.0, 3600.0), sim_duration=2000.0
+    )
+    short, short_peak = contact_stage_peak(params, tmp_path / "short.csv")
+    assert short >= 20_000
+    assert short_peak <= 30
+    # nothing the stage holds grows faster than the log: at 4·T the peak
+    # per contact is within 15% of its value at T. It falls there (24 bytes
+    # when measured), as the pairs grow slower than the contacts, so one
+    # more column as long as the log would show
+    long, long_peak = contact_stage_peak(
+        dataclasses.replace(params, sim_duration=4 * params.sim_duration), tmp_path / "long.csv"
+    )
+    assert long > 3 * short
+    assert long_peak <= 1.15 * short_peak
+    assert long_peak <= 26
+
+
+def test_untraced_run_expands_one_chunk_at_a_time(tmp_path, monkeypatch):
+    # `swimsim run` never builds the contact log's record array: every row
+    # it reads is expanded from the compact log, a chunk at a time, and the
+    # gaps read one row more, their overlap
+    monkeypatch.setattr(encounters, "CHUNK_ROWS", 256)
+    expanded, timed, reports = [], [], []
+    getitem, times = ContactLog.__getitem__, ContactLog.times
+
+    def counted_getitem(log, index):
+        rows = getitem(log, index)
+        expanded.append(len(rows))
+        return rows
+
+    def counted_times(log, index):
+        start, end = times(log, index)
+        timed.append(len(start))
+        return start, end
+
+    def whole_log(log):
+        raise AssertionError("the whole contact log was built")
+
+    def simulate_kept(params, trace):
+        reports.append(simulate(params, trace))
+        return reports[-1]
+
+    monkeypatch.setattr(ContactLog, "__getitem__", counted_getitem)
+    monkeypatch.setattr(ContactLog, "times", counted_times)
+    monkeypatch.setattr(ContactLog, "records", property(whole_log))
+    monkeypatch.setattr(cli, "simulate", simulate_kept)
+    config = tmp_path / "scenario.conf"
+    config.write_text(
+        "neighbourLocationLimit = 300\nspeed = 1.4\nmaxAreaX = 800\nmaxAreaY = 800\n"
+        "waitTime = powerlaw(1.5,10,3600)\nalpha = 0.3\nnoOfLocations = 4\nnodeCount = 60\n"
+        "simDuration = 3000\nseed = 1\n"
+    )
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    (report,) = reports
+    n = len(report.contact_log)
+    assert n > 10 * 256
+    assert max(expanded) == 256 and max(timed) == 257
+    # the rows are read three times: for the pair keys, the durations and the file
+    assert sum(expanded) == 3 * n
+    assert "contacts" not in vars(report)

@@ -304,7 +304,7 @@ def test_logs_are_record_arrays_with_pinned_fields():
         ("a", "b", "cell", "start", "end", "censored"),
     ]
     assert all(isinstance(log, np.recarray) for log in logs)
-    # the bytes per row that README quotes
+    # packed: each row is the sum of its fields' sizes
     assert [log.itemsize for log in logs] == [33, 34, 41, 41]
     assert len(report.waypoints) and len(report.selections) and len(report.contacts)
 
