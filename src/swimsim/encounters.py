@@ -11,9 +11,14 @@ who is paused where and until when; the pauses themselves are the
 engine's. It is the only writer of the nodes' seen counters
 (mobility.SeenCounters) during a run.
 
-No signal does work per bystander in Python: an arrival logs its
-contacts as one block and a departure settles only the leaving node's
-seen counters (see ContactTracker).
+No signal does work per bystander in Python. The tracker keeps the nodes
+paused at each cell as two typed arrays in the order their pauses began,
+their ids as an array("q") and their scheduled ends as an array("d"). An
+arrival logs its contacts as one block, and copies its bystanders' ids and
+ends into the log's columns of the same type codes as buffers, with no
+conversion per item. A departure deletes its node's entry by index, which
+keeps the others in order, and settles only the leaving node's seen
+counters (see ContactTracker).
 
 The tracker keeps the contact log compact: one block per arrival with
 bystanders (arriving node, cell, time, scheduled end, bystander count) and
@@ -143,6 +148,18 @@ def chunks(log) -> Iterator[np.recarray]:
         yield log[lo:lo + CHUNK_ROWS]
 
 
+class _Cell:
+    """The nodes paused at one cell, in the order their pauses began: their
+    ids as an array("q") and their scheduled ends as an array("d"), with
+    the count of arrivals at the cell so far."""
+
+    __slots__ = ("cell", "arrivals", "ids", "ends")
+
+    def __init__(self, cell: int):
+        self.cell, self.arrivals = cell, 0
+        self.ids, self.ends = array("q"), array("d")
+
+
 class ContactTracker:
     """Tracks who is paused where until when, and logs each contact as it opens.
 
@@ -157,6 +174,14 @@ class ContactTracker:
     symmetric mode, one per bystander it found there. So a node's counters
     are up to date from its departure signal until its next arrival.
 
+    Who is paused where is kept per cell, as a _Cell, and per node, as the
+    _Cell it is paused at, so a signal checks its node in O(1). An arrival
+    copies its cell's two arrays into the log's bystander columns, a
+    departure deletes its node's entry by index, and `finish`, after it
+    settles the nodes still paused, drops both. A node paused at any cell
+    cannot arrive; a departure of a node not paused at that cell is
+    ignored.
+
     A contact ends at the earlier of its members' scheduled departures and
     is censored iff that lies past the horizon given to `finish`. The log
     keeps one block per arrival with bystanders (arriving node, cell, time,
@@ -167,9 +192,9 @@ class ContactTracker:
 
     def __init__(self, seen: Sequence[SeenCounters], seen_update: str = "symmetric"):
         self.seen = seen
-        self.seen_update = seen_update
-        self._paused_at: dict[int, dict[int, float]] = {}  # cell -> {node: scheduled end}
-        self._arrivals: dict[int, int] = {}  # cell -> arrivals there so far
+        self._symmetric = seen_update == "symmetric"
+        self._cells: dict[int, _Cell] = {}  # made on a cell's first arrival
+        self._paused_at: list[_Cell | None] = [None] * len(seen)  # node -> its cell while paused
         # a node's cell's arrivals as of its own, less the bystanders it counts there
         self._marks = [0] * len(seen)
         self._now = -math.inf  # the latest signal's time
@@ -210,45 +235,62 @@ class ContactTracker:
     def on_arrival_signal(self, arriving: int, cell: int, now: float, end: float) -> None:
         """`arriving` pauses at `cell` from `now` until `end`, and meets the nodes paused there."""
         self._now = now
-        paused = self._paused_at.setdefault(cell, {})
-        if arriving in paused:
-            raise ValueError(f"node {arriving} is already paused at cell {cell}")
-        arrivals = self._arrivals.get(cell, 0) + 1
-        self._arrivals[cell] = arrivals
-        self._marks[arriving] = arrivals
-        count = len(paused)
+        paused_at = self._paused_at
+        if paused_at[arriving] is not None:
+            raise ValueError(
+                f"node {arriving} is already paused at cell {paused_at[arriving].cell}, "
+                f"so it cannot arrive at cell {cell}"
+            )
+        try:
+            paused = self._cells[cell]
+        except KeyError:
+            paused = self._cells[cell] = _Cell(cell)
+        paused_at[arriving] = paused
+        paused.arrivals = arrivals = paused.arrivals + 1
+        ids, ends = paused.ids, paused.ends
+        count = len(ids)
         if count:
             self._arriving.append(arriving)
             self._cell.append(cell)
             self._start.append(now)
             self._end.append(end)
             self._count.append(count)
-            self._others.extend(paused)
-            self._other_ends.extend(paused.values())
-            if self.seen_update == "symmetric":
+            # buffer copies, as the arrays share their type codes
+            self._others.extend(ids)
+            self._other_ends.extend(ends)
+            if self._symmetric:
                 # the bystanders count for the arriving node too, settled
                 # with the later arrivals
-                self._marks[arriving] -= count
-        paused[arriving] = end
+                arrivals -= count
+        self._marks[arriving] = arrivals
+        ids.append(arriving)
+        ends.append(end)
 
     def on_departure_signal(self, leaving: int, cell: int, now: float) -> None:
         """`leaving` leaves `cell`: settle its counts there; a node not paused there is ignored."""
         self._now = now
-        paused = self._paused_at.get(cell)
-        if paused is None or paused.pop(leaving, None) is None:
+        paused_at = self._paused_at
+        paused = paused_at[leaving]
+        if paused is None or paused.cell != cell:
             return
-        self._settle(leaving, cell)
+        paused_at[leaving] = None
+        # deleted by index, so the others stay in the order their pauses began
+        ids = paused.ids
+        index = ids.index(leaving)
+        del ids[index]
+        del paused.ends[index]
+        pending = paused.arrivals - self._marks[leaving]
+        if pending:
+            self.seen[leaving].add(cell, pending)
 
     def finish(self, until: float) -> None:
-        """End the run at `until`: settle the counts of the nodes still paused."""
+        """End the run at `until`: settle the counts of the nodes still paused,
+        and drop who is paused where."""
         self._now = self._until = until
-        for cell, paused in self._paused_at.items():
-            for node in paused:
-                self._settle(node, cell)
-            paused.clear()
-
-    def _settle(self, node: int, cell: int) -> None:
-        """Count `node`'s encounters at `cell` since its arrival there."""
-        pending = self._arrivals[cell] - self._marks[node]
-        if pending:
-            self.seen[node].add(cell, pending)
+        for paused in self._cells.values():
+            for node in paused.ids:
+                pending = paused.arrivals - self._marks[node]
+                if pending:
+                    self.seen[node].add(paused.cell, pending)
+        self._cells = {}
+        self._paused_at = [None] * len(self._paused_at)

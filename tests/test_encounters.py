@@ -178,6 +178,42 @@ def test_departure_of_a_node_not_paused_there_is_ignored():
         tracker.on_arrival_signal(1, 3, 3.0, 9.0)
 
 
+def test_a_node_paused_anywhere_cannot_arrive():
+    nodes = make_nodes(3)
+    tracker = tracker_for(nodes)
+    tracker.on_arrival_signal(0, 3, 1.0, 9.0)
+    with pytest.raises(ValueError, match="node 0 is already paused at cell 3, so it cannot arrive at cell 4"):
+        tracker.on_arrival_signal(0, 4, 2.0, 9.0)
+    # the refused arrival left node 0 paused at cell 3 only
+    tracker.on_arrival_signal(2, 4, 3.0, 9.0)
+    tracker.on_departure_signal(0, 3, 5.0)
+    tracker.on_arrival_signal(0, 4, 6.0, 9.0)
+    tracker.finish(10.0)
+    assert tracker.records.tolist() == [(0, 2, 4, 6.0, 9.0, False)]
+    assert [seen_dict(node.seen) for node in nodes] == [{4: 1}, {}, {4: 1}]
+
+
+def test_bystanders_keep_their_order_past_a_departure_from_the_middle():
+    # README's ordering rule: an arrival's contacts are logged in the order
+    # the bystanders' pauses began. Four nodes, so that moving the last
+    # node into the leaver's place would show
+    tracker = tracker_for(make_nodes(5))
+    for node in range(4):
+        tracker.on_arrival_signal(node, 5, float(node), 20.0 + node)
+    tracker.on_departure_signal(1, 5, 4.0)
+    tracker.on_arrival_signal(4, 5, 5.0, 30.0)
+    tracker.on_arrival_signal(1, 5, 6.0, 31.0)
+    tracker.finish(40.0)
+    records = tracker.records
+
+    def bystanders(arriving, start):
+        """The bystanders of `arriving`'s arrival at `start`, with their contacts' ends."""
+        return [(int(r.a + r.b - arriving), float(r.end)) for r in records if r.start == start]
+
+    assert bystanders(4, 5.0) == [(0, 20.0), (2, 22.0), (3, 23.0)]
+    assert bystanders(1, 6.0) == [(0, 20.0), (2, 22.0), (3, 23.0), (4, 30.0)]
+
+
 def test_seen_sum_identity_on_run():
     report = simulate(make_params())
     assert int(report.seen.sum()) == 2 * len(report.contacts)
