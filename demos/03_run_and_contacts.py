@@ -37,25 +37,26 @@ params = ModelParams(
 
 report = simulate(params)
 print(f"processed {report.events_processed} events over {params.sim_duration:.0f} s")
-print(f"waypoints: {len(report.waypoints)}, contacts: {len(report.contacts)}")
+print(f"waypoints: {len(report.waypoints)}, contacts: {len(report.contact_log)}")
 
-stats = selection_stats(report.selections)
+stats = selection_stats(report.selection_counts)
 print(
     f"destination types: {stats.near} neighbouring / {stats.visiting} visiting "
     f"({stats.near_fraction:.3f} near, {stats.fallbacks} fallbacks)"
 )
 
-ict = inter_contact_times(report.contacts)
-dur = contact_durations(report.contacts)
+ict = inter_contact_times(report.contact_log)
+dur = contact_durations(report.contact_log)
 print(f"inter-contact times: n={ict.samples} mean={ict.mean:.1f} s max={ict.max:.0f} s")
 print(f"contact durations:   n={dur.samples} mean={dur.mean:.1f} s max={dur.max:.0f} s")
 
 outputs.write_locations_file(report.location_map, out / "locations.csv")
 outputs.write_waypoints(report.waypoints, out / "waypoints.csv")
-outputs.write_contacts_csv(report.contacts, out / "contacts.csv")
+outputs.write_contacts_csv(report.contact_log, out / "contacts.csv")
 outputs.write_ccdf_csv(ict.ccdf, out / "ccdf_inter_contact_times.csv")
 outputs.write_ccdf_csv(dur.ccdf, out / "ccdf_contact_durations.csv")
-outputs.write_metrics_json(metrics_report(report.contacts, report.selections), out / "metrics.json")
+metrics = metrics_report(report.contact_log, report.selection_counts)
+outputs.write_metrics_json(metrics, out / "metrics.json")
 print(f"wrote traces and metrics under {out}/")
 
 # the CCDF is the heavy-tail view: fraction of gaps at least this long

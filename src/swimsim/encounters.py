@@ -28,8 +28,7 @@ row's block), into a numpy record array with fields a, b, cell, start,
 end and censored, one row per contact in the order the contacts opened;
 an open contact's end is NaN. The readers of a finished log (metrics,
 outputs) take it CHUNK_ROWS rows at a time (chunks), so a run never
-holds the log's rows all at once; a whole record array goes through the
-same readers, as its own chunks.
+holds the log's rows all at once.
 """
 
 from __future__ import annotations
@@ -61,9 +60,9 @@ class ContactLog:
     `len(log)` is its row count, and `log[rows]`, for a slice or an array
     of row indices, expands those rows into a CONTACT_DTYPE record array,
     as indexing the log's record array would give them; `times(rows)`
-    gives only their starts and ends. A row reads its block's columns
-    through the block index, each row's block as an int32 (4 bytes per
-    row), built on the first read. A finished log (`finished`) ends each
+    gives only their starts, ends and censored flags. A row reads its
+    block's columns through the block index, each row's block as an int32
+    (4 bytes per row), built on the first read. A finished log (`finished`) ends each
     contact that ends past `horizon` there, censored; an unfinished one
     has each contact that ends past `horizon`, the latest signal, open.
     While a ContactLog is alive its tracker's columns cannot grow, so a run
@@ -88,13 +87,15 @@ class ContactLog:
         del arriving, others
         log["cell"] = self._cell[block]
         log["start"] = self._start[block]
-        log["end"] = self._ends(index, block, out=log["censored"])
+        log["end"] = self._ends(index, block, log["censored"])
         return log.view(np.recarray)
 
-    def times(self, index) -> tuple[np.ndarray, np.ndarray]:
-        """The start and the end of the rows `index`, as `self[index]` has them."""
+    def times(self, index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The start, the end and the censored flag of the rows `index`, as
+        `self[index]` has them."""
         block = self._block[index]
-        return self._start[block], self._ends(index, block)
+        censored = np.empty(len(block), dtype=bool)
+        return self._start[block], self._ends(index, block, censored), censored
 
     @property
     def records(self) -> np.recarray:
@@ -109,41 +110,29 @@ class ContactLog:
         """The block index: each row's block."""
         return np.repeat(np.arange(len(self._counts), dtype=np.int32), self._counts)
 
-    def _ends(self, index, block, out=None) -> np.ndarray:
-        """The end of the rows `index`, of blocks `block`, and into `out`
+    def _ends(self, index, block, censored: np.ndarray) -> np.ndarray:
+        """The end of the rows `index`, of blocks `block`, and into `censored`
         whether each is censored."""
         end = np.minimum(self._end[block], self._other_ends[index])
         if self.finished:
-            if out is not None:
-                np.greater(end, self.horizon, out=out)
+            np.greater(end, self.horizon, out=censored)
             np.minimum(end, self.horizon, out=end)
         else:
-            if out is not None:
-                out[...] = False
+            censored[...] = False
             end[end > self.horizon] = math.nan
         return end
 
 
-def finished_log(log):
-    """The contact log `log`, a record array or a ContactLog, checked to have
-    no contact open."""
-    unfinished = not log.finished if isinstance(log, ContactLog) else np.isnan(log.end).any()
-    if unfinished:
+def finished_log(log: ContactLog) -> ContactLog:
+    """The contact log `log`, checked to have no contact open."""
+    if not log.finished:
         raise ValueError("contact log has open contacts: finish the run first")
     return log
 
 
-def times(log, rows) -> tuple[np.ndarray, np.ndarray]:
-    """The start and the end of the rows `rows` (an array of row indices) of
-    the contact log `log`, a record array or a ContactLog."""
-    if isinstance(log, ContactLog):
-        return log.times(rows)
-    return log.start[rows], log.end[rows]
-
-
-def chunks(log) -> Iterator[np.recarray]:
-    """The rows of the contact log `log`, a record array or a ContactLog, in
-    order, as record arrays of CHUNK_ROWS rows, the last one shorter."""
+def chunks(log: ContactLog) -> Iterator[np.recarray]:
+    """The rows of the contact log `log`, in order, as record arrays of
+    CHUNK_ROWS rows, the last one shorter."""
     for lo in range(0, len(log), CHUNK_ROWS):
         yield log[lo:lo + CHUNK_ROWS]
 
@@ -186,8 +175,7 @@ class ContactTracker:
     is censored iff that lies past the horizon given to `finish`. The log
     keeps one block per arrival with bystanders (arriving node, cell, time,
     scheduled end, bystander count) and one id and scheduled end per
-    bystander; `log` reads them as a ContactLog and `records` expands them
-    into one record array.
+    bystander; `log` reads them as a ContactLog.
     """
 
     def __init__(self, seen: Sequence[SeenCounters], seen_update: str = "symmetric"):
@@ -220,17 +208,6 @@ class ContactTracker:
             blocks, np.frombuffer(self._others, dtype=np.int64), np.frombuffer(self._other_ends),
             self._until if finished else self._now, finished,
         )
-
-    @property
-    def records(self) -> np.recarray:
-        """A copy of the contact log so far, one row per contact in opening order.
-
-        Before `finish`, a contact that ends after the latest signal is open
-        (its end is NaN); after it, a contact that ends past the horizon
-        ends there, censored. The views the copy is read through are
-        released on return, so the tracker can grow its columns again.
-        """
-        return self.log.records
 
     def on_arrival_signal(self, arriving: int, cell: int, now: float, end: float) -> None:
         """`arriving` pauses at `cell` from `now` until `end`, and meets the nodes paused there."""

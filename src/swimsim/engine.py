@@ -287,6 +287,8 @@ def run(state: SimulationState, until: float, trace=True) -> SimulationReport:
         raise ValueError(f"until={until} is not finite")
     if until < state.now:
         raise ValueError(f"until={until} is before now={state.now}")
+    if not (trace is True or trace is False or callable(trace)):
+        raise ValueError(f"trace={trace!r} is neither True, False nor callable")
     queue, nodes, uniforms = state.queue, state.nodes, state.uniforms
     location_map, params = state.location_map, state.params
     speed, wait = params.speed, params.wait

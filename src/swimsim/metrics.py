@@ -5,16 +5,15 @@ common distribution summary. Censored records (still open at the end of a
 run) never contribute a duration, and gaps touching a censored record are
 dropped because the true gap is unknown. CCDFs are evaluated at 50
 log-spaced thresholds for heavy-tail inspection. The pipelines take a
-finished contact log, a run's compact encounters.ContactLog or a whole
-record array, and read both through the same code: a chunk of rows at a
-time (encounters.chunks), or the rows they gather by index. Beyond the
-log, a pipeline holds at most two columns as long as it at a time, and
-never a record array of it. A log with a contact still open, one whose end is NaN, is rejected where
-it enters (finished_log). The inter-contact times and the contacts per
-pair come from one grouping of the rows by pair (_pairs), which
-metrics_report makes once per run. Selection statistics are read from a
-run's per-node selection counts, which a selection log is folded into by
-the engine's own fold (mobility.selection_counts).
+run's finished contact log (encounters.ContactLog) and read it a chunk of
+rows at a time (encounters.chunks, or ContactLog.times for the starts,
+ends and censored flags alone), or the rows they gather by index. Beyond
+the log, a pipeline holds at most two columns as long as it at a time,
+and never a record array of it. A log with a contact still open is
+rejected where it enters (finished_log). The inter-contact times and the
+contacts per pair come from one grouping of the rows by pair (_pairs),
+which metrics_report makes once per run. Selection statistics are read
+from a run's per-node selection counts.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ from operator import mul
 import numpy as np
 
 from . import encounters
-from .encounters import chunks, finished_log, times
-from .mobility import selection_counts
+from .encounters import chunks, finished_log
 
 CCDF_POINTS = 50
 
@@ -55,7 +53,7 @@ class DistributionSummary:
 
 def summarize(values) -> DistributionSummary:
     """Summary statistics plus a CCDF over log-spaced thresholds."""
-    arr = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=float)
+    arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         return DistributionSummary(0, None, None, None, [])
     ordered = np.sort(arr)
@@ -127,14 +125,12 @@ def _pairs(log) -> tuple[np.ndarray, np.ndarray]:
     2**32.
 
     Each column as long as the log is dropped once used, so at most two
-    are held, with the 1-byte censored flags. The log's rows are read
-    twice: a chunk at a time for the keys and the flags, and then, for
-    the gaps, a chunk of the walk at a time, gathering the start and the
-    end of the rows it pairs.
+    are held. The log's rows are read twice: a chunk at a time for the
+    keys, and then, for the gaps, a chunk of the walk at a time, gathering
+    the start, the end and the censored flag of the rows it pairs.
     """
     n = len(log)
     keys = np.empty(n, dtype=np.int64)
-    censored = np.empty(n, dtype=bool)
     lo = 0
     for chunk in chunks(log):
         hi = lo + len(chunk)
@@ -146,7 +142,6 @@ def _pairs(log) -> tuple[np.ndarray, np.ndarray]:
         np.subtract(a, 2**31, out=keys[lo:hi])
         keys[lo:hi] *= 2**32
         keys[lo:hi] += b
-        censored[lo:hi] = chunk.censored
         lo = hi
     by_pair = np.argsort(keys)
     keys.sort()
@@ -166,11 +161,10 @@ def _pairs(log) -> tuple[np.ndarray, np.ndarray]:
     for lo in range(0, n - 1, encounters.CHUNK_ROWS):
         step = walk[lo:lo + encounters.CHUNK_ROWS + 1]
         pair = step // n
-        rows = step - pair * n
+        start, end, censored = log.times(step - pair * n)
         known = pair[1:] == pair[:-1]
-        known &= ~censored[rows[:-1]]
-        known &= ~censored[rows[1:]]
-        start, end = times(log, rows)
+        known &= ~censored[:-1]
+        known &= ~censored[1:]
         gap = start[1:][known]
         np.subtract(gap, end[:-1][known], out=gaps[found:found + len(gap)])
         found += len(gap)
@@ -183,13 +177,15 @@ def inter_contact_times(log) -> DistributionSummary:
 
 def _durations_and_counts(log) -> tuple[np.ndarray, int, int]:
     """Durations of finished contacts in log order, and the log's censored and
-    zero-length finished contacts; zero-length ones carry no information."""
+    zero-length finished contacts; zero-length ones carry no information.
+    Only the starts, ends and censored flags are read, a chunk at a time."""
     lengths = np.empty(len(log))
     found = censored = zero = 0
-    for chunk in chunks(log):
-        finished = ~chunk.censored
-        censored += len(chunk) - int(np.count_nonzero(finished))
-        length = chunk.end - chunk.start  # 0 exactly where end == start
+    for lo in range(0, len(log), encounters.CHUNK_ROWS):
+        start, end, flags = log.times(slice(lo, lo + encounters.CHUNK_ROWS))
+        finished = ~flags
+        censored += len(flags) - int(np.count_nonzero(finished))
+        length = end - start  # 0 exactly where end == start
         zero += int(np.count_nonzero(finished & (length == 0)))
         part = length[finished & (length > 0)]
         lengths[found:found + len(part)] = part
@@ -241,16 +237,10 @@ class SelectionStats:
 def selection_stats(selections) -> SelectionStats:
     """Destination-type tallies per node and overall; fallbacks counted apart.
 
-    `selections` is a run's per-node counts (`report.selection_counts`),
-    or a selection log (`report.selections`, a record array with `node`,
-    `visiting` and `fallback` fields), which is folded into such counts
-    first. A node with no departure has no entry in `per_node`.
+    `selections` is a run's per-node counts (`report.selection_counts`):
+    rows of departures, visiting draws and fallbacks, one column per node.
+    A node with no departure has no entry in `per_node`.
     """
-    if selections.dtype.names:
-        selections = selection_counts(
-            selections["node"], selections["visiting"], selections["fallback"],
-            int(selections["node"].max(initial=-1)) + 1,
-        )
     nodes = np.flatnonzero(selections[0])
     per_node = {
         node: {"neighbouring": t - v, "visiting": v, "fallbacks": f}
@@ -271,9 +261,8 @@ def selection_stats(selections) -> SelectionStats:
 def metrics_report(contacts, selections) -> dict:
     """Structured metrics for JSON export.
 
-    `contacts` is a run's finished contact log, its compact
-    `report.contact_log` or the record array `report.contacts`;
-    `selections` its selection counts or log, as for selection_stats. The
+    `contacts` is a run's finished contact log (`report.contact_log`) and
+    `selections` its selection counts, as for selection_stats. The
     three distribution summaries are built here, once per run; `swimsim
     run` writes their CCDF files from the `ccdf` lists of this dict. The
     log's rows are grouped by pair once, for the gaps and the counts per

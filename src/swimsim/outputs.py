@@ -4,12 +4,12 @@ Numeric fields are 6-decimal fixed point, so a fixed config and seed give
 byte-identical files. Each writer takes the data it writes (a location
 map, the waypoint log, a contact log, CCDF pairs, a metrics dict or sweep
 rows), not a whole run report, and `swimsim run` calls them all from one
-loop. The waypoint log is a numpy record array, and the contact log one
-or a run's compact encounters.ContactLog; both are written a chunk of
-rows at a time. Every CSV but the sweep's is formatted by one
-column-wise kernel, _csv_rows, which gives the bytes of `%`-formatting
-row by row without formatting any row in Python but the rare ones it
-cannot round exactly. At run time this module imports no other swimsim
+loop. The waypoint log is a numpy record array, and the contact log a
+run's compact encounters.ContactLog; both are written a chunk of rows at
+a time. Every CSV but the sweep's is formatted by one column-wise
+kernel, _csv_rows, which gives the bytes of `%`-formatting row by row
+without formatting any row in Python but the rare ones it cannot round
+exactly. At run time this module imports no other swimsim
 module apart from the grid, whose cell bounds the locations files hold,
 and the contact log's check for open contacts and its chunks.
 """
@@ -126,15 +126,14 @@ def waypoint_writer(file):
     return write
 
 
-def write_contacts_csv(records, path) -> None:
-    """Contact log export, one `a,b,cell,start,end,censored` row per record.
+def write_contacts_csv(log, path) -> None:
+    """Contact log export, one `a,b,cell,start,end,censored` row per contact.
 
-    `records` is a run's finished contact log, its compact
-    `report.contact_log` or the record array `report.contacts`. Beyond the
+    `log` is a run's finished contact log (`report.contact_log`). Beyond the
     log, the writer holds one chunk of its rows (encounters.chunks) and
     that chunk's text and parts at a time, nothing by the log's largest id.
     """
-    log = finished_log(records)
+    finished_log(log)
     with open(path, "wb") as f:
         f.write(b"a,b,cell,start,end,censored\n")
         for chunk in chunks(log):
@@ -142,6 +141,7 @@ def write_contacts_csv(records, path) -> None:
                 f, (chunk.a, chunk.b, chunk.cell, chunk.start, chunk.end, chunk.censored),
                 (INT, INT, INT, FLOAT, FLOAT, ("0", "1")),
             )
+            del chunk  # freed before the next one is expanded
 
 
 def write_ccdf_csv(ccdf, path) -> None:

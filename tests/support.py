@@ -3,7 +3,7 @@ plain values, and a contact log from rows."""
 
 import numpy as np
 
-from swimsim.encounters import CONTACT_DTYPE
+from swimsim.encounters import CONTACT_DTYPE, ContactLog
 from swimsim.grid import cell_of
 from swimsim.mobility import OffsetTable, make_node_state
 
@@ -27,5 +27,13 @@ def add_row(seen, row):
 
 
 def contact_rows(rows):
-    """A contact log as a run gives it, from (a, b, cell, start, end, censored) tuples."""
-    return np.array(rows, dtype=CONTACT_DTYPE).view(np.recarray)
+    """A finished contact log as a run gives it (a ContactLog), one block per
+    (a, b, cell, start, end, censored) tuple: a arrives at the cell at
+    `start` and meets b, both staying until `end`. The horizon is the latest
+    start or uncensored end, and a censored row's end is put past it, so
+    the log itself ends that contact at the horizon, censored."""
+    log = np.array(rows, dtype=CONTACT_DTYPE)
+    horizon = max(log["start"].max(initial=0.0), log["end"][~log["censored"]].max(initial=0.0))
+    end = np.where(log["censored"], np.inf, log["end"])
+    blocks = (log["a"], log["cell"], log["start"], end, np.ones(len(log), dtype=np.int64))
+    return ContactLog(blocks, log["b"], end, horizon, finished=True)

@@ -194,7 +194,7 @@ def test_criterion_2_alpha_ordering_and_step1_binomial():
             fractions = {}
             for alpha in (0.3, 0.8):
                 report = simulate(reference_params(alpha, sim_duration=10000.0, seed=seed))
-                stats = selection_stats(report.selections)
+                stats = selection_stats(report.selection_counts)
                 fractions[alpha] = stats.near_fraction
                 homes = {p.node: p.cell for p in report.pauses if p.start == 0.0}
                 # nodes with an empty visiting set fall back; the binomial
@@ -380,16 +380,16 @@ def test_criterion_8_metrics_match_brute_force_on_fuzzed_logs():
                     t = end
             log = contact_rows(log)
             gaps, counts = _pairs(log)
-            assert sorted(gaps.tolist()) == oracle_ict(log)
-            assert sorted(_durations(log).tolist()) == oracle_durations(log)
-            assert sorted(counts.tolist()) == oracle_pair_counts(log)
+            assert sorted(gaps.tolist()) == oracle_ict(log.records)
+            assert sorted(_durations(log).tolist()) == oracle_durations(log.records)
+            assert sorted(counts.tolist()) == oracle_pair_counts(log.records)
 
 
 def test_criterion_9_ict_ccdf_shape(reference_reports):
     with criterion(9, "pooled ICT CCDF monotone and spanning >= 2 decades"):
         pooled = []
         for report in reference_reports.values():
-            pooled.extend(_pairs(report.contacts)[0].tolist())
+            pooled.extend(_pairs(report.contact_log)[0].tolist())
         positive = [s for s in pooled if s > 0]
         assert positive
         decades = math.log10(max(positive) / min(positive))

@@ -58,7 +58,7 @@ def test_lone_arrival_is_a_noop():
     tracker.on_arrival_signal(0, 3, 1.0, 4.0)
     assert nodes[0].seen.total == 0
     assert nodes[1].seen.total == 0
-    assert len(tracker.records) == 0
+    assert len(tracker.log) == 0
 
 
 def test_pair_arrival_opens_contact():
@@ -66,8 +66,8 @@ def test_pair_arrival_opens_contact():
     tracker = tracker_for(nodes)
     tracker.on_arrival_signal(0, 3, 1.0, 6.0)
     tracker.on_arrival_signal(1, 3, 2.5, 8.0)
-    assert len(tracker.records) == 1
-    record = tracker.records[0]
+    assert len(tracker.log) == 1
+    record = tracker.log.records[0]
     assert (record.a, record.b, record.cell, record.start) == (0, 1, 3, 2.5)
     assert math.isnan(record.end)  # ends at 6.0, after the latest signal
     tracker.on_departure_signal(0, 3, 6.0)  # settles the bystander's counts
@@ -87,7 +87,7 @@ def test_arrival_with_two_paused_counts_both():
     assert seen_dict(nodes[0].seen) == {5: 2}  # one from node 1 arriving, one from node 2
     assert seen_dict(nodes[1].seen) == {5: 2}
     assert seen_dict(nodes[2].seen) == {5: 2}  # one per bystander found on arrival
-    assert len(tracker.records) == 3
+    assert len(tracker.log) == 3
 
 
 def test_nodes_elsewhere_ignore_signal():
@@ -98,7 +98,7 @@ def test_nodes_elsewhere_ignore_signal():
     tracker.finish(10.0)
     assert nodes[0].seen.total == 0
     assert nodes[1].seen.total == 0
-    assert len(tracker.records) == 0
+    assert len(tracker.log) == 0
 
 
 def test_bystanders_only_mode():
@@ -109,7 +109,7 @@ def test_bystanders_only_mode():
     tracker.finish(10.0)  # settles the bystander's counts
     assert seen_dict(nodes[0].seen) == {3: 1}  # bystander still updates
     assert seen_dict(nodes[1].seen) == {}  # arriving node does not
-    assert len(tracker.records) == 1
+    assert len(tracker.log) == 1
 
 
 def test_departure_closes_overlap():
@@ -118,11 +118,11 @@ def test_departure_closes_overlap():
     tracker.on_arrival_signal(0, 3, 1.0, 6.0)
     tracker.on_arrival_signal(1, 3, 2.0, 8.0)
     tracker.on_departure_signal(0, 3, 6.0)
-    record = tracker.records[0]
+    record = tracker.log.records[0]
     assert (record.start, record.end, record.censored) == (2.0, 6.0, False)
     # second departure has nothing left to close
     tracker.on_departure_signal(1, 3, 8.0)
-    assert len(tracker.records) == 1
+    assert len(tracker.log) == 1
 
 
 def test_zero_length_overlap_kept():
@@ -132,7 +132,7 @@ def test_zero_length_overlap_kept():
     tracker.on_arrival_signal(0, 3, 1.0, 5.0)
     tracker.on_arrival_signal(1, 3, 5.0, 9.0)
     tracker.on_departure_signal(0, 3, 5.0)
-    record = tracker.records[0]
+    record = tracker.log.records[0]
     assert record.start == record.end == 5.0
     assert not record.censored
 
@@ -143,7 +143,7 @@ def test_finish_censors_open_contacts():
     tracker.on_arrival_signal(0, 3, 1.0, 12.0)
     tracker.on_arrival_signal(1, 3, 2.0, 15.0)
     tracker.finish(10.0)
-    record = tracker.records[0]
+    record = tracker.log.records[0]
     assert (record.end, record.censored) == (10.0, True)
 
 
@@ -160,7 +160,7 @@ def test_bystander_counts_settle_at_departure():
     tracker.on_departure_signal(0, 5, 9.0)  # met 1 and then 2 while paused
     assert [seen_dict(node.seen) for node in nodes] == [{5: 2}, {5: 1}, {5: 1}]
     assert [node.seen.total for node in nodes] == [2, 1, 1]
-    assert sorted(tracker.records.tolist()) == [
+    assert sorted(tracker.log.records.tolist()) == [
         (0, 1, 5, 2.0, 3.0, False),
         (0, 2, 5, 4.0, 6.0, False),
     ]
@@ -173,7 +173,7 @@ def test_departure_of_a_node_not_paused_there_is_ignored():
     tracker.on_departure_signal(1, 3, 2.0)
     tracker.on_departure_signal(0, 4, 2.0)
     tracker.on_arrival_signal(1, 3, 2.5, 8.0)
-    assert [(r.a, r.b, r.cell, r.start) for r in tracker.records] == [(0, 1, 3, 2.5)]
+    assert [(r.a, r.b, r.cell, r.start) for r in tracker.log.records] == [(0, 1, 3, 2.5)]
     with pytest.raises(ValueError, match="already paused"):
         tracker.on_arrival_signal(1, 3, 3.0, 9.0)
 
@@ -189,7 +189,7 @@ def test_a_node_paused_anywhere_cannot_arrive():
     tracker.on_departure_signal(0, 3, 5.0)
     tracker.on_arrival_signal(0, 4, 6.0, 9.0)
     tracker.finish(10.0)
-    assert tracker.records.tolist() == [(0, 2, 4, 6.0, 9.0, False)]
+    assert tracker.log.records.tolist() == [(0, 2, 4, 6.0, 9.0, False)]
     assert [seen_dict(node.seen) for node in nodes] == [{4: 1}, {}, {4: 1}]
 
 
@@ -204,7 +204,7 @@ def test_bystanders_keep_their_order_past_a_departure_from_the_middle():
     tracker.on_arrival_signal(4, 5, 5.0, 30.0)
     tracker.on_arrival_signal(1, 5, 6.0, 31.0)
     tracker.finish(40.0)
-    records = tracker.records
+    records = tracker.log.records
 
     def bystanders(arriving, start):
         """The bystanders of `arriving`'s arrival at `start`, with their contacts' ends."""
@@ -216,22 +216,31 @@ def test_bystanders_keep_their_order_past_a_departure_from_the_middle():
 
 def test_seen_sum_identity_on_run():
     report = simulate(make_params())
-    assert int(report.seen.sum()) == 2 * len(report.contacts)
+    assert int(report.seen.sum()) == 2 * len(report.contact_log)
 
 
 def test_seen_sum_identity_bystanders_only():
     report = simulate(make_params(seen_update="bystanders_only"))
-    assert int(report.seen.sum()) == len(report.contacts)
+    assert int(report.seen.sum()) == len(report.contact_log)
+
+
+def csv_text(records):
+    """contacts.csv as `%` formatting gives it, row by row, for a record array of contacts."""
+    return "a,b,cell,start,end,censored\n" + "".join(
+        f"{a},{b},{cell},{start:.6f},{end:.6f},{int(censored)}\n"
+        for a, b, cell, start, end, censored in records.tolist()
+    )
 
 
 def test_contacts_csv_format(tmp_path):
     report = simulate(make_params(sim_duration=2000.0))
     path = tmp_path / "contacts.csv"
-    write_contacts_csv(report.contacts, path)
+    write_contacts_csv(report.contact_log, path)
     lines = path.read_text().splitlines()
+    records = report.contact_log.records
     assert lines[0] == "a,b,cell,start,end,censored"
-    assert len(lines) == 1 + len(report.contacts)
-    for line, record in zip(lines[1:], report.contacts):
+    assert len(lines) == 1 + len(records)
+    for line, record in zip(lines[1:], records):
         a, b, cell, start, end, censored = line.split(",")
         assert (int(a), int(b), int(cell)) == (record.a, record.b, record.cell)
         assert start == f"{record.start:.6f}"
@@ -249,19 +258,22 @@ def test_contacts_csv_matches_row_formatting(tmp_path, monkeypatch):
         a, b = sorted(rng.choice(40, size=2, replace=False).tolist())
         start, end = sorted(rng.choice(times, size=2).tolist())
         rows.append((a, b, int(rng.integers(0, 30)), start, end, bool(rng.random() < 0.3)))
-    expected = "a,b,cell,start,end,censored\n" + "".join(
-        f"{a},{b},{cell},{start:.6f},{end:.6f},{int(censored)}\n"
-        for a, b, cell, start, end, censored in rows
-    )
+    log = contact_rows(rows)
+    assert log.records.censored.any() and not log.records.censored.all()
     path = tmp_path / "contacts.csv"
-    write_contacts_csv(contact_rows(rows), path)
-    assert path.read_text() == expected
+    write_contacts_csv(log, path)
+    assert path.read_text() == csv_text(log.records)
 
 
 def test_contacts_csv_rejects_open_contacts(tmp_path):
+    # the contact ends at 6.0, after the latest signal, and the run is not finished
+    tracker = tracker_for(make_nodes(2))
+    tracker.on_arrival_signal(0, 3, 1.0, 6.0)
+    tracker.on_arrival_signal(1, 3, 2.0, 8.0)
+    path = tmp_path / "contacts.csv"
     with pytest.raises(ValueError, match="open contacts"):
-        write_contacts_csv(contact_rows([(0, 1, 3, 2.0, math.nan, False)]),
-                           tmp_path / "contacts.csv")
+        write_contacts_csv(tracker.log, path)
+    assert not path.exists()
 
 
 def test_contacts_csv_memory_follows_the_ids_held(tmp_path):
@@ -300,12 +312,12 @@ def replay(tracker, steps):
 
 
 def test_records_snapshot_survives_later_signals():
-    # records reads the tracker's columns through views; they must be
-    # released on return, or the next signal could not grow the columns
+    # the log reads the tracker's columns through views; they must be
+    # released with it, or the next signal could not grow the columns
     signals, now = random_signals(5, 400, 8, 2)
     tracker = tracker_for(make_nodes(8))
     replay(tracker, signals[:200])
-    snapshot = tracker.records
+    snapshot = tracker.log.records
     kept = snapshot.copy()
     replay(tracker, signals[200:])
     tracker.finish(now)
@@ -314,8 +326,8 @@ def test_records_snapshot_survives_later_signals():
     fresh.finish(now)
     # bytes, since an open contact's end is NaN
     assert snapshot.tobytes() == kept.tobytes()
-    assert len(tracker.records) > len(snapshot) > 0
-    assert tracker.records.tobytes() == fresh.records.tobytes()
+    assert len(tracker.log) > len(snapshot) > 0
+    assert tracker.log.records.tobytes() == fresh.log.records.tobytes()
 
 
 def test_contact_pipeline_peak_per_contact(tmp_path, monkeypatch):
@@ -328,7 +340,7 @@ def test_contact_pipeline_peak_per_contact(tmp_path, monkeypatch):
     )
     state = initialize(params)
     report = run(state, params.sim_duration)
-    n = len(report.contacts)
+    n = len(report.contact_log)
     assert n >= 20_000
     # the writer holds one chunk's text at a time; fewer rows per write
     # keep that small against the log, so that what grows with it shows
@@ -343,9 +355,9 @@ def test_contact_pipeline_peak_per_contact(tmp_path, monkeypatch):
         finally:
             tracemalloc.stop()
 
-    assert peak_per_contact(lambda: state.tracker.records) <= 41 + 16
-    assert peak_per_contact(metrics_report, report.contacts, report.selections) <= 44
-    assert peak_per_contact(write_contacts_csv, report.contacts, tmp_path / "contacts.csv") <= 8
+    assert peak_per_contact(lambda: state.tracker.log.records) <= 41 + 16
+    assert peak_per_contact(metrics_report, report.contact_log, report.selection_counts) <= 44
+    assert peak_per_contact(write_contacts_csv, report.contact_log, tmp_path / "contacts.csv") <= 8
 
 
 def contact_outputs(log, selections, path):
@@ -365,12 +377,14 @@ CROWDED = dict(
 @pytest.mark.parametrize("rows", [1, 7, encounters.CHUNK_ROWS])
 @pytest.mark.parametrize("seen_update", ["symmetric", "bystanders_only"])
 def test_compact_log_gives_the_whole_logs_outputs(tmp_path, monkeypatch, rows, seen_update):
-    # the compact log, read a chunk at a time, against the whole record
-    # array read at the default chunk size: the chunks' edges move no byte
+    # the compact log read `rows` rows at a time against the same log read
+    # at the default chunk size, whose file is the whole record array's
+    # rows formatted one by one: the chunks' edges move no byte
     report = simulate(make_params(**CROWDED, seen_update=seen_update), trace=False)
     whole = report.contact_log.records
-    expected = contact_outputs(whole, report.selection_counts, tmp_path / "whole.csv")
+    expected = contact_outputs(report.contact_log, report.selection_counts, tmp_path / "whole.csv")
     assert len(whole) > 2000 and whole.censored.any()
+    assert expected[0].decode() == csv_text(whole)
     monkeypatch.setattr(encounters, "CHUNK_ROWS", rows)
     assert report.contact_log.records.tobytes() == whole.tobytes()
     got = contact_outputs(report.contact_log, report.selection_counts, tmp_path / "compact.csv")
@@ -386,11 +400,12 @@ def test_compact_log_splits_pairs_and_censored_contacts_across_chunks(tmp_path, 
     tracker = tracker_for(make_nodes(4))
     replay(tracker, signals)
     tracker.finish(now)
-    whole = tracker.records
+    whole = tracker.log.records
     pairs = Counter(zip(whole.a.tolist(), whole.b.tolist()))
     assert min(pairs.values()) > 7 and whole.censored.any()
     no_selections = np.zeros((3, 4), dtype=np.int64)
-    expected = contact_outputs(whole, no_selections, tmp_path / "whole.csv")
+    expected = contact_outputs(tracker.log, no_selections, tmp_path / "whole.csv")
+    assert expected[0].decode() == csv_text(whole)
     # the gaps in walk order: pairs as they first appear, each pair's rows in log order
     by_pair = {}
     for row in whole:
@@ -450,8 +465,9 @@ def test_run_contact_stage_peak_per_contact(tmp_path, monkeypatch):
 
 def test_untraced_run_expands_one_chunk_at_a_time(tmp_path, monkeypatch):
     # `swimsim run` never builds the contact log's record array: every row
-    # it reads is expanded from the compact log, a chunk at a time, and the
-    # gaps read one row more, their overlap
+    # it reads is expanded from the compact log, a chunk at a time, or read
+    # as starts, ends and flags alone, and the gaps read one row more, their
+    # overlap
     monkeypatch.setattr(encounters, "CHUNK_ROWS", 256)
     expanded, timed, reports = [], [], []
     getitem, times = ContactLog.__getitem__, ContactLog.times
@@ -462,9 +478,9 @@ def test_untraced_run_expands_one_chunk_at_a_time(tmp_path, monkeypatch):
         return rows
 
     def counted_times(log, index):
-        start, end = times(log, index)
+        start, end, censored = times(log, index)
         timed.append(len(start))
-        return start, end
+        return start, end, censored
 
     def whole_log(log):
         raise AssertionError("the whole contact log was built")
@@ -488,6 +504,7 @@ def test_untraced_run_expands_one_chunk_at_a_time(tmp_path, monkeypatch):
     n = len(report.contact_log)
     assert n > 10 * 256
     assert max(expanded) == 256 and max(timed) == 257
-    # the rows are read three times: for the pair keys, the durations and the file
-    assert sum(expanded) == 3 * n
+    # the rows are expanded twice, for the pair keys and the file; the
+    # durations and the gaps read only their starts, ends and flags
+    assert sum(expanded) == 2 * n
     assert "contacts" not in vars(report)

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import io
 import math
 import tracemalloc
 from collections import Counter
@@ -276,15 +277,15 @@ def test_run_zero_horizon(tmp_path):
     state = initialize(make_params(node_count=3))
     report = run(state, until=0.0)
     assert report.events_processed == 0
-    assert len(report.contacts) == 0
+    assert len(report.contact_log) == 0
     assert report.waypoints.tolist() == []
     # with no waypoint, the pause log is each node's pause at home, censored at 0
     assert report.pauses.tolist() == [(node.id, node.home, 0.0, 0.0, True) for node in state.nodes]
     # a zero-event report goes through the summaries and the trace writer
-    stats = selection_stats(report.selections)
+    stats = selection_stats(report.selection_counts)
     assert (stats.total, stats.near_fraction, stats.visiting_fraction) == (0, 0.0, 0.0)
     assert stats.per_node == {}
-    selection = metrics_report(report.contacts, report.selections)["selection"]
+    selection = metrics_report(report.contact_log, report.selection_counts)["selection"]
     assert selection["total"] == 0 and selection["per_node"] == {}
     assert selection["neighbouring_fraction"] == selection["visiting_fraction"] == 0.0
     path = tmp_path / "waypoints.csv"
@@ -296,7 +297,7 @@ def test_logs_are_record_arrays_with_pinned_fields():
     report = simulate(make_params(sim_duration=200.0))
     node = lone_node(0, Point2D(10.0, 10.0), report.location_map, report.params)
     tracker = ContactTracker([node.seen])
-    logs = (report.waypoints, report.selections, report.contacts, tracker.records)
+    logs = (report.waypoints, report.selections, report.contacts, tracker.log.records)
     assert [log.dtype.names for log in logs] == [
         ("time", "node", "x", "y", "arrive"),
         ("node", "cell", "visiting", "fallback", "start", "end"),
@@ -383,7 +384,7 @@ def test_run_peak_and_kept_per_event(tmp_path, monkeypatch):
     assert kept / events <= 15
     # the pause log is built only when read: not by a run, its metrics or
     # the writers of `swimsim run`
-    metrics_report(report.contacts, report.selections)
+    metrics_report(report.contact_log, report.selection_counts)
     assert "pauses" not in vars(report)
     reports = []
 
@@ -439,12 +440,26 @@ def test_trace_is_kept_streamed_in_chunks_or_skipped():
         assert report.waypoints.tolist() == []
         assert report.selections.tolist() == [] and report.pauses.tolist() == []
         assert np.array_equal(report.selection_counts, kept.selection_counts)
-        assert selection_stats(report.selection_counts) == selection_stats(kept.selections)
         assert report.contacts.tolist() == kept.contacts.tolist()
         assert np.array_equal(report.seen, kept.seen)
         assert report.events_processed == kept.events_processed == len(kept.waypoints)
     arrived = np.count_nonzero(kept.selections.end <= params.sim_duration)
     assert len(kept.pauses) == params.node_count + arrived
+
+
+def test_run_rejects_a_trace_it_cannot_hand_out():
+    # before the first event: a sink that is not callable would otherwise
+    # fail only at the first full chunk, or after the whole run
+    params = make_params()
+    state = initialize(params)
+    for trace in (io.BytesIO(), None, 1):
+        with pytest.raises(ValueError, match=r"trace=.* neither True, False nor callable"):
+            run(state, params.sim_duration, trace=trace)
+    with pytest.raises(ValueError, match="trace="):
+        simulate(params, trace=io.BytesIO())
+    # the refused runs left the state as it was
+    report = run(state, params.sim_duration, trace=False)
+    assert report.events_processed == simulate(params, trace=False).events_processed > 0
 
 
 def test_run_monotone_horizon():

@@ -56,7 +56,7 @@ def runtime_imports(module: str) -> set[str]:
     "module, allowed",
     [
         ("engine", {"grid", "mobility", "encounters"}),
-        ("metrics", {"encounters", "mobility"}),
+        ("metrics", {"encounters"}),
         ("grid", set()),
     ],
 )

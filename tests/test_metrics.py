@@ -32,6 +32,7 @@ from swimsim.mobility import (
     UniformWait,
     choose_destination,
     node_stream,
+    selection_counts,
 )
 from swimsim.outputs import write_ccdf_csv
 
@@ -46,7 +47,7 @@ def rec(a, b, start, end, cell=0, censored=False):
 def record_walk_ict(log):
     """Pooled gaps in walk order: pairs as they first appear, each pair's records in log order."""
     pairs = defaultdict(list)
-    for r in log:
+    for r in log.records:
         pairs[(r.a, r.b)].append(r)
     gaps = []
     for records in pairs.values():
@@ -62,12 +63,12 @@ def brute_force_ict(log):
 
 
 def brute_force_durations(log):
-    return sorted(r.end - r.start for r in log if not r.censored and r.end - r.start > 0)
+    return sorted(r.end - r.start for r in log.records if not r.censored and r.end - r.start > 0)
 
 
 def brute_force_counts(log):
     pairs = defaultdict(int)
-    for r in log:
+    for r in log.records:
         pairs[(r.a, r.b)] += 1
     return sorted(pairs.values())
 
@@ -108,7 +109,7 @@ def test_ict_censored_adjacent_gaps_dropped():
         inter_contact_times,
         contact_durations,
         contacts_per_pair,
-        lambda log: metrics_report(log, []),
+        lambda log: metrics_report(log, np.zeros((3, 2), dtype=np.int64)),
     ],
 )
 def test_metrics_reject_open_contacts(measure):
@@ -122,10 +123,16 @@ def test_metrics_reject_open_contacts(measure):
     tracker.on_arrival_signal(0, 0, 0.0, 10.0)
     # opens a contact that ends after the latest signal; finish() never closes it
     tracker.on_arrival_signal(1, 0, 2.0, 12.0)
-    open_logs = (contact_rows([rec(0, 1, 0.0, 5.0), rec(0, 1, 12.0, math.nan)]), tracker.records)
-    for log in open_logs:
-        with pytest.raises(ValueError, match="open contacts"):
-            measure(log)
+    with pytest.raises(ValueError, match="open contacts"):
+        measure(tracker.log)
+
+
+def test_pairs_reject_node_ids_beyond_32_bits():
+    # pair keys pack a and b into one int64, so ids must fit 32 bits
+    assert _pairs(contact_rows([rec(0, 2**32 - 1, 0.0, 5.0)]))[1].tolist() == [1]
+    for a, b in ((-1, 0), (0, 2**32)):
+        with pytest.raises(ValueError, match="node ids must lie in"):
+            _pairs(contact_rows([rec(0, 1, 0.0, 5.0), rec(a, b, 6.0, 8.0)]))
 
 
 def test_durations():
@@ -222,7 +229,7 @@ def test_samples_keep_record_walk_order():
     rng = np.random.default_rng(41)
     for _ in range(300):
         log = interleaved_log(rng)
-        walk_durations = [r.end - r.start for r in log if not r.censored and r.end > r.start]
+        walk_durations = [r.end - r.start for r in log.records if not r.censored and r.end > r.start]
         assert _pairs(log)[0].tolist() == record_walk_ict(log)
         assert _durations(log).tolist() == walk_durations
         assert inter_contact_times(log) == summarize(record_walk_ict(log))
@@ -255,13 +262,15 @@ def sel(node, visiting, fallback=False):
     return (node, 0, visiting, fallback, 0.0, 1.0)
 
 
-def selection_log(rows):
-    return np.rec.array(rows, dtype=SELECTION_DTYPE)
+def counts_of(rows):
+    """The per-node selection counts of a selection log of `rows`, as a run folds them."""
+    log = np.rec.array(rows, dtype=SELECTION_DTYPE)
+    return selection_counts(log.node, log.visiting, log.fallback, int(log.node.max()) + 1)
 
 
 def test_selection_stats_counts():
     records = [sel(0, False), sel(0, True), sel(1, False), sel(1, False, fallback=True)]
-    stats = selection_stats(selection_log(records))
+    stats = selection_stats(counts_of(records))
     assert (stats.total, stats.near, stats.visiting, stats.fallbacks) == (4, 3, 1, 1)
     assert stats.near + stats.visiting == stats.total
     assert stats.per_node[0] == {"neighbouring": 1, "visiting": 1, "fallbacks": 0}
@@ -275,7 +284,7 @@ def test_selection_stats_alpha_one_run():
         wait=UniformWait(2.0, 5.0), node_count=5, sim_duration=2000.0, seed=5,
     )
     report = simulate(params)
-    stats = selection_stats(report.selections)
+    stats = selection_stats(report.selection_counts)
     assert stats.visiting == 0
     assert stats.fallbacks == 0
     assert stats.total > 0
@@ -298,7 +307,7 @@ def test_selection_stats_step1_binomial():
             node, location_map, params, *rng.random(4).tolist()
         )
         records.append((0, cell, classes[cell] is LocationClass.VISITING, fallback, 0.0, 1.0))
-    stats = selection_stats(selection_log(records))
+    stats = selection_stats(counts_of(records))
     assert stats.fallbacks == 0
     sigma = math.sqrt(0.3 * 0.7 / n)
     assert abs(stats.near_fraction - 0.3) < 3 * sigma
@@ -309,8 +318,8 @@ def test_selection_ordering_between_alphas():
         speed=1.4, neighbour_limit=300.0, n_locations=21, area=AREA,
         wait=UniformWait(2.0, 5.0), node_count=10, sim_duration=3000.0, seed=9,
     )
-    low = selection_stats(simulate(ModelParams(alpha=0.3, **common)).selections)
-    high = selection_stats(simulate(ModelParams(alpha=0.8, **common)).selections)
+    low = selection_stats(simulate(ModelParams(alpha=0.3, **common)).selection_counts)
+    high = selection_stats(simulate(ModelParams(alpha=0.8, **common)).selection_counts)
     assert high.near_fraction > low.near_fraction
 
 
@@ -322,7 +331,7 @@ def test_ccdf_csv_and_metrics_json(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "value,fraction"
     assert len(lines) == 1 + len(summary.ccdf)
-    report = metrics_report(log, selection_log([sel(0, False), sel(1, True)]))
+    report = metrics_report(log, counts_of([sel(0, False), sel(1, True)]))
     assert report["contacts"]["total"] == 3
     assert report["contacts"]["censored"] == 0
     assert report["selection"]["neighbouring"] == 1
@@ -336,7 +345,7 @@ def test_metrics_on_real_run_match_brute_force():
         alpha=0.3, speed=1.4, neighbour_limit=300.0, n_locations=6, area=AREA,
         wait=UniformWait(10.0, 60.0), node_count=8, sim_duration=20000.0, seed=2,
     )
-    log = simulate(params).contacts
+    log = simulate(params).contact_log
     assert len(log) > 100
     gaps, counts = _pairs(log)
     assert sorted(gaps.tolist()) == brute_force_ict(log)
