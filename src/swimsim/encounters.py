@@ -22,18 +22,18 @@ counters (see ContactTracker).
 
 The tracker keeps the contact log compact: one block per arrival with
 bystanders (arriving node, cell, time, scheduled end, bystander count) and
-one id and scheduled end per bystander. A ContactLog reads those columns
-with no copy and expands any rows of them, through the block index (each
-row's block), into a numpy record array with fields a, b, cell, start,
-end and censored, one row per contact in the order the contacts opened;
-an open contact's end is NaN. The readers of a finished log (metrics,
-outputs) take it CHUNK_ROWS rows at a time (chunks), so a run never
+one id and scheduled end per bystander. `finish` ends the run and hands
+the log out as a ContactLog, which reads those columns with no copy and
+expands any rows of them, through the block index (each row's block),
+into a numpy record array with fields a, b, cell, start, end and
+censored, one row per contact in the order the contacts opened. There
+is no log of a run still going, so no contact in a log is open. Its
+readers (metrics, outputs) take it CHUNK_ROWS rows at a time (chunks), so a run never
 holds the log's rows all at once.
 """
 
 from __future__ import annotations
 
-import math
 from array import array
 from collections.abc import Iterator, Sequence
 from functools import cached_property
@@ -45,7 +45,7 @@ if TYPE_CHECKING:
     from .mobility import SeenCounters
 
 
-# a < b, and `end` is NaN while the contact is open
+# a < b; a contact still open at the horizon ends there, censored
 CONTACT_DTYPE = np.dtype(
     [("a", "i8"), ("b", "i8"), ("cell", "i8"), ("start", "f8"), ("end", "f8"), ("censored", "?")]
 )
@@ -55,25 +55,22 @@ CHUNK_ROWS = 4096
 
 
 class ContactLog:
-    """A contact log as the tracker keeps it, read through views of its columns.
+    """A run's contact log as the tracker kept it, read through views of its columns.
 
     `len(log)` is its row count, and `log[rows]`, for a slice or an array
     of row indices, expands those rows into a CONTACT_DTYPE record array,
-    as indexing the log's record array would give them; `times(rows)`
-    gives only their starts, ends and censored flags. A row reads its
-    block's columns through the block index, each row's block as an int32
-    (4 bytes per row), built on the first read. A finished log (`finished`) ends each
-    contact that ends past `horizon` there, censored; an unfinished one
-    has each contact that ends past `horizon`, the latest signal, open.
-    While a ContactLog is alive its tracker's columns cannot grow, so a run
-    takes it after `finish`.
+    as indexing the log's record array would give them; `pairs(rows)`
+    gives only their a and b, and `times(rows)` only their starts, ends
+    and censored flags. A row reads its block's columns through the block
+    index, each row's block as an int32 (4 bytes per row), built on the
+    first read. Each contact that ends past `horizon` ends there, censored.
+    While a ContactLog is alive its tracker's columns cannot grow.
     """
 
-    def __init__(self, blocks, others: np.ndarray, other_ends: np.ndarray,
-                 horizon: float, finished: bool):
+    def __init__(self, blocks, others: np.ndarray, other_ends: np.ndarray, horizon: float):
         self._arriving, self._cell, self._start, self._end, self._counts = blocks
         self._others, self._other_ends = others, other_ends
-        self.horizon, self.finished = horizon, finished
+        self.horizon = horizon
 
     def __len__(self) -> int:
         return len(self._others)
@@ -81,14 +78,16 @@ class ContactLog:
     def __getitem__(self, index) -> np.recarray:
         block = self._block[index]
         log = np.empty(len(block), dtype=CONTACT_DTYPE)
-        arriving, others = self._arriving[block], self._others[index]
-        np.minimum(arriving, others, out=log["a"])
-        np.maximum(arriving, others, out=log["b"])
-        del arriving, others
+        log["a"], log["b"] = self.pairs(index)
         log["cell"] = self._cell[block]
         log["start"] = self._start[block]
         log["end"] = self._ends(index, block, log["censored"])
         return log.view(np.recarray)
+
+    def pairs(self, index) -> tuple[np.ndarray, np.ndarray]:
+        """The a and b of the rows `index`, as `self[index]` has them."""
+        arriving, others = self._arriving[self._block[index]], self._others[index]
+        return np.minimum(arriving, others), np.maximum(arriving, others)
 
     def times(self, index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The start, the end and the censored flag of the rows `index`, as
@@ -114,20 +113,8 @@ class ContactLog:
         """The end of the rows `index`, of blocks `block`, and into `censored`
         whether each is censored."""
         end = np.minimum(self._end[block], self._other_ends[index])
-        if self.finished:
-            np.greater(end, self.horizon, out=censored)
-            np.minimum(end, self.horizon, out=end)
-        else:
-            censored[...] = False
-            end[end > self.horizon] = math.nan
-        return end
-
-
-def finished_log(log: ContactLog) -> ContactLog:
-    """The contact log `log`, checked to have no contact open."""
-    if not log.finished:
-        raise ValueError("contact log has open contacts: finish the run first")
-    return log
+        np.greater(end, self.horizon, out=censored)
+        return np.minimum(end, self.horizon, out=end)
 
 
 def chunks(log: ContactLog) -> Iterator[np.recarray]:
@@ -175,7 +162,7 @@ class ContactTracker:
     is censored iff that lies past the horizon given to `finish`. The log
     keeps one block per arrival with bystanders (arriving node, cell, time,
     scheduled end, bystander count) and one id and scheduled end per
-    bystander; `log` reads them as a ContactLog.
+    bystander; `finish` hands them out as a ContactLog.
     """
 
     def __init__(self, seen: Sequence[SeenCounters], seen_update: str = "symmetric"):
@@ -185,33 +172,13 @@ class ContactTracker:
         self._paused_at: list[_Cell | None] = [None] * len(seen)  # node -> its cell while paused
         # a node's cell's arrivals as of its own, less the bystanders it counts there
         self._marks = [0] * len(seen)
-        self._now = -math.inf  # the latest signal's time
-        self._until: float | None = None  # the horizon, once finished
         # one block per arrival with bystanders, then one entry per bystander
         self._arriving, self._cell, self._count = array("q"), array("q"), array("q")
         self._start, self._end = array("d"), array("d")
         self._others, self._other_ends = array("q"), array("d")
 
-    @property
-    def log(self) -> ContactLog:
-        """The contact log so far, over the tracker's columns with no copy.
-
-        After `finish` it is finished; before, a contact that ends after the
-        latest signal is open. The tracker cannot log another contact while
-        the result is alive.
-        """
-        blocks = [np.frombuffer(column, dtype=np.int64) for column in (self._arriving, self._cell)]
-        blocks += [np.frombuffer(self._start), np.frombuffer(self._end)]
-        blocks.append(np.frombuffer(self._count, dtype=np.int64))
-        finished = self._until is not None
-        return ContactLog(
-            blocks, np.frombuffer(self._others, dtype=np.int64), np.frombuffer(self._other_ends),
-            self._until if finished else self._now, finished,
-        )
-
     def on_arrival_signal(self, arriving: int, cell: int, now: float, end: float) -> None:
         """`arriving` pauses at `cell` from `now` until `end`, and meets the nodes paused there."""
-        self._now = now
         paused_at = self._paused_at
         if paused_at[arriving] is not None:
             raise ValueError(
@@ -245,7 +212,6 @@ class ContactTracker:
 
     def on_departure_signal(self, leaving: int, cell: int, now: float) -> None:
         """`leaving` leaves `cell`: settle its counts there; a node not paused there is ignored."""
-        self._now = now
         paused_at = self._paused_at
         paused = paused_at[leaving]
         if paused is None or paused.cell != cell:
@@ -260,10 +226,10 @@ class ContactTracker:
         if pending:
             self.seen[leaving].add(cell, pending)
 
-    def finish(self, until: float) -> None:
+    def finish(self, until: float) -> ContactLog:
         """End the run at `until`: settle the counts of the nodes still paused,
-        and drop who is paused where."""
-        self._now = self._until = until
+        drop who is paused where, and return the run's contact log, over the
+        tracker's columns with no copy."""
         for paused in self._cells.values():
             for node in paused.ids:
                 pending = paused.arrivals - self._marks[node]
@@ -271,3 +237,9 @@ class ContactTracker:
                     self.seen[node].add(paused.cell, pending)
         self._cells = {}
         self._paused_at = [None] * len(self._paused_at)
+        blocks = [np.frombuffer(column, dtype=np.int64) for column in (self._arriving, self._cell)]
+        blocks += [np.frombuffer(self._start), np.frombuffer(self._end)]
+        blocks.append(np.frombuffer(self._count, dtype=np.int64))
+        return ContactLog(
+            blocks, np.frombuffer(self._others, dtype=np.int64), np.frombuffer(self._other_ends), until
+        )

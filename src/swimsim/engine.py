@@ -12,30 +12,31 @@ are interpolated analytically. The engine writes no files.
 An event allocates nothing but its heap entry. Both kinds of event are
 handled in `run`'s one loop, which holds the queue, the nodes, their
 streams and the log columns in locals. It reads and writes each node's
-phase as plain values in place (mobility.NodeState). Each event's
-waypoint, and each departure's trip (node, chosen cell, flags, departure
-and scheduled arrival), is written in place into the columns of one chunk
-of TRACE_ROWS rows per log, allocated once. A full trace chunk is handed
-out as a record array, to the report or to a caller's sink; a run asked
-for no trace writes none. A full selection chunk is folded into per-node
-counts of departures, visiting draws and fallbacks
-(mobility.selection_counts), which every report carries, and is kept as
-a record array only when the trace is kept too. The loop counts the
-events itself, so the report's event count needs no log, and the pause
-log is derived from the kept selection log on first read. Each node's
-seen counters are its own sparse SeenCounters, written by the contact
-tracker; the report builds the dense N x L matrix from their cells and
-counts only when it is read. An arrival sets the pause's end before it
-signals, and the signal carries that end to the tracker, which logs each
-contact with its end as it opens. The report takes the tracker's compact
-log as it is (encounters.ContactLog), and the contact log's record array
-is expanded from it only when read, never in `run`. A departure signals
-before the kernel draws, so the tracker settles the departing node's
-counters first. Each node's random stream is read in blocks
-(UniformStream); a departure reads its trip's row in one `take`: four
-uniforms for the kernel, then the next pause's (none for a fixed wait),
-which the arrival turns into the pause's length with the wait law's
-inverse CDF. An event is one heapreplace of its node's entry.
+phase as plain values in place (mobility.NodeState). Each departure is
+tallied where its destination is chosen, into per-node counts of
+departures, visiting draws and fallbacks, which every report carries as
+`selection_counts`. Each event's waypoint, and, when the trace is kept,
+each departure's trip (node, chosen cell, flags, departure and scheduled
+arrival), is written in place into the columns of one chunk of TRACE_ROWS
+rows per log, allocated once. A full chunk is handed out as a record
+array, the trace's to the report or to a caller's sink, the selection
+log's to the report; a run asked for no trace writes neither. The loop
+counts the events itself, so the report's event count needs no log, and
+the pause log is derived from the kept selection log on first read. Each
+node's seen counters are its own sparse SeenCounters, written by the
+contact tracker; the report builds the dense N x L matrix from their
+cells and counts only when it is read. An arrival sets the pause's end
+before it signals, and the signal carries that end to the tracker, which
+logs each contact with its end as it opens. The tracker's `finish` hands
+out its compact log (encounters.ContactLog), which the report keeps as
+it is; the contact log's record array is expanded from it only when
+read, never in `run`. A departure signals before the kernel draws, so
+the tracker settles the departing node's counters first. Each node's
+random stream is read in blocks (UniformStream); a departure reads its
+trip's row in one `take`: four uniforms for the kernel, then the next
+pause's (none for a fixed wait), which the arrival turns into the pause's
+length with the wait law's inverse CDF. An event is one heapreplace of
+its node's entry.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from .mobility import (
     draw_wait_time,
     make_node_state,
     node_stream,
-    selection_counts,
 )
 
 
@@ -105,7 +105,7 @@ class SimulationReport:
     location_map: LocationMap
     # the contact log as the tracker kept it, one row per contact (encounters.ContactLog)
     contact_log: ContactLog = field(repr=False)
-    # departures, visiting draws and fallbacks per node: a 3 x N array (mobility.selection_counts)
+    # departures, visiting draws and fallbacks per node: a 3 x N int64 array
     selection_counts: np.ndarray = field(repr=False)
     events_processed: int  # every trip departed, and those that arrived by the horizon arrived
     counters: list[SeenCounters] = field(repr=False)  # each node's final seen counters
@@ -275,11 +275,11 @@ def run(state: SimulationState, until: float, trace=True) -> SimulationReport:
     last one shorter; the report's `waypoints` is then empty. With False
     no trace is recorded.
 
-    The selection log is folded into the report's per-node
-    `selection_counts` a chunk of TRACE_ROWS departures at a time, and
-    its chunks are kept, as `report.selections` and the `pauses` built
-    from it, only with `trace=True`. Otherwise the run's memory does not
-    grow with the horizon, apart from the contacts and seen counters.
+    Each departure is tallied into the report's per-node
+    `selection_counts` as it happens. The selection log is written, and
+    kept as `report.selections` and the `pauses` built from it, only with
+    `trace=True`. Otherwise the run's memory does not grow with the
+    horizon, apart from the contacts and seen counters.
     """
     if state.finished:
         raise RuntimeError("simulation state has already been run")
@@ -301,8 +301,7 @@ def run(state: SimulationState, until: float, trace=True) -> SimulationReport:
     row_size, pause_of = (4 if wait.high == wait.low else 5), wait.inverse_cdf
     pause_uniform = [0.0] * len(nodes)
     # the trace's and the selection log's chunks, each allocated once and written
-    # by index, so no column grows; a full chunk of the selection log is folded
-    # into the per-node counts, and kept only when the trace is
+    # by index, so no column grows; the selection log is written only when kept
     waypoints = [array(code, bytes(TRACE_ROWS * array(code).itemsize)) for code in "dqddb"]
     times, ids, xs, ys, arrives = waypoints
     picks = [array(code, bytes(TRACE_ROWS * array(code).itemsize)) for code in "qqbbdd"]
@@ -312,15 +311,7 @@ def run(state: SimulationState, until: float, trace=True) -> SimulationReport:
     sink = chunks.append if trace is True else trace
     tracing = bool(sink)
     kept: list[np.recarray] | None = [] if trace is True else None
-    n = len(nodes)
-    counts = np.zeros((3, n), dtype=np.int64)
-
-    def fold(columns) -> None:
-        chunk = _records(SELECTION_DTYPE, columns)
-        counts[...] += selection_counts(chunk.node, chunk.visiting, chunk.fallback, n)
-        if kept is not None:
-            kept.append(chunk)
-
+    departures, visits, fallbacks = ([0] * len(nodes) for _ in range(3))
     heapreplace, hypot = heapq.heapreplace, math.hypot
     seq = state.seq
     while queue and queue[0][0] <= until:
@@ -338,16 +329,22 @@ def run(state: SimulationState, until: float, trace=True) -> SimulationReport:
             end = now + hypot(tx - x, ty - y) / speed
             node.paused = False
             node.cell, node.tx, node.ty = cell, tx, ty
-            pick_node[picked] = node_id
-            pick_cell[picked] = cell
-            pick_visiting[picked] = visiting
-            pick_fallback[picked] = fallback
-            pick_start[picked] = now
-            pick_end[picked] = end
-            picked += 1
-            if picked == TRACE_ROWS:
-                fold(picks)
-                picked = 0
+            departures[node_id] += 1
+            if visiting:
+                visits[node_id] += 1
+            if fallback:
+                fallbacks[node_id] += 1
+            if kept is not None:
+                pick_node[picked] = node_id
+                pick_cell[picked] = cell
+                pick_visiting[picked] = visiting
+                pick_fallback[picked] = fallback
+                pick_start[picked] = now
+                pick_end[picked] = end
+                picked += 1
+                if picked == TRACE_ROWS:
+                    kept.append(_records(SELECTION_DTYPE, picks))
+                    picked = 0
         else:
             # destination reached: signal the arrival, then pause
             cell = node.cell
@@ -372,11 +369,11 @@ def run(state: SimulationState, until: float, trace=True) -> SimulationReport:
     if logged:
         sink(_records(WAYPOINT_DTYPE, [column[:logged] for column in waypoints]))
     if picked:
-        fold([column[:picked] for column in picks])
+        kept.append(_records(SELECTION_DTYPE, [column[:picked] for column in picks]))
     events = seq - state.seq
     state.seq = seq
     state.now = until
-    state.tracker.finish(until)
+    contact_log = state.tracker.finish(until)
     for node in nodes:
         if node.paused:
             node.end = until
@@ -384,8 +381,8 @@ def run(state: SimulationState, until: float, trace=True) -> SimulationReport:
     return SimulationReport(
         params=state.params,
         location_map=state.location_map,
-        contact_log=state.tracker.log,
-        selection_counts=counts,
+        contact_log=contact_log,
+        selection_counts=np.array([departures, visits, fallbacks], dtype=np.int64),
         events_processed=events,
         counters=[node.seen for node in nodes],
         homes=np.array([node.home for node in nodes], dtype=np.int64),

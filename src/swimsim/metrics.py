@@ -5,15 +5,15 @@ common distribution summary. Censored records (still open at the end of a
 run) never contribute a duration, and gaps touching a censored record are
 dropped because the true gap is unknown. CCDFs are evaluated at 50
 log-spaced thresholds for heavy-tail inspection. The pipelines take a
-run's finished contact log (encounters.ContactLog) and read it a chunk of
-rows at a time (encounters.chunks, or ContactLog.times for the starts,
-ends and censored flags alone), or the rows they gather by index. Beyond
-the log, a pipeline holds at most two columns as long as it at a time,
-and never a record array of it. A log with a contact still open is
-rejected where it enters (finished_log). The inter-contact times and the
-contacts per pair come from one grouping of the rows by pair (_pairs),
-which metrics_report makes once per run. Selection statistics are read
-from a run's per-node selection counts.
+run's contact log (encounters.ContactLog, which only a finished run hands
+out) and read only the fields they need, a chunk of rows at a time or the
+rows they gather by index: ContactLog.pairs for the pair ids, and
+ContactLog.times for the starts, ends and censored flags. Beyond the log,
+a pipeline holds at most two columns as long as it at a time, and never
+a record array of it. The inter-contact times and the contacts per pair
+come from one grouping of the rows by pair (_pairs), which metrics_report
+makes once per run. Selection statistics are read from a run's per-node
+selection counts, which the run tallies as it goes.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from operator import mul
 import numpy as np
 
 from . import encounters
-from .encounters import chunks, finished_log
 
 CCDF_POINTS = 50
 
@@ -126,23 +125,22 @@ def _pairs(log) -> tuple[np.ndarray, np.ndarray]:
 
     Each column as long as the log is dropped once used, so at most two
     are held. The log's rows are read twice: a chunk at a time for the
-    keys, and then, for the gaps, a chunk of the walk at a time, gathering
-    the start, the end and the censored flag of the rows it pairs.
+    keys, reading only a and b, and then, for the gaps, a chunk of the walk
+    at a time, gathering the start, the end and the censored flag of the
+    rows it pairs.
     """
     n = len(log)
     keys = np.empty(n, dtype=np.int64)
-    lo = 0
-    for chunk in chunks(log):
-        hi = lo + len(chunk)
-        a, b = chunk.a, chunk.b
-        if min(a.min(), b.min()) < 0 or max(a.max(), b.max()) >> 32:
+    for lo in range(0, n, encounters.CHUNK_ROWS):
+        hi = lo + encounters.CHUNK_ROWS
+        a, b = log.pairs(slice(lo, hi))
+        if a.min() < 0 or b.max() >> 32:
             raise ValueError("contact log: node ids must lie in 0..2**32 - 1")
         # (a - 2**31) * 2**32 + b: in (a, b) order, and an int64, so that the
         # keys are sorted by the walk's own sort code, not a second one
         np.subtract(a, 2**31, out=keys[lo:hi])
         keys[lo:hi] *= 2**32
         keys[lo:hi] += b
-        lo = hi
     by_pair = np.argsort(keys)
     keys.sort()
     new_pair = np.ones(n, dtype=bool)
@@ -172,7 +170,7 @@ def _pairs(log) -> tuple[np.ndarray, np.ndarray]:
 
 
 def inter_contact_times(log) -> DistributionSummary:
-    return summarize(_pairs(finished_log(log))[0])
+    return summarize(_pairs(log)[0])
 
 
 def _durations_and_counts(log) -> tuple[np.ndarray, int, int]:
@@ -199,11 +197,11 @@ def _durations(log) -> np.ndarray:
 
 
 def contact_durations(log) -> DistributionSummary:
-    return summarize(_durations(finished_log(log)))
+    return summarize(_durations(log))
 
 
 def contacts_per_pair(log) -> DistributionSummary:
-    return summarize(_pairs(finished_log(log))[1])
+    return summarize(_pairs(log)[1])
 
 
 @dataclass(frozen=True)
@@ -261,7 +259,7 @@ def selection_stats(selections) -> SelectionStats:
 def metrics_report(contacts, selections) -> dict:
     """Structured metrics for JSON export.
 
-    `contacts` is a run's finished contact log (`report.contact_log`) and
+    `contacts` is a run's contact log (`report.contact_log`) and
     `selections` its selection counts, as for selection_stats. The
     three distribution summaries are built here, once per run; `swimsim
     run` writes their CCDF files from the `ccdf` lists of this dict. The
@@ -269,7 +267,6 @@ def metrics_report(contacts, selections) -> dict:
     pair both, and the gaps are summarized and dropped before the
     durations are taken.
     """
-    contacts = finished_log(contacts)
     gaps, counts = _pairs(contacts)
     inter_contact = summarize(gaps).as_dict()
     del gaps

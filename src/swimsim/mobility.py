@@ -25,8 +25,8 @@ BLOCK uniforms (UniformStream), which give the same doubles, in the same
 order, as one `random()` call per value. The engine reads a trip's four
 uniforms and its pause's uniform as one row at the departure, and the
 wait law's `inverse_cdf` turns the latter into a length at the arrival.
-The kernel's draws are tallied per node by selection_counts, from a
-selection log or from any chunk of one.
+The kernel returns whether each draw was visiting or a fallback, and the
+engine tallies those per node where it draws.
 """
 
 from __future__ import annotations
@@ -566,20 +566,3 @@ def choose_destination(
     x = xs[col] + (xs[col + 1] - xs[col]) * fx
     y = ys[row] + (ys[row + 1] - ys[row]) * fy
     return cell_id, x, y, visiting, fallback
-
-
-
-def selection_counts(node, visiting, fallback, n: int) -> np.ndarray:
-    """The draws of `choose_destination` tallied per node: rows of departures,
-    visiting draws and fallbacks, each n long, from the `node`, `visiting` and
-    `fallback` columns of a run's selection log or of one chunk of it.
-
-    Counts of two parts of a log add up to the counts of the whole, so the
-    engine folds its log a chunk at a time and a caller with the whole log
-    folds it at once; node ids must be below n.
-    """
-    return np.stack([
-        np.bincount(node, minlength=n),
-        np.bincount(node[visiting], minlength=n),
-        np.bincount(node[fallback], minlength=n),
-    ])

@@ -11,7 +11,7 @@ kernel, _csv_rows, which gives the bytes of `%`-formatting row by row
 without formatting any row in Python but the rare ones it cannot round
 exactly. At run time this module imports no other swimsim
 module apart from the grid, whose cell bounds the locations files hold,
-and the contact log's check for open contacts and its chunks.
+and the contact log's chunks.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .encounters import chunks, finished_log
+from .encounters import chunks
 from .grid import LocationMap, cell_bounds, grid_from_edges
 
 if TYPE_CHECKING:
@@ -129,11 +129,10 @@ def waypoint_writer(file):
 def write_contacts_csv(log, path) -> None:
     """Contact log export, one `a,b,cell,start,end,censored` row per contact.
 
-    `log` is a run's finished contact log (`report.contact_log`). Beyond the
-    log, the writer holds one chunk of its rows (encounters.chunks) and
-    that chunk's text and parts at a time, nothing by the log's largest id.
+    `log` is a run's contact log (`report.contact_log`). Beyond the log,
+    the writer holds one chunk of its rows (encounters.chunks) and that
+    chunk's text and parts at a time, nothing by the log's largest id.
     """
-    finished_log(log)
     with open(path, "wb") as f:
         f.write(b"a,b,cell,start,end,censored\n")
         for chunk in chunks(log):

@@ -1,5 +1,5 @@
 """Small builders shared by tests: a node with a profile of its own, seen counts as
-plain values, and a contact log from rows."""
+plain values, a contact log from rows, and selection counts from a selection log."""
 
 import numpy as np
 
@@ -36,4 +36,15 @@ def contact_rows(rows):
     horizon = max(log["start"].max(initial=0.0), log["end"][~log["censored"]].max(initial=0.0))
     end = np.where(log["censored"], np.inf, log["end"])
     blocks = (log["a"], log["cell"], log["start"], end, np.ones(len(log), dtype=np.int64))
-    return ContactLog(blocks, log["b"], end, horizon, finished=True)
+    return ContactLog(blocks, log["b"], end, horizon)
+
+
+def selection_counts(selections, n):
+    """The per-node selection counts of a selection log, the oracle of a run's
+    tally: rows of departures, visiting draws and fallbacks, each n long."""
+    node = selections["node"]
+    return np.stack([
+        np.bincount(node, minlength=n),
+        np.bincount(node[selections["visiting"]], minlength=n),
+        np.bincount(node[selections["fallback"]], minlength=n),
+    ])

@@ -1,6 +1,5 @@
 import dataclasses
 import gc
-import math
 import tracemalloc
 from collections import Counter
 
@@ -58,7 +57,7 @@ def test_lone_arrival_is_a_noop():
     tracker.on_arrival_signal(0, 3, 1.0, 4.0)
     assert nodes[0].seen.total == 0
     assert nodes[1].seen.total == 0
-    assert len(tracker.log) == 0
+    assert len(tracker.finish(4.0)) == 0
 
 
 def test_pair_arrival_opens_contact():
@@ -66,15 +65,14 @@ def test_pair_arrival_opens_contact():
     tracker = tracker_for(nodes)
     tracker.on_arrival_signal(0, 3, 1.0, 6.0)
     tracker.on_arrival_signal(1, 3, 2.5, 8.0)
-    assert len(tracker.log) == 1
-    record = tracker.log.records[0]
+    # the contact ends at 6.0, after the horizon, so it ends there, censored
+    log = tracker.finish(4.0)
+    assert len(log) == 1
+    record = log.records[0]
     assert (record.a, record.b, record.cell, record.start) == (0, 1, 3, 2.5)
-    assert math.isnan(record.end)  # ends at 6.0, after the latest signal
-    tracker.on_departure_signal(0, 3, 6.0)  # settles the bystander's counts
-    assert seen_dict(nodes[0].seen) == {3: 1}
-    # the arriving node's count of its bystander is settled at its own departure
-    tracker.on_departure_signal(1, 3, 8.0)
-    assert seen_dict(nodes[1].seen) == {3: 1}
+    assert (record.end, record.censored) == (4.0, True)
+    # each node counts the other, settled when the run ends
+    assert seen_dict(nodes[0].seen) == seen_dict(nodes[1].seen) == {3: 1}
 
 
 def test_arrival_with_two_paused_counts_both():
@@ -83,11 +81,11 @@ def test_arrival_with_two_paused_counts_both():
     for node_id in (0, 1):
         tracker.on_arrival_signal(node_id, 5, 1.0, 20.0)
     tracker.on_arrival_signal(2, 5, 4.0, 20.0)
-    tracker.finish(10.0)  # settles every paused node's counts
+    log = tracker.finish(10.0)  # settles every paused node's counts
     assert seen_dict(nodes[0].seen) == {5: 2}  # one from node 1 arriving, one from node 2
     assert seen_dict(nodes[1].seen) == {5: 2}
     assert seen_dict(nodes[2].seen) == {5: 2}  # one per bystander found on arrival
-    assert len(tracker.log) == 3
+    assert len(log) == 3
 
 
 def test_nodes_elsewhere_ignore_signal():
@@ -95,10 +93,10 @@ def test_nodes_elsewhere_ignore_signal():
     tracker = tracker_for(nodes)
     tracker.on_arrival_signal(0, 2, 1.0, 6.0)
     tracker.on_arrival_signal(1, 9, 2.0, 6.0)
-    tracker.finish(10.0)
+    log = tracker.finish(10.0)
     assert nodes[0].seen.total == 0
     assert nodes[1].seen.total == 0
-    assert len(tracker.log) == 0
+    assert len(log) == 0
 
 
 def test_bystanders_only_mode():
@@ -106,10 +104,10 @@ def test_bystanders_only_mode():
     tracker = tracker_for(nodes, seen_update="bystanders_only")
     tracker.on_arrival_signal(0, 3, 1.0, 12.0)
     tracker.on_arrival_signal(1, 3, 2.0, 15.0)
-    tracker.finish(10.0)  # settles the bystander's counts
+    log = tracker.finish(10.0)  # settles the bystander's counts
     assert seen_dict(nodes[0].seen) == {3: 1}  # bystander still updates
     assert seen_dict(nodes[1].seen) == {}  # arriving node does not
-    assert len(tracker.log) == 1
+    assert len(log) == 1
 
 
 def test_departure_closes_overlap():
@@ -118,11 +116,12 @@ def test_departure_closes_overlap():
     tracker.on_arrival_signal(0, 3, 1.0, 6.0)
     tracker.on_arrival_signal(1, 3, 2.0, 8.0)
     tracker.on_departure_signal(0, 3, 6.0)
-    record = tracker.log.records[0]
-    assert (record.start, record.end, record.censored) == (2.0, 6.0, False)
     # second departure has nothing left to close
     tracker.on_departure_signal(1, 3, 8.0)
-    assert len(tracker.log) == 1
+    log = tracker.finish(10.0)
+    assert len(log) == 1
+    record = log.records[0]
+    assert (record.start, record.end, record.censored) == (2.0, 6.0, False)
 
 
 def test_zero_length_overlap_kept():
@@ -132,7 +131,7 @@ def test_zero_length_overlap_kept():
     tracker.on_arrival_signal(0, 3, 1.0, 5.0)
     tracker.on_arrival_signal(1, 3, 5.0, 9.0)
     tracker.on_departure_signal(0, 3, 5.0)
-    record = tracker.log.records[0]
+    record = tracker.finish(5.0).records[0]
     assert record.start == record.end == 5.0
     assert not record.censored
 
@@ -142,8 +141,7 @@ def test_finish_censors_open_contacts():
     tracker = tracker_for(nodes)
     tracker.on_arrival_signal(0, 3, 1.0, 12.0)
     tracker.on_arrival_signal(1, 3, 2.0, 15.0)
-    tracker.finish(10.0)
-    record = tracker.log.records[0]
+    record = tracker.finish(10.0).records[0]
     assert (record.end, record.censored) == (10.0, True)
 
 
@@ -160,7 +158,7 @@ def test_bystander_counts_settle_at_departure():
     tracker.on_departure_signal(0, 5, 9.0)  # met 1 and then 2 while paused
     assert [seen_dict(node.seen) for node in nodes] == [{5: 2}, {5: 1}, {5: 1}]
     assert [node.seen.total for node in nodes] == [2, 1, 1]
-    assert sorted(tracker.log.records.tolist()) == [
+    assert sorted(tracker.finish(9.0).records.tolist()) == [
         (0, 1, 5, 2.0, 3.0, False),
         (0, 2, 5, 4.0, 6.0, False),
     ]
@@ -173,9 +171,9 @@ def test_departure_of_a_node_not_paused_there_is_ignored():
     tracker.on_departure_signal(1, 3, 2.0)
     tracker.on_departure_signal(0, 4, 2.0)
     tracker.on_arrival_signal(1, 3, 2.5, 8.0)
-    assert [(r.a, r.b, r.cell, r.start) for r in tracker.log.records] == [(0, 1, 3, 2.5)]
     with pytest.raises(ValueError, match="already paused"):
         tracker.on_arrival_signal(1, 3, 3.0, 9.0)
+    assert [(r.a, r.b, r.cell, r.start) for r in tracker.finish(3.0).records] == [(0, 1, 3, 2.5)]
 
 
 def test_a_node_paused_anywhere_cannot_arrive():
@@ -188,8 +186,7 @@ def test_a_node_paused_anywhere_cannot_arrive():
     tracker.on_arrival_signal(2, 4, 3.0, 9.0)
     tracker.on_departure_signal(0, 3, 5.0)
     tracker.on_arrival_signal(0, 4, 6.0, 9.0)
-    tracker.finish(10.0)
-    assert tracker.log.records.tolist() == [(0, 2, 4, 6.0, 9.0, False)]
+    assert tracker.finish(10.0).records.tolist() == [(0, 2, 4, 6.0, 9.0, False)]
     assert [seen_dict(node.seen) for node in nodes] == [{4: 1}, {}, {4: 1}]
 
 
@@ -203,8 +200,7 @@ def test_bystanders_keep_their_order_past_a_departure_from_the_middle():
     tracker.on_departure_signal(1, 5, 4.0)
     tracker.on_arrival_signal(4, 5, 5.0, 30.0)
     tracker.on_arrival_signal(1, 5, 6.0, 31.0)
-    tracker.finish(40.0)
-    records = tracker.log.records
+    records = tracker.finish(40.0).records
 
     def bystanders(arriving, start):
         """The bystanders of `arriving`'s arrival at `start`, with their contacts' ends."""
@@ -265,17 +261,6 @@ def test_contacts_csv_matches_row_formatting(tmp_path, monkeypatch):
     assert path.read_text() == csv_text(log.records)
 
 
-def test_contacts_csv_rejects_open_contacts(tmp_path):
-    # the contact ends at 6.0, after the latest signal, and the run is not finished
-    tracker = tracker_for(make_nodes(2))
-    tracker.on_arrival_signal(0, 3, 1.0, 6.0)
-    tracker.on_arrival_signal(1, 3, 2.0, 8.0)
-    path = tmp_path / "contacts.csv"
-    with pytest.raises(ValueError, match="open contacts"):
-        write_contacts_csv(tracker.log, path)
-    assert not path.exists()
-
-
 def test_contacts_csv_memory_follows_the_ids_held(tmp_path):
     # the text of every id up to 10**6 would take about 64 MB
     path = tmp_path / "contacts.csv"
@@ -311,25 +296,6 @@ def replay(tracker, steps):
         getattr(tracker, name)(*args)
 
 
-def test_records_snapshot_survives_later_signals():
-    # the log reads the tracker's columns through views; they must be
-    # released with it, or the next signal could not grow the columns
-    signals, now = random_signals(5, 400, 8, 2)
-    tracker = tracker_for(make_nodes(8))
-    replay(tracker, signals[:200])
-    snapshot = tracker.log.records
-    kept = snapshot.copy()
-    replay(tracker, signals[200:])
-    tracker.finish(now)
-    fresh = tracker_for(make_nodes(8))
-    replay(fresh, signals)
-    fresh.finish(now)
-    # bytes, since an open contact's end is NaN
-    assert snapshot.tobytes() == kept.tobytes()
-    assert len(tracker.log) > len(snapshot) > 0
-    assert tracker.log.records.tobytes() == fresh.log.records.tobytes()
-
-
 def test_contact_pipeline_peak_per_contact(tmp_path, monkeypatch):
     # 200 nodes in 4 cells with heavy-tailed pauses meet about 47 000 times
     # in 2 000 s. Each stage's tracemalloc peak above what is live when it
@@ -338,8 +304,7 @@ def test_contact_pipeline_peak_per_contact(tmp_path, monkeypatch):
     params = make_params(
         node_count=200, n_locations=4, wait=PowerLawWait(1.5, 10.0, 3600.0), sim_duration=2000.0
     )
-    state = initialize(params)
-    report = run(state, params.sim_duration)
+    report = run(initialize(params), params.sim_duration)
     n = len(report.contact_log)
     assert n >= 20_000
     # the writer holds one chunk's text at a time; fewer rows per write
@@ -355,7 +320,7 @@ def test_contact_pipeline_peak_per_contact(tmp_path, monkeypatch):
         finally:
             tracemalloc.stop()
 
-    assert peak_per_contact(lambda: state.tracker.log.records) <= 41 + 16
+    assert peak_per_contact(lambda: report.contact_log.records) <= 41 + 16
     assert peak_per_contact(metrics_report, report.contact_log, report.selection_counts) <= 44
     assert peak_per_contact(write_contacts_csv, report.contact_log, tmp_path / "contacts.csv") <= 8
 
@@ -399,12 +364,12 @@ def test_compact_log_splits_pairs_and_censored_contacts_across_chunks(tmp_path, 
     signals, now = random_signals(11, 600, 4, 2)
     tracker = tracker_for(make_nodes(4))
     replay(tracker, signals)
-    tracker.finish(now)
-    whole = tracker.log.records
+    log = tracker.finish(now)
+    whole = log.records
     pairs = Counter(zip(whole.a.tolist(), whole.b.tolist()))
     assert min(pairs.values()) > 7 and whole.censored.any()
     no_selections = np.zeros((3, 4), dtype=np.int64)
-    expected = contact_outputs(tracker.log, no_selections, tmp_path / "whole.csv")
+    expected = contact_outputs(log, no_selections, tmp_path / "whole.csv")
     assert expected[0].decode() == csv_text(whole)
     # the gaps in walk order: pairs as they first appear, each pair's rows in log order
     by_pair = {}
@@ -414,8 +379,8 @@ def test_compact_log_splits_pairs_and_censored_contacts_across_chunks(tmp_path, 
             for earlier, later in zip(rows_of_pair, rows_of_pair[1:])
             if not (earlier.censored or later.censored)]
     monkeypatch.setattr(encounters, "CHUNK_ROWS", rows)
-    assert contact_outputs(tracker.log, no_selections, tmp_path / "compact.csv") == expected
-    assert _pairs(tracker.log)[0].tolist() == walk
+    assert contact_outputs(log, no_selections, tmp_path / "compact.csv") == expected
+    assert _pairs(log)[0].tolist() == walk
 
 
 def contact_stage_peak(params, path):
@@ -504,7 +469,7 @@ def test_untraced_run_expands_one_chunk_at_a_time(tmp_path, monkeypatch):
     n = len(report.contact_log)
     assert n > 10 * 256
     assert max(expanded) == 256 and max(timed) == 257
-    # the rows are expanded twice, for the pair keys and the file; the
-    # durations and the gaps read only their starts, ends and flags
-    assert sum(expanded) == 2 * n
+    # the rows are expanded once, for the file; the pair keys read only
+    # a and b, and the durations and the gaps only starts, ends and flags
+    assert sum(expanded) == n
     assert "contacts" not in vars(report)

@@ -8,12 +8,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from support import add_row, lone_node
+from support import add_row, lone_node, selection_counts
 
-from swimsim import cli, metrics_report, outputs, selection_stats
+from swimsim import cli, engine, metrics_report, outputs, selection_stats
 from swimsim.encounters import ContactTracker
 from swimsim.engine import (
     PAUSE_DTYPE,
+    SELECTION_DTYPE,
     TRACE_ROWS,
     WAYPOINT_DTYPE,
     SimulationState,
@@ -29,7 +30,6 @@ from swimsim.mobility import (
     UniformStream,
     UniformWait,
     node_stream,
-    selection_counts,
 )
 
 AREA = AreaBounds(400.0, 400.0)
@@ -297,7 +297,7 @@ def test_logs_are_record_arrays_with_pinned_fields():
     report = simulate(make_params(sim_duration=200.0))
     node = lone_node(0, Point2D(10.0, 10.0), report.location_map, report.params)
     tracker = ContactTracker([node.seen])
-    logs = (report.waypoints, report.selections, report.contacts, tracker.log.records)
+    logs = (report.waypoints, report.selections, report.contacts, tracker.finish(0.0).records)
     assert [log.dtype.names for log in logs] == [
         ("time", "node", "x", "y", "arrive"),
         ("node", "cell", "visiting", "fallback", "start", "end"),
@@ -431,11 +431,10 @@ def test_trace_is_kept_streamed_in_chunks_or_skipped():
     assert np.concatenate(chunks).tolist() == kept.waypoints.tolist()
     skipped = simulate(params, trace=False)
     # a run that does not keep the trace keeps no selection log either, and
-    # so no pauses; the counts the metrics read are folded chunk by chunk
-    # as the run goes, and the loop counts the events itself
-    assert np.array_equal(kept.selection_counts, selection_counts(
-        kept.selections.node, kept.selections.visiting, kept.selections.fallback, params.node_count
-    ))
+    # so no pauses; the counts the metrics read are tallied as the run goes,
+    # and the loop counts the events itself
+    assert kept.selection_counts.dtype == np.int64
+    assert np.array_equal(kept.selection_counts, selection_counts(kept.selections, params.node_count))
     for report in (streamed, skipped):
         assert report.waypoints.tolist() == []
         assert report.selections.tolist() == [] and report.pauses.tolist() == []
@@ -445,6 +444,26 @@ def test_trace_is_kept_streamed_in_chunks_or_skipped():
         assert report.events_processed == kept.events_processed == len(kept.waypoints)
     arrived = np.count_nonzero(kept.selections.end <= params.sim_duration)
     assert len(kept.pauses) == params.node_count + arrived
+
+
+def test_only_a_kept_trace_builds_a_selection_log(monkeypatch):
+    # the loop tallies each departure where it happens, so a run that does
+    # not keep its trace writes no selection row and builds no chunk of them
+    params = make_params(sim_duration=40_000.0)
+    built = Counter()
+    records = engine._records
+
+    def counted_records(dtype, columns):
+        built[dtype] += 1
+        return records(dtype, columns)
+
+    monkeypatch.setattr(engine, "_records", counted_records)
+    for trace in (False, lambda chunk: None):
+        report = simulate(params, trace=trace)
+        assert report.selection_counts[0].sum() > TRACE_ROWS
+        assert built[SELECTION_DTYPE] == 0
+    kept = simulate(params)
+    assert built[SELECTION_DTYPE] == math.ceil(len(kept.selections) / TRACE_ROWS)
 
 
 def test_run_rejects_a_trace_it_cannot_hand_out():

@@ -58,6 +58,8 @@ def runtime_imports(module: str) -> set[str]:
         ("engine", {"grid", "mobility", "encounters"}),
         ("metrics", {"encounters"}),
         ("grid", set()),
+        ("outputs", {"encounters", "grid"}),
+        ("encounters", set()),
     ],
 )
 def test_imports_only_lower_layers(module, allowed):

@@ -10,9 +10,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from support import contact_rows, lone_node
+from support import contact_rows, lone_node, selection_counts
 
-from swimsim.encounters import ContactTracker
 from swimsim.engine import SELECTION_DTYPE, simulate
 from swimsim.grid import AreaBounds, LocationClass, Point2D, build_grid, classify_locations
 from swimsim.metrics import (
@@ -27,20 +26,14 @@ from swimsim.metrics import (
     selection_stats,
     summarize,
 )
-from swimsim.mobility import (
-    ModelParams,
-    UniformWait,
-    choose_destination,
-    node_stream,
-    selection_counts,
-)
+from swimsim.mobility import ModelParams, UniformWait, choose_destination, node_stream
 from swimsim.outputs import write_ccdf_csv
 
 AREA = AreaBounds(400.0, 400.0)
 
 
 def rec(a, b, start, end, cell=0, censored=False):
-    """One contact log row; an open contact's end is NaN."""
+    """One contact log row."""
     return (a, b, cell, start, end, censored)
 
 
@@ -101,30 +94,6 @@ def test_ict_censored_adjacent_gaps_dropped():
         rec(0, 1, 25.0, 30.0),
     ])
     assert _pairs(log)[0].tolist() == []
-
-
-@pytest.mark.parametrize(
-    "measure",
-    [
-        inter_contact_times,
-        contact_durations,
-        contacts_per_pair,
-        lambda log: metrics_report(log, np.zeros((3, 2), dtype=np.int64)),
-    ],
-)
-def test_metrics_reject_open_contacts(measure):
-    params = ModelParams(
-        alpha=0.3, speed=1.4, neighbour_limit=300.0, n_locations=2, area=AREA,
-        wait=UniformWait(2.0, 5.0), node_count=2, sim_duration=20.0, seed=5,
-    )
-    location_map = build_grid(AREA, 2)
-    nodes = [lone_node(i, Point2D(10.0, 10.0), location_map, params) for i in range(2)]
-    tracker = ContactTracker([node.seen for node in nodes])
-    tracker.on_arrival_signal(0, 0, 0.0, 10.0)
-    # opens a contact that ends after the latest signal; finish() never closes it
-    tracker.on_arrival_signal(1, 0, 2.0, 12.0)
-    with pytest.raises(ValueError, match="open contacts"):
-        measure(tracker.log)
 
 
 def test_pairs_reject_node_ids_beyond_32_bits():
@@ -262,15 +231,9 @@ def sel(node, visiting, fallback=False):
     return (node, 0, visiting, fallback, 0.0, 1.0)
 
 
-def counts_of(rows):
-    """The per-node selection counts of a selection log of `rows`, as a run folds them."""
-    log = np.rec.array(rows, dtype=SELECTION_DTYPE)
-    return selection_counts(log.node, log.visiting, log.fallback, int(log.node.max()) + 1)
-
-
 def test_selection_stats_counts():
     records = [sel(0, False), sel(0, True), sel(1, False), sel(1, False, fallback=True)]
-    stats = selection_stats(counts_of(records))
+    stats = selection_stats(selection_counts(np.array(records, SELECTION_DTYPE), 2))
     assert (stats.total, stats.near, stats.visiting, stats.fallbacks) == (4, 3, 1, 1)
     assert stats.near + stats.visiting == stats.total
     assert stats.per_node[0] == {"neighbouring": 1, "visiting": 1, "fallbacks": 0}
@@ -307,7 +270,7 @@ def test_selection_stats_step1_binomial():
             node, location_map, params, *rng.random(4).tolist()
         )
         records.append((0, cell, classes[cell] is LocationClass.VISITING, fallback, 0.0, 1.0))
-    stats = selection_stats(counts_of(records))
+    stats = selection_stats(selection_counts(np.array(records, SELECTION_DTYPE), 1))
     assert stats.fallbacks == 0
     sigma = math.sqrt(0.3 * 0.7 / n)
     assert abs(stats.near_fraction - 0.3) < 3 * sigma
@@ -331,7 +294,8 @@ def test_ccdf_csv_and_metrics_json(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "value,fraction"
     assert len(lines) == 1 + len(summary.ccdf)
-    report = metrics_report(log, counts_of([sel(0, False), sel(1, True)]))
+    selections = np.array([sel(0, False), sel(1, True)], SELECTION_DTYPE)
+    report = metrics_report(log, selection_counts(selections, 2))
     assert report["contacts"]["total"] == 3
     assert report["contacts"]["censored"] == 0
     assert report["selection"]["neighbouring"] == 1
