@@ -69,6 +69,18 @@ def _staged(out: Path):
         shutil.rmtree(stage, ignore_errors=True)
 
 
+@contextmanager
+def _naming(path: Path):
+    """Name `path` in an OSError of the block that names no file, as a refused
+    write does (a full disk, a file size limit)."""
+    try:
+        yield
+    except OSError as e:
+        if e.filename is not None:
+            raise
+        raise OSError(e.errno, e.strerror or str(e), str(path)) from e
+
+
 def _out_dir(args, config) -> Path:
     out = args.out if args.out is not None else config.output_dir
     if out is None:
@@ -85,7 +97,7 @@ def _cmd_run(args) -> int:
     out = _out_dir(args, config)
     with _staged(out) as stage:
         # the trace goes into its staged file a chunk at a time, as the run makes it
-        with open(stage / "waypoints.csv", "wb") as f:
+        with _naming(out / "waypoints.csv"), open(stage / "waypoints.csv", "wb") as f:
             report = simulate(params, trace=waypoint_writer(f))
         metrics = metrics_report(report.contact_log, report.selection_counts)
 
@@ -100,7 +112,8 @@ def _cmd_run(args) -> int:
                 if "ccdf" in part
             ),
         ):
-            writer(stage / name)
+            with _naming(out / name):
+                writer(stage / name)
     print(
         f"run finished: {report.events_processed} events, "
         f"{len(report.contact_log)} contacts, "
@@ -146,7 +159,7 @@ def _cmd_sweep(args) -> int:
     runs = [dataclasses.replace(config, alpha=alpha).to_params() for alpha in alphas]
     rows = list(zip(alphas, _sweep_stats(runs)))
 
-    with _staged(out) as stage:
+    with _staged(out) as stage, _naming(out / "sweep_selection.csv"):
         write_sweep_csv(rows, stage / "sweep_selection.csv")
 
     print("alpha  selections  neighbouring_fraction  visiting_fraction  fallbacks")

@@ -50,9 +50,8 @@ from functools import cached_property
 import numpy as np
 
 from .encounters import ContactLog, ContactTracker
-from .grid import LocationMap, Point2D, build_grid, cell_of
+from .grid import LocationMap, Point2D, build_grid, cells_of
 from .mobility import (
-    HomeProfile,
     ModelParams,
     NodeState,
     OffsetTable,
@@ -203,39 +202,36 @@ class SimulationState:
     seq: int = 0
     finished: bool = False
 
-    def schedule(self, time: float, node: int) -> None:
-        heapq.heappush(self.queue, (time, self.seq, node))
-        self.seq += 1
-
 
 def initialize(params: ModelParams) -> SimulationState:
     """Build the grid, place nodes, and schedule each node's first departure.
 
     Initial positions are uniform over the area; the containing cell becomes
-    the node's home. Every node starts with a pause at home, and the pause
-    is announced like any other arrival (in node-id order at t=0) so nodes
+    the node's home. A node's start is the first two uniforms of its own
+    stream, scaled to the area's width and height as `rng.uniform(0, side)`
+    would scale them, and the homes of all nodes are found in one search
+    per axis. Every node starts with a pause at home, and the pause is
+    announced like any other arrival (in node-id order at t=0) so nodes
     that start co-located meet before anyone moves. Nodes that share a
-    home share one HomeProfile, built from the run's one OffsetTable, so
-    selection state is O(L + distinct homes x R). Each node's seen
-    counters are its own sparse SeenCounters, which the contact tracker
-    writes. No N x L array is allocated.
+    home share one HomeProfile; the profiles of all distinct homes are
+    built in one pass from the run's one OffsetTable, so selection state is
+    O(L + distinct homes x R) and setup costs one stream per node plus that
+    pass. Each node's seen counters are its own sparse SeenCounters, which
+    the contact tracker writes. No N x L array is allocated, and no
+    temporary of the home build exceeds 128 KiB.
     """
     location_map = build_grid(params.area, params.n_locations)
-    rngs = [node_stream(params.seed, i) for i in range(params.node_count)]
-    table = OffsetTable(location_map, params)
-    profiles: dict[int, HomeProfile] = {}
-    nodes = []
-    for i, rng in enumerate(rngs):
-        position = Point2D(
-            float(rng.uniform(0.0, params.area.width)),
-            float(rng.uniform(0.0, params.area.height)),
-        )
-        home = cell_of(location_map, position)
-        if home not in profiles:
-            profiles[home] = table.profile(home)
-        nodes.append(make_node_state(i, position, location_map, profiles[home]))
-    # each node's blocks follow the two position values drawn above
-    uniforms = [UniformStream(rng) for rng in rngs]
+    uniforms = [UniformStream(node_stream(params.seed, i)) for i in range(params.node_count)]
+    # numpy's uniform(0, side) is 0 + side * u, the same double as side * u
+    starts = np.array([stream.take(2) for stream in uniforms]).T
+    xs, ys = params.area.width * starts[0], params.area.height * starts[1]
+    homes = cells_of(location_map, xs, ys).tolist()
+    distinct = sorted(set(homes))
+    profile_of = dict(zip(distinct, OffsetTable(location_map, params).profiles(distinct)))
+    nodes = [
+        make_node_state(i, Point2D(x, y), profile_of[home])
+        for i, (x, y, home) in enumerate(zip(xs.tolist(), ys.tolist(), homes))
+    ]
     state = SimulationState(
         params=params,
         location_map=location_map,
@@ -246,7 +242,11 @@ def initialize(params: ModelParams) -> SimulationState:
     for node, stream in zip(nodes, uniforms):
         node.end = draw_wait_time(params.wait, stream)  # the pause at home began at 0
         state.tracker.on_arrival_signal(node.id, node.home, 0.0, node.end)
-        state.schedule(node.end, node.id)
+    # the first departures, in seq order by node id; their keys are distinct,
+    # so the heap pops them as one push per node would
+    state.queue = [(node.end, node.id, node.id) for node in nodes]
+    heapq.heapify(state.queue)
+    state.seq = len(nodes)
     return state
 
 

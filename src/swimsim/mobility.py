@@ -15,12 +15,13 @@ On the regular grid the decay and the near test depend only on a cell's
 every offset, with their prefix sums along each row offset. What depends
 on the home cell itself (each set's size, static mass and CDF over the
 grid rows, O(R) values) lives in a HomeProfile shared by all nodes of that
-home; a node itself holds only its seen counters and its phase, as plain
-values the engine writes in place. The seen counters are sparse
-(SeenCounters): for each set, the cells where the node has met someone,
-in id order, with their counts and the set's count total, so no N x L
-matrix exists during a run and a selection reads its set's seen mass
-without classifying cells. A node's random stream is read in blocks of
+home, and the table builds those of all of a run's homes in one numpy
+pass (OffsetTable.profiles); a node itself holds only its seen counters
+and its phase, as plain values the engine writes in place. The seen
+counters are sparse (SeenCounters): for each set, the cells where the
+node has met someone, in id order, with their counts and the set's count
+total, so no N x L matrix exists during a run and a selection reads its
+set's seen mass without classifying cells. A node's random stream is read in blocks of
 BLOCK uniforms (UniformStream), which give the same doubles, in the same
 order, as one `random()` call per value. The engine reads a trip's four
 uniforms and its pause's uniform as one row at the departure, and the
@@ -44,7 +45,7 @@ import numpy as np
 # the forked workers of a parallel sweep inherit it
 import numpy.random  # noqa: F401
 
-from .grid import AreaBounds, LocationMap, Point2D, cell_of, offset_distances
+from .grid import AreaBounds, LocationMap, Point2D, offset_distances
 
 SEEN_UPDATE_MODES = ("symmetric", "bystanders_only")
 
@@ -192,6 +193,10 @@ def node_stream(seed: int, node_id: int) -> np.random.Generator:
 
 
 BLOCK = 64  # uniforms drawn from a node's stream in one call
+# home rows per block of OffsetTable.profiles: each of a block's temporary
+# arrays stays under 128 KiB, glibc's initial mmap threshold, which a larger
+# freed array would raise
+HOME_ROWS = 4096
 
 
 class UniformStream:
@@ -200,8 +205,9 @@ class UniformStream:
     `random()` and `take(k)` give the same doubles, in the same order, as
     successive `rng.random()` calls would. A block is filled by one
     `rng.random(out=...)` call when the last one is used up, and the first
-    only when the first value is taken, so values drawn from `rng` itself
-    before that (a node's start position) come first in the stream.
+    only when the first value is taken. A node's start position is the
+    first two values of its stream, so the engine reads it from the block
+    the run goes on to use.
     """
 
     __slots__ = ("_rng", "_block", "_values", "_pos")
@@ -315,7 +321,10 @@ class OffsetTable:
     memoryview whose items read as Python floats. `count_sums` holds the
     same sums of one per offset of the set, the CDF of a set drawn
     uniformly; it is built on first use. A home's profile reads its column
-    of the table's other arrays, O(L) in all, for the grid rows it covers.
+    of the table's other arrays, O(L) in all, for the grid rows it covers:
+    `profiles` builds those of all the run's distinct homes in one numpy
+    pass over blocks of homes, so setup makes a few numpy calls per block,
+    not per home, and no temporary of that build exceeds 128 KiB.
     """
 
     def __init__(self, location_map: LocationMap, params: ModelParams):
@@ -325,7 +334,7 @@ class OffsetTable:
         self.visiting = distances > params.neighbour_limit
         self.visiting_flags = self.visiting.tobytes()
         half = ((~self.visiting).sum(axis=1, dtype=np.int32) - 1) // 2
-        sums = _row_sums(decay_of(distances, params.k) * self._sets())
+        sums = _row_sums(decay_of(distances, params.k), self._sets())
         self.decay_sums = tuple(map(memoryview, sums))
         # what a home in column c reads for each row offset i, at [..., i, c],
         # per set: the grid row's decay mass, its cell count and the index in
@@ -348,43 +357,76 @@ class OffsetTable:
 
     @cached_property
     def count_sums(self) -> tuple[memoryview, memoryview]:
-        return tuple(map(memoryview, _row_sums(self._sets().astype(float))))
+        return tuple(map(memoryview, _row_sums(1.0, self._sets())))
 
-    def profile(self, home: int) -> HomeProfile:
-        """The selection profile of the home cell `home`."""
+    def profiles(self, homes: list[int]) -> list[HomeProfile]:
+        """The selection profiles of the home cells `homes`, in the same order.
+
+        Each set's data are built for a block of homes at a time, with the
+        row CDFs summed along the grid rows in the same order for every
+        home; a block holds at most HOME_ROWS home rows (one home, on a grid
+        of more rows), so no temporary array exceeds 128 KiB. What is left
+        per home is wrapping its values in compact arrays.
+        """
         rows, cols = self.rows, self.cols
-        row, col = divmod(home, cols)
-        window = slice(rows - 1 - row, 2 * rows - 1 - row)  # the grid rows' row offsets
-        masses = np.cumsum(self._masses[:, window, col], axis=1).tolist()
-        counts = np.cumsum(self._counts[:, window, col], axis=1).tolist()
-        sets = []
-        for visiting, stops in enumerate(self._stops[:, window, col].tolist()):
-            mass = masses[visiting]
-            weighted = self.alpha > 0.0 and mass[-1] > 0.0
-            if not weighted:
-                mass = counts[visiting]
-            sets.append(CandidateSet(
-                size=counts[visiting][-1],
-                static_mass=self.alpha * mass[-1] if weighted else 0.0,
-                rows=array("d", mass),
-                # the first row at the total is the last one that adds to it
-                last=bisect_left(mass, mass[-1]),
-                prefix=(self.decay_sums if weighted else self.count_sums)[visiting],
-                stops=array("i", stops),
-            ))
-        # index in `visiting_flags` of cell 0's offset: a cell's is that plus
-        # the cell id and (C-1) per grid row
-        flags_base = (rows - 1 - row) * (2 * cols - 1) + cols - 1 - col
-        # index in the sums of the start of grid row 0's column 0
-        sums_base = (rows - 1 - row) * (2 * cols) + cols - 1 - col
-        return HomeProfile(self, row, col, flags_base, sums_base, *sets)
+        profiles = []
+        block = max(1, HOME_ROWS // rows)
+        for lo in range(0, len(homes), block):
+            chunk = homes[lo:lo + block]
+            home_rows, home_cols = np.divmod(np.array(chunk, dtype=np.intp), cols)
+            # the row offsets of the grid rows, and the column, of each home: [h, i]
+            window = (rows - 1 - home_rows)[:, None] + np.arange(rows)
+            column = home_cols[:, None]
+            # per set, home and grid row: [set, h, i]
+            masses = np.cumsum(self._masses[:, window, column], axis=2)
+            counts = np.cumsum(self._counts[:, window, column], axis=2)
+            totals = masses[:, :, -1]
+            weighted = (totals > 0.0) & (self.alpha > 0.0)
+            # the draw mass: the decay, or one per cell where a set is drawn uniformly
+            cdfs = np.where(weighted[:, :, None], masses, counts)
+            # the first row at the total is the last one that adds to it
+            lasts = np.argmax(cdfs >= cdfs[:, :, -1:], axis=2).tolist()
+            sizes = counts[:, :, -1].tolist()
+            statics = np.where(weighted, self.alpha * totals, 0.0).tolist()
+            prefixes = [[(self.decay_sums if w else self.count_sums)[visiting] for w in of_set]
+                        for visiting, of_set in enumerate(weighted.tolist())]
+            # each set's arrays are slices of the block's, so they are compact
+            cdf_items = array("d", cdfs.tobytes())
+            stop_items = array("i", self._stops[:, window, column].astype(np.intc).tobytes())
+            for h, home in enumerate(chunk):
+                row, col = divmod(home, cols)
+                sets = []
+                for visiting in (0, 1):
+                    at = (visiting * len(chunk) + h) * rows
+                    sets.append(CandidateSet(
+                        size=sizes[visiting][h],
+                        static_mass=statics[visiting][h],
+                        rows=cdf_items[at:at + rows],
+                        last=lasts[visiting][h],
+                        prefix=prefixes[visiting][h],
+                        stops=stop_items[at:at + rows],
+                    ))
+                # index in `visiting_flags` of cell 0's offset: a cell's is that
+                # plus the cell id and (C-1) per grid row
+                flags_base = (rows - 1 - row) * (2 * cols - 1) + cols - 1 - col
+                # index in the sums of the start of grid row 0's column 0
+                sums_base = (rows - 1 - row) * (2 * cols) + cols - 1 - col
+                profiles.append(HomeProfile(self, row, col, flags_base, sums_base, *sets))
+        return profiles
 
 
-def _row_sums(terms: np.ndarray) -> np.ndarray:
-    """Prefix sums from 0 along the last axis of `terms`, flat for each entry of the first."""
-    sums = np.zeros((*terms.shape[:-1], terms.shape[-1] + 1))
-    np.cumsum(terms, axis=-1, out=sums[..., 1:])
-    return sums.reshape(len(terms), -1)
+def _row_sums(terms, sets: np.ndarray) -> np.ndarray:
+    """Prefix sums from 0 along the last axis of `terms`, counting only the
+    entries of each set in `sets` (the others count 0), flat for each set.
+
+    Each set's sums are written in place, one set at a time, so no temporary
+    is larger than one set's terms.
+    """
+    sums = np.zeros((*sets.shape[:-1], sets.shape[-1] + 1))
+    for row_sums, in_set in zip(sums, sets):
+        np.multiply(terms, in_set, out=row_sums[..., 1:])
+        np.cumsum(row_sums[..., 1:], axis=-1, out=row_sums[..., 1:])
+    return sums.reshape(len(sets), -1)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -451,19 +493,14 @@ class NodeState:
                 f"start={self.start}, end={self.end})")
 
 
-def make_node_state(
-    node_id: int,
-    position: Point2D,
-    location_map: LocationMap,
-    profile: HomeProfile,
-) -> NodeState:
-    """Node at `position`, homed in the cell containing it, with no encounters.
+def make_node_state(node_id: int, position: Point2D, profile: HomeProfile) -> NodeState:
+    """Node at `position` with no encounters, homed in the cell of `profile`.
 
     The node starts paused at home over [0, 0]. `profile` is the one built
-    for that home under the run's params, shared with the other nodes of
-    the home.
+    for the cell containing `position` under the run's params, shared with
+    the other nodes of that home; the home is read from it, not looked up.
     """
-    home = cell_of(location_map, position)
+    home = profile.row * profile.table.cols + profile.col
     return NodeState(node_id, home, position, SeenCounters(profile), profile)
 
 

@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import multiprocessing
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -288,6 +289,29 @@ def test_run_killed_leaves_no_outputs(config_path, tmp_path):
         proc.wait()
     assert proc.returncode == -signal.SIGKILL
     assert not list(out.glob("*.csv")) and not (out / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("limit, failing", [(40_000, "waypoints.csv"), (100_000, "contacts.csv")])
+def test_refused_write_names_its_file(tmp_path, limit, failing):
+    # 100 nodes in 16 cells over T = 3000 stream 88 kB of waypoints during the
+    # run, then write 123 kB of contacts; the file size limit is the child's
+    config = tmp_path / "crowded.conf"
+    config.write_text(
+        "neighbourLocationLimit = 300\nspeed = 1.4\nmaxAreaX = 400\nmaxAreaY = 400\n"
+        "waitTime = powerlaw(1.5,10,3600)\nalpha = 0.3\nnoOfLocations = 16\n"
+        "nodeCount = 100\nsimDuration = 3000\nseed = 1\n"
+    )
+    out = tmp_path / "out"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "swimsim.cli", "run", "--config", str(config), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and str(out / failing) in proc.stderr, proc.stderr
+    assert list(out.iterdir()) == []
 
 
 def test_run_with_huge_k_warns_nothing(tmp_path):

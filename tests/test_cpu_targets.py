@@ -14,7 +14,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from test_digests import CROWDED_CONFIG, REFERENCE_CONFIG, run_digests
+from test_digests import CROWDED_CONFIG, MANY_HOMES_CONFIG, REFERENCE_CONFIG, run_digests
 
 import swimsim
 
@@ -24,7 +24,7 @@ except ImportError:  # numpy 1
     from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 CONFIGS = (REFERENCE_CONFIG.format(alpha=0.3), REFERENCE_CONFIG.format(alpha=0.8),
-           CROWDED_CONFIG, CROWDED_CONFIG + "seen_update = bystanders_only\n")
+           CROWDED_CONFIG, CROWDED_CONFIG + "seen_update = bystanders_only\n", MANY_HOMES_CONFIG)
 
 
 def scenario_digests():

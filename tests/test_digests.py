@@ -16,6 +16,12 @@ depend on it), the CCDF fractions and the bulk contact writer. It is
 pinned under both seen_update modes, since each mode counts encounters
 on its own path: "symmetric" counts both members of a contact,
 "bystanders_only" only the member that was paused first.
+
+The many-homes case spreads 300 nodes over a 30 x 30 grid, about 250
+distinct homes, so it pins the selection data built for hundreds of homes
+at once, each home's own row CDFs and the nodes' starts, which the
+reference (21 cells) and crowded (4 cells) cases reach for a few homes
+only.
 """
 
 import hashlib
@@ -123,3 +129,33 @@ def test_crowded_run_digests(tmp_path):
 def test_crowded_bystanders_only_run_digests(tmp_path):
     config = CROWDED_CONFIG + "seen_update = bystanders_only\n"
     assert run_digests(tmp_path, config) == BYSTANDERS_ONLY_DIGESTS
+
+
+MANY_HOMES_CONFIG = """\
+neighbourLocationLimit = 300
+speed = 1.4
+initialX = uniform
+initialY = uniform
+maxAreaX = 3000
+maxAreaY = 3000
+waitTime = uniform(60,600)
+alpha = 0.3
+noOfLocations = 900
+nodeCount = 300
+simDuration = 3000
+seed = 1
+"""
+
+MANY_HOMES_DIGESTS = {
+    "locations.csv": "07508c020422753d00414d80d204be37757b846c4a8e8546cdf3c44a9ee1c956",
+    "waypoints.csv": "933ad8517379cd44656a9a3bd6d3e46ec4a0ccc9a473f028e2b1358c7867601d",
+    "contacts.csv": "0cbf0c66ba55da440679a4f2f6926c152a9224d7349f46a94e2316137c4eb81c",
+    "metrics.json": "dcbd8c354d75468427ed30b127a8108b5dd76fa907baff1dbc69215e99aa0e19",
+    "ccdf_inter_contact_times.csv": "34e75d106b55d2a51874a7f7513e7bba69cc5e7708b58a0dd4cb50315f748c7b",
+    "ccdf_contact_durations.csv": "8c06ac5f750a0bf4f3df2f0f254f8d03acc7f69040410ce1755decc161e186af",
+    "ccdf_contacts_per_pair.csv": "43714e8d33dba868105afee36ae1c8e1238c929c1728e396cca1ec3f50e796c0",
+}
+
+
+def test_many_homes_run_digests(tmp_path):
+    assert run_digests(tmp_path, MANY_HOMES_CONFIG) == MANY_HOMES_DIGESTS

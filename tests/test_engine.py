@@ -92,7 +92,7 @@ def scripted_state(position, randoms, uniforms, **param_overrides):
         uniforms=[FakeUniforms(randoms, uniforms, location_map)],
         tracker=ContactTracker([node.seen], params.seen_update),
     )
-    state.schedule(0.0, 0)
+    state.queue, state.seq = [(0.0, 0, 0)], 1
     return state
 
 

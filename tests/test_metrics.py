@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from support import contact_rows, lone_node, selection_counts
 
-from swimsim.engine import SELECTION_DTYPE, simulate
+from swimsim.engine import SELECTION_DTYPE, initialize, run, simulate
 from swimsim.grid import AreaBounds, LocationClass, Point2D, build_grid, classify_locations
 from swimsim.metrics import (
     contact_durations,
@@ -302,6 +302,21 @@ def test_ccdf_csv_and_metrics_json(tmp_path):
     assert report["inter_contact_times"]["samples"] == 1
     assert report["contact_durations"]["samples"] == 3
     assert report["contacts_per_pair"]["samples"] == 2
+
+
+def test_censored_zero_length_contacts_are_not_zero_duration():
+    # 6 nodes in 2 cells share homes and meet at t = 0; a run stopped there
+    # censors every contact at its start, so each has length 0 and none is
+    # a finished contact of length 0
+    params = ModelParams(
+        alpha=0.3, speed=1.4, neighbour_limit=300.0, n_locations=2, area=AREA,
+        wait=UniformWait(2.0, 5.0), node_count=6, sim_duration=100.0, seed=1,
+    )
+    report = run(initialize(params), 0.0)
+    contacts = metrics_report(report.contact_log, report.selection_counts)["contacts"]
+    assert contacts["total"] >= 3
+    assert contacts["censored"] == contacts["total"]
+    assert contacts["zero_duration"] == 0
 
 
 def test_metrics_on_real_run_match_brute_force():

@@ -191,7 +191,7 @@ def small_scenarios(draw):
     )
 
 
-# the four scenarios whose output bytes test_digests pins
+# the five scenarios whose output bytes test_digests pins
 DIGEST_SCENARIOS = [loads_config(text).to_params() for text in CONFIGS]
 
 
@@ -201,6 +201,7 @@ DIGEST_SCENARIOS = [loads_config(text).to_params() for text in CONFIGS]
 @example(DIGEST_SCENARIOS[1])
 @example(DIGEST_SCENARIOS[2])
 @example(DIGEST_SCENARIOS[3])
+@example(DIGEST_SCENARIOS[4])
 # a fixed wait on a few cells: trip rows with no pause uniform, and every
 # node's first departure at t = low, ties broken by the heap's seq
 @example(ModelParams(alpha=0.5, speed=1.4, neighbour_limit=150.0, n_locations=4,
