@@ -60,7 +60,7 @@ from .mobility import (
     choose_destination,
     draw_wait_time,
     make_node_state,
-    node_stream,
+    node_streams,
 )
 
 
@@ -195,7 +195,7 @@ class SimulationState:
     params: ModelParams
     location_map: LocationMap
     nodes: list[NodeState]
-    uniforms: list[UniformStream]  # one per node, from its node_stream
+    uniforms: list[UniformStream]  # from node_streams: node i's is default_rng([seed, i])
     tracker: ContactTracker  # the only writer of the nodes' seen counters
     now: float = 0.0
     queue: list[tuple[float, int, int]] = field(default_factory=list)  # (time, seq, node)
@@ -207,21 +207,22 @@ def initialize(params: ModelParams) -> SimulationState:
     """Build the grid, place nodes, and schedule each node's first departure.
 
     Initial positions are uniform over the area; the containing cell becomes
-    the node's home. A node's start is the first two uniforms of its own
-    stream, scaled to the area's width and height as `rng.uniform(0, side)`
-    would scale them, and the homes of all nodes are found in one search
-    per axis. Every node starts with a pause at home, and the pause is
-    announced like any other arrival (in node-id order at t=0) so nodes
-    that start co-located meet before anyone moves. Nodes that share a
-    home share one HomeProfile; the profiles of all distinct homes are
-    built in one pass from the run's one OffsetTable, so selection state is
-    O(L + distinct homes x R) and setup costs one stream per node plus that
-    pass. Each node's seen counters are its own sparse SeenCounters, which
-    the contact tracker writes. No N x L array is allocated, and no
-    temporary of the home build exceeds 128 KiB.
+    the node's home. Every node's stream comes from one `node_streams`
+    call, which seeds all of them in one numpy pass. A node's start is the
+    first two uniforms of its own stream, scaled to the area's width and
+    height as `rng.uniform(0, side)` would scale them, and the homes of all
+    nodes are found in one search per axis. Every node starts with a pause
+    at home, and the pause is announced like any other arrival (in node-id
+    order at t=0) so nodes that start co-located meet before anyone moves.
+    Nodes that share a home share one HomeProfile; the profiles of all
+    distinct homes are built in one pass from the run's one OffsetTable, so
+    selection state is O(L + distinct homes x R) and setup costs one
+    generator per node plus the two passes. Each node's seen counters are
+    its own sparse SeenCounters, which the contact tracker writes. No N x L
+    array is allocated, and no temporary of the home build exceeds 128 KiB.
     """
     location_map = build_grid(params.area, params.n_locations)
-    uniforms = [UniformStream(node_stream(params.seed, i)) for i in range(params.node_count)]
+    uniforms = [UniformStream(rng) for rng in node_streams(params.seed, params.node_count)]
     # numpy's uniform(0, side) is 0 + side * u, the same double as side * u
     starts = np.array([stream.take(2) for stream in uniforms]).T
     xs, ys = params.area.width * starts[0], params.area.height * starts[1]

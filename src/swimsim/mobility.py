@@ -21,13 +21,14 @@ and its phase, as plain values the engine writes in place. The seen
 counters are sparse (SeenCounters): for each set, the cells where the
 node has met someone, in id order, with their counts and the set's count
 total, so no N x L matrix exists during a run and a selection reads its
-set's seen mass without classifying cells. A node's random stream is read in blocks of
-BLOCK uniforms (UniformStream), which give the same doubles, in the same
-order, as one `random()` call per value. The engine reads a trip's four
-uniforms and its pause's uniform as one row at the departure, and the
-wait law's `inverse_cdf` turns the latter into a length at the arrival.
-The kernel returns whether each draw was visiting or a fallback, and the
-engine tallies those per node where it draws.
+set's seen mass without classifying cells. A run's node streams are
+seeded in one numpy pass (node_streams), and a node's stream is read in
+blocks of BLOCK uniforms (UniformStream), which give the same doubles, in
+the same order, as one `random()` call per value. The engine reads a
+trip's four uniforms and its pause's uniform as one row at the departure,
+and the wait law's `inverse_cdf` turns the latter into a length at the
+arrival. The kernel returns whether each draw was visiting or a fallback,
+and the engine tallies those per node where it draws.
 """
 
 from __future__ import annotations
@@ -37,13 +38,14 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 # numpy imports its random module lazily, on first use; importing it here
 # takes that cost (about 16 ms) out of a process's first `initialize`, and
 # the forked workers of a parallel sweep inherit it
 import numpy.random  # noqa: F401
+from numpy.random.bit_generator import ISeedSequence
 
 from .grid import AreaBounds, LocationMap, Point2D, offset_distances
 
@@ -164,8 +166,8 @@ class ModelParams:
         for key, side in (("maxAreaX", self.area.width), ("maxAreaY", self.area.height)):
             if self.n_locations > sys.float_info.max / side:
                 raise ValueError(f"{key} * noOfLocations overflows: {side} * {self.n_locations}")
-        if self.node_count < 1:
-            raise ValueError(f"nodeCount must be >= 1, got {self.node_count}")
+        if not (1 <= self.node_count <= NODE_IDS):
+            raise ValueError(f"nodeCount must be in [1, 2**32], got {self.node_count}")
         if self.sim_duration <= 0:
             raise ValueError(f"simDuration must be > 0, got {self.sim_duration}")
         if not (isinstance(self.seed, int) and self.seed >= 0):
@@ -187,9 +189,112 @@ class ModelParams:
         return 2.0 / self.area.diagonal
 
 
+NODE_IDS = 2**32  # a node id is one uint32 word of its stream's seed
+
+# O'Neill's seed_seq hash as numpy's SeedSequence runs it, over a pool of
+# four uint32 words: the entropy mix's hash constants, generate_state's,
+# and the mix's multipliers
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+_OTHERS = [[dst for dst in range(_POOL) if dst != src] for src in range(_POOL)]
+
+
+@cache
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """init * mult**i mod 2**32 for i in 0..n, a read-only uint32 column."""
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _MASK32)
+    column = np.array(consts, np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """hashmix of each row of values, row i against consts[i] and consts[i + 1]."""
+    values = values ^ consts[:-1]
+    values *= consts[1:]
+    values ^= values >> _XSHIFT
+    return values
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """mix of x with y, elementwise."""
+    x = x * _MIX_L
+    x -= y * _MIX_R
+    x ^= x >> _XSHIFT
+    return x
+
+
+def _stream_seeds(seed: int, nodes: np.ndarray) -> np.ndarray:
+    """`SeedSequence([seed, node]).generate_state(4, np.uint64)` of each node, as rows.
+
+    The entropy is the seed's uint32 words, least significant first, then
+    the node's one word, and the hash constants follow a fixed sequence. So
+    each step of the hash is one uint32 operation on a (pool, nodes) array,
+    whose wrap-around is the hash's own arithmetic mod 2**32.
+    """
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    entropy = np.zeros((max(len(words) + 1, _POOL), len(nodes)), np.uint32)
+    entropy[: len(words)] = np.array(words, np.uint32)[:, None]
+    entropy[len(words)] = nodes
+    # a hashmix per pool word, one per ordered pair of pool words, and four
+    # per entropy word past the pool's
+    a = _hash_constants(_INIT_A, _MULT_A, _POOL * len(entropy))
+    pool = _hashmix(entropy[:_POOL], a[: _POOL + 1])
+    k = _POOL
+    for src, others in enumerate(_OTHERS):
+        pool[others] = _mix(pool[others], _hashmix(pool[src], a[k : k + _POOL]))
+        k += _POOL - 1
+    for row in entropy[_POOL:]:
+        pool = _mix(pool, _hashmix(row, a[k : k + _POOL + 1]))
+        k += _POOL
+    # 8 uint32 words, cycling over the pool, read as 4 little-endian uint64s
+    state = _hashmix(np.concatenate((pool, pool)), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL))
+    return np.ascontiguousarray(state.T, "<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+class _Seed(ISeedSequence):
+    """One node's precomputed seed words, handed to PCG64 as `generate_state`'s result."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words  # PCG64 asks for 4 uint64 words
+
+
+def _streams(seed: int, first: int, count: int) -> list[np.random.Generator]:
+    # a negative seed has no uint32 words: its shifts never reach 0
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    if not (0 <= first and first + count <= NODE_IDS):
+        raise ValueError(f"node ids must be in [0, 2**32), got {first} .. {first + count - 1}")
+    seeds = _stream_seeds(seed, np.arange(first, first + count, dtype=np.uint32))
+    return [np.random.Generator(np.random.PCG64(_Seed(words))) for words in seeds]
+
+
+def node_streams(seed: int, count: int) -> list[np.random.Generator]:
+    """The streams of nodes 0 .. count-1, seeded together in one numpy pass.
+
+    Node i's stream is, bit for bit, `np.random.default_rng([seed, i])`,
+    whatever the count: its PCG64 is seeded from SeedSequence's hash of
+    `[seed, i]`, computed for all nodes at once, with no SeedSequence per node.
+    """
+    return _streams(seed, 0, count)
+
+
 def node_stream(seed: int, node_id: int) -> np.random.Generator:
-    """Independent per-node RNG stream, stable under node-count changes."""
-    return np.random.default_rng([seed, node_id])
+    """One node's stream, the batch of one of `node_streams`."""
+    return _streams(seed, node_id, 1)[0]
 
 
 BLOCK = 64  # uniforms drawn from a node's stream in one call

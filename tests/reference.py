@@ -1,8 +1,9 @@
 """A slow SWIM simulator written from README's model text, the judge of `simulate`.
 
 It has none of the engine's machinery: no offset table, home profile, seen
-store, contact tracker or block-read stream. From swimsim it takes only
-`grid_shape` (judged against brute force in test_grid), `node_stream` and
+store, contact tracker, batch-seeded or block-read stream. Each node draws
+from numpy's own `default_rng([seed, node])`. From swimsim it takes only
+`grid_shape` (judged against brute force in test_grid) and
 `draw_wait_time` (acceptance criterion 7). It draws from a dense w(C) over
 the chosen set by README's mixture recipe, with the same four uniforms;
 reads waits one value at a time from the node's stream; finds encounters
@@ -14,8 +15,10 @@ import heapq
 import math
 from itertools import count
 
+import numpy as np
+
 from swimsim.grid import grid_shape
-from swimsim.mobility import draw_wait_time, node_stream
+from swimsim.mobility import draw_wait_time
 
 
 class Model:
@@ -100,7 +103,7 @@ def simulate_reference(params):
     visiting set, the two sets' totals and the node's total."""
     model = Model(params)
     n, until = params.node_count, params.sim_duration
-    rngs = [node_stream(params.seed, i) for i in range(n)]
+    rngs = [np.random.default_rng([params.seed, i]) for i in range(n)]
     xs, ys = map(list, zip(*[(float(rng.uniform(0.0, params.area.width)),
                               float(rng.uniform(0.0, params.area.height))) for rng in rngs]))
     homes = [model.cell_of(x, y) for x, y in zip(xs, ys)]

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
+from swimsim.cli import main
 from swimsim.config import (
     ConfigError,
     dumps_config,
@@ -215,3 +219,24 @@ def test_wait_too_short_to_advance_the_clock_names_both_keys():
         loads_config(text + "simDuration = 1e8\n")
     # a min the horizon can still add is accepted
     loads_config(text + "simDuration = 1e6\n")
+
+
+def test_node_count_past_one_uint32_word_names_key(tmp_path, monkeypatch, capsys):
+    # a node id is one uint32 word of its stream's seed, so ids stop at
+    # 2**32 - 1; the check comes before any generator is built
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(np.random, "PCG64", no_generator)
+    params = loads_config(REFERENCE_CONFIG).to_params()
+    with pytest.raises(ValueError, match="nodeCount"):
+        replace(params, node_count=2**32 + 1)
+    assert replace(params, node_count=2**32).node_count == 2**32
+    text = REFERENCE_CONFIG + "nodeCount = 4294967297\n"
+    with pytest.raises(ConfigError, match="nodeCount"):
+        loads_config(text)
+    assert loads_config(REFERENCE_CONFIG + "nodeCount = 4294967296\n").node_count == 2**32
+    path = tmp_path / "scenario.cfg"
+    path.write_text(text)
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "nodeCount" in capsys.readouterr().err

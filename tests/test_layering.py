@@ -101,9 +101,9 @@ def test_only_the_grid_and_the_kernel_read_the_edges():
 
 
 def test_reference_simulator_imports_only_what_other_tests_judge():
-    # the judge of the engine must not reuse its offset table, seen store or
-    # tracker; grid_shape is judged against brute force in test_grid, and
-    # node_stream and draw_wait_time by the acceptance suite
+    # the judge of the engine must not reuse its offset table, seen store,
+    # tracker or stream seeding; grid_shape is judged against brute force in
+    # test_grid, and draw_wait_time by the acceptance suite
     tree = ast.parse((Path(__file__).parent / "reference.py").read_text())
     taken = set()
     for node in ast.walk(tree):
@@ -111,4 +111,4 @@ def test_reference_simulator_imports_only_what_other_tests_judge():
             prefix = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
             taken.update(prefix + alias.name for alias in node.names)
     assert {name for name in taken if "swimsim" in name} == {
-        "swimsim.grid.grid_shape", "swimsim.mobility.node_stream", "swimsim.mobility.draw_wait_time"}
+        "swimsim.grid.grid_shape", "swimsim.mobility.draw_wait_time"}

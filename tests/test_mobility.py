@@ -1,6 +1,7 @@
 import hashlib
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from swimsim.mobility import (
     decay_of,
     draw_wait_time,
     node_stream,
+    node_streams,
 )
 
 AREA = AreaBounds(400.0, 400.0)
@@ -335,6 +337,34 @@ def test_node_stream_independent_of_node_count():
     c = node_stream(5, 4).random(8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# 2**100 + 5 and 2**200 + 1 have more entropy words than the pool holds, so
+# SeedSequence mixes the extra ones, the node's last, into every pool word
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**100 + 5, 2**200 + 1])
+def test_node_streams_are_default_rng_bit_for_bit(seed):
+    # the streams define every draw: a numpy whose SeedSequence hash or PCG64
+    # seeding differs from the batch's fails here, before the digests do
+    for count in (1, 10, 4000):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # uint32 wrap-around on a numpy scalar warns
+            streams = node_streams(seed, count)
+        assert len(streams) == count
+        for node in sorted({0, 1, count - 1} & set(range(count))):
+            judge = np.random.default_rng([seed, node])
+            assert streams[node].bit_generator.state == judge.bit_generator.state
+            assert np.array_equal(streams[node].random(100), judge.random(100))
+    judge = np.random.default_rng([seed, 2**32 - 1])
+    assert node_stream(seed, 2**32 - 1).bit_generator.state == judge.bit_generator.state
+
+
+def test_node_ids_and_seed_out_of_range_are_rejected():
+    with pytest.raises(ValueError, match="node ids"):
+        node_stream(1, 2**32)
+    with pytest.raises(ValueError, match="node ids"):
+        node_streams(1, 2**32 + 1)
+    with pytest.raises(ValueError, match="seed"):
+        node_stream(-1, 0)
 
 
 def test_seen_counters_add_keeps_each_set_in_id_order():
