@@ -28,7 +28,7 @@ def selection_histogram(alpha, experienced=False, draws=20000):
     position = Point2D(10.0, 10.0)
     # what selection reads of the home cell, built once per home in a run
     (profile,) = OffsetTable(grid, params).profiles([cell_of(grid, position)])
-    node = make_node_state(0, position, profile)
+    node = make_node_state(0, position.x, position.y, profile)
     if experienced:
         node.seen.add(20, 30)  # met 30 nodes at the far corner
     rng = node_stream(0, 0)

@@ -52,6 +52,7 @@ import numpy as np
 from .encounters import ContactLog, ContactTracker
 from .grid import LocationMap, Point2D, build_grid, cells_of
 from .mobility import (
+    BLOCK,
     ModelParams,
     NodeState,
     OffsetTable,
@@ -83,6 +84,9 @@ PAUSE_DTYPE = np.dtype(
 # buffers stays under 128 KiB, glibc's initial mmap threshold, which a larger
 # freed buffer would raise
 TRACE_ROWS = 2048
+# nodes per array of the nodes' first uniform blocks, which `initialize` draws:
+# 64 KiB each, under the same threshold
+START_ROWS = 128
 
 
 @dataclass
@@ -208,29 +212,44 @@ def initialize(params: ModelParams) -> SimulationState:
 
     Initial positions are uniform over the area; the containing cell becomes
     the node's home. Every node's stream comes from one `node_streams`
-    call, which seeds all of them in one numpy pass. A node's start is the
-    first two uniforms of its own stream, scaled to the area's width and
-    height as `rng.uniform(0, side)` would scale them, and the homes of all
-    nodes are found in one search per axis. Every node starts with a pause
-    at home, and the pause is announced like any other arrival (in node-id
-    order at t=0) so nodes that start co-located meet before anyone moves.
+    call, which seeds all of them in one numpy pass. Each stream draws its
+    first block of uniforms into its row of an array of START_ROWS nodes,
+    and goes on from that row. A node's start is the first two uniforms of
+    its own stream, read for all nodes from the arrays' first two columns
+    and scaled to the area's width and height as `rng.uniform(0, side)`
+    would scale them, and the homes of all nodes are found in one search
+    per axis. Every node starts with a pause at home, and the pause is
+    announced like any other arrival (in node-id order at t=0) so nodes
+    that start co-located meet before anyone moves.
     Nodes that share a home share one HomeProfile; the profiles of all
     distinct homes are built in one pass from the run's one OffsetTable, so
     selection state is O(L + distinct homes x R) and setup costs one
-    generator per node plus the two passes. Each node's seen counters are
-    its own sparse SeenCounters, which the contact tracker writes. No N x L
-    array is allocated, and no temporary of the home build exceeds 128 KiB.
+    generator and one block draw per node plus the two passes. Each node's
+    seen counters are its own sparse SeenCounters, which the contact
+    tracker writes. No N x L array is allocated, and no temporary of the
+    home build, nor any array of first blocks, exceeds 128 KiB.
     """
     location_map = build_grid(params.area, params.n_locations)
-    uniforms = [UniformStream(rng) for rng in node_streams(params.seed, params.node_count)]
+    # every node's first block of uniforms, one row per node in arrays of
+    # START_ROWS nodes; a stream goes on from its row with the start's two
+    # values taken
+    rngs = node_streams(params.seed, params.node_count)
+    uniforms, starts = [], []
+    for lo in range(0, len(rngs), START_ROWS):
+        chunk = rngs[lo:lo + START_ROWS]
+        blocks = np.empty((len(chunk), BLOCK))
+        for rng, block in zip(chunk, blocks):
+            rng.random(out=block)
+            uniforms.append(UniformStream(rng, block, 2))
+        starts.append(blocks[:, :2])
+    starts = np.concatenate(starts)
     # numpy's uniform(0, side) is 0 + side * u, the same double as side * u
-    starts = np.array([stream.take(2) for stream in uniforms]).T
-    xs, ys = params.area.width * starts[0], params.area.height * starts[1]
+    xs, ys = params.area.width * starts[:, 0], params.area.height * starts[:, 1]
     homes = cells_of(location_map, xs, ys).tolist()
     distinct = sorted(set(homes))
     profile_of = dict(zip(distinct, OffsetTable(location_map, params).profiles(distinct)))
     nodes = [
-        make_node_state(i, Point2D(x, y), profile_of[home])
+        make_node_state(i, x, y, profile_of[home])
         for i, (x, y, home) in enumerate(zip(xs.tolist(), ys.tolist(), homes))
     ]
     state = SimulationState(

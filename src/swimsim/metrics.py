@@ -123,11 +123,13 @@ def _pairs(log) -> tuple[np.ndarray, np.ndarray]:
     that packing is exact for any log; the pair keys take node ids below
     2**32.
 
-    Each column as long as the log is dropped once used, so at most two
-    are held. The log's rows are read twice: a chunk at a time for the
-    keys, reading only a and b, and then, for the gaps, a chunk of the walk
-    at a time, gathering the start, the end and the censored flag of the
-    rows it pairs.
+    The keys are not sorted again: where a pair starts is read from the
+    keys gathered through the argsort, a chunk at a time. Each column as
+    long as the log is dropped once used, so at most two are held. The
+    log's rows are read twice: a chunk at a time for the keys, reading
+    only a and b, and then, for the gaps, a chunk of the walk at a time,
+    gathering the start, the end and the censored flag of the rows it
+    pairs.
     """
     n = len(log)
     keys = np.empty(n, dtype=np.int64)
@@ -142,9 +144,11 @@ def _pairs(log) -> tuple[np.ndarray, np.ndarray]:
         keys[lo:hi] *= 2**32
         keys[lo:hi] += b
     by_pair = np.argsort(keys)
-    keys.sort()
+    # a pair's rows start where the key changes along the argsort
     new_pair = np.ones(n, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=new_pair[1:])
+    for lo in range(0, n - 1, encounters.CHUNK_ROWS):
+        step = keys[by_pair[lo:lo + encounters.CHUNK_ROWS + 1]]
+        np.not_equal(step[1:], step[:-1], out=new_pair[lo + 1:lo + len(step)])
     del keys
     starts = np.flatnonzero(new_pair)
     del new_pair

@@ -16,19 +16,23 @@ every offset, with their prefix sums along each row offset. What depends
 on the home cell itself (each set's size, static mass and CDF over the
 grid rows, O(R) values) lives in a HomeProfile shared by all nodes of that
 home, and the table builds those of all of a run's homes in one numpy
-pass (OffsetTable.profiles); a node itself holds only its seen counters
-and its phase, as plain values the engine writes in place. The seen
-counters are sparse (SeenCounters): for each set, the cells where the
-node has met someone, in id order, with their counts and the set's count
-total, so no N x L matrix exists during a run and a selection reads its
-set's seen mass without classifying cells. A run's node streams are
-seeded in one numpy pass (node_streams), and a node's stream is read in
-blocks of BLOCK uniforms (UniformStream), which give the same doubles, in
-the same order, as one `random()` call per value. The engine reads a
-trip's four uniforms and its pause's uniform as one row at the departure,
-and the wait law's `inverse_cdf` turns the latter into a length at the
-arrival. The kernel returns whether each draw was visiting or a fallback,
-and the engine tallies those per node where it draws.
+pass (OffsetTable.profiles): it keeps what a home reads per grid row as
+one run per home, gathers a block of homes' runs in one numpy call per
+array, and wraps each home's values in slotted records. A node itself
+holds only its seen counters and its phase, as plain values the engine
+writes in place. The seen counters are sparse (SeenCounters): for each
+set, the cells where the node has met someone, in id order, with their
+counts and the set's count total, so no N x L matrix exists during a run
+and a selection reads its set's seen mass without classifying cells. A
+run's node streams are seeded in one numpy pass (node_streams), and a
+node's stream is read in blocks of BLOCK uniforms (UniformStream), which
+give the same doubles, in the same order, as one `random()` call per
+value. The engine draws the streams' first blocks as the rows of a few
+arrays and reads the nodes' starts from their first two columns. It
+reads a trip's four uniforms and its pause's uniform as one row at the
+departure, and the wait law's `inverse_cdf` turns the latter into a
+length at the arrival. The kernel returns whether each draw was visiting
+or a fallback, and the engine tallies those per node where it draws.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 from numpy.random.bit_generator import ISeedSequence
 
-from .grid import AreaBounds, LocationMap, Point2D, offset_distances
+from .grid import AreaBounds, LocationMap, offset_distances
 
 SEEN_UPDATE_MODES = ("symmetric", "bystanders_only")
 
@@ -309,19 +313,24 @@ class UniformStream:
 
     `random()` and `take(k)` give the same doubles, in the same order, as
     successive `rng.random()` calls would. A block is filled by one
-    `rng.random(out=...)` call when the last one is used up, and the first
-    only when the first value is taken. A node's start position is the
-    first two values of its stream, so the engine reads it from the block
-    the run goes on to use.
+    `rng.random(out=...)` call when the last one is used up. Without a
+    `block`, the first is filled only when the first value is taken. A
+    `block` given is the stream's first BLOCK values, already drawn into it,
+    of which the first `taken` are used: `initialize` draws the nodes' first
+    blocks as the rows of a few arrays, reads every start from their first
+    two columns and hands each stream its row, which its later blocks
+    overwrite.
     """
 
     __slots__ = ("_rng", "_block", "_values", "_pos")
 
-    def __init__(self, rng: np.random.Generator):
+    def __init__(self, rng: np.random.Generator, block: np.ndarray | None = None, taken: int = 0):
         self._rng = rng
-        self._block = np.empty(BLOCK)
-        self._values = memoryview(self._block)  # indexing it gives Python floats
-        self._pos = BLOCK
+        if block is None:
+            block, taken = np.empty(BLOCK), BLOCK
+        self._block = block
+        self._values = memoryview(block)  # indexing it gives Python floats
+        self._pos = taken
 
     def random(self) -> float:
         """The next uniform in [0, 1)."""
@@ -393,9 +402,13 @@ class SeenCounters:
         return f"SeenCounters(cells={self.cells}, counts={self.counts})"
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class CandidateSet:
-    """One step-1 set of a home: its size, its static mass and the CDF of its grid rows."""
+    """One step-1 set of a home: its size, its static mass and the CDF of its grid rows.
+
+    Written only by OffsetTable.profiles and read by the selection kernel;
+    not frozen, as a frozen record costs several times as much to build.
+    """
 
     size: int            # cells in the set
     static_mass: float   # alpha * decay summed over the set, its share of the set's weight
@@ -426,10 +439,12 @@ class OffsetTable:
     memoryview whose items read as Python floats. `count_sums` holds the
     same sums of one per offset of the set, the CDF of a set drawn
     uniformly; it is built on first use. A home's profile reads its column
-    of the table's other arrays, O(L) in all, for the grid rows it covers:
-    `profiles` builds those of all the run's distinct homes in one numpy
-    pass over blocks of homes, so setup makes a few numpy calls per block,
-    not per home, and no temporary of that build exceeds 128 KiB.
+    of the table's other arrays, O(L) in all, for the grid rows it covers,
+    which they hold as one run of R values per home: `profiles` builds
+    those of all the run's distinct homes in one numpy pass over blocks of
+    homes, gathering a block's runs through one strided view per array, so
+    setup makes a few numpy calls per block, not per home, and no
+    temporary of that build exceeds 128 KiB.
     """
 
     def __init__(self, location_map: LocationMap, params: ModelParams):
@@ -441,20 +456,27 @@ class OffsetTable:
         half = ((~self.visiting).sum(axis=1, dtype=np.int32) - 1) // 2
         sums = _row_sums(decay_of(distances, params.k), self._sets())
         self.decay_sums = tuple(map(memoryview, sums))
-        # what a home in column c reads for each row offset i, at [..., i, c],
-        # per set: the grid row's decay mass, its cell count and the index in
-        # the sums of the end of its last cell (its last near column is
-        # c + half, its last visiting one the grid's last or c - half - 1)
+        # what a home in column c reads for each row offset i, per set: the
+        # grid row's decay mass, its cell count and the index in the sums of
+        # the end of its last cell (its last near column is c + half, its last
+        # visiting one the grid's last or c - half - 1), built at [set, i, c]
         home_cols = np.arange(cols, dtype=np.int32)
         starts = (np.arange(2 * rows - 1, dtype=np.int32)[:, None] * (2 * cols)
                   + (cols - 1 - home_cols))  # the index of the start of column 0
         sums = sums.reshape(2, 2 * rows - 1, 2 * cols)
-        self._masses = sums[:, :, cols - 1 - home_cols + cols] - sums[:, :, cols - 1 - home_cols]
+        masses = sums[:, :, cols - 1 - home_cols + cols] - sums[:, :, cols - 1 - home_cols]
         near_start = home_cols - half[:, None]
         near_end = np.minimum(home_cols + half[:, None] + 1, cols)
         near_counts = np.maximum(near_end - np.maximum(near_start, 0), 0)
-        self._counts = np.stack([near_counts, cols - near_counts])
-        self._stops = starts + np.stack([near_end, np.where(near_end < cols, cols, near_start)])
+        counts = np.stack([near_counts, cols - near_counts])
+        stops = starts + np.stack([near_end, np.where(near_end < cols, cols, near_start)])
+        # and kept at [set, c, i], so that the R row offsets of a home's grid
+        # rows are one run: a home in grid row r and column c reads the run
+        # from c * (2R-1) + R-1-r of each set's flat buffer
+        self._masses, self._counts, self._stops = (
+            np.ascontiguousarray(values.transpose(0, 2, 1))
+            for values in (masses, counts, stops.astype(np.intc)))
+        self._runs = [_runs(values, rows) for values in (self._masses, self._counts, self._stops)]
 
     def _sets(self) -> np.ndarray:
         """The near and the visiting offsets."""
@@ -467,24 +489,26 @@ class OffsetTable:
     def profiles(self, homes: list[int]) -> list[HomeProfile]:
         """The selection profiles of the home cells `homes`, in the same order.
 
-        Each set's data are built for a block of homes at a time, with the
-        row CDFs summed along the grid rows in the same order for every
-        home; a block holds at most HOME_ROWS home rows (one home, on a grid
-        of more rows), so no temporary array exceeds 128 KiB. What is left
-        per home is wrapping its values in compact arrays.
+        Each set's data are built for a block of homes at a time, from one
+        gather of the block's runs per array, with the row CDFs summed along
+        the grid rows in the same order for every home; a block holds at
+        most HOME_ROWS home rows (one home, on a grid of more rows), so no
+        temporary array exceeds 128 KiB. What is left per home is wrapping
+        its values in compact arrays and slotted records, a CandidateSet per
+        set and a HomeProfile per home, which only this build writes.
         """
         rows, cols = self.rows, self.cols
+        mass_runs, count_runs, stop_runs = self._runs
         profiles = []
         block = max(1, HOME_ROWS // rows)
         for lo in range(0, len(homes), block):
             chunk = homes[lo:lo + block]
             home_rows, home_cols = np.divmod(np.array(chunk, dtype=np.intp), cols)
-            # the row offsets of the grid rows, and the column, of each home: [h, i]
-            window = (rows - 1 - home_rows)[:, None] + np.arange(rows)
-            column = home_cols[:, None]
+            # where each home's run starts: its column's, then its first row offset
+            runs = home_cols * (2 * rows - 1) + (rows - 1 - home_rows)
             # per set, home and grid row: [set, h, i]
-            masses = np.cumsum(self._masses[:, window, column], axis=2)
-            counts = np.cumsum(self._counts[:, window, column], axis=2)
+            masses = np.cumsum(mass_runs[:, runs], axis=2)
+            counts = np.cumsum(count_runs[:, runs], axis=2)
             totals = masses[:, :, -1]
             weighted = (totals > 0.0) & (self.alpha > 0.0)
             # the draw mass: the decay, or one per cell where a set is drawn uniformly
@@ -497,27 +521,36 @@ class OffsetTable:
                         for visiting, of_set in enumerate(weighted.tolist())]
             # each set's arrays are slices of the block's, so they are compact
             cdf_items = array("d", cdfs.tobytes())
-            stop_items = array("i", self._stops[:, window, column].astype(np.intc).tobytes())
-            for h, home in enumerate(chunk):
+            stop_items = array("i", stop_runs[:, runs].tobytes())
+            items = len(cdf_items) // 2  # per set
+            near, visiting = (
+                [CandidateSet(size, static, cdf_items[at:at + rows], last, prefix,
+                              stop_items[at:at + rows])
+                 for size, static, last, prefix, at in zip(
+                     sizes[s], statics[s], lasts[s], prefixes[s],
+                     range(s * items, (s + 1) * items, rows))]
+                for s in (0, 1))
+            for home, near_set, visiting_set in zip(chunk, near, visiting):
                 row, col = divmod(home, cols)
-                sets = []
-                for visiting in (0, 1):
-                    at = (visiting * len(chunk) + h) * rows
-                    sets.append(CandidateSet(
-                        size=sizes[visiting][h],
-                        static_mass=statics[visiting][h],
-                        rows=cdf_items[at:at + rows],
-                        last=lasts[visiting][h],
-                        prefix=prefixes[visiting][h],
-                        stops=stop_items[at:at + rows],
-                    ))
                 # index in `visiting_flags` of cell 0's offset: a cell's is that
                 # plus the cell id and (C-1) per grid row
                 flags_base = (rows - 1 - row) * (2 * cols - 1) + cols - 1 - col
                 # index in the sums of the start of grid row 0's column 0
                 sums_base = (rows - 1 - row) * (2 * cols) + cols - 1 - col
-                profiles.append(HomeProfile(self, row, col, flags_base, sums_base, *sets))
+                profiles.append(HomeProfile(self, row, col, flags_base, sums_base, near_set,
+                                            visiting_set))
         return profiles
+
+
+def _runs(values: np.ndarray, length: int) -> np.ndarray:
+    """A read-only view of the C-contiguous `values`, per set along the first
+    axis, whose [s, p] is the `length` values from p of set s's flat buffer, so
+    that one gather along p copies whole runs."""
+    step = values.itemsize
+    runs = np.ndarray((len(values), values[0].size - length + 1, length), values.dtype,
+                      values, strides=(values.strides[0], step, step))
+    runs.flags.writeable = False
+    return runs
 
 
 def _row_sums(terms, sets: np.ndarray) -> np.ndarray:
@@ -534,13 +567,14 @@ def _row_sums(terms, sets: np.ndarray) -> np.ndarray:
     return sums.reshape(len(sets), -1)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class HomeProfile:
     """Everything selection needs that depends only on the home cell.
 
-    Built once per distinct home under one run's params and shared by every
-    node homed there. It keeps O(R) values per set, and reads the rest from
-    the run's OffsetTable.
+    Built once per distinct home under one run's params, by
+    OffsetTable.profiles only, and shared by every node homed there. It
+    keeps O(R) values per set, and reads the rest from the run's
+    OffsetTable.
     """
 
     table: OffsetTable = field(repr=False)
@@ -585,11 +619,11 @@ class NodeState:
     __slots__ = ("id", "home", "seen", "profile", "paused", "cell", "x", "y", "tx", "ty",
                  "start", "end")
 
-    def __init__(self, id: int, home: int, position: Point2D, seen: SeenCounters,
+    def __init__(self, id: int, home: int, x: float, y: float, seen: SeenCounters,
                  profile: HomeProfile):
         self.id, self.home, self.seen, self.profile = id, home, seen, profile
-        self.x = self.tx = position.x
-        self.y = self.ty = position.y
+        self.x = self.tx = x
+        self.y = self.ty = y
         self.paused, self.cell, self.start, self.end = True, home, 0.0, 0.0
 
     def __repr__(self) -> str:
@@ -598,15 +632,15 @@ class NodeState:
                 f"start={self.start}, end={self.end})")
 
 
-def make_node_state(node_id: int, position: Point2D, profile: HomeProfile) -> NodeState:
-    """Node at `position` with no encounters, homed in the cell of `profile`.
+def make_node_state(node_id: int, x: float, y: float, profile: HomeProfile) -> NodeState:
+    """Node at the point (x, y) with no encounters, homed in the cell of `profile`.
 
     The node starts paused at home over [0, 0]. `profile` is the one built
-    for the cell containing `position` under the run's params, shared with
+    for the cell containing the point under the run's params, shared with
     the other nodes of that home; the home is read from it, not looked up.
     """
     home = profile.row * profile.table.cols + profile.col
-    return NodeState(node_id, home, position, SeenCounters(profile), profile)
+    return NodeState(node_id, home, x, y, SeenCounters(profile), profile)
 
 
 def decay_of(distances: np.ndarray, k: float) -> np.ndarray:

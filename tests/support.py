@@ -11,7 +11,7 @@ from swimsim.mobility import OffsetTable, make_node_state
 def lone_node(node_id, position, location_map, params):
     """A node at `position` whose home profile comes from an OffsetTable of its own."""
     (profile,) = OffsetTable(location_map, params).profiles([cell_of(location_map, position)])
-    return make_node_state(node_id, position, profile)
+    return make_node_state(node_id, position.x, position.y, profile)
 
 
 def seen_dict(seen):

@@ -10,7 +10,8 @@ decay and each set's mask.
 
 A node's start is the first two draws of its own stream, as
 `rng.uniform(0, width)` and then `rng.uniform(0, height)` give them, and
-its first pause is the next draw.
+its first pause is the next draw. The stream then goes on from the block
+the start was read from as its node's own stream does.
 """
 
 import heapq
@@ -21,13 +22,15 @@ from bisect import bisect_left
 import numpy as np
 import pytest
 
-from swimsim import mobility
+from swimsim import engine, mobility
 from swimsim.engine import initialize
 from swimsim.grid import AreaBounds, LocationMap, Point2D, build_grid, cell_of, offset_distances
 from swimsim.mobility import (
+    BLOCK,
     CandidateSet,
     ModelParams,
     OffsetTable,
+    PowerLawWait,
     UniformWait,
     decay_of,
     node_stream,
@@ -58,10 +61,10 @@ def judged_sets(table, home):
     rows, cols = table.rows, table.cols
     row, col = divmod(home, cols)
     window = slice(rows - 1 - row, 2 * rows - 1 - row)  # the grid rows' row offsets
-    masses = np.cumsum(table._masses[:, window, col], axis=1).tolist()
-    counts = np.cumsum(table._counts[:, window, col], axis=1).tolist()
+    masses = np.cumsum(table._masses[:, col, window], axis=1).tolist()
+    counts = np.cumsum(table._counts[:, col, window], axis=1).tolist()
     sets = []
-    for visiting, stops in enumerate(table._stops[:, window, col].tolist()):
+    for visiting, stops in enumerate(table._stops[:, col, window].tolist()):
         mass = masses[visiting]
         weighted = table.alpha > 0.0 and mass[-1] > 0.0
         if not weighted:
@@ -173,6 +176,26 @@ def test_node_starts_are_the_first_draws_of_their_streams(seed, width, height):
     popped = [heapq.heappop(queue) for _ in state.nodes]
     assert popped == sorted((node.end, node.id, node.id) for node in state.nodes)
     assert state.seq == len(state.nodes)
+
+
+@pytest.mark.parametrize("wait", [
+    UniformWait(2.0, 5.0), PowerLawWait(1.5, 10.0, 3600.0), UniformWait(3.0, 3.0),
+], ids=str)
+def test_streams_go_on_from_their_start_blocks(wait):
+    # `initialize` draws each node's first block into a row of an array of
+    # START_ROWS nodes and hands the stream its row with the start's two
+    # values taken; the first pause takes the third, none for a fixed wait.
+    # From there, through two refills, the stream is its node's own
+    nodes = 2 * engine.START_ROWS + 5
+    params = make_params(node_count=nodes, wait=wait, seed=7)
+    state = initialize(params)
+    for i in (0, nodes - 1):
+        judged = node_stream(params.seed, i).random(3 * BLOCK).tolist()
+        taken = 2 if wait.high == wait.low else 3
+        assert state.nodes[i].end == (wait.low if taken == 2 else wait.inverse_cdf(judged[2]))
+        drawn = [value for _ in range(3 * BLOCK // 5 - 1) for value in state.uniforms[i].take(5)]
+        assert drawn == judged[taken:taken + len(drawn)]
+        assert taken + len(drawn) > 2 * BLOCK
 
 
 def test_initialize_transient_memory_is_bounded():

@@ -11,8 +11,10 @@ from test_grid import centers
 
 from swimsim.grid import AreaBounds, LocationClass, Point2D, build_grid, classify_locations
 from swimsim.mobility import (
+    BLOCK,
     ModelParams,
     PowerLawWait,
+    UniformStream,
     UniformWait,
     choose_destination,
     decay_of,
@@ -356,6 +358,38 @@ def test_node_streams_are_default_rng_bit_for_bit(seed):
             assert np.array_equal(streams[node].random(100), judge.random(100))
     judge = np.random.default_rng([seed, 2**32 - 1])
     assert node_stream(seed, 2**32 - 1).bit_generator.state == judge.bit_generator.state
+
+
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+MASK64, MASK128 = 2**64 - 1, 2**128 - 1
+
+
+def pcg64_doubles(state, inc, count):
+    """The next `count` doubles of `random()` on a PCG64 at (state, inc), stepped in
+    Python: the 128-bit LCG steps, its XSL-RR output gives a 64-bit word, and the
+    word's top 53 bits, scaled by 2**-53, give the double."""
+    doubles = []
+    for _ in range(count):
+        state = (state * PCG64_MULTIPLIER + inc) & MASK128
+        rot = state >> 122
+        word = ((state >> 64) ^ state) & MASK64
+        word = (word >> rot | word << (-rot & 63)) & MASK64
+        doubles.append((word >> 11) * 2.0**-53)
+    return doubles
+
+
+@pytest.mark.parametrize("seed, node", [(5, 3), (1, 0), (7, 999), (2**40 + 3, 2**32 - 1)])
+def test_node_streams_step_as_pcg64(seed, node):
+    # every draw is a double of a node's stream: a numpy whose PCG64 steps,
+    # outputs or scales otherwise fails here by name, not only in the digests
+    rng = node_stream(seed, node)
+    pcg = rng.bit_generator.state["state"]
+    judged = pcg64_doubles(pcg["state"], pcg["inc"], 70 * BLOCK)
+    # read as the engine reads it, in rows of 5 and 4 that straddle block ends
+    stream, drawn = UniformStream(rng), []
+    while len(drawn) < len(judged):
+        drawn += stream.take(5 if len(drawn) % 9 == 0 else 4)
+    assert drawn[:len(judged)] == judged
 
 
 def test_node_ids_and_seed_out_of_range_are_rejected():
