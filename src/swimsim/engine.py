@@ -9,34 +9,36 @@ next, a moving node arrives next. Events are kept in a heap of
 process in a total, deterministic order. Positions at any other instant
 are interpolated analytically. The engine writes no files.
 
-An event allocates nothing but its heap entry. Both kinds of event are
-handled in `run`'s one loop, which holds the queue, the nodes, their
-streams and the log columns in locals. It reads and writes each node's
-phase as plain values in place (mobility.NodeState). Each departure is
-tallied where its destination is chosen, into per-node counts of
-departures, visiting draws and fallbacks, which every report carries as
-`selection_counts`. Each event's waypoint, and, when the trace is kept,
-each departure's trip (node, chosen cell, flags, departure and scheduled
-arrival), is written in place into the columns of one chunk of TRACE_ROWS
-rows per log, allocated once. A full chunk is handed out as a record
-array, the trace's to the report or to a caller's sink, the selection
-log's to the report; a run asked for no trace writes neither. The loop
-counts the events itself, so the report's event count needs no log, and
-the pause log is derived from the kept selection log on first read. Each
-node's seen counters are its own sparse SeenCounters, written by the
-contact tracker; the report builds the dense N x L matrix from their
-cells and counts only when it is read. An arrival sets the pause's end
-before it signals, and the signal carries that end to the tracker, which
-logs each contact with its end as it opens. The tracker's `finish` hands
-out its compact log (encounters.ContactLog), which the report keeps as
-it is; the contact log's record array is expanded from it only when
-read, never in `run`. A departure signals before the kernel draws, so
-the tracker settles the departing node's counters first. Each node's
-random stream is read in blocks (UniformStream); a departure reads its
-trip's row in one `take`: four uniforms for the kernel, then the next
-pause's (none for a fixed wait), which the arrival turns into the pause's
-length with the wait law's inverse CDF. An event is one heapreplace of
-its node's entry.
+An event keeps nothing but its heap entry: a departure also makes its
+row of uniforms and the kernel's result tuple, which the next event
+drops. Both kinds of event are handled in `run`'s one loop, which holds
+the queue, the nodes, their streams and the log columns in locals. It
+reads and writes each node's phase as plain values in place
+(mobility.NodeState). Each departure is tallied where its destination is
+chosen, into per-node counts of departures, visiting draws and
+fallbacks, which every report carries as `selection_counts`. Each
+event's waypoint, and, when the trace is kept, each departure's trip
+(node, chosen cell, flags, departure and scheduled arrival), is written
+in place into the columns of one chunk of TRACE_ROWS rows per log,
+allocated once. A full chunk is handed out as a record array, the
+trace's to the report or to a caller's sink, the selection log's to the
+report; a run asked for no trace writes neither. The loop counts the
+events itself, so the report's event count needs no log, and the pause
+log is derived from the kept selection log on first read. Each node's
+seen counters are its own sparse SeenCounters, written by the contact
+tracker; the report builds the dense N x L matrix from their cells and
+counts only when it is read. An arrival sets the pause's end before it
+signals, and the signal carries that end to the tracker, which logs each
+contact with its end as it opens. The tracker's `finish` hands out its
+compact log (encounters.ContactLog), which the report keeps as it is;
+the contact log's record array is expanded from it only when read, never
+in `run`. A departure signals before the kernel draws, so the tracker
+settles the departing node's counters first. Each node's random stream
+is read in blocks (UniformStream); a departure reads its trip's row in
+one `take`: four uniforms for the kernel, then the next pause's (none
+for a fixed wait), which the arrival turns into the pause's length with
+the wait law's inverse CDF. An event is one heapreplace of its node's
+entry.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ from .mobility import (
     SeenCounters,
     UniformStream,
     choose_destination,
-    draw_wait_time,
     make_node_state,
     node_streams,
 )
@@ -214,25 +215,31 @@ def initialize(params: ModelParams) -> SimulationState:
     the node's home. Every node's stream comes from one `node_streams`
     call, which seeds all of them in one numpy pass. Each stream draws its
     first block of uniforms into its row of an array of START_ROWS nodes,
-    and goes on from that row. A node's start is the first two uniforms of
-    its own stream, read for all nodes from the arrays' first two columns
-    and scaled to the area's width and height as `rng.uniform(0, side)`
-    would scale them, and the homes of all nodes are found in one search
-    per axis. Every node starts with a pause at home, and the pause is
-    announced like any other arrival (in node-id order at t=0) so nodes
-    that start co-located meet before anyone moves.
+    and goes on from that row with three values taken (two for a fixed
+    wait). A node's start is the first two uniforms of its own stream, read
+    for all nodes from the arrays' first two columns and scaled to the
+    area's width and height as `rng.uniform(0, side)` would scale them, and
+    the homes of all nodes are found in one search per axis. Every node
+    starts with a pause at home, whose length is the wait law's
+    `inverse_cdf` of the third uniform, read from the third column.
     Nodes that share a home share one HomeProfile; the profiles of all
     distinct homes are built in one pass from the run's one OffsetTable, so
-    selection state is O(L + distinct homes x R) and setup costs one
-    generator and one block draw per node plus the two passes. Each node's
-    seen counters are its own sparse SeenCounters, which the contact
-    tracker writes. No N x L array is allocated, and no temporary of the
-    home build, nor any array of first blocks, exceeds 128 KiB.
+    selection state is O(L + distinct homes x R). Each node is then built
+    by `make_node_state` with its pause's end, and its pause at home is
+    announced like any other arrival (in node-id order at t=0) so nodes
+    that start co-located meet before anyone moves. Each node's seen
+    counters are its own sparse SeenCounters, which the contact tracker
+    writes. So setup costs one generator, one block draw and a few Python
+    calls per node, plus the numpy passes. No N x L array is
+    allocated, and no temporary of the home build, nor any array of first
+    blocks, exceeds 128 KiB.
     """
     location_map = build_grid(params.area, params.n_locations)
+    wait = params.wait
     # every node's first block of uniforms, one row per node in arrays of
     # START_ROWS nodes; a stream goes on from its row with the start's two
-    # values taken
+    # values and its pause's one taken, none for a fixed wait
+    taken = 2 if wait.high == wait.low else 3
     rngs = node_streams(params.seed, params.node_count)
     uniforms, starts = [], []
     for lo in range(0, len(rngs), START_ROWS):
@@ -240,34 +247,36 @@ def initialize(params: ModelParams) -> SimulationState:
         blocks = np.empty((len(chunk), BLOCK))
         for rng, block in zip(chunk, blocks):
             rng.random(out=block)
-            uniforms.append(UniformStream(rng, block, 2))
-        starts.append(blocks[:, :2])
+            uniforms.append(UniformStream(rng, block, taken))
+        starts.append(blocks[:, :3])
     starts = np.concatenate(starts)
     # numpy's uniform(0, side) is 0 + side * u, the same double as side * u
     xs, ys = params.area.width * starts[:, 0], params.area.height * starts[:, 1]
+    # a fixed wait's inverse CDF is its low for any u
+    ends = list(map(wait.inverse_cdf, starts[:, 2].tolist()))
     homes = cells_of(location_map, xs, ys).tolist()
     distinct = sorted(set(homes))
     profile_of = dict(zip(distinct, OffsetTable(location_map, params).profiles(distinct)))
     nodes = [
-        make_node_state(i, x, y, profile_of[home])
-        for i, (x, y, home) in enumerate(zip(xs.tolist(), ys.tolist(), homes))
+        make_node_state(i, x, y, profile_of[home], end)
+        for i, (x, y, home, end) in enumerate(zip(xs.tolist(), ys.tolist(), homes, ends))
     ]
-    state = SimulationState(
+    tracker = ContactTracker([node.seen for node in nodes], params.seen_update)
+    for i, (home, end) in enumerate(zip(homes, ends)):
+        tracker.on_arrival_signal(i, home, 0.0, end)  # the pause at home began at 0
+    # the first departures, in seq order by node id; their keys are distinct,
+    # so the heap pops them as one push per node would
+    queue = [(end, i, i) for i, end in enumerate(ends)]
+    heapq.heapify(queue)
+    return SimulationState(
         params=params,
         location_map=location_map,
         nodes=nodes,
         uniforms=uniforms,
-        tracker=ContactTracker([node.seen for node in nodes], params.seen_update),
+        tracker=tracker,
+        queue=queue,
+        seq=len(nodes),
     )
-    for node, stream in zip(nodes, uniforms):
-        node.end = draw_wait_time(params.wait, stream)  # the pause at home began at 0
-        state.tracker.on_arrival_signal(node.id, node.home, 0.0, node.end)
-    # the first departures, in seq order by node id; their keys are distinct,
-    # so the heap pops them as one push per node would
-    state.queue = [(node.end, node.id, node.id) for node in nodes]
-    heapq.heapify(state.queue)
-    state.seq = len(nodes)
-    return state
 
 
 def position_at(node: NodeState, t: float) -> Point2D:

@@ -28,11 +28,13 @@ run's node streams are seeded in one numpy pass (node_streams), and a
 node's stream is read in blocks of BLOCK uniforms (UniformStream), which
 give the same doubles, in the same order, as one `random()` call per
 value. The engine draws the streams' first blocks as the rows of a few
-arrays and reads the nodes' starts from their first two columns. It
+arrays, reads the nodes' starts from their first two columns and turns
+the third into each node's first pause with the wait law's `inverse_cdf`,
+which `make_node_state` sets as the node's first departure time. It
 reads a trip's four uniforms and its pause's uniform as one row at the
-departure, and the wait law's `inverse_cdf` turns the latter into a
-length at the arrival. The kernel returns whether each draw was visiting
-or a fallback, and the engine tallies those per node where it draws.
+departure, and `inverse_cdf` turns the latter into a length at the
+arrival. The kernel returns whether each draw was visiting or a
+fallback, and the engine tallies those per node where it draws.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from itertools import repeat
 
 import numpy as np
 # numpy imports its random module lazily, on first use; importing it here
@@ -318,8 +321,8 @@ class UniformStream:
     `block` given is the stream's first BLOCK values, already drawn into it,
     of which the first `taken` are used: `initialize` draws the nodes' first
     blocks as the rows of a few arrays, reads every start from their first
-    two columns and hands each stream its row, which its later blocks
-    overwrite.
+    two columns and every first pause's uniform from the third, and hands
+    each stream its row, which its later blocks overwrite.
     """
 
     __slots__ = ("_rng", "_block", "_values", "_pos")
@@ -522,23 +525,19 @@ class OffsetTable:
             # each set's arrays are slices of the block's, so they are compact
             cdf_items = array("d", cdfs.tobytes())
             stop_items = array("i", stop_runs[:, runs].tobytes())
-            items = len(cdf_items) // 2  # per set
+            # the block's h-th home's R values of set s start at (s * homes + h) * R
+            firsts = range(0, len(cdf_items), rows)
             near, visiting = (
-                [CandidateSet(size, static, cdf_items[at:at + rows], last, prefix,
-                              stop_items[at:at + rows])
-                 for size, static, last, prefix, at in zip(
-                     sizes[s], statics[s], lasts[s], prefixes[s],
-                     range(s * items, (s + 1) * items, rows))]
-                for s in (0, 1))
-            for home, near_set, visiting_set in zip(chunk, near, visiting):
-                row, col = divmod(home, cols)
-                # index in `visiting_flags` of cell 0's offset: a cell's is that
-                # plus the cell id and (C-1) per grid row
-                flags_base = (rows - 1 - row) * (2 * cols - 1) + cols - 1 - col
-                # index in the sums of the start of grid row 0's column 0
-                sums_base = (rows - 1 - row) * (2 * cols) + cols - 1 - col
-                profiles.append(HomeProfile(self, row, col, flags_base, sums_base, near_set,
-                                            visiting_set))
+                map(CandidateSet, sizes[s], statics[s], [cdf_items[at:at + rows] for at in ats],
+                    lasts[s], prefixes[s], [stop_items[at:at + rows] for at in ats])
+                for s, ats in enumerate((firsts[:len(chunk)], firsts[len(chunk):])))
+            # index in `visiting_flags` of cell 0's offset (a cell's is that
+            # plus the cell id and (C-1) per grid row), and in the sums of the
+            # start of grid row 0's column 0
+            flags_base = (rows - 1 - home_rows) * (2 * cols - 1) + cols - 1 - home_cols
+            sums_base = (rows - 1 - home_rows) * (2 * cols) + cols - 1 - home_cols
+            profiles += map(HomeProfile, repeat(self), home_rows.tolist(), home_cols.tolist(),
+                            flags_base.tolist(), sums_base.tolist(), near, visiting)
         return profiles
 
 
@@ -614,17 +613,19 @@ class NodeState:
     * `tx`, `ty`: the trip's target;
     * `start`, `end`: the pause's start and scheduled departure, or the
       trip's departure and arrival.
+
+    A node starts paused at home from 0 until `end`.
     """
 
     __slots__ = ("id", "home", "seen", "profile", "paused", "cell", "x", "y", "tx", "ty",
                  "start", "end")
 
     def __init__(self, id: int, home: int, x: float, y: float, seen: SeenCounters,
-                 profile: HomeProfile):
+                 profile: HomeProfile, end: float):
         self.id, self.home, self.seen, self.profile = id, home, seen, profile
         self.x = self.tx = x
         self.y = self.ty = y
-        self.paused, self.cell, self.start, self.end = True, home, 0.0, 0.0
+        self.paused, self.cell, self.start, self.end = True, home, 0.0, end
 
     def __repr__(self) -> str:
         return (f"NodeState(id={self.id}, home={self.home}, paused={self.paused}, "
@@ -632,15 +633,16 @@ class NodeState:
                 f"start={self.start}, end={self.end})")
 
 
-def make_node_state(node_id: int, x: float, y: float, profile: HomeProfile) -> NodeState:
+def make_node_state(node_id: int, x: float, y: float, profile: HomeProfile,
+                    end: float = 0.0) -> NodeState:
     """Node at the point (x, y) with no encounters, homed in the cell of `profile`.
 
-    The node starts paused at home over [0, 0]. `profile` is the one built
+    The node starts paused at home over [0, end]. `profile` is the one built
     for the cell containing the point under the run's params, shared with
     the other nodes of that home; the home is read from it, not looked up.
     """
     home = profile.row * profile.table.cols + profile.col
-    return NodeState(node_id, home, x, y, SeenCounters(profile), profile)
+    return NodeState(node_id, home, x, y, SeenCounters(profile), profile, end)
 
 
 def decay_of(distances: np.ndarray, k: float) -> np.ndarray:

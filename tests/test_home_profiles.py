@@ -10,8 +10,9 @@ decay and each set's mask.
 
 A node's start is the first two draws of its own stream, as
 `rng.uniform(0, width)` and then `rng.uniform(0, height)` give them, and
-its first pause is the next draw. The stream then goes on from the block
-the start was read from as its node's own stream does.
+its first pause is the wait law's inverse CDF of the next draw. The
+stream then goes on from the block the start was read from as its node's
+own stream does.
 """
 
 import heapq
@@ -155,13 +156,21 @@ def test_profiles_of_no_homes():
     assert OffsetTable(build_grid(AreaBounds(400.0, 400.0), 21), make_params()).profiles([]) == []
 
 
-@pytest.mark.parametrize("seed", [1, 7, 2**40 + 3])
-@pytest.mark.parametrize("width, height", [
-    (400.0, 400.0), (333.3, 17.77), (1e-3, 5e6), (2000.0, 1999.999), (7.0, 13.0),
+# each wait law's suffix to the case ids; the default uniform law has none
+START_WAITS = {"": UniformWait(2.0, 5.0), "-powerlaw": PowerLawWait(1.5, 10.0, 3600.0),
+               "-fixed": UniformWait(3.0, 3.0)}
+
+
+@pytest.mark.parametrize("width, height, seed, wait", [
+    pytest.param(width, height, seed, wait, id=f"{width}-{height}-{seed}{suffix}")
+    for suffix, wait in START_WAITS.items()
+    for width, height in [(400.0, 400.0), (333.3, 17.77), (1e-3, 5e6), (2000.0, 1999.999),
+                          (7.0, 13.0)]
+    for seed in [1, 7, 2**40 + 3]
 ])
-def test_node_starts_are_the_first_draws_of_their_streams(seed, width, height):
+def test_node_starts_are_the_first_draws_of_their_streams(width, height, seed, wait):
     params = make_params(area=AreaBounds(width, height), n_locations=35, node_count=60,
-                         seed=seed)
+                         seed=seed, wait=wait)
     state = initialize(params)
     for i, node in enumerate(state.nodes):
         rng = node_stream(seed, i)
@@ -169,8 +178,9 @@ def test_node_starts_are_the_first_draws_of_their_streams(seed, width, height):
         assert (node.x.hex(), node.y.hex()) == (float(x).hex(), float(y).hex())
         assert node.home == cell_of(state.location_map, Point2D(node.x, node.y))
         assert node.profile.row * state.location_map.cols + node.profile.col == node.home
-        # the first pause is the stream's next draw
-        assert node.end == params.wait.inverse_cdf(rng.random())
+        # the first pause is the inverse CDF of the stream's third draw, its
+        # low for a fixed wait, which draws none
+        assert node.end.hex() == wait.inverse_cdf(rng.random()).hex()
     # one first departure per node, keyed (time, seq = node id), popped in key order
     queue = list(state.queue)
     popped = [heapq.heappop(queue) for _ in state.nodes]
@@ -184,8 +194,8 @@ def test_node_starts_are_the_first_draws_of_their_streams(seed, width, height):
 def test_streams_go_on_from_their_start_blocks(wait):
     # `initialize` draws each node's first block into a row of an array of
     # START_ROWS nodes and hands the stream its row with the start's two
-    # values taken; the first pause takes the third, none for a fixed wait.
-    # From there, through two refills, the stream is its node's own
+    # values and the first pause's one taken, none for a fixed wait. From
+    # there, through two refills, the stream is its node's own
     nodes = 2 * engine.START_ROWS + 5
     params = make_params(node_count=nodes, wait=wait, seed=7)
     state = initialize(params)
